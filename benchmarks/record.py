@@ -10,12 +10,10 @@ Three suites, selected with ``--suite``:
 - ``meta`` (``BENCH_meta.json``) — the PR-4 metaheuristic benches:
   NSGA-II / Pareto NSGA-II / tabu / annealing on the 50-task bench
   graph, plus the reduced-budget ``nsgaii_smoke`` the CI perf gate
-  uses.  Recording ``--section baseline`` measures the **legacy scalar
-  paths** (``batch_eval=False`` / ``delta_eval=False`` — the pre-batch
-  implementations kept verbatim in the mappers), so the baseline is
-  reproducible; it is still ``--force``-guarded so the committed
-  pre-PR numbers are not silently overwritten by a faster/slower
-  machine.
+  uses.  Its ``baseline`` section was recorded on the legacy scalar
+  mapper loops (per-genome fitness, per-move scratch simulation),
+  which have since been deleted — like ``eval``'s, it cannot be
+  regenerated and stays frozen.
 - ``topo`` (``BENCH_topo.json``) — the PR-10 topology benches, pinning
   the link-graph layer's zero-inner-loop-cost contract: table build on
   a uniform vs a star (routed) platform captures where routing *is*
@@ -56,7 +54,6 @@ Usage::
 
     PYTHONPATH=src python benchmarks/record.py                    # refresh eval "current"
     PYTHONPATH=src python benchmarks/record.py --suite meta       # refresh meta "current"
-    PYTHONPATH=src python benchmarks/record.py --suite meta --section baseline --force
     PYTHONPATH=src python benchmarks/record.py --suite meta --check nsgaii_smoke
     PYTHONPATH=src python benchmarks/record.py --overhead sp_first_fit_n200
 """
@@ -91,9 +88,7 @@ MAPPER_SPECS = [
 ]
 
 #: meta suite: key -> (graph size, repeats); the mapper (and its budget)
-#: for each key lives in ``_meta_mapper``.  ``scalar=True`` (baseline
-#: recording) selects the legacy scalar evaluation paths, which are the
-#: pre-batch implementations verbatim.
+#: for each key lives in ``_meta_mapper``.
 META_SPECS = {
     # paper budgets (Sec. IV-A: 500 generations x 100 individuals)
     "nsgaii_n50": (50, 5),
@@ -156,7 +151,7 @@ def _mapper_factory(key: str):
     return getattr(mappers, key)
 
 
-def _meta_mapper(key: str, scalar: bool):
+def _meta_mapper(key: str):
     from repro.mappers import (
         NsgaIIMapper,
         ParetoNsgaIIMapper,
@@ -165,17 +160,15 @@ def _meta_mapper(key: str, scalar: bool):
     )
 
     if key == "nsgaii_n50":
-        return NsgaIIMapper(batch_eval=not scalar)
+        return NsgaIIMapper()
     if key == "nsgaii_smoke":
-        return NsgaIIMapper(
-            generations=30, population_size=50, batch_eval=not scalar
-        )
+        return NsgaIIMapper(generations=30, population_size=50)
     if key == "pareto_n50":
-        return ParetoNsgaIIMapper(batch_eval=not scalar)
+        return ParetoNsgaIIMapper()
     if key == "tabu_n50":
-        return TabuSearchMapper(delta_eval=not scalar)
+        return TabuSearchMapper()
     if key == "annealing_n50":
-        return SimulatedAnnealingMapper(delta_eval=not scalar)
+        return SimulatedAnnealingMapper()
     raise KeyError(f"unknown meta bench key {key!r}")
 
 
@@ -201,13 +194,13 @@ def measure(key: str) -> float:
     raise KeyError(f"unknown bench key {key!r}")
 
 
-def measure_meta(key: str, *, scalar: bool = False) -> float:
+def measure_meta(key: str) -> float:
     """Median wall-clock seconds for one metaheuristic mapper bench."""
     size, repeats = META_SPECS[key]
     ev = _evaluator(size)
 
     def run():
-        _meta_mapper(key, scalar).map(
+        _meta_mapper(key).map(
             ev, rng=np.random.default_rng(np.random.SeedSequence(42))
         )
 
@@ -379,7 +372,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     bench_file = SUITES[args.suite]
-    meta = args.suite == "meta"
     measure_fn = _MEASURERS[args.suite]
 
     if args.overhead:
@@ -411,10 +403,10 @@ def main(argv=None) -> int:
         and data.get("baseline", {}).get("measures")
         and not args.force
     ):
-        if meta:
+        if args.suite == "meta":
             reason = (
-                "it records the committed pre-PR scalar-path medians"
-                " (re-measurable, but frozen as the speedup reference)"
+                "it was recorded on the legacy scalar mapper loops,"
+                " which no longer exist"
             )
         elif args.suite == "topo":
             reason = (
@@ -433,12 +425,9 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 2
-    scalar = meta and args.section == "baseline"
     measures = {}
     for key in all_keys(args.suite):
-        measures[key] = (
-            measure_meta(key, scalar=True) if scalar else measure_fn(key)
-        )
+        measures[key] = measure_fn(key)
         print(f"{key:>24s}: {measures[key] * 1e3:9.3f} ms")
     data[args.section] = {
         "python": sys.version.split()[0],
@@ -446,11 +435,6 @@ def main(argv=None) -> int:
         "env": _env_stamp(),
         "measures": measures,
     }
-    if meta and args.section == "baseline":
-        data["baseline"]["note"] = (
-            "legacy scalar paths: batch_eval=False / delta_eval=False"
-            " (the pre-batch implementations, kept verbatim)"
-        )
     _atomic_write_text(
         bench_file, json.dumps(data, indent=2, sort_keys=True) + "\n"
     )

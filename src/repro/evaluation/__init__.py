@@ -6,7 +6,7 @@ from .costmodel import AREA_TOL, INFEASIBLE, CostModel
 from .delta import DeltaEvaluator
 from .energy import JOULES_PER_MB, EnergyModel, energy_joules
 from .evaluator import MappingEvaluator
-from .kernel import FlatModel, simulate_flat, simulate_population, simulate_span
+from .kernel import FlatModel, simulate_flat, simulate_span
 from .schedules import ScheduleSuite, bfs_schedule, random_topological_schedule
 from .trace import ScheduleTrace, TaskTrace, render_gantt, simulate_trace
 
@@ -18,7 +18,6 @@ __all__ = [
     "DeltaEvaluator",
     "FlatModel",
     "simulate_flat",
-    "simulate_population",
     "simulate_span",
     "MappingEvaluator",
     "JOULES_PER_MB",

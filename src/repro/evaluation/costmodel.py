@@ -27,34 +27,31 @@ All tables (execution times, per-edge transfer costs for every device pair)
 are precomputed once per graph, so one evaluation is a tight O(V + E) loop —
 the hot path of the whole library (hpc guide: optimize the bottleneck only).
 
-Evaluation architecture (kernel + delta):
+Evaluation architecture — one specification, one fast path per kernel:
 
+- the specification is the nested-list walk :meth:`_simulate_reference`,
+  kept as the test oracle and never run on a hot path;
 - the tables are flattened once into a :class:`repro.evaluation.kernel.FlatModel`
   (CSR predecessor offsets, per-edge ``m*m`` transfer rows, contiguous
-  ``float64`` exec/fill/initial/final) and :meth:`simulate` delegates to
-  the shared :func:`repro.evaluation.kernel.simulate_span` loop — every
-  caller (construction makespan, the 101-schedule reported suite, the
-  GA/tabu/annealing fitness paths) goes through the same kernel;
-- the greedy decomposition mappers additionally use
-  :class:`repro.evaluation.delta.DeltaEvaluator`, which keeps per-position
-  prefix snapshots of ``(start, finish, slot availability, prefix-max
-  end)`` under the fixed BFS schedule and re-simulates **only the suffix**
-  from the first schedule position a move touches — O(affected suffix)
-  instead of O(V + E) per candidate move;
-- the population-based mappers (NSGA-II, Pareto NSGA-II) go through
-  :meth:`simulate_many`, which evaluates an arbitrary ``(P, n)`` array of
-  mappings in one call: vectorized (guard-banded, decision-exact) area
-  feasibility over the whole population, then the C kernel's
-  ``repro_span_batch_dedup`` entry (lane loop + in-kernel genome dedup +
-  infeasible-lane skipping) or, pure-Python, the lockstep numpy batch
-  kernel — Python/ctypes dispatch, the dominant cost of a scalar n=50
-  evaluation, is paid once per population instead of once per genome;
-- exactness contract: kernel, delta and population-batch evaluation
-  perform bit-for-bit the same float64 operations in the same order as
-  the original nested-list walk (kept as :meth:`_simulate_reference` and
-  pinned by ``tests/test_kernel_delta.py`` /
-  ``tests/test_batch_population.py``) — they are optimizations, never
-  approximations.
+  ``float64`` exec/fill/initial/final).  With the compiled kernel loaded
+  every entry goes to its C function; otherwise every entry runs the one
+  pure-Python loop :func:`repro.evaluation.kernel.simulate_span`;
+- :meth:`simulate` is one scratch pass (construction makespan, the
+  101-schedule reported suite);
+- :meth:`simulate_many` scores a ``(P, n)`` population (NSGA-II, Pareto
+  NSGA-II): vectorized, guard-banded area feasibility over all rows,
+  then the C kernel's ``repro_span_batch_dedup`` lane loop (one ctypes
+  call per population) or one scratch span per feasible row;
+- :class:`repro.evaluation.delta.DeltaEvaluator` keeps per-position
+  prefix snapshots under the fixed BFS schedule and re-simulates **only
+  the suffix** from the first position a move touches — O(affected
+  suffix) instead of O(V + E) per candidate move (greedy, tabu and
+  annealing mappers);
+- exactness contract: every path performs bit-for-bit the same float64
+  operations in the same order as :meth:`_simulate_reference` (pinned by
+  ``tests/test_kernel_delta.py`` / ``tests/test_batch_population.py``,
+  and the mapper trajectories by ``tests/test_golden.py``) — they are
+  optimizations, never approximations.
 
 Bookkeeping: ``n_simulations`` counts full scratch simulations (one per
 :meth:`simulate` call, as before); ``n_delta_evaluations`` counts
@@ -79,12 +76,7 @@ from ..obs import metrics as _metrics
 from ..platform.platform import Platform
 from ..platform.taskmodel import exec_time_table
 from ._ckernel import load_ckernel
-from .kernel import (
-    DEDUP_TABLE_FACTOR,
-    FlatModel,
-    simulate_flat,
-    simulate_population,
-)
+from .kernel import DEDUP_TABLE_FACTOR, FlatModel, simulate_flat
 
 __all__ = ["CostModel", "INFEASIBLE", "AREA_TOL", "area_guard_band"]
 
@@ -121,12 +113,6 @@ def area_guard_band(limit: float) -> float:
 #: — so outside the band both sums land on the same side of the
 #: threshold.  (Shared with :mod:`repro.evaluation.delta`.)
 AREA_BAND = 1e-6
-
-#: Below this many feasible lanes the pure-Python population path falls
-#: back to per-row scalar simulation: the lockstep numpy kernel pays
-#: ~25 us of call overhead per schedule position regardless of width,
-#: vs ~2 us per position per lane for the scalar loop.
-_POP_BATCH_MIN = 16
 
 
 class CostModel:
@@ -351,11 +337,9 @@ class CostModel:
         one call evaluates a whole population.  With the C kernel loaded
         the rows run through the native ``repro_span_batch`` lane loop
         (one ctypes call per population instead of one per genome); the
-        pure-Python path uses the lockstep numpy batch kernel
-        (:func:`repro.evaluation.kernel.simulate_population`), falling
-        back to per-row scalar simulation below ``_POP_BATCH_MIN`` lanes.
-        Every lane is bit-identical to a scalar :meth:`simulate` of that
-        row (:data:`INFEASIBLE` for rows failing the area check).
+        pure-Python path runs one scratch span per feasible row.  Every
+        lane is bit-identical to a scalar :meth:`simulate` of that row
+        (:data:`INFEASIBLE` for rows failing the area check).
 
         With ``dedup=True`` (and the C kernel loaded) lanes run through
         ``repro_span_batch_dedup``: identical rows are simulated once and
@@ -430,11 +414,7 @@ class CostModel:
         self.n_batch_calls += 1
         registry = _metrics.get_registry()
         if registry is not None:
-            path = (
-                "c_batch" if self._ck is not None
-                else "py_batch" if n_lanes >= _POP_BATCH_MIN
-                else "py_scalar"
-            )
+            path = "c_batch" if self._ck is not None else "py"
             registry.counter(f"kernel.calls.{path}").inc()
             registry.histogram("kernel.batch_size").observe_int(n_lanes)
         res = np.empty(n_lanes)
@@ -452,16 +432,10 @@ class CostModel:
             )
         else:
             ord_l = self.bfs_order if order is None else [int(i) for i in order]
-            if n_lanes >= _POP_BATCH_MIN:
-                res = simulate_population(
-                    self.flat, pop, ord_l, contention=contention
+            for b, row in enumerate(pop.tolist()):
+                res[b] = simulate_flat(
+                    self.flat, row, ord_l, contention=contention
                 )
-            else:
-                for b in range(n_lanes):
-                    res[b] = simulate_flat(
-                        self.flat, pop[b].tolist(), ord_l,
-                        contention=contention,
-                    )
         if idx is None:
             return res
         out[idx] = res

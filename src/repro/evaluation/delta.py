@@ -29,9 +29,16 @@ an exact scratch sum, so the feasibility *decision* always matches
 
 Committing an accepted move is suffix-sized too: :meth:`apply_move`
 with the candidate's ``first_pos`` resumes the recording rebuild from
-that position (``repro_rebuild_from`` / the mirrored Python walk) —
-the prefix snapshots are still valid, so the tabu/annealing accept
-path never pays a full O(V + E) rebuild.
+that position — the prefix snapshots are still valid, so the
+tabu/annealing accept path never pays a full O(V + E) rebuild.  A full
+rebuild is the same recording walk started at position 0 on fresh
+state.
+
+Each operation has exactly one implementation per kernel: the C entries
+(``repro_eval_move``, ``repro_rebuild``, ``repro_rebuild_from``) when the
+compiled kernel is loaded, otherwise :func:`~repro.evaluation.kernel.simulate_span`
+for move evaluation and :meth:`DeltaEvaluator._record_from` for the
+recording walk.  Both kernels charge the counters identically.
 
 Bookkeeping: every suffix re-simulation (and every suffix commit)
 increments ``model.n_delta_evaluations`` and adds ``suffix_length / n``
@@ -41,14 +48,15 @@ rebuilds count toward ``model.n_simulations``.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+import ctypes
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from ..obs import metrics as _metrics
 from ..sp.subgraphs import schedule_span
 from .costmodel import AREA_TOL, INFEASIBLE, CostModel, area_guard_band
-from .kernel import INF, simulate_batch, simulate_span
+from .kernel import INF, simulate_span
 
 __all__ = ["Candidate", "DeltaEvaluator"]
 
@@ -58,26 +66,16 @@ class Candidate(NamedTuple):
 
     members: List[int]     #: task indices
     arr: np.ndarray        #: the same indices as an int64 array (C kernel)
-    ptr: int               #: cached raw data pointer of ``arr``
+    ptr: object            #: ``arr``'s data pointer as ``c_void_p`` (C kernel)
     first_pos: int         #: first schedule position the candidate touches
     area: float            #: summed task area (incremental feasibility)
+    c_len: object          #: ``len(members)`` as ``c_int64`` (C kernel)
+    c_first: object        #: ``first_pos`` as ``c_int64`` (C kernel)
 
 # Near the area threshold, the incremental usage sum falls back to an
 # exact scratch recount (see _move_feasible); the band for "near" is
 # repro.evaluation.costmodel.area_guard_band, shared with
 # CostModel.feasible_mask's vectorized check and the runtime area ledger.
-
-#: Below this many lanes a vectorized batch loses to scalar suffix evals:
-#: the batch kernel pays ~25 us of numpy call overhead per schedule
-#: position regardless of width, vs ~2 us per position per lane for the
-#: scalar loop — break-even sits around 90-100 lanes.
-_BATCH_MIN = 96
-
-#: Lanes per vectorized batch.  Chunks are cut from moves sorted by
-#: first affected position, so each chunk starts at its first lane's
-#: position — grouping moves that share a prefix keeps the simulated
-#: span short while the batch stays wide enough to amortize numpy calls.
-_BATCH_CHUNK = 256
 
 
 class DeltaEvaluator:
@@ -137,20 +135,18 @@ class DeltaEvaluator:
         self._pre_ms: List[float] = []
         self.base_makespan: float = INF
 
-        # preallocated numpy state — refilled in place on every rebuild,
-        # never reallocated (the C kernel keeps raw pointers into them)
-        n_slots = self.flat.n_slots
         self._np_map = np.zeros(n, dtype=np.int64)
-        self._order_np = np.asarray(self.order, dtype=np.int64)
-        self._pos_np = np.asarray(pos, dtype=np.int64)
-        self._start_np = np.zeros(n)
-        self._finish_np = np.zeros(n)
-        self._snap_np = np.zeros((n, n_slots))
-        self._pre_ms_np = np.zeros(n)
         self._ck = model._ck
         if self._ck is not None:
-            import ctypes
-
+            # the C kernel's state: preallocated once, refilled in place
+            # and never reallocated (the kernel keeps raw pointers)
+            n_slots = self.flat.n_slots
+            self._order_np = np.asarray(self.order, dtype=np.int64)
+            self._pos_np = np.asarray(pos, dtype=np.int64)
+            self._start_np = np.zeros(n)
+            self._finish_np = np.zeros(n)
+            self._snap_np = np.zeros((n, n_slots))
+            self._pre_ms_np = np.zeros(n)
             self._ts_ws = np.empty(n)
             self._tf_ws = np.empty(n)
             self._avail_ws = np.empty(max(1, n_slots))
@@ -171,6 +167,10 @@ class DeltaEvaluator:
             self._dctx_p = ctypes.byref(self._dctx)
             self._ctx_p = model._ck_ctx_p
             self._eval_move_c = self._ck.lib.repro_eval_move
+            # prebuilt ctypes arguments: converting Python ints/floats on
+            # every call costs more than the native suffix simulation
+            self._c_devices = [ctypes.c_int64(d) for d in range(self.flat.m)]
+            self._c_inf = ctypes.c_double(INF)
 
     # ------------------------------------------------------------------
     def candidate(self, sub: Sequence[int]) -> Candidate:
@@ -178,8 +178,9 @@ class DeltaEvaluator:
 
         Done once per candidate and reused for every device and every
         round — the per-move work stays proportional to the suffix.  The
-        cached data pointer is what the C kernel indexes with (computing
-        it per move would cost more than the native suffix simulation).
+        C kernel's per-candidate arguments (data pointer, length, first
+        position) are built here once, as ctypes values: converting them
+        per move would cost more than the native suffix simulation.
         """
         if isinstance(sub, np.ndarray) and sub.dtype == np.int64:
             sub_np = np.ascontiguousarray(sub)
@@ -189,12 +190,19 @@ class DeltaEvaluator:
             sub_np = np.asarray(sub_list, dtype=np.int64)
         first, _last = schedule_span(sub_list, self.pos)
         area = self._area
+        ptr = c_len = c_first = None
+        if self._ck is not None:
+            ptr = ctypes.c_void_p(sub_np.ctypes.data)
+            c_len = ctypes.c_int64(len(sub_list))
+            c_first = ctypes.c_int64(first)
         return Candidate(
             sub_list,
             sub_np,
-            sub_np.ctypes.data,
+            ptr,
             first,
-            sum(area[t] for t in sub_list),
+            sum(map(area.__getitem__, sub_list)),
+            c_len,
+            c_first,
         )
 
     # ------------------------------------------------------------------
@@ -212,11 +220,10 @@ class DeltaEvaluator:
     def _rebuild(self) -> float:
         """Full base simulation recording per-position prefix snapshots.
 
-        This is :func:`repro.evaluation.kernel.simulate_span` from
-        position 0 with two recording statements added per position —
-        the float operations must stay statement-for-statement identical
-        to the kernel (exactness contract).  With the C kernel loaded the
-        same recording simulation runs natively (``repro_rebuild``).
+        Counts as one full simulation (``model.n_simulations``).  With the
+        C kernel loaded the recording walk runs natively
+        (``repro_rebuild``); otherwise it is :meth:`_record_from`
+        position 0 on fresh state.
         """
         self.model.n_simulations += 1
         if self._ck is not None:
@@ -230,83 +237,9 @@ class DeltaEvaluator:
                 self._avail_ws.ctypes.data,
             )
             return self.base_makespan
-        flat = self.flat
-        order = self.order
-        mapping = self._map
-        m = flat.m
-        exec_l = flat.exec_l
-        fill_l = flat.fill_l
-        initial_l = flat.initial_l
-        final_l = flat.final_l
-        pred_l = flat.pred_l
-        streaming = flat.streaming_l
-        serializes = flat.serializes_l
-        slot_ptr = flat.slot_ptr_l
-
-        start = self._start
-        finish = self._finish
-        avail = flat.fresh_avail()
-        snap_avail: List[List[float]] = []
-        pre_ms: List[float] = []
-        makespan = 0.0
-
-        for j in range(self.n):
-            snap_avail.append(avail.copy())
-            pre_ms.append(makespan)
-            i = order[j]
-            d = mapping[i]
-            row = i * m
-            ready = initial_l[row + d]
-            drain = 0.0
-            for p, trans in pred_l[i]:
-                dp = mapping[p]
-                if dp == d and streaming[d]:
-                    r = start[p] + fill_l[p * m + dp]
-                    fp = finish[p]
-                    if fp > drain:
-                        drain = fp
-                else:
-                    r = finish[p] + trans[dp * m + d]
-                if r > ready:
-                    ready = r
-            st = ready
-            slot = -1
-            if serializes[d]:
-                s0 = slot_ptr[d]
-                s1 = slot_ptr[d + 1]
-                slot = s0
-                earliest = avail[s0]
-                for q in range(s0 + 1, s1):
-                    v = avail[q]
-                    if v < earliest:
-                        earliest = v
-                        slot = q
-                if earliest > ready:
-                    st = earliest
-            fin = st + exec_l[row + d]
-            if drain > fin:
-                fin = drain
-            start[i] = st
-            finish[i] = fin
-            if slot >= 0:
-                avail[slot] = fin
-            end = fin + final_l[row + d]
-            if end > makespan:
-                makespan = end
-
-        self._snap_avail = snap_avail
-        self._pre_ms = pre_ms
-        self._tstart = start.copy()
-        self._tfinish = finish.copy()
-        # numpy mirrors for the vectorized batch evaluator (refilled in
-        # place; see __init__)
-        np.copyto(self._start_np, start)
-        np.copyto(self._finish_np, finish)
-        if self.flat.n_slots:
-            np.copyto(self._snap_np, snap_avail)
-        np.copyto(self._pre_ms_np, pre_ms)
-        self.base_makespan = makespan
-        return makespan
+        self._snap_avail = [self.flat.fresh_avail()] * self.n
+        self._pre_ms = [0.0] * self.n
+        return self._record_from(0)
 
     # ------------------------------------------------------------------
     def _move_feasible(self, sub_list: List[int], device: int, sub_area: float) -> bool:
@@ -368,10 +301,10 @@ class DeltaEvaluator:
                 self._ctx_p,
                 self._dctx_p,
                 cand.ptr,
-                len(sub_list),
-                device,
-                first_pos,
-                bound,
+                cand.c_len,
+                self._c_devices[device],
+                cand.c_first,
+                self._c_inf if bound == INF else bound,
             )
 
         mp = self._map
@@ -404,79 +337,6 @@ class DeltaEvaluator:
                 tf[i] = bf[i]
 
     # ------------------------------------------------------------------
-    def evaluate_moves(
-        self, items: Sequence[Tuple[Candidate, int]]
-    ) -> np.ndarray:
-        """Makespans of many ``(candidate, device)`` moves (aligned array).
-
-        Values are bit-identical to :meth:`evaluate_move` per item (and
-        hence to a scratch simulation).  With the C kernel loaded the
-        items are simply evaluated one suffix at a time (native suffix
-        evaluation is already cheaper than any batching overhead).  On
-        the pure Python path, feasible lanes are sorted by first
-        affected position and cut into chunks of at most
-        ``_BATCH_CHUNK``: each chunk simulates as lockstep vector lanes
-        from its *earliest* lane's position on the shared base prefix
-        (:func:`repro.evaluation.kernel.simulate_batch` — lanes starting
-        later merely recompute base-identical values for a few
-        positions, which is exact); chunks too small to amortize numpy
-        call overhead fall back to the scalar suffix kernel.
-        """
-        res = np.empty(len(items))
-        if self._ck is not None:
-            evaluate = self.evaluate_move
-            for idx, (cand, dev) in enumerate(items):
-                res[idx] = evaluate(cand, dev)
-            return res
-        feas: List[int] = []
-        for idx, (cand, dev) in enumerate(items):
-            if self._move_feasible(cand.members, dev, cand.area):
-                feas.append(idx)
-            else:
-                res[idx] = INFEASIBLE
-        feas.sort(key=lambda idx: items[idx][0].first_pos)
-        n = self.n
-        model = self.model
-        at = 0
-        while at < len(feas):
-            chunk = feas[at : at + _BATCH_CHUNK]
-            at += len(chunk)
-            if len(chunk) < _BATCH_MIN:
-                for idx in chunk:
-                    cand, dev = items[idx]
-                    res[idx] = self.evaluate_move(cand, dev)
-                continue
-            k = items[chunk[0]][0].first_pos
-            B = len(chunk)
-            map_blk = np.repeat(self._np_map[:, None], B, axis=1)
-            for b, idx in enumerate(chunk):
-                cand, dev = items[idx]
-                map_blk[cand.members, b] = dev
-            start_blk = np.repeat(self._start_np[:, None], B, axis=1)
-            finish_blk = np.repeat(self._finish_np[:, None], B, axis=1)
-            avail_blk = np.repeat(self._snap_np[k][:, None], B, axis=1)
-            ms = np.full(B, self._pre_ms[k])
-            simulate_batch(
-                self.flat,
-                map_blk,
-                self.order,
-                k,
-                start_blk,
-                finish_blk,
-                avail_blk,
-                ms,
-            )
-            res[chunk] = ms
-            model.n_delta_evaluations += B
-            model.delta_work += B * (n - k) / n
-            if self._suffix_hist is not None:
-                for idx in chunk:
-                    self._suffix_hist.observe_int(
-                        n - items[idx][0].first_pos
-                    )
-        return res
-
-    # ------------------------------------------------------------------
     def apply_move(
         self,
         sub_list: List[int],
@@ -490,8 +350,8 @@ class DeltaEvaluator:
         :meth:`candidate`) the rebuild resumes from that position — the
         prefix snapshots are still valid, so a commit costs O(affected
         suffix); suffix values are bit-identical to a full rebuild
-        (``repro_rebuild_from`` / the mirrored Python walk).  Without it
-        a full O(V + E) recording rebuild runs, as before.
+        (``repro_rebuild_from`` / :meth:`_record_from`).  Without it a
+        full O(V + E) recording rebuild runs.
         """
         for t in sub_list:
             self._map[t] = device
@@ -529,6 +389,19 @@ class DeltaEvaluator:
                 self._avail_ws.ctypes.data,
             )
             return self.base_makespan
+        return self._record_from(k)
+
+    def _record_from(self, k: int) -> float:
+        """The pure-Python recording walk from position ``k`` to the end.
+
+        :func:`repro.evaluation.kernel.simulate_span` with two recording
+        statements added per position (the slot vector and the prefix
+        makespan *before* the position); the float operations must stay
+        statement-for-statement identical to the kernel (exactness
+        contract).  Reads the snapshots at ``k``, rewrites those from
+        ``k`` on and refreshes the trial mirrors of the suffix.  Touches
+        no counter.
+        """
         flat = self.flat
         order = self.order
         mapping = self._map
@@ -593,18 +466,13 @@ class DeltaEvaluator:
             if end > makespan:
                 makespan = end
 
-        # refresh the suffix of the trial mirrors and numpy views
+        # refresh the suffix of the trial mirrors
         ts = self._tstart
         tf = self._tfinish
         for j in range(k, self.n):
             i = order[j]
             ts[i] = start[i]
             tf[i] = finish[i]
-        np.copyto(self._start_np, start)
-        np.copyto(self._finish_np, finish)
-        if self.flat.n_slots:
-            np.copyto(self._snap_np, snap_avail)
-        np.copyto(self._pre_ms_np, pre_ms)
         self.base_makespan = makespan
         return makespan
 

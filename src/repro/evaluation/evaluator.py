@@ -14,20 +14,19 @@
 Population-based mappers evaluate whole generations through
 :meth:`MappingEvaluator.construction_makespans`: a ``(P, n)`` array of
 genomes goes through **genome dedup** (identical rows are simulated once
-and share the exact value) and one :meth:`CostModel.simulate_many` batch
-call, which amortizes the Python/ctypes dispatch that dominates scalar
-evaluation across the whole population.  With the C kernel loaded, dedup
-happens *inside* the native batch entry (``repro_span_batch_dedup``:
-open-addressing on a 64-bit row hash, duplicates verified by full row
-comparison — a collision costs a probe, never a wrong value); on the
-pure-Python path rows are stable-sorted by a weighted checksum and
-verified against their sorted neighbour, so sharing is never
-speculative either way.  Dedup fires whenever a generation contains
-repeated genomes — elitist GAs recreate parents through crossover-less
-pairs and converged populations concentrate on few genomes — and a
-converged NSGA-II generation routinely collapses to a fraction of its
-nominal width.  Per-lane results are bit-identical to
-:meth:`construction_makespan` of that row.
+and share the exact value) and one :meth:`CostModel.simulate_many` call.
+With the C kernel loaded, dedup happens *inside* the native lane loop
+(``repro_span_batch_dedup``: open-addressing on a 64-bit row hash,
+duplicates verified by full row comparison — a collision costs a probe,
+never a wrong value), so a population costs one ctypes call.  On the
+pure-Python kernel each distinct row is one scratch span, and the dedup
+in front of it is vectorized: rows are stable-sorted by a weighted
+checksum and verified against their sorted neighbour, so sharing is
+never speculative either way.  That dedup measures as a win (a
+converged NSGA-II generation collapses to a fraction of its nominal
+width; elitism and crossover-less pairs recreate parents), and it beats
+``np.unique(axis=0)`` on the same populations.  Per-lane results are
+bit-identical to :meth:`construction_makespan` of that row.
 
 The *relative improvement* metric follows Sec. IV-A: average positive
 relative improvement over the pure-CPU mapping, deteriorations counted as

@@ -15,29 +15,22 @@ numpy arrays:
   ``float64`` tables (execution, pipeline fill, host→device input,
   device→host result).
 
+The C kernel (:mod:`repro.evaluation._ckernel`) reads those arrays.
 The simulation itself is an inherently *sequential* list-scheduling
-recurrence (slot state couples every step), so it cannot be vectorized
-across tasks; the arrays are therefore mirrored once into flat Python
-lists (``exec_l[i * m + d]`` etc.) which CPython indexes several times
-faster than ndarray scalars.  :func:`simulate_span` is the one loop body
-shared by every evaluation path — full scratch simulation (span from
-position 0) and incremental suffix re-simulation
-(:mod:`repro.evaluation.delta`) — which makes the scratch/delta exactness
-contract structural: both run literally the same statements.
+recurrence (slot state couples every step), so the pure-Python fallback
+mirrors the arrays once into flat Python lists (``exec_l[i * m + d]``
+etc.), which CPython indexes several times faster than ndarray scalars.
 
-While tasks cannot be vectorized, independent *mappings* can: the
-recurrence is embarrassingly parallel across genomes.
-:func:`simulate_batch` runs B mappings as lockstep numpy lanes over the
-shared schedule order (one elementwise operation per scalar statement),
-and :func:`simulate_population` is its from-scratch entry for whole
-``(B, n)`` populations — the fitness kernel of the metaheuristic
-mappers (``CostModel.simulate_many`` /
-``MappingEvaluator.construction_makespans``, which prefer the C
-kernel's ``repro_span_batch`` lane loop when compiled).
+:func:`simulate_span` is the one pure-Python evaluation loop.  A full
+scratch simulation (:func:`simulate_flat`) is a span from position 0;
+an incremental suffix re-simulation (:mod:`repro.evaluation.delta`) is a
+span from the first position a move touches; a population is a loop of
+scratch spans.  Scratch and delta evaluation thus run literally the
+same statements.
 
 Exactness contract: :func:`simulate_span` performs bit-for-bit the same
-float64 operations in the same order as the legacy nested-list walk
-(kept as ``CostModel._simulate_reference`` and pinned by
+float64 operations in the same order as the nested-list walk kept as
+``CostModel._simulate_reference`` (pinned by
 ``tests/test_kernel_delta.py``), so kernel selection is transparent —
 it is an optimization, never an approximation.
 """
@@ -48,7 +41,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["FlatModel", "simulate_span", "simulate_batch", "INF"]
+__all__ = ["FlatModel", "simulate_span", "simulate_flat", "INF"]
 
 INF = float("inf")
 
@@ -92,10 +85,6 @@ class FlatModel:
         "slots",
         "slot_ptr",
         "n_slots",
-        "has_initial",
-        "has_final",
-        "has_initial_l",
-        "has_final_l",
         "streaming_u8",
         "serializes_u8",
         # interpreter-friendly flat list mirrors (built once, read-only)
@@ -158,12 +147,6 @@ class FlatModel:
             slot_ptr[d + 1] = slot_ptr[d] + width
         self.slot_ptr = slot_ptr
         self.n_slots = int(slot_ptr[-1])
-
-        # batch-kernel helpers: which tasks actually pay host I/O
-        self.has_initial = np.any(self.initial != 0.0, axis=1)
-        self.has_final = np.any(self.final != 0.0, axis=1)
-        self.has_initial_l = self.has_initial.tolist()
-        self.has_final_l = self.has_final.tolist()
 
         # flat Python mirrors for the interpreter loop
         self.exec_l = self.exec.ravel().tolist()
@@ -274,116 +257,6 @@ def simulate_span(
     return makespan
 
 
-def simulate_batch(
-    flat: FlatModel,
-    map_blk: np.ndarray,
-    order: Sequence[int],
-    k: int,
-    start_blk: np.ndarray,
-    finish_blk: np.ndarray,
-    avail_blk: np.ndarray,
-    makespan: np.ndarray,
-    *,
-    contention: bool = True,
-) -> np.ndarray:
-    """Vectorized span: simulate B mappings in lockstep over positions.
-
-    Lane ``b`` simulates the mapping ``map_blk[:, b]``; state arrays are
-    task-major (``(n, B)`` / ``(n_slots, B)``) so each position touches
-    contiguous rows.  ``start_blk``/``finish_blk`` must hold each lane's
-    valid values for positions before ``k`` (for a shared base prefix:
-    the base values broadcast), ``avail_blk`` the slot state at ``k`` and
-    ``makespan`` the running prefix max per lane.  Returns the per-lane
-    makespans (the ``makespan`` array, updated in place).
-
-    Every elementwise operation mirrors one scalar statement of
-    :func:`simulate_span` in the same order, so each lane's result is
-    bit-identical to a scalar simulation of that lane's mapping
-    (``np.argmin`` keeps the scalar loop's first-smallest-slot
-    tie-break).  Lanes never interact — this is pure SIMD over candidate
-    moves, the payoff of the CSR/flat-array layout.
-    """
-    m = flat.m
-    exec_t = flat.exec
-    fill_t = flat.fill
-    initial_t = flat.initial
-    final_t = flat.final
-    has_initial = flat.has_initial_l
-    has_final = flat.has_final_l
-    pred_ptr = flat.pred_ptr
-    pred_src = flat.pred_src
-    pred_trans = flat.pred_trans
-    streaming_np = flat.streaming
-    serializes_l = flat.serializes_l
-    slot_ptr = flat.slot_ptr_l
-    any_streaming = bool(streaming_np.any())
-    # contention=False drops serialization exactly like the scalar loop:
-    # slot = -1 on every position, no avail reads or writes
-    serial_devs = (
-        [d for d in range(m) if serializes_l[d]] if contention else []
-    )
-
-    B = map_blk.shape[1]
-    zeros = np.zeros(B)
-
-    for j in range(k, len(order)):
-        i = order[j]
-        d = map_blk[i]
-        ready = initial_t[i].take(d) if has_initial[i] else zeros.copy()
-        e0 = int(pred_ptr[i])
-        e1 = int(pred_ptr[i + 1])
-        if any_streaming and e1 > e0:
-            stream_d = streaming_np.take(d)
-            drain = None
-            for e in range(e0, e1):
-                p = int(pred_src[e])
-                dp = map_blk[p]
-                fp = finish_blk[p]
-                r = fp + pred_trans[e].take(dp * m + d)
-                mask = stream_d & (dp == d)
-                if mask.any():
-                    rs = start_blk[p] + fill_t[p].take(dp)
-                    r = np.where(mask, rs, r)
-                    fp_masked = np.where(mask, fp, 0.0)
-                    drain = (
-                        fp_masked
-                        if drain is None
-                        else np.maximum(drain, fp_masked)
-                    )
-                ready = np.maximum(ready, r)
-        else:
-            drain = None
-            for e in range(e0, e1):
-                p = int(pred_src[e])
-                dp = map_blk[p]
-                r = finish_blk[p] + pred_trans[e].take(dp * m + d)
-                ready = np.maximum(ready, r)
-        st = ready
-        scatters = []
-        for dev in serial_devs:
-            mask = d == dev
-            if not mask.any():
-                continue
-            s0 = slot_ptr[dev]
-            s1 = slot_ptr[dev + 1]
-            sub = avail_blk[s0:s1]
-            sl = np.argmin(sub, axis=0)
-            earliest = sub[sl, np.arange(B)]
-            st = np.where(mask & (earliest > ready), earliest, st)
-            scatters.append((s0, sl, mask))
-        fin = st + exec_t[i].take(d)
-        if drain is not None:
-            fin = np.maximum(fin, drain)
-        start_blk[i] = st
-        finish_blk[i] = fin
-        for s0, sl, mask in scatters:
-            lanes = np.nonzero(mask)[0]
-            avail_blk[s0 + sl[lanes], lanes] = fin[lanes]
-        end = fin + final_t[i].take(d) if has_final[i] else fin
-        np.maximum(makespan, end, out=makespan)
-    return makespan
-
-
 def simulate_flat(
     flat: FlatModel,
     mapping: List[int],
@@ -407,36 +280,3 @@ def simulate_flat(
         0.0,
         contention=contention,
     )
-
-
-def simulate_population(
-    flat: FlatModel,
-    pop: np.ndarray,
-    order: Sequence[int],
-    *,
-    contention: bool = True,
-) -> np.ndarray:
-    """Scratch-simulate every row of a ``(B, n)`` population in lockstep.
-
-    The pure-Python counterpart of the C kernel's ``repro_span_batch``:
-    :func:`simulate_batch` from position 0 on fresh state, one vector
-    lane per genome.  Each lane's makespan is bit-identical to a scalar
-    :func:`simulate_flat` of that row (feasibility is the caller's
-    concern — rows are simulated unconditionally).
-    """
-    B = pop.shape[0]
-    map_blk = np.ascontiguousarray(pop.T)
-    return simulate_batch(
-        flat,
-        map_blk,
-        order,
-        0,
-        np.zeros((flat.n, B)),
-        np.zeros((flat.n, B)),
-        np.zeros((flat.n_slots, B)),
-        np.zeros(B),
-        contention=contention,
-    )
-
-
-__all__.extend(["simulate_flat", "simulate_population"])

@@ -24,15 +24,27 @@ to consumer (the paper assumes a constant 100 MB between tasks).
 The class is a thin, deterministic adjacency structure optimised for the
 access patterns of the mapping algorithms (topological sweeps, predecessor
 iteration, subgraph extraction).  Conversion to/from :mod:`networkx` is
-provided for interoperability and for cross-checking in tests.
+provided for interoperability; networkx is an optional dependency,
+imported only by those two conversions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["TaskParams", "TaskGraph", "GraphError", "DEFAULT_DATA_MB"]
 
@@ -277,18 +289,15 @@ class TaskGraph:
     # transformation
     # ------------------------------------------------------------------
     def copy(self) -> "TaskGraph":
+        # Adjacency lists are copied as-is: every mutator keeps each
+        # node's succ/pred order equal to its edges' order in ``_edges``,
+        # so this is what re-adding every task and edge would build.
         g = TaskGraph()
-        for t, n in self._nodes.items():
-            p = n.params
-            g.add_task(
-                t,
-                complexity=p.complexity,
-                parallelizability=p.parallelizability,
-                streamability=p.streamability,
-                area=p.area,
-            )
-        for (u, v), d in self._edges.items():
-            g.add_edge(u, v, data_mb=d)
+        g._nodes = {
+            t: _Node(n.params.copy(), list(n.succ), list(n.pred))
+            for t, n in self._nodes.items()
+        }
+        g._edges = dict(self._edges)
         return g
 
     def subgraph(self, nodes: Iterable[int]) -> "TaskGraph":
@@ -342,21 +351,23 @@ class TaskGraph:
         return g, src, snk
 
     def transitive_reduction(self) -> "TaskGraph":
-        """Copy with all transitive (redundant) edges removed."""
-        nxg = self.to_networkx()
-        red = nx.transitive_reduction(nxg)
-        g = TaskGraph()
-        for t in self._nodes:
-            p = self._nodes[t].params
-            g.add_task(
-                t,
-                complexity=p.complexity,
-                parallelizability=p.parallelizability,
-                streamability=p.streamability,
-                area=p.area,
-            )
-        for u, v in red.edges():
-            g.add_edge(u, v, data_mb=self._edges[(u, v)])
+        """Copy with all transitive (redundant) edges removed.
+
+        An edge ``u -> v`` is redundant iff ``v`` is also reachable from
+        another successor of ``u``.  Reachability sets are built once in
+        reverse Kahn order, each the union of its successors' sets.
+        """
+        reach: Dict[int, Set[int]] = {}
+        for t in reversed(self.topological_order()):
+            r: Set[int] = set()
+            for s in self._nodes[t].succ:
+                r.add(s)
+                r |= reach[s]
+            reach[t] = r
+        g = self.copy()
+        for u, v in self._edges:
+            if any(v in reach[w] for w in self._nodes[u].succ if w != v):
+                g.remove_edge(u, v)
         return g
 
     def relabeled(self) -> Tuple["TaskGraph", Dict[int, int]]:
@@ -383,7 +394,9 @@ class TaskGraph:
     # ------------------------------------------------------------------
     # interoperability
     # ------------------------------------------------------------------
-    def to_networkx(self) -> nx.DiGraph:
+    def to_networkx(self) -> "nx.DiGraph":
+        import networkx as nx
+
         g = nx.DiGraph()
         for t, n in self._nodes.items():
             p = n.params
@@ -399,7 +412,7 @@ class TaskGraph:
         return g
 
     @classmethod
-    def from_networkx(cls, g: nx.DiGraph) -> "TaskGraph":
+    def from_networkx(cls, g: "nx.DiGraph") -> "TaskGraph":
         tg = cls()
         for t, attrs in g.nodes(data=True):
             tg.add_task(

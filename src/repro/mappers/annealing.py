@@ -16,10 +16,9 @@ all-CPU start.
 
 Both move kinds reassign one (subgraph, device) pair off the current
 mapping, so trial evaluation goes through
-:class:`~repro.evaluation.delta.DeltaEvaluator` (O(affected suffix) per
-proposal; a full rebuild only on acceptance).  ``delta_eval=False``
-selects the legacy scalar loop; both paths draw the same rng sequence and
-accept the same moves (pinned by ``tests/test_batch_population.py``).
+:class:`~repro.evaluation.delta.DeltaEvaluator`: O(affected suffix) per
+proposal, and a suffix-sized commit on acceptance.  Seeded trajectories
+are pinned by ``tests/test_golden.py``.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ class SimulatedAnnealingMapper(Mapper):
         cooling: float = 0.999,
         subgraph_move_prob: float = 0.25,
         use_subgraph_moves: bool = True,
-        delta_eval: bool = True,
     ) -> None:
         if iterations < 1:
             raise ValueError("need at least one iteration")
@@ -60,7 +58,6 @@ class SimulatedAnnealingMapper(Mapper):
         self.cooling = cooling
         self.subgraph_move_prob = subgraph_move_prob
         self.use_subgraph_moves = use_subgraph_moves
-        self.delta_eval = delta_eval
         #: best-seen construction makespan after each iteration (last run)
         self.history_: List[float] = []
         super().__init__()
@@ -72,28 +69,14 @@ class SimulatedAnnealingMapper(Mapper):
         m = evaluator.n_devices
         index = evaluator.model.index
 
-        subgraphs: List[np.ndarray] = []
+        delta = DeltaEvaluator(evaluator.model)
+        sub_cands: List[Candidate] = []
         if self.use_subgraph_moves:
             for s in series_parallel_candidates(evaluator.graph, rng=rng):
                 if len(s) > 1:
-                    subgraphs.append(
+                    sub_cands.append(delta.candidate(
                         np.fromiter((index[t] for t in s), dtype=np.int64)
-                    )
-        if self.delta_eval:
-            return self._run_delta(evaluator, rng, subgraphs)
-        return self._run_scalar(evaluator, rng, subgraphs)
-
-    # ------------------------------------------------------------------
-    def _run_delta(
-        self,
-        evaluator: MappingEvaluator,
-        rng: np.random.Generator,
-        subgraphs: List[np.ndarray],
-    ) -> Tuple[np.ndarray, Dict[str, float]]:
-        n = evaluator.n_tasks
-        m = evaluator.n_devices
-        delta = DeltaEvaluator(evaluator.model)
-        sub_cands = [delta.candidate(sub) for sub in subgraphs]
+                    ))
         point_cands: List[Optional[Candidate]] = [None] * n
 
         current_ms = delta.reset(evaluator.cpu_mapping())
@@ -105,13 +88,12 @@ class SimulatedAnnealingMapper(Mapper):
         history: List[float] = []
 
         for _ in range(self.iterations):
-            if subgraphs and rng.random() < self.subgraph_move_prob:
+            if sub_cands and rng.random() < self.subgraph_move_prob:
                 cand = sub_cands[int(rng.integers(len(sub_cands)))]
                 device = int(rng.integers(m))
             else:
-                # legacy draw order: `trial[rng.integers(n)] = rng.integers(m)`
-                # evaluates the RHS first, so the device comes off the
-                # stream before the task index
+                # the device is drawn before the task index: the draw
+                # order is part of every seeded trajectory
                 device = int(rng.integers(m))
                 t = int(rng.integers(n))
                 cand = point_cands[t]
@@ -131,55 +113,6 @@ class SimulatedAnnealingMapper(Mapper):
                 accepted += 1
                 if ms < best_ms:
                     best = delta.mapping
-                    best_ms = ms
-            temp *= self.cooling
-            history.append(best_ms)
-        self.history_ = history
-        return best, {
-            "iterations": float(self.iterations),
-            "accepted": float(accepted),
-            "best_makespan": best_ms,
-        }
-
-    # ------------------------------------------------------------------
-    def _run_scalar(
-        self,
-        evaluator: MappingEvaluator,
-        rng: np.random.Generator,
-        subgraphs: List[np.ndarray],
-    ) -> Tuple[np.ndarray, Dict[str, float]]:
-        """Legacy loop: one scalar simulation per proposed move."""
-        n = evaluator.n_tasks
-        m = evaluator.n_devices
-
-        current = evaluator.cpu_mapping()
-        current_ms = evaluator.construction_makespan(current)
-        best = current.copy()
-        best_ms = current_ms
-        # temperature is relative to the baseline makespan
-        temp = self.start_temperature * current_ms
-        accepted = 0
-        history: List[float] = []
-
-        for _ in range(self.iterations):
-            trial = current.copy()
-            if subgraphs and rng.random() < self.subgraph_move_prob:
-                sub = subgraphs[int(rng.integers(len(subgraphs)))]
-                trial[sub] = int(rng.integers(m))
-            else:
-                trial[int(rng.integers(n))] = int(rng.integers(m))
-            ms = evaluator.construction_makespan(trial)
-            if not np.isfinite(ms):
-                temp *= self.cooling
-                history.append(best_ms)
-                continue
-            dms = ms - current_ms
-            if dms <= 0 or rng.random() < np.exp(-dms / max(temp, 1e-12)):
-                current = trial
-                current_ms = ms
-                accepted += 1
-                if ms < best_ms:
-                    best = trial.copy()
                     best_ms = ms
             temp *= self.cooling
             history.append(best_ms)

@@ -118,9 +118,9 @@ class DecompositionMapper(Mapper):
             sets = series_parallel_candidates(
                 g, rng=rng, cut_strategy=self.cut_strategy
             )
-        index = evaluator.model.index
+        index = evaluator.model.index.__getitem__
         return [
-            np.fromiter((index[t] for t in s), dtype=np.int64, count=len(s))
+            np.fromiter(map(index, s), dtype=np.int64, count=len(s))
             for s in sets
         ]
 
@@ -249,45 +249,25 @@ class DecompositionMapper(Mapper):
 
         Mirrors :meth:`_run_gamma` exactly.  Expectations steer later
         scan orders, so every evaluated move's gain is exact (no
-        bound-abort).  The first pass evaluates every move and goes
-        through :meth:`DeltaEvaluator.evaluate_moves` (one large batch
-        on the pure Python path, plain suffix evaluations with the C
-        kernel); the per-round priority scans evaluate only a handful of
-        moves before stopping, so they always follow the scan move by
-        move.
+        bound-abort): each move is one plain suffix evaluation.
         """
         eps = 1e-12
         n_moves = len(moves)
         expected = [0.0] * n_moves
         current = delta.reset(mapping)
         mp = delta.base_list
-
-        def pass_gains(indices) -> Dict[int, float]:
-            """Exact gains for a set of move indices (no-ops are 0)."""
-            items = []
-            keys = []
-            gains: Dict[int, float] = {}
-            for k in indices:
-                cand, d = moves[k]
-                for t in cand.members:
-                    if mp[t] != d:
-                        break
-                else:
-                    gains[k] = 0.0
-                    continue
-                items.append((cand, d))
-                keys.append(k)
-            if items:
-                for k, ms in zip(keys, delta.evaluate_moves(items)):
-                    gains[k] = current - ms
-            return gains
+        evaluate = delta.evaluate_move
 
         # First pass (Sec. III-D): evaluate every move once.
-        gains = pass_gains(range(n_moves))
         best_gain = 0.0
         best_idx = -1
-        for k in range(n_moves):
-            gain = gains[k]
+        for k, (cand, d) in enumerate(moves):
+            for t in cand.members:
+                if mp[t] != d:
+                    break
+            else:  # no-op move: already mapped there
+                continue
+            gain = current - evaluate(cand, d)
             expected[k] = gain
             if gain > best_gain + eps:
                 best_gain = gain
@@ -301,7 +281,6 @@ class DecompositionMapper(Mapper):
         iterations += 1
 
         gamma = self.gamma
-        evaluate = delta.evaluate_move
         while iterations < cap:
             order = np.argsort(
                 -np.asarray(expected), kind="stable"

@@ -18,13 +18,13 @@ sorting by fitness, so the algorithm is the classic elitist (mu + lambda)
 GA with binary tournament selection.  The all-CPU individual is seeded into
 the initial population, so the final result never loses to the baseline.
 
-Fitness is evaluated through the population batch entry
+Fitness is evaluated through the population entry
 (:meth:`~repro.evaluation.evaluator.MappingEvaluator.construction_makespans`):
 one call per generation scores the whole offspring block, with identical
-genomes deduplicated and simulated once.  ``batch_eval=False`` selects the
-legacy per-genome scalar loop — both paths produce bit-identical fitness
-values, hence bit-identical seeded trajectories (same rng draws, same
-survivors, same final mapping; pinned by ``tests/test_batch_population.py``).
+genomes deduplicated and simulated once.  Every value is bit-identical to
+a scalar construction makespan of that genome, on either kernel, so
+seeded trajectories do not depend on the kernel (pinned by
+``tests/test_golden.py``).
 """
 
 from __future__ import annotations
@@ -82,7 +82,6 @@ class NsgaIIMapper(Mapper):
         crossover_rate: float = 0.9,
         mutation_rate: Optional[float] = None,
         seed_cpu_individual: bool = True,
-        batch_eval: bool = True,
     ) -> None:
         if generations < 1 or population_size < 2:
             raise ValueError("need at least 1 generation and 2 individuals")
@@ -91,20 +90,11 @@ class NsgaIIMapper(Mapper):
         self.crossover_rate = crossover_rate
         self.mutation_rate = mutation_rate
         self.seed_cpu_individual = seed_cpu_individual
-        self.batch_eval = batch_eval
         #: best construction makespan after each generation (last run)
         self.history_: List[float] = []
-        self._batched = None
         super().__init__()
 
     # ------------------------------------------------------------------
-    def _fitness(self, evaluator: MappingEvaluator, pop: np.ndarray) -> np.ndarray:
-        if self._batched is not None:
-            return self._batched(pop)
-        return np.array(
-            [evaluator.construction_makespan(ind) for ind in pop]
-        )
-
     def _repair(self, pop: np.ndarray, area: np.ndarray, host: int,
                 capacities: Sequence[Tuple[int, float]],
                 rng: np.random.Generator) -> None:
@@ -133,17 +123,13 @@ class NsgaIIMapper(Mapper):
         area = evaluator.model._area  # noqa: SLF001 - package-internal
         host = evaluator.platform.host_index
         capacities = list(evaluator.platform.area_capacities().items())
-        self._batched = (
-            getattr(evaluator, "construction_makespans", None)
-            if self.batch_eval
-            else None
-        )
+        fitness_of = evaluator.construction_makespans
 
         pop = rng.integers(0, m, size=(pop_size, n), dtype=np.int64)
         if self.seed_cpu_individual:
             pop[0] = host
         self._repair(pop, area, host, capacities, rng)
-        fitness = self._fitness(evaluator, pop)
+        fitness = fitness_of(pop)
         history: List[float] = []
 
         for _ in range(self.generations):
@@ -160,7 +146,7 @@ class NsgaIIMapper(Mapper):
                 children[mask] = rng.integers(0, m, size=int(mask.sum()))
             self._repair(children, area, host, capacities, rng)
 
-            child_fitness = self._fitness(evaluator, children)
+            child_fitness = fitness_of(children)
             # (mu + lambda) elitism == single-objective NSGA-II survival
             combined = np.concatenate([pop, children])
             combined_fit = np.concatenate([fitness, child_fitness])
@@ -170,7 +156,6 @@ class NsgaIIMapper(Mapper):
             history.append(float(fitness[0]))
 
         self.history_ = history
-        self._batched = None  # don't pin the evaluator past the run
         best = int(np.argmin(fitness))
         stats = {
             "generations": float(self.generations),

@@ -10,11 +10,17 @@ work can easily be transferred").  This module carries that out for the
   :meth:`~repro.mappers.base.Mapper.map` result is the knee-point solution;
   the full Pareto front of the final population is kept on
   ``mapper.last_front_`` as ``(mapping, makespan, energy)`` triples.
+  Each generation's makespans come from one population call
+  (:meth:`~repro.evaluation.evaluator.MappingEvaluator.construction_makespans`,
+  bit-identical to scalar evaluation on either kernel) and each distinct
+  genome's energy is computed once per run;
 - :class:`EnergyAwareDecompositionMapper` — the decomposition principle with
   a scalarized objective ``alpha * makespan/ms0 + (1-alpha) * energy/e0``
   (baselines = the all-CPU mapping), demonstrating that the greedy
   subgraph-move framework is objective-agnostic: only the full-evaluation
-  cost function changes (Sec. III-A).
+  cost function changes (Sec. III-A).  A custom objective has no suffix
+  form, so it runs the greedy loop's full-evaluation variant
+  (``DecompositionMapper._run_basic`` / ``_run_gamma``).
 
 ``examples/energy_tradeoff.py`` sweeps ``alpha`` and plots both mappers'
 fronts side by side.
@@ -159,7 +165,6 @@ class ParetoNsgaIIMapper(Mapper):
         population_size: int = 100,
         crossover_rate: float = 0.9,
         mutation_rate: Optional[float] = None,
-        batch_eval: bool = True,
     ) -> None:
         if generations < 1 or population_size < 4:
             raise ValueError("need >= 1 generation and >= 4 individuals")
@@ -167,12 +172,10 @@ class ParetoNsgaIIMapper(Mapper):
         self.population_size = population_size
         self.crossover_rate = crossover_rate
         self.mutation_rate = mutation_rate
-        self.batch_eval = batch_eval
         #: Pareto front of the final population: (mapping, makespan, energy)
         self.last_front_: List[Tuple[np.ndarray, float, float]] = []
         #: (best makespan, best energy) of the population per generation
         self.history_: List[Tuple[float, float]] = []
-        self._batched = None
         self._energy_memo: Dict[bytes, float] = {}
         super().__init__()
 
@@ -181,35 +184,25 @@ class ParetoNsgaIIMapper(Mapper):
         self, pop: np.ndarray, evaluator: MappingEvaluator, energy: EnergyModel
     ) -> np.ndarray:
         objs = np.empty((len(pop), 2))
-        if self._batched is not None:
-            # makespan lanes in one batch call; energy scalar per
-            # *distinct* genome, memoized across the whole run (elitism
-            # and crossover recreate genomes constantly; the memo shares
-            # the exact value, never an approximation)
-            ms = self._batched(pop)
-            objs[:, 0] = ms
-            memo = self._energy_memo
-            rows = pop.tolist()
-            for r in range(len(pop)):
-                if np.isfinite(ms[r]):
-                    key = pop[r].tobytes()
-                    e = memo.get(key)
-                    if e is None:
-                        memo[key] = e = energy.energy(
-                            rows[r], makespan=ms[r], check_feasibility=False
-                        )
-                    objs[r, 1] = e
-                else:
-                    objs[r, 1] = np.inf
-            return objs
-        for r, ind in enumerate(pop):
-            ms = evaluator.construction_makespan(ind)
-            objs[r, 0] = ms
-            objs[r, 1] = (
-                energy.energy(ind, makespan=ms, check_feasibility=False)
-                if np.isfinite(ms)
-                else np.inf
-            )
+        # makespan lanes in one population call; energy scalar per
+        # *distinct* genome, memoized across the whole run (elitism and
+        # crossover recreate genomes constantly; the memo shares the
+        # exact value, never an approximation)
+        ms = evaluator.construction_makespans(pop)
+        objs[:, 0] = ms
+        memo = self._energy_memo
+        rows = pop.tolist()
+        for r in range(len(pop)):
+            if np.isfinite(ms[r]):
+                key = pop[r].tobytes()
+                e = memo.get(key)
+                if e is None:
+                    memo[key] = e = energy.energy(
+                        rows[r], makespan=ms[r], check_feasibility=False
+                    )
+                objs[r, 1] = e
+            else:
+                objs[r, 1] = np.inf
         return objs
 
     def _repair(self, pop, evaluator, rng) -> None:
@@ -253,11 +246,6 @@ class ParetoNsgaIIMapper(Mapper):
         pop_size = self.population_size
         p_mut = self.mutation_rate if self.mutation_rate is not None else 1.0 / n
         energy = EnergyModel(evaluator.model)
-        self._batched = (
-            getattr(evaluator, "construction_makespans", None)
-            if self.batch_eval
-            else None
-        )
         self._energy_memo: Dict[bytes, float] = {}
 
         pop = rng.integers(0, m, size=(pop_size, n), dtype=np.int64)
@@ -306,7 +294,6 @@ class ParetoNsgaIIMapper(Mapper):
             )
 
         self.history_ = history
-        self._batched = None  # don't pin the evaluator past the run
         self._energy_memo = {}
         # final front and knee selection
         finite = np.isfinite(objs).all(axis=1)

@@ -18,11 +18,11 @@ regime on identical moves.
 Neighborhood scans run through prepared-candidate delta evaluation
 (:class:`~repro.evaluation.delta.DeltaEvaluator`): every sampled move is a
 single-subgraph reassignment off the current mapping — exactly the delta
-contract — so each move costs O(affected suffix) instead of a fresh scalar
-simulation, with a bound-abort at the best makespan seen in the current
-scan (max is monotone, so an aborted move could never have been selected).
-``delta_eval=False`` selects the legacy scalar loop; both paths take
-bit-identical move decisions (pinned by ``tests/test_batch_population.py``).
+contract — so each move costs O(affected suffix) instead of a fresh
+scratch simulation, with a bound-abort at the best makespan seen in the
+current scan (max is monotone, so an aborted move could never have been
+selected by an exact scan either).  Seeded trajectories are pinned by
+``tests/test_golden.py``.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ class TabuSearchMapper(Mapper):
         tenure: int = 25,
         use_subgraph_moves: bool = True,
         cut_strategy: str = "random",
-        delta_eval: bool = True,
     ) -> None:
         if iterations < 1 or neighborhood < 1 or tenure < 0:
             raise ValueError("invalid tabu parameters")
@@ -62,7 +61,6 @@ class TabuSearchMapper(Mapper):
         self.tenure = tenure
         self.use_subgraph_moves = use_subgraph_moves
         self.cut_strategy = cut_strategy
-        self.delta_eval = delta_eval
         #: best-seen construction makespan after each iteration (last run)
         self.history_: List[float] = []
         super().__init__()
@@ -80,27 +78,16 @@ class TabuSearchMapper(Mapper):
             )
         else:
             sets = single_node_candidates(g)
-        subgraphs: List[np.ndarray] = [
-            np.fromiter((index[t] for t in s), dtype=np.int64, count=len(s))
+        delta = DeltaEvaluator(evaluator.model)
+        cands = [
+            delta.candidate(
+                np.fromiter((index[t] for t in s), dtype=np.int64, count=len(s))
+            )
             for s in sets
         ]
         moves: List[Tuple[int, int]] = [
-            (k, d) for k in range(len(subgraphs)) for d in range(m)
+            (k, d) for k in range(len(cands)) for d in range(m)
         ]
-        if self.delta_eval:
-            return self._run_delta(evaluator, rng, subgraphs, moves)
-        return self._run_scalar(evaluator, rng, subgraphs, moves)
-
-    # ------------------------------------------------------------------
-    def _run_delta(
-        self,
-        evaluator: MappingEvaluator,
-        rng: np.random.Generator,
-        subgraphs: List[np.ndarray],
-        moves: List[Tuple[int, int]],
-    ) -> Tuple[np.ndarray, Dict[str, float]]:
-        delta = DeltaEvaluator(evaluator.model)
-        cands = [delta.candidate(sub) for sub in subgraphs]
 
         current_ms = delta.reset(evaluator.cpu_mapping())
         mp = delta.base_list  # live view, updated by apply_move
@@ -128,7 +115,7 @@ class TabuSearchMapper(Mapper):
                     continue
                 # bound at the scan's best: a move whose running makespan
                 # reaches chosen_ms returns inf and could not have been
-                # selected by the legacy exact scan either (ms is a max)
+                # selected by an exact scan either (ms is a max)
                 ms = evaluate(cand, d, bound=chosen_ms)
                 if not np.isfinite(ms):
                     continue
@@ -152,71 +139,6 @@ class TabuSearchMapper(Mapper):
                     tabu_set.add(chosen_move)
                 if current_ms < best_ms:
                     best = delta.mapping
-                    best_ms = current_ms
-                    improved_iters += 1
-            history.append(best_ms)
-        self.history_ = history
-        return best, {
-            "iterations": float(self.iterations),
-            "improving_steps": float(improved_iters),
-            "best_makespan": best_ms,
-        }
-
-    # ------------------------------------------------------------------
-    def _run_scalar(
-        self,
-        evaluator: MappingEvaluator,
-        rng: np.random.Generator,
-        subgraphs: List[np.ndarray],
-        moves: List[Tuple[int, int]],
-    ) -> Tuple[np.ndarray, Dict[str, float]]:
-        """Legacy scan: one scalar simulation per sampled move."""
-        current = evaluator.cpu_mapping()
-        current_ms = evaluator.construction_makespan(current)
-        best = current.copy()
-        best_ms = current_ms
-
-        tabu: deque = deque(maxlen=self.tenure if self.tenure > 0 else None)
-        tabu_set = set()
-        improved_iters = 0
-        history: List[float] = []
-
-        for _ in range(self.iterations):
-            sample_idx = rng.choice(
-                len(moves), size=min(self.neighborhood, len(moves)),
-                replace=False,
-            )
-            chosen = None
-            chosen_ms = np.inf
-            chosen_move = None
-            for mi in sample_idx:
-                k, d = moves[mi]
-                sub = subgraphs[k]
-                if np.all(current[sub] == d):
-                    continue
-                trial = current.copy()
-                trial[sub] = d
-                ms = evaluator.construction_makespan(trial)
-                if not np.isfinite(ms):
-                    continue
-                is_tabu = (k, d) in tabu_set
-                # aspiration: a tabu move is admissible if it beats best-seen
-                if is_tabu and ms >= best_ms - 1e-12:
-                    continue
-                if ms < chosen_ms:
-                    chosen = trial
-                    chosen_ms = ms
-                    chosen_move = (k, d)
-            if chosen is not None:
-                current = chosen
-                current_ms = chosen_ms
-                if self.tenure > 0:
-                    if len(tabu) == tabu.maxlen:
-                        tabu_set.discard(tabu[0])
-                    tabu.append(chosen_move)
-                    tabu_set.add(chosen_move)
-                if current_ms < best_ms:
-                    best = current.copy()
                     best_ms = current_ms
                     improved_iters += 1
             history.append(best_ms)

@@ -40,8 +40,18 @@ class SPTree:
         raise NotImplementedError
 
     def leaf_edges(self) -> Iterator[Tuple[Node, Node]]:
-        """All original-graph edges represented by this tree, in order."""
-        raise NotImplementedError
+        """All original-graph edges represented by this tree, in order.
+
+        One explicit pre-order stack for the whole tree rather than a
+        ``yield from`` generator chain per tree level.
+        """
+        stack: List[SPTree] = [self]
+        while stack:
+            t = stack.pop()
+            if isinstance(t, SPLeaf):
+                yield (t.source, t.sink)
+            else:
+                stack.extend(reversed(t.children))
 
     def nodes(self) -> Set[Node]:
         """All graph nodes covered by this tree (terminals included)."""
@@ -114,10 +124,6 @@ class SPSeries(SPTree):
     def outsize(self) -> int:
         return self.children[-1].outsize
 
-    def leaf_edges(self) -> Iterator[Tuple[Node, Node]]:
-        for c in self.children:
-            yield from c.leaf_edges()
-
     def inner_nodes(self) -> Iterator[SPTree]:
         yield self
         for c in self.children:
@@ -150,10 +156,6 @@ class SPParallel(SPTree):
     @property
     def outsize(self) -> int:
         return sum(c.outsize for c in self.children)
-
-    def leaf_edges(self) -> Iterator[Tuple[Node, Node]]:
-        for c in self.children:
-            yield from c.leaf_edges()
 
     def inner_nodes(self) -> Iterator[SPTree]:
         yield self

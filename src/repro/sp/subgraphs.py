@@ -58,8 +58,8 @@ def schedule_span(members, pos) -> "tuple[int, int]":
 
 
 def _ordered(sets: set, g: TaskGraph) -> List[FrozenSet[int]]:
-    pos = {t: i for i, t in enumerate(g.tasks())}
-    return sorted(sets, key=lambda s: (len(s), sorted(pos[t] for t in s)))
+    pos = {t: i for i, t in enumerate(g.tasks())}.__getitem__
+    return sorted(sets, key=lambda s: (len(s), sorted(map(pos, s))))
 
 
 def single_node_candidates(g: TaskGraph) -> List[FrozenSet[int]]:

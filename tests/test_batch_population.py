@@ -1,8 +1,9 @@
 """Exactness contract of the population batch path (metaheuristic fitness).
 
-PR 3 pinned the scalar kernel and the delta evaluator against the
-nested-list reference; this suite extends the same contract to the
-population entry and the metaheuristic mappers built on it:
+``tests/test_kernel_delta.py`` pins the scalar kernel and the delta
+evaluator against the nested-list reference; this suite extends the same
+contract to the population entry and the metaheuristic mappers built on
+it:
 
 - every lane of ``CostModel.simulate_many`` /
   ``MappingEvaluator.construction_makespans`` must be **bit-identical**
@@ -10,11 +11,9 @@ population entry and the metaheuristic mappers built on it:
   populations, FPGA area-infeasible genomes, duplicate rows (the dedup
   path) and ``contention=False``;
 - the four metaheuristic mappers (NSGA-II, Pareto NSGA-II, tabu,
-  annealing) must produce **bit-identical seeded trajectories** on the
-  batched/delta paths and on the legacy scalar paths
-  (``batch_eval=False`` / ``delta_eval=False``, which are the pre-batch
-  implementations verbatim): same rng draws, same accepted moves, same
-  per-generation history, same final mapping;
+  annealing) must reproduce their **golden seeded trajectories**
+  (``tests/test_golden.py``) on both kernels: same rng draws, same
+  accepted moves, same per-generation history, same final mapping;
 - the vectorized non-dominated sorting must agree with the classic
   pairwise implementation decision-for-decision *and* order-for-order
   (front ordering feeds crowding tie-breaks), including NaN objectives;
@@ -35,11 +34,10 @@ from repro.evaluation import (
     random_topological_schedule,
 )
 from repro.evaluation._ckernel import load_ckernel
-from repro.evaluation.costmodel import _POP_BATCH_MIN
 from repro.graphs.generators import random_sp_graph
 from repro.mappers import (
+    EnergyAwareDecompositionMapper,
     NsgaIIMapper,
-    ParetoNsgaIIMapper,
     SimulatedAnnealingMapper,
     TabuSearchMapper,
 )
@@ -51,6 +49,8 @@ from repro.mappers.multiobjective import (
 )
 from repro.platform import paper_platform
 from tests.conftest import make_evaluator
+from tests.test_golden import MODES as GOLDEN_MODES
+from tests.test_golden import assert_golden
 from tests.test_kernel_delta import FAMILIES, _same, graph_family, tight_platform
 
 HAVE_CKERNEL = load_ckernel() is not None
@@ -100,11 +100,11 @@ class TestBatchBitIdentity:
             )
 
     def test_small_population_scalar_fallback(self):
-        """Below _POP_BATCH_MIN lanes the Python path goes scalar — same bits."""
+        """A small population on the pure-Python kernel — same bits."""
         rng = np.random.default_rng(11)
         g = random_sp_graph(16, rng)
         model = CostModel(g, paper_platform(), use_ckernel=False)
-        pop = rng.integers(0, 3, size=(_POP_BATCH_MIN - 1, model.n), dtype=np.int64)
+        pop = rng.integers(0, 3, size=(15, model.n), dtype=np.int64)
         batched = model.simulate_many(pop)
         for r in range(len(pop)):
             assert _same(batched[r], model.simulate(pop[r]))
@@ -165,90 +165,36 @@ class TestBatchBitIdentity:
 
 
 # ---------------------------------------------------------------------------
-# (b) seeded mapper trajectories: batched/delta path == legacy scalar path
+# (b) seeded mapper trajectories: the golden digests, on both kernels
 # ---------------------------------------------------------------------------
-class TestMetaheuristicTrajectories:
-    """`batch_eval=False` / `delta_eval=False` run the pre-batch loops
-    verbatim; both paths must draw the same rng stream and produce the
-    same history and final mapping, bit for bit."""
+def _golden_both_kernels(mapper, graph, seed):
+    for use_ckernel in GOLDEN_MODES:
+        assert_golden(mapper, graph, seed, use_ckernel)
 
-    def _pair(self, seed, n=18):
-        g = random_sp_graph(n, np.random.default_rng(seed))
-        plat = paper_platform()
-        return (
-            make_evaluator(g, plat, seed=seed, n_random=2),
-            make_evaluator(g, plat, seed=seed, n_random=2),
-        )
+
+class TestMetaheuristicTrajectories:
+    """The golden digests were recorded while the legacy scalar loops
+    still existed and were proved trajectory-equal to these paths."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_nsgaii(self, seed):
-        ev_fast, ev_ref = self._pair(seed)
-        fast = NsgaIIMapper(generations=12, population_size=20)
-        ref = NsgaIIMapper(generations=12, population_size=20, batch_eval=False)
-        rf = fast.map(ev_fast, rng=np.random.default_rng(seed))
-        rr = ref.map(ev_ref, rng=np.random.default_rng(seed))
-        np.testing.assert_array_equal(rf.mapping, rr.mapping)
-        assert rf.makespan == rr.makespan
-        assert fast.history_ == ref.history_
-        assert rf.stats["n_batched_evaluations"] > 0
-        assert rr.stats["n_batched_evaluations"] == 0
+        _golden_both_kernels("NSGAII", "sp", seed)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_pareto_nsgaii(self, seed):
-        ev_fast, ev_ref = self._pair(seed)
-        fast = ParetoNsgaIIMapper(generations=8, population_size=16)
-        ref = ParetoNsgaIIMapper(
-            generations=8, population_size=16, batch_eval=False
-        )
-        rf = fast.map(ev_fast, rng=np.random.default_rng(seed))
-        rr = ref.map(ev_ref, rng=np.random.default_rng(seed))
-        np.testing.assert_array_equal(rf.mapping, rr.mapping)
-        assert rf.makespan == rr.makespan
-        assert fast.history_ == ref.history_
-        assert len(fast.last_front_) == len(ref.last_front_)
-        for (ma, msa, ea), (mb, msb, eb) in zip(
-            fast.last_front_, ref.last_front_
-        ):
-            np.testing.assert_array_equal(ma, mb)
-            assert msa == msb and ea == eb
+        _golden_both_kernels("ParetoNSGAII", "sp", seed)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_tabu(self, seed):
-        ev_fast, ev_ref = self._pair(seed)
-        fast = TabuSearchMapper(iterations=40, neighborhood=12)
-        ref = TabuSearchMapper(iterations=40, neighborhood=12, delta_eval=False)
-        rf = fast.map(ev_fast, rng=np.random.default_rng(seed))
-        rr = ref.map(ev_ref, rng=np.random.default_rng(seed))
-        np.testing.assert_array_equal(rf.mapping, rr.mapping)
-        assert rf.makespan == rr.makespan
-        assert fast.history_ == ref.history_
-        assert rf.stats["improving_steps"] == rr.stats["improving_steps"]
+        _golden_both_kernels("Tabu", "sp", seed)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_annealing(self, seed):
-        ev_fast, ev_ref = self._pair(seed)
-        fast = SimulatedAnnealingMapper(iterations=400)
-        ref = SimulatedAnnealingMapper(iterations=400, delta_eval=False)
-        rf = fast.map(ev_fast, rng=np.random.default_rng(seed))
-        rr = ref.map(ev_ref, rng=np.random.default_rng(seed))
-        np.testing.assert_array_equal(rf.mapping, rr.mapping)
-        assert rf.makespan == rr.makespan
-        assert fast.history_ == ref.history_
-        assert rf.stats["accepted"] == rr.stats["accepted"]
+        _golden_both_kernels("Annealing", "sp", seed)
 
     def test_tabu_on_area_tight_platform(self):
-        """Infeasible moves must be skipped identically on both paths."""
-        g = random_sp_graph(14, np.random.default_rng(9))
-        ev_fast = make_evaluator(g, tight_platform(), n_random=2)
-        ev_ref = make_evaluator(g, tight_platform(), n_random=2)
-        rf = TabuSearchMapper(iterations=30, neighborhood=10).map(
-            ev_fast, rng=np.random.default_rng(9)
-        )
-        rr = TabuSearchMapper(
-            iterations=30, neighborhood=10, delta_eval=False
-        ).map(ev_ref, rng=np.random.default_rng(9))
-        np.testing.assert_array_equal(rf.mapping, rr.mapping)
-        assert rf.makespan == rr.makespan
+        """Infeasible moves must be skipped identically."""
+        _golden_both_kernels("Tabu", "sp_tight", 9)
 
 
 # ---------------------------------------------------------------------------
@@ -288,12 +234,15 @@ class TestMetaheuristicCounters:
             assert res.stats["batch_size_mean"] == 0.0
 
     def test_scalar_paths_report_simulations(self, platform):
+        """The one scalar search path left (a custom greedy objective)
+        counts full simulations, no delta or batched lanes."""
         g = random_sp_graph(12, np.random.default_rng(6))
         ev = make_evaluator(g, platform, n_random=2)
-        res = NsgaIIMapper(
-            generations=4, population_size=10, batch_eval=False
-        ).map(ev, rng=np.random.default_rng(0))
+        res = EnergyAwareDecompositionMapper(alpha=0.5).map(
+            ev, rng=np.random.default_rng(0)
+        )
         assert res.stats["n_simulations"] > 0
+        assert res.stats["n_delta_evaluations"] == 0.0
         assert res.stats["n_batched_evaluations"] == 0.0
 
 

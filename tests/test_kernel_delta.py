@@ -1,7 +1,7 @@
 """Exactness contract of the fast evaluation core.
 
-The flat-array kernel (Python and compiled C), the vectorized batch
-kernel and the incremental delta evaluator are *optimizations, never
+The flat-array kernel (Python and compiled C), the population entry and
+the incremental delta evaluator are *optimizations, never
 approximations*: every path must reproduce the original nested-list
 walk (``CostModel._simulate_reference``) **bit for bit** — makespan and
 per-task start/finish — across graph families, random mappings, random
@@ -27,7 +27,6 @@ from repro.evaluation import (
     random_topological_schedule,
 )
 from repro.evaluation._ckernel import load_ckernel
-from repro.evaluation.delta import _BATCH_MIN
 from repro.evaluation.kernel import simulate_flat
 from repro.graphs import TaskGraph
 from repro.graphs.generators import (
@@ -190,8 +189,12 @@ class TestDeltaEquivalence:
                     model.flat, trial.tolist(), delta.order,
                     out_start=start, out_finish=finish,
                 )
-                np.testing.assert_array_equal(delta._start_np, start)
-                np.testing.assert_array_equal(delta._finish_np, finish)
+                if delta._ck is None:
+                    base = (delta._start, delta._finish)
+                else:
+                    base = (delta._start_np, delta._finish_np)
+                np.testing.assert_array_equal(base[0], start)
+                np.testing.assert_array_equal(base[1], finish)
 
     @pytest.mark.parametrize("use_ckernel", MODES, ids=MODE_IDS)
     def test_bound_abort_is_conservative(self, use_ckernel):
@@ -214,23 +217,24 @@ class TestDeltaEquivalence:
                 assert bounded == np.inf or bounded == exact
 
     def test_batch_path_matches_scratch(self):
-        """Force the vectorized numpy batch (> _BATCH_MIN lanes) and pin it."""
+        """A full first-pass scan (136 moves off one base) on the
+        pure-Python kernel, pinned move by move to the reference."""
         rng = np.random.default_rng(9)
         plat = tight_platform()
         g = random_sp_graph(24, rng)
         model = CostModel(g, plat, use_ckernel=False)
         delta = DeltaEvaluator(model)
         delta.reset(np.zeros(24, dtype=np.int64))
-        items = []
-        for _ in range(_BATCH_MIN + 40):
+        for _ in range(136):
             size = int(rng.integers(1, 6))
             sub = rng.choice(24, size=size, replace=False)
-            items.append((delta.candidate(sub), int(rng.integers(3))))
-        res = delta.evaluate_moves(items)
-        for (cand, d), ms in zip(items, res):
+            cand = delta.candidate(sub)
+            d = int(rng.integers(3))
             trial = delta.mapping
             trial[cand.members] = d
-            assert _same(ms, model._simulate_reference(trial))
+            assert _same(
+                delta.evaluate_move(cand, d), model._simulate_reference(trial)
+            )
 
     def test_delta_needs_feasible_base(self):
         g = TaskGraph()

@@ -204,6 +204,25 @@ class TestNoopPath:
         assert tracer.spans[0][0] == "y"
         assert registry.snapshot()["n"] == 1
 
+    def test_population_call_counter_names(self):
+        """One ``kernel.calls.*`` counter per population path."""
+        from repro.evaluation import CostModel
+        from repro.evaluation._ckernel import load_ckernel
+        from repro.platform import paper_platform
+
+        g = random_sp_graph(12, np.random.default_rng(0))
+        pop = np.zeros((4, 12), dtype=np.int64)
+        modes = [(False, "kernel.calls.py")]
+        if load_ckernel() is not None:
+            modes.append((True, "kernel.calls.c_batch"))
+        for use_ckernel, name in modes:
+            model = CostModel(g, paper_platform(), use_ckernel=use_ckernel)
+            with obs.observing() as (_tracer, registry):
+                model.simulate_many(pop)
+            calls = {k: v for k, v in registry.snapshot().items()
+                     if k.startswith("kernel.calls.")}
+            assert calls == {name: 1}
+
 
 # ---------------------------------------------------------------------------
 # 4. deterministic multi-worker merge

@@ -1,9 +1,14 @@
 """Unit tests for the TaskGraph substrate."""
 
-import networkx as nx
+import itertools
+import subprocess
+import sys
+
+import numpy as np
 import pytest
 
 from repro.graphs import DEFAULT_DATA_MB, GraphError, TaskGraph
+from repro.graphs.generators import random_almost_sp_graph
 
 
 class TestConstruction:
@@ -162,6 +167,31 @@ class TestTransformation:
         assert red.has_edge(0, 1) and red.has_edge(1, 2)
         assert red.n_tasks == 3
 
+    def test_transitive_reduction_brute_force(self):
+        """Keep exactly the edges with no other path between their ends."""
+        removed = 0
+        for seed in range(6):
+            g = random_almost_sp_graph(14, 6, np.random.default_rng(seed))
+            red = g.transitive_reduction()
+            assert red.tasks() == g.tasks()
+
+            def other_path(u, v):
+                return any(
+                    w == v or v in g.descendants(w)
+                    for w in g.successors(u)
+                    if w != v
+                )
+
+            expected = [e for e in g.edges() if not other_path(*e)]
+            assert red.edges() == expected
+            removed += g.n_edges - len(expected)
+            for u, v in expected:
+                assert red.data_mb(u, v) == g.data_mb(u, v)
+            # same reachability as the original graph
+            for u, v in itertools.permutations(g.tasks(), 2):
+                assert (v in red.descendants(u)) == (v in g.descendants(u))
+        assert removed > 0
+
     def test_relabeled_topological_ids(self):
         g = TaskGraph.from_edges([(10, 5), (5, 7), (10, 7)])
         r, remap = g.relabeled()
@@ -194,7 +224,13 @@ class TestValidation:
 
 
 class TestInterop:
+    def test_import_does_not_load_networkx(self):
+        """networkx is optional: only the conversions below import it."""
+        code = "import sys, repro; assert 'networkx' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], check=True)
+
     def test_networkx_roundtrip(self, fig1_graph):
+        nx = pytest.importorskip("networkx")
         fig1_graph.add_task(0, complexity=2.5, parallelizability=0.3)
         nxg = fig1_graph.to_networkx()
         assert isinstance(nxg, nx.DiGraph)
