@@ -3,8 +3,9 @@
 ``pytest benchmarks/ --benchmark-only`` regenerates every figure/table of
 the paper at the scale selected by ``REPRO_BENCH_SCALE`` (smoke | small |
 paper, default smoke).  Each figure bench prints the paper-style table
-(visible with ``-s`` or in the captured output) and writes a CSV into
-``./results/``.
+(visible with ``-s`` or in the captured output) and writes its CSV into a
+temporary results directory, so a test run never rewrites the committed
+``results/``; regenerate those with ``repro experiment NAME --csv``.
 """
 
 import numpy as np
@@ -26,3 +27,11 @@ def sp_graph_50(platform):
     g = random_sp_graph(50, np.random.default_rng(1234))
     ev = MappingEvaluator(g, platform, rng=np.random.default_rng(5), n_random_schedules=20)
     return g, ev
+
+
+@pytest.fixture(scope="session", autouse=True)
+def results_dir_in_tmp(tmp_path_factory):
+    """Point ``REPRO_RESULTS_DIR`` at a session temp dir."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_RESULTS_DIR", str(tmp_path_factory.mktemp("results")))
+        yield

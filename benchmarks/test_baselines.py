@@ -7,17 +7,16 @@ and no mapper ever loses to the all-CPU baseline by construction where that
 guarantee exists.
 """
 
-from repro.experiments import baselines
-from repro.experiments.config import bench_scale
-from repro.experiments.reporting import format_sweep_table, write_csv
+from repro.experiments import EXPERIMENTS, bench_scale, write_csv
 
 
 def test_baseline_roster(benchmark):
+    entry = EXPERIMENTS["baselines"]
     result = benchmark.pedantic(
-        lambda: baselines.run(scale=bench_scale()), rounds=1, iterations=1
+        lambda: entry.run(bench_scale()), rounds=1, iterations=1
     )
     print()
-    print(format_sweep_table(result))
+    print(entry.format(result))
     write_csv(result)
 
     series = {s.name: s for s in result.series()}

@@ -1,24 +1,23 @@
 """Bench target for paper Fig. 3: decomposition vs MILPs on random SP graphs.
 
 Regenerates both panels (relative improvement and execution time per
-algorithm and graph size), prints the paper-style table, writes
-``results/fig3*.csv`` and checks the paper's qualitative shape:
+algorithm and graph size), prints the paper-style table, writes its CSV
+and checks the paper's qualitative shape:
 
 - the decomposition mappers match/beat the dependency-blind device MILP,
 - the time-based MILP is orders of magnitude slower at the largest size.
 """
 
-from repro.experiments import fig3
-from repro.experiments.config import bench_scale
-from repro.experiments.reporting import format_sweep_table, write_csv
+from repro.experiments import EXPERIMENTS, bench_scale, write_csv
 
 
 def test_fig3_regenerate(benchmark):
+    entry = EXPERIMENTS["fig3"]
     result = benchmark.pedantic(
-        lambda: fig3.run(scale=bench_scale()), rounds=1, iterations=1
+        lambda: entry.run(bench_scale()), rounds=1, iterations=1
     )
     print()
-    print(format_sweep_table(result))
+    print(entry.format(result))
     write_csv(result)
 
     series = {s.name: s for s in result.series()}

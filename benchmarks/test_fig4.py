@@ -1,6 +1,6 @@
 """Bench target for paper Fig. 4: decomposition vs HEFT/PEFT over graph size.
 
-Regenerates both panels, prints the table, writes ``results/fig4*.csv`` and
+Regenerates both panels, prints the table, writes its CSV and
 checks the paper's qualitative shape:
 
 - at the largest size the decomposition mappers beat both list schedulers,
@@ -8,17 +8,16 @@ checks the paper's qualitative shape:
   while giving up almost no improvement.
 """
 
-from repro.experiments import fig4
-from repro.experiments.config import bench_scale
-from repro.experiments.reporting import format_sweep_table, write_csv
+from repro.experiments import EXPERIMENTS, bench_scale, write_csv
 
 
 def test_fig4_regenerate(benchmark):
+    entry = EXPERIMENTS["fig4"]
     result = benchmark.pedantic(
-        lambda: fig4.run(scale=bench_scale()), rounds=1, iterations=1
+        lambda: entry.run(bench_scale()), rounds=1, iterations=1
     )
     print()
-    print(format_sweep_table(result))
+    print(entry.format(result))
     write_csv(result)
 
     series = {s.name: s for s in result.series()}

@@ -1,21 +1,20 @@
 """Bench target for paper Fig. 5: FirstFit decomposition vs NSGA-II.
 
-Regenerates both panels, prints the table, writes ``results/fig5*.csv`` and
+Regenerates both panels, prints the table, writes its CSV and
 checks the paper's qualitative shape: the GA is competitive in quality but
 many times slower than the decomposition heuristics.
 """
 
-from repro.experiments import fig5
-from repro.experiments.config import bench_scale
-from repro.experiments.reporting import format_sweep_table, write_csv
+from repro.experiments import EXPERIMENTS, bench_scale, write_csv
 
 
 def test_fig5_regenerate(benchmark):
+    entry = EXPERIMENTS["fig5"]
     result = benchmark.pedantic(
-        lambda: fig5.run(scale=bench_scale()), rounds=1, iterations=1
+        lambda: entry.run(bench_scale()), rounds=1, iterations=1
     )
     print()
-    print(format_sweep_table(result))
+    print(entry.format(result))
     write_csv(result)
 
     series = {s.name: s for s in result.series()}

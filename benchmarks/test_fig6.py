@@ -1,22 +1,21 @@
 """Bench target for paper Fig. 6: NSGA-II generation-budget tradeoff.
 
 Regenerates both panels (improvement and execution time vs generations on a
-fixed graph set), prints the table, writes ``results/fig6*.csv`` and checks
+fixed graph set), prints the table, writes its CSV and checks
 the paper's qualitative shape: GA time grows ~linearly with the generation
 budget while the decomposition reference lines are flat.
 """
 
-from repro.experiments import fig6
-from repro.experiments.config import bench_scale
-from repro.experiments.reporting import format_sweep_table, write_csv
+from repro.experiments import EXPERIMENTS, bench_scale, write_csv
 
 
 def test_fig6_regenerate(benchmark):
+    entry = EXPERIMENTS["fig6"]
     result = benchmark.pedantic(
-        lambda: fig6.run(scale=bench_scale()), rounds=1, iterations=1
+        lambda: entry.run(bench_scale()), rounds=1, iterations=1
     )
     print()
-    print(format_sweep_table(result))
+    print(entry.format(result))
     write_csv(result)
 
     series = {s.name: s for s in result.series()}

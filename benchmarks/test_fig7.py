@@ -1,23 +1,22 @@
 """Bench target for paper Fig. 7: almost-series-parallel graphs.
 
 Regenerates both panels (improvement and time vs number of conflicting extra
-edges), prints the table, writes ``results/fig7*.csv`` and checks the
+edges), prints the table, writes its CSV and checks the
 paper's qualitative shape: the series-parallel decomposition converges
 towards the single-node decomposition as the trees shatter, and both stay
 competitive with the GA.
 """
 
-from repro.experiments import fig7
-from repro.experiments.config import bench_scale
-from repro.experiments.reporting import format_sweep_table, write_csv
+from repro.experiments import EXPERIMENTS, bench_scale, write_csv
 
 
 def test_fig7_regenerate(benchmark):
+    entry = EXPERIMENTS["fig7"]
     result = benchmark.pedantic(
-        lambda: fig7.run(scale=bench_scale()), rounds=1, iterations=1
+        lambda: entry.run(bench_scale()), rounds=1, iterations=1
     )
     print()
-    print(format_sweep_table(result))
+    print(entry.format(result))
     write_csv(result)
 
     series = {s.name: s for s in result.series()}

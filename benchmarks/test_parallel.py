@@ -14,8 +14,7 @@ import time
 
 import pytest
 
-from repro.experiments import robustness
-from repro.experiments.config import bench_scale
+from repro.experiments import EXPERIMENTS, bench_scale, robustness, write_csv
 
 
 def _bench_cfg():
@@ -42,8 +41,8 @@ def test_bench_robustness_serial_vs_pool(benchmark):
     t_pool = time.perf_counter() - t0
 
     a, b = io.StringIO(), io.StringIO()
-    robustness.write_robustness_csv(serial, fileobj=a)
-    robustness.write_robustness_csv(pooled, fileobj=b)
+    write_csv(serial, fileobj=a)
+    write_csv(pooled, fileobj=b)
     assert a.getvalue() == b.getvalue()
 
     print()
@@ -59,18 +58,18 @@ def test_bench_robustness_serial_vs_pool(benchmark):
 
 
 def test_bench_replan_policy_sweep(benchmark):
-    """Regenerates results/replan_policy_sweep.csv at the bench scale.
+    """Regenerates replan_policy_sweep.csv at the bench scale.
 
     The replan sweep replays every mapping through mid-run failures;
     mapper-based policies re-map on the surviving platform at failure
     time, so this also bounds the per-failure replanning cost."""
+    entry = EXPERIMENTS["replan"]
     result = benchmark.pedantic(
-        lambda: robustness.run_replan(scale=bench_scale()),
-        rounds=1, iterations=1,
+        lambda: entry.run(bench_scale()), rounds=1, iterations=1,
     )
     print()
-    print(robustness.format_replan_table(result))
-    robustness.write_replan_csv(result)
+    print(entry.format(result))
+    write_csv(result)
     # the failure must actually strand work, and every policy must
     # exercise the rescue path — otherwise the comparison is inert
     for policy in result.policies():

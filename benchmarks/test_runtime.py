@@ -68,20 +68,16 @@ def test_bench_failure_replan(benchmark, platform, mapped):
 
 
 def test_robustness_noise_sweep(benchmark):
-    """Regenerates results/robustness_noise_sweep.csv at the bench scale."""
-    from repro.experiments import robustness
-    from repro.experiments.config import bench_scale
-    from repro.experiments.robustness import (
-        format_robustness_table,
-        write_robustness_csv,
-    )
+    """Regenerates robustness_noise_sweep.csv at the bench scale."""
+    from repro.experiments import EXPERIMENTS, bench_scale, write_csv
 
+    entry = EXPERIMENTS["robustness"]
     result = benchmark.pedantic(
-        lambda: robustness.run(scale=bench_scale()), rounds=1, iterations=1
+        lambda: entry.run(bench_scale()), rounds=1, iterations=1
     )
     print()
-    print(format_robustness_table(result))
-    write_robustness_csv(result)
+    print(entry.format(result))
+    write_csv(result)
 
     sigmas = result.sigmas()
     for algorithm in result.algorithms():

@@ -9,21 +9,20 @@ exponents stay clearly below the cubic worst case, with the FirstFit
 variants cheaper than the basic ones.
 """
 
-from repro.experiments import scaling
-from repro.experiments.config import bench_scale
-from repro.experiments.reporting import format_sweep_table, write_csv
+from repro.experiments import EXPERIMENTS, bench_scale, write_csv
+from repro.experiments.scaling import fit_exponents
 
 
 def test_scaling_exponents(benchmark):
+    entry = EXPERIMENTS["scaling"]
     result = benchmark.pedantic(
-        lambda: scaling.run(scale=bench_scale()), rounds=1, iterations=1
+        lambda: entry.run(bench_scale()), rounds=1, iterations=1
     )
     print()
-    print(format_sweep_table(result))
+    print(entry.format(result))
     write_csv(result)
 
-    exponents = scaling.fit_exponents(result)
-    print("fitted exponents:", {k: round(v, 2) for k, v in exponents.items()})
+    exponents = fit_exponents(result)
     for name, alpha in exponents.items():
         # Paper Sec. IV-B: quadratic in practice, cubic worst case.  With
         # the kernel/delta evaluation core the constants shrank ~10-30x

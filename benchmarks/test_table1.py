@@ -1,26 +1,24 @@
 """Bench target for paper Table I: scientific-workflow benchmark families.
 
 Regenerates the two-rows-per-family table (average positive relative
-improvement; summed execution time), prints it, writes
-``results/table1.csv`` and checks the per-family signatures the paper
-reports:
+improvement; summed execution time), prints it, writes its CSV and
+checks the per-family signatures the paper reports:
 
 - ``seismology`` (and ``bwa``): no significant acceleration for anyone,
 - decomposition matches or beats HEFT on every family,
 - the GA is the most expensive algorithm on every family.
 """
 
-from repro.experiments import table1
-from repro.experiments.config import bench_scale
-from repro.experiments.table1 import format_table, write_csv
+from repro.experiments import EXPERIMENTS, bench_scale, write_csv
 
 
 def test_table1_regenerate(benchmark):
+    entry = EXPERIMENTS["table1"]
     result = benchmark.pedantic(
-        lambda: table1.run(scale=bench_scale()), rounds=1, iterations=1
+        lambda: entry.run(bench_scale()), rounds=1, iterations=1
     )
     print()
-    print(format_table(result))
+    print(entry.format(result))
     write_csv(result)
 
     for family in result.families():

@@ -1,30 +1,27 @@
-"""Run the full reproduction suite at a report scale and save all outputs.
+"""Run every registered experiment at a report scale and save its CSV.
 
-This is the script behind EXPERIMENTS.md: it regenerates every figure and
-table at a scale large enough to show the paper's trends (denser than the
-benchmark smoke scale, lighter than the full paper scale so it completes on
-a laptop core), writing text tables and CSVs into ./results/.
+The report scale is large enough to show the paper's trends (denser than
+the benchmark smoke scale, lighter than the full paper scale so it
+completes on a laptop core).  Each study prints its text table and
+writes the same CSV as ``repro experiment NAME --csv`` into ./results/
+(or $REPRO_RESULTS_DIR).
 
 Run:  python scripts/run_experiments.py [--scale smoke|small|paper]
+                                        [--only NAME ...]
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 import time
 
-from repro.experiments import fig3, fig4, fig5, fig6, fig7, table1
-from repro.experiments.config import get_scale
-from repro.experiments.reporting import format_sweep_table, results_dir, write_csv
-from repro.experiments.table1 import format_table
-from repro.experiments.table1 import write_csv as write_table1_csv
+from repro.experiments import EXPERIMENTS, SCALES, get_scale, write_csv
 
 
 def report_scale(base: str = "small"):
-    """The EXPERIMENTS.md scale: 'small' with single-core-friendly MILPs."""
+    """'small' with single-core-friendly MILPs; other scales unchanged."""
     cfg = get_scale(base)
     if base != "small":
         return cfg
@@ -41,47 +38,20 @@ def report_scale(base: str = "small"):
 
 def main() -> None:
     parser = argparse.ArgumentParser()
-    parser.add_argument("--scale", default="small")
-    parser.add_argument(
-        "--only", nargs="*", default=None,
-        help="subset of {fig3,fig4,fig5,fig6,fig7,table1}",
-    )
+    parser.add_argument("--scale", default="small", choices=list(SCALES))
+    parser.add_argument("--only", nargs="*", default=None,
+                        choices=list(EXPERIMENTS))
     args = parser.parse_args()
     cfg = report_scale(args.scale)
-    out = results_dir()
-
-    jobs = {
-        "fig4": lambda: fig4.run(scale=cfg),
-        "fig5": lambda: fig5.run(scale=cfg),
-        "fig6": lambda: fig6.run(scale=cfg),
-        "fig7": lambda: fig7.run(scale=cfg),
-        "fig3": lambda: fig3.run(scale=cfg),
-    }
-    selected = args.only or [*jobs, "table1"]
-
-    for name, job in jobs.items():
-        if name not in selected:
-            continue
+    for name in args.only or EXPERIMENTS:
+        entry = EXPERIMENTS[name]
         t0 = time.time()
         print(f"=== running {name} (scale={cfg.name}) ===", flush=True)
-        result = job()
-        text = format_sweep_table(result)
-        print(text, flush=True)
-        with open(os.path.join(out, f"{name}.txt"), "w") as fh:
-            fh.write(text + "\n")
-        write_csv(result, os.path.join(out, f"{name}.csv"))
-        print(f"=== {name} done in {time.time() - t0:.0f}s ===\n", flush=True)
-
-    if "table1" in selected:
-        t0 = time.time()
-        print("=== running table1 ===", flush=True)
-        result = table1.run(scale=cfg)
-        text = format_table(result)
-        print(text, flush=True)
-        with open(os.path.join(out, "table1.txt"), "w") as fh:
-            fh.write(text + "\n")
-        write_table1_csv(result, os.path.join(out, "table1.csv"))
-        print(f"=== table1 done in {time.time() - t0:.0f}s ===", flush=True)
+        result = entry.run(cfg)
+        print(entry.format(result), flush=True)
+        path = write_csv(result)
+        print(f"=== {name} done in {time.time() - t0:.0f}s -> {path} ===\n",
+              flush=True)
 
 
 if __name__ == "__main__":

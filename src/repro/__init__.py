@@ -57,7 +57,8 @@ Public API tour
   the paper's evaluation, plus the runtime-robustness noise sweep, the
   failure re-mapping policy sweep (:mod:`repro.experiments.robustness`)
   and the shared-resource contention sweep
-  (:mod:`repro.experiments.contention`);
+  (:mod:`repro.experiments.contention`), all run through one registry
+  (``repro experiment NAME``);
 - :mod:`repro.obs` — the observability backbone: hierarchical span
   tracing with Chrome trace-event export (open ``--trace`` output in
   Perfetto), a counters/gauges/histograms metrics registry with one

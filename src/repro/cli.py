@@ -11,10 +11,11 @@ Commands
                arrival streams, shared link slots, online re-mapping
                policies) and print a robustness/throughput report with
                energy and shared-resource wait accounting
-``experiment`` regenerate a paper figure/table (fig3..fig7, table1) or an
-               extension study (robustness, replan, contention);
-               ``--workers N`` fans the replications across a process
-               pool with bit-identical results
+``experiment`` run any registered study: a paper figure/table (fig3..fig7,
+               table1) or an extension (scaling, baselines, ablation-*,
+               robustness, replan, contention, topology); every study
+               takes ``--seed/--workers/--csv/--checkpoint/--resume``,
+               and ``--workers N`` results are bit-identical to serial
 ``profile``    run one mapper (and optionally a multi-job engine stream)
                under full instrumentation: phase-time breakdown table,
                metrics summary, optional Perfetto trace (``--trace``)
@@ -46,8 +47,9 @@ Examples
     python -m repro simulate graph.json mapping.json --arrivals 8 \
         --period 0.05 --link-slots 1
     python -m repro experiment fig4 --scale smoke
+    python -m repro experiment table1 --scale smoke --csv
     python -m repro experiment robustness --scale small --workers 4
-    python -m repro experiment contention --scale smoke
+    python -m repro experiment contention --scale smoke --topology mesh
     python -m repro profile graph.json --algorithm sp-first-fit \
         --arrivals 8 --period 0.05 --trace profile.json
     python -m repro simulate graph.json mapping.json --trace run.json
@@ -551,58 +553,34 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    from .experiments import (
-        contention, fig3, fig4, fig5, fig6, fig7, robustness, table1,
-    )
-    from .experiments.reporting import print_sweep
-    from .experiments.table1 import format_table
+    from .experiments import EXPERIMENTS, write_csv
+    from .parallel import JournalError
 
-    drivers = {
-        "fig3": fig3.run, "fig4": fig4.run, "fig5": fig5.run,
-        "fig6": fig6.run, "fig7": fig7.run,
-    }
-    workers = args.workers
-    # every driver takes a progress callback; at the default level it is
-    # dropped by the reporter, with --verbose it streams per-point lines
-    kw = dict(scale=args.scale, workers=workers, progress=R.detail)
-    if getattr(args, "topology", None) is not None and args.name != "contention":
-        R.error("--topology is only supported for the contention experiment")
+    name, kwargs = args.name, {}
+    if args.topology is not None:
+        # ``contention --topology`` runs the topology sweep of the same streams
+        if name == "contention":
+            name = "topology"
+        if name != "topology":
+            R.error("--topology is only supported for the contention and "
+                    "topology experiments")
+            return 2
+        kwargs["topologies"] = args.topology or None
+    entry = EXPERIMENTS[name]
+    try:
+        # at the default level the reporter drops progress lines; with
+        # --verbose they stream per point/cell
+        result = entry.run(
+            args.scale, seed=args.seed, workers=args.workers,
+            progress=R.detail, checkpoint=args.checkpoint,
+            resume=args.resume, **kwargs,
+        )
+    except (ValueError, JournalError) as exc:
+        R.error(str(exc))
         return 2
-    if args.checkpoint or args.resume:
-        if args.name not in ("table1", "robustness", "replan", "contention"):
-            R.error(
-                f"--checkpoint/--resume is not supported for {args.name} "
-                "(available for table1, robustness, replan, contention)"
-            )
-            return 2
-        if args.resume and not args.checkpoint:
-            R.error("--resume requires --checkpoint")
-            return 2
-        kw.update(checkpoint=args.checkpoint, resume=args.resume)
-    if args.name == "table1":
-        R.out(format_table(table1.run(**kw)))
-    elif args.name == "robustness":
-        robustness.print_report(robustness.run(**kw))
-    elif args.name == "replan":
-        robustness.print_report(robustness.run_replan(**kw))
-    elif args.name == "contention":
-        if getattr(args, "topology", None) is not None:
-            try:
-                result = contention.run_topologies(
-                    topologies=args.topology or None, **kw
-                )
-            except ValueError as exc:
-                R.error(str(exc))
-                return 2
-            R.out(contention.format_topology_table(result))
-            R.out(
-                "csv written to "
-                + contention.write_topology_csv(result)
-            )
-        else:
-            contention.print_report(contention.run(**kw))
-    else:
-        print_sweep(drivers[args.name](**kw))
+    R.out(entry.format(result))
+    if args.csv:
+        R.out(f"csv written to {write_csv(result)}")
     return 0
 
 
@@ -870,33 +848,37 @@ def build_parser() -> argparse.ArgumentParser:
                         "Perfetto")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("experiment", help="regenerate a paper figure/table")
-    p.add_argument("name",
-                   choices=["fig3", "fig4", "fig5", "fig6", "fig7", "table1",
-                            "robustness", "replan", "contention"])
-    p.add_argument("--scale", default="smoke",
-                   choices=["smoke", "small", "paper"])
+    from .experiments import EXPERIMENTS, SCALES
+
+    p = sub.add_parser("experiment",
+                       help="regenerate a paper figure/table or run an "
+                            "extension study")
+    p.add_argument("name", choices=list(EXPERIMENTS))
+    p.add_argument("--scale", default="smoke", choices=list(SCALES))
+    p.add_argument("--seed", type=int, default=None,
+                   help="root seed (default: the experiment's own)")
     p.add_argument("--workers", type=int, default=None,
                    help="process-pool size for the experiment backbone "
                         "(default: scale config; 0 = one worker per CPU)")
+    p.add_argument("--csv", action="store_true",
+                   help="also write the result CSV into results/ "
+                        "(or $REPRO_RESULTS_DIR)")
     p.add_argument("--trace", metavar="OUT.json",
                    help="record a Chrome trace of the sweep (per-point "
                         "spans, per-worker lanes) viewable in Perfetto")
     p.add_argument("--checkpoint", nargs="?", const="auto", metavar="PATH",
                    help="journal completed cells so an interrupted sweep "
                         "can restart (default path under "
-                        "results/checkpoints); table1, robustness, replan "
-                        "and contention only")
+                        "results/checkpoints)")
     p.add_argument("--resume", action="store_true",
                    help="with --checkpoint: reuse journalled cells from an "
                         "interrupted run, recomputing only the rest "
                         "(byte-identical output)")
     p.add_argument("--topology", nargs="*", metavar="NAME", default=None,
-                   help="contention only: sweep interconnect shapes instead "
-                        "of the link-slot axis and write "
-                        "results/topology_sweep.csv; bare --topology uses "
-                        "the scale's defaults, or name any of: shared, "
-                        "mesh, numa, ring, star")
+                   help="contention/topology only: sweep interconnect "
+                        "shapes instead of the link-slot axis; bare "
+                        "--topology uses the scale's defaults, or name any "
+                        "of: shared, mesh, numa, ring, star")
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser(

@@ -1,26 +1,25 @@
 """Experiment harness: one driver per figure/table of the paper's evaluation.
 
-Run any driver from the command line, e.g.::
+Every study — Figs. 3-7 and Table I, plus the scaling, baselines,
+ablation, robustness, replan, contention and topology extensions — is an
+entry of :data:`EXPERIMENTS` and runs from the command line as::
 
-    python -m repro.experiments.fig4 --scale smoke
-    python -m repro.experiments.table1 --scale small --csv
+    repro experiment fig4 --scale smoke
+    repro experiment table1 --scale small --csv
 
-Driver modules (`fig3` .. `fig7`, `table1`) are imported lazily on first
-attribute access so that ``python -m repro.experiments.figN`` works without
-double-import warnings.  See :mod:`repro.experiments.config` for scales.
+Driver modules are imported only when an entry runs, so importing this
+package stays cheap.  See :mod:`repro.experiments.config` for scales.
 """
-
-import importlib
 
 from .config import SCALES, ScaleConfig, bench_scale, get_scale
 from .metrics import AggregateStats, aggregate, positive_improvement
-from .reporting import format_sweep_table, print_sweep, write_csv
+from .registry import EXPERIMENTS, Experiment
+from .reporting import format_sweep_table, write_csv
 from .runner import PointResult, SweepResult, SweepSeries, run_point, run_sweep
 
-_DRIVERS = ("fig3", "fig4", "fig5", "fig6", "fig7", "table1", "ablation", "scaling", "baselines", "robustness", "contention")
-
 __all__ = [
-    *_DRIVERS,
+    "EXPERIMENTS",
+    "Experiment",
     "SCALES",
     "ScaleConfig",
     "bench_scale",
@@ -29,7 +28,6 @@ __all__ = [
     "aggregate",
     "positive_improvement",
     "format_sweep_table",
-    "print_sweep",
     "write_csv",
     "PointResult",
     "SweepResult",
@@ -37,9 +35,3 @@ __all__ = [
     "run_point",
     "run_sweep",
 ]
-
-
-def __getattr__(name):
-    if name in _DRIVERS:
-        return importlib.import_module(f".{name}", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -20,12 +20,12 @@ Three studies, each isolating one mechanism of the decomposition approach:
     with streaming on vs off (an SP-decomposition advantage the paper
     highlights against streaming-blind algorithms).
 
-Run:  python -m repro.experiments.ablation --study cuts --scale smoke
+Run:  repro experiment ablation-cuts --scale smoke
+      (also ``ablation-gamma`` and ``ablation-streaming``)
 """
 
 from __future__ import annotations
 
-import argparse
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -35,7 +35,6 @@ from ..mappers import DecompositionMapper
 from ..parallel import resolve_workers
 from ..platform import Platform, paper_platform
 from ..platform.device import Device, DeviceKind
-from ._cli import run_cli
 from .config import get_scale
 from .runner import SweepResult, run_sweep
 
@@ -48,6 +47,7 @@ def run_cuts(
     seed: int = 21,
     workers: Optional[int] = None,
     progress: Optional[Callable[[str], None]] = None,
+    journal=None,
 ) -> SweepResult:
     """Cut-strategy ablation over an increasing number of conflicting edges."""
     cfg = get_scale(scale)
@@ -80,6 +80,7 @@ def run_cuts(
         n_random_schedules=cfg.n_random_schedules,
         progress=progress,
         workers=resolve_workers(workers, cfg.parallel_workers),
+        journal=journal,
     )
 
 
@@ -89,6 +90,7 @@ def run_gamma(
     seed: int = 22,
     workers: Optional[int] = None,
     progress: Optional[Callable[[str], None]] = None,
+    journal=None,
 ) -> SweepResult:
     """gamma-threshold ablation over graph size."""
     cfg = get_scale(scale)
@@ -126,6 +128,7 @@ def run_gamma(
         n_random_schedules=cfg.n_random_schedules,
         progress=progress,
         workers=resolve_workers(workers, cfg.parallel_workers),
+        journal=journal,
     )
 
 
@@ -172,6 +175,7 @@ def run_streaming(
     seed: int = 23,
     workers: Optional[int] = None,
     progress: Optional[Callable[[str], None]] = None,
+    journal=None,
 ) -> SweepResult:
     """Streaming on/off ablation over graph size.
 
@@ -207,27 +211,6 @@ def run_streaming(
         n_random_schedules=cfg.n_random_schedules,
         progress=progress,
         workers=resolve_workers(workers, cfg.parallel_workers),
+        journal=journal,
     )
 
-
-_STUDIES = {"cuts": run_cuts, "gamma": run_gamma, "streaming": run_streaming}
-
-
-if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description="Ablation studies")
-    parser.add_argument("--study", choices=sorted(_STUDIES), default="cuts")
-    parser.add_argument(
-        "--scale", default="smoke", choices=["smoke", "small", "paper"]
-    )
-    parser.add_argument("--seed", type=int, default=21)
-    parser.add_argument(
-        "--workers", type=int, default=None,
-        help="process-pool size (default: scale config; 0 = all CPUs)",
-    )
-    args = parser.parse_args()
-    from .reporting import print_sweep
-
-    result = _STUDIES[args.study](
-        scale=args.scale, seed=args.seed, workers=args.workers
-    )
-    print_sweep(result)

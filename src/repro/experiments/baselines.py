@@ -9,12 +9,11 @@ Algorithms: HEFT, PEFT, CPOP, Lookahead-HEFT, Min-min, Max-min, tabu
 search, simulated annealing, SNFirstFit, SPFirstFit.  (NSGA-II and the
 MILPs are excluded here; they have dedicated figures.)
 
-Run:  python -m repro.experiments.baselines --scale smoke
+Run:  repro experiment baselines --scale smoke
 """
 
 from __future__ import annotations
 
-import argparse
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -46,6 +45,7 @@ def run(
     seed: int = 40,
     workers: Optional[int] = None,
     progress: Optional[Callable[[str], None]] = None,
+    journal=None,
 ) -> SweepResult:
     cfg = get_scale(scale)
     platform = paper_platform()
@@ -80,20 +80,6 @@ def run(
         n_random_schedules=cfg.n_random_schedules,
         progress=progress,
         workers=resolve_workers(workers, cfg.parallel_workers),
+        journal=journal,
     )
 
-
-if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description="Extended baseline roster")
-    parser.add_argument(
-        "--scale", default="smoke", choices=["smoke", "small", "paper"]
-    )
-    parser.add_argument("--seed", type=int, default=40)
-    parser.add_argument(
-        "--workers", type=int, default=None,
-        help="process-pool size (default: scale config; 0 = all CPUs)",
-    )
-    args = parser.parse_args()
-    from .reporting import print_sweep
-
-    print_sweep(run(scale=args.scale, seed=args.seed, workers=args.workers))

@@ -30,29 +30,24 @@ the swept slot width applied per link.  Mappings are computed once per
 graph on the nominal platform and shared across every topology cell, so
 divergence between e.g. ``mesh`` and ``shared`` at the same slot count
 is purely the resource model: routed transfers queue per link instead
-of against one global pool.  Results land in
+of against one global pool.  With ``--csv`` the results land in
 ``results/topology_sweep.csv``.
 
-Run:  python -m repro.experiments.contention --scale smoke --csv
-      repro experiment contention --scale smoke
+Run:  repro experiment contention --scale smoke --csv
       repro experiment contention --scale smoke --topology mesh
 """
 
 from __future__ import annotations
 
-import argparse
-import csv
 import dataclasses
-import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, TextIO
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from ..evaluation import MappingEvaluator
 from ..graphs.generators import random_sp_graph
 from ..mappers import HeftMapper, sp_first_fit
-from ..obs import get_reporter
 from ..parallel import (
     SupervisedPool,
     parallel_map,
@@ -64,7 +59,6 @@ from ..platform.platform import Platform
 from ..platform.topologies import TOPOLOGY_NAMES, with_topology
 from ..runtime import RuntimeEngine, periodic_stream, throughput_report
 from .config import get_scale
-from .reporting import maybe_close, open_checkpoint, results_dir
 
 __all__ = [
     "ContentionPoint",
@@ -75,9 +69,6 @@ __all__ = [
     "run_topologies",
     "format_contention_table",
     "format_topology_table",
-    "print_report",
-    "write_contention_csv",
-    "write_topology_csv",
 ]
 
 #: names accepted by ``--topology``: the legacy shared pool + presets
@@ -106,6 +97,19 @@ class ContentionResult:
 
     title: str
     points: List[ContentionPoint] = field(default_factory=list)
+
+    csv_name = "contention_sweep.csv"
+    csv_header = ("algorithm", "link_slots", "period_frac", "jobs_per_second",
+                  "latency_mean_s", "latency_p95_s", "area_wait_s",
+                  "link_wait_s", "energy_per_job_j", "makespan_s")
+
+    def csv_rows(self):
+        for p in self.points:
+            yield [p.algorithm, p.link_slots, p.period_frac, *(
+                f"{v:.6f}" for v in (
+                    p.jobs_per_second, p.latency_mean_s, p.latency_p95_s,
+                    p.area_wait_s, p.link_wait_s, p.energy_per_job_j,
+                    p.makespan_s))]
 
     def algorithms(self) -> List[str]:
         seen: Dict[str, None] = {}
@@ -149,6 +153,20 @@ class TopologyResult:
 
     title: str
     points: List[TopologyPoint] = field(default_factory=list)
+
+    csv_name = "topology_sweep.csv"
+    csv_header = ("topology", "algorithm", "link_slots", "period_frac",
+                  "jobs_per_second", "latency_mean_s", "latency_p95_s",
+                  "link_wait_s", "n_link_waits", "energy_per_job_j",
+                  "makespan_s")
+
+    def csv_rows(self):
+        for p in self.points:
+            yield [p.topology, p.algorithm, p.link_slots, p.period_frac, *(
+                f"{v:.6f}" for v in (
+                    p.jobs_per_second, p.latency_mean_s, p.latency_p95_s,
+                    p.link_wait_s, p.n_link_waits, p.energy_per_job_j,
+                    p.makespan_s))]
 
     def topologies(self) -> List[str]:
         seen: Dict[str, None] = {}
@@ -260,8 +278,7 @@ def run(
     seed: int = 79,
     workers: Optional[int] = None,
     progress: Optional[Callable[[str], None]] = None,
-    checkpoint=None,
-    resume: bool = False,
+    journal=None,
 ) -> ContentionResult:
     """Sweep link-slot settings and arrival rates under shared resources.
 
@@ -269,8 +286,8 @@ def run(
     per graph on the nominal platform, seeds are derived per graph), so
     moving along the link-slot or period axis changes only the resource
     model, never the workload — differences are pure contention effect.
-    ``checkpoint``/``resume`` journal completed cells (see
-    :func:`repro.experiments.reporting.open_checkpoint`).
+    ``journal`` checkpoints completed cells (see
+    :func:`repro.experiments.registry.open_journal`).
     """
     cfg = get_scale(scale)
     workers = resolve_workers(workers, cfg.parallel_workers)
@@ -286,9 +303,7 @@ def run(
         (g, platform, cfg, child)
         for g, child in zip(graphs, map_seed.spawn(len(graphs)))
     ]
-    journal = open_checkpoint("contention", cfg.name, seed, checkpoint, resume)
-    with SupervisedPool(workers, chaos=plan_from_env()) as executor, \
-            maybe_close(journal):
+    with SupervisedPool(workers, chaos=plan_from_env()) as executor:
         mapped = parallel_map(
             _map_graph_worker, map_items, workers=workers,
             progress=progress, label="mapped graph", executor=executor,
@@ -359,8 +374,7 @@ def run_topologies(
     seed: int = 79,
     workers: Optional[int] = None,
     progress: Optional[Callable[[str], None]] = None,
-    checkpoint=None,
-    resume: bool = False,
+    journal=None,
 ) -> TopologyResult:
     """Sweep interconnect shapes under the shared-resource stream model.
 
@@ -395,9 +409,7 @@ def run_topologies(
         (g, platform, cfg, child)
         for g, child in zip(graphs, map_seed.spawn(len(graphs)))
     ]
-    journal = open_checkpoint("topology", cfg.name, seed, checkpoint, resume)
-    with SupervisedPool(workers, chaos=plan_from_env()) as executor, \
-            maybe_close(journal):
+    with SupervisedPool(workers, chaos=plan_from_env()) as executor:
         mapped = parallel_map(
             _map_graph_worker, map_items, workers=workers,
             progress=progress, label="mapped graph", executor=executor,
@@ -519,149 +531,3 @@ def format_topology_table(result: TopologyResult) -> str:
             )
     return "\n".join(lines)
 
-
-def print_report(result: ContentionResult) -> None:
-    get_reporter().out(format_contention_table(result))
-
-
-def write_contention_csv(
-    result: ContentionResult,
-    path: Optional[str] = None,
-    *,
-    fileobj: Optional[TextIO] = None,
-) -> str:
-    """Write the sweep as a long-format CSV; returns the file path."""
-    if fileobj is None:
-        if path is None:
-            path = os.path.join(results_dir(), "contention_sweep.csv")
-        handle: TextIO = open(path, "w", newline="")
-        close = True
-    else:
-        handle = fileobj
-        close = False
-        path = path or "<stream>"
-    try:
-        writer = csv.writer(handle)
-        writer.writerow([
-            "algorithm", "link_slots", "period_frac", "jobs_per_second",
-            "latency_mean_s", "latency_p95_s", "area_wait_s", "link_wait_s",
-            "energy_per_job_j", "makespan_s",
-        ])
-        for p in result.points:
-            writer.writerow([
-                p.algorithm,
-                p.link_slots,
-                p.period_frac,
-                f"{p.jobs_per_second:.6f}",
-                f"{p.latency_mean_s:.6f}",
-                f"{p.latency_p95_s:.6f}",
-                f"{p.area_wait_s:.6f}",
-                f"{p.link_wait_s:.6f}",
-                f"{p.energy_per_job_j:.6f}",
-                f"{p.makespan_s:.6f}",
-            ])
-    finally:
-        if close:
-            handle.close()
-    return path
-
-
-def write_topology_csv(
-    result: TopologyResult,
-    path: Optional[str] = None,
-    *,
-    fileobj: Optional[TextIO] = None,
-) -> str:
-    """Write the topology sweep as a long-format CSV; returns the path."""
-    if fileobj is None:
-        if path is None:
-            path = os.path.join(results_dir(), "topology_sweep.csv")
-        handle: TextIO = open(path, "w", newline="")
-        close = True
-    else:
-        handle = fileobj
-        close = False
-        path = path or "<stream>"
-    try:
-        writer = csv.writer(handle)
-        writer.writerow([
-            "topology", "algorithm", "link_slots", "period_frac",
-            "jobs_per_second", "latency_mean_s", "latency_p95_s",
-            "link_wait_s", "n_link_waits", "energy_per_job_j", "makespan_s",
-        ])
-        for p in result.points:
-            writer.writerow([
-                p.topology,
-                p.algorithm,
-                p.link_slots,
-                p.period_frac,
-                f"{p.jobs_per_second:.6f}",
-                f"{p.latency_mean_s:.6f}",
-                f"{p.latency_p95_s:.6f}",
-                f"{p.link_wait_s:.6f}",
-                f"{p.n_link_waits:.6f}",
-                f"{p.energy_per_job_j:.6f}",
-                f"{p.makespan_s:.6f}",
-            ])
-    finally:
-        if close:
-            handle.close()
-    return path
-
-
-if __name__ == "__main__":
-    parser = argparse.ArgumentParser(
-        description="Shared-resource contention under arrival streams"
-    )
-    parser.add_argument(
-        "--scale", default="smoke", choices=["smoke", "small", "paper"]
-    )
-    parser.add_argument("--seed", type=int, default=79)
-    parser.add_argument(
-        "--workers", type=int, default=None,
-        help="process-pool size (default: scale config; 0 = all CPUs)",
-    )
-    parser.add_argument(
-        "--csv", action="store_true", help="also write a CSV into ./results/"
-    )
-    parser.add_argument(
-        "--topology", nargs="*", metavar="NAME", default=None,
-        choices=list(SWEEP_TOPOLOGIES),
-        help=(
-            "run the interconnect-topology sweep instead of the link-slot "
-            "sweep; bare --topology uses the scale's default shapes, or "
-            f"name any of: {', '.join(SWEEP_TOPOLOGIES)}"
-        ),
-    )
-    parser.add_argument(
-        "--checkpoint", nargs="?", const="auto", metavar="PATH",
-        help="journal completed cells (default path under results/checkpoints)",
-    )
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="reuse journalled cells from an interrupted --checkpoint run",
-    )
-    parser.add_argument("--quiet", action="store_true")
-    args = parser.parse_args()
-    reporter = get_reporter()
-    progress = (
-        None if args.quiet else (lambda msg: reporter.out(f"  [{msg}]"))
-    )
-    if args.topology is not None:
-        topo_result = run_topologies(
-            scale=args.scale, topologies=args.topology or None,
-            seed=args.seed, workers=args.workers,
-            progress=progress, checkpoint=args.checkpoint,
-            resume=args.resume,
-        )
-        reporter.out(format_topology_table(topo_result))
-        if args.csv:
-            reporter.out(f"csv written to {write_topology_csv(topo_result)}")
-    else:
-        result = run(
-            scale=args.scale, seed=args.seed, workers=args.workers,
-            progress=progress, checkpoint=args.checkpoint, resume=args.resume,
-        )
-        print_report(result)
-        if args.csv:
-            reporter.out(f"csv written to {write_contention_csv(result)}")

@@ -20,7 +20,6 @@ from ..graphs.generators import random_sp_graph
 from ..mappers import NsgaIIMapper, sn_first_fit, sp_first_fit
 from ..parallel import resolve_workers
 from ..platform import paper_platform
-from ._cli import run_cli
 from .config import get_scale
 from .runner import SweepResult, run_sweep
 
@@ -33,6 +32,7 @@ def run(
     seed: int = 6,
     workers: Optional[int] = None,
     progress: Optional[Callable[[str], None]] = None,
+    journal=None,
 ) -> SweepResult:
     cfg = get_scale(scale)
     platform = paper_platform()
@@ -65,8 +65,6 @@ def run(
         n_random_schedules=cfg.n_random_schedules,
         progress=progress,
         workers=resolve_workers(workers, cfg.parallel_workers),
+        journal=journal,
     )
 
-
-if __name__ == "__main__":
-    run_cli("Reproduce paper Fig. 6", run, default_seed=6)

@@ -27,7 +27,6 @@ from ..mappers import (
 )
 from ..parallel import resolve_workers
 from ..platform import paper_platform
-from ._cli import run_cli
 from .config import get_scale
 from .runner import SweepResult, run_sweep
 
@@ -40,6 +39,7 @@ def run(
     seed: int = 7,
     workers: Optional[int] = None,
     progress: Optional[Callable[[str], None]] = None,
+    journal=None,
 ) -> SweepResult:
     cfg = get_scale(scale)
     platform = paper_platform()
@@ -70,8 +70,6 @@ def run(
         n_random_schedules=cfg.n_random_schedules,
         progress=progress,
         workers=resolve_workers(workers, cfg.parallel_workers),
+        journal=journal,
     )
 
-
-if __name__ == "__main__":
-    run_cli("Reproduce paper Fig. 7", run, default_seed=7)

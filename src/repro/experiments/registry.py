@@ -1,0 +1,108 @@
+"""The experiment registry: one entry per study, one way to run each.
+
+``repro experiment NAME``, the benchmark targets and
+``scripts/run_experiments.py`` all run a study through
+:meth:`Experiment.run`, so ``--seed/--workers/--checkpoint/--resume``
+mean the same thing for every driver, and every result is written by
+:func:`repro.experiments.reporting.write_csv`.  Entries name their
+driver and formatter as ``"module:function"`` strings resolved on use,
+so importing this module loads no driver.
+"""
+
+from __future__ import annotations
+
+import importlib
+import os
+from contextlib import nullcontext
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional
+
+from .config import get_scale
+from .reporting import results_dir
+
+__all__ = ["Experiment", "EXPERIMENTS", "open_journal"]
+
+
+def _resolve(ref: str) -> Callable:
+    module, _, attr = ref.partition(":")
+    return getattr(importlib.import_module(f"{__package__}.{module}"), attr)
+
+
+def open_journal(name: str, cfg_name: str, seed: int, checkpoint,
+                 resume: bool = False):
+    """Resolve ``--checkpoint``/``--resume`` into an open journal (or None).
+
+    ``checkpoint`` may be falsy (no journalling), an explicit path, or
+    ``"auto"`` — the CLI's bare ``--checkpoint`` — which lands under
+    ``results/checkpoints/``.  The journal is fingerprinted with
+    ``name:cfg:seed`` so a resume against a different configuration
+    fails loudly instead of splicing mismatched results.
+    """
+    if not checkpoint:
+        if resume:
+            raise ValueError("--resume requires --checkpoint")
+        return None
+    from ..parallel import SweepJournal
+
+    if checkpoint == "auto":
+        checkpoint = os.path.join(
+            results_dir(), "checkpoints", f"{name}_{cfg_name}_seed{seed}.journal"
+        )
+    return SweepJournal(
+        checkpoint, fingerprint=f"{name}:{cfg_name}:{seed}", resume=resume
+    )
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """A named study: its driver, its text formatter and its default seed."""
+
+    name: str
+    driver: str      # "module:function" returning a result with csv_rows()
+    formatter: str   # "module:function" rendering that result as text
+    seed: int
+
+    def run(self, scale="smoke", *, seed: Optional[int] = None,
+            workers: Optional[int] = None,
+            progress: Optional[Callable[[str], None]] = None,
+            checkpoint=None, resume: bool = False, **kwargs):
+        """Run the driver; ``checkpoint``/``resume`` journal completed
+        work items (see :func:`open_journal`) so an interrupted run
+        restarts where it left off with byte-identical results."""
+        seed = self.seed if seed is None else seed
+        journal = open_journal(
+            self.name, get_scale(scale).name, seed, checkpoint, resume
+        )
+        with journal if journal is not None else nullcontext():
+            return _resolve(self.driver)(
+                scale=scale, seed=seed, workers=workers, progress=progress,
+                journal=journal, **kwargs,
+            )
+
+    def format(self, result) -> str:
+        return _resolve(self.formatter)(result)
+
+
+_SWEEP = "reporting:format_sweep_table"
+
+EXPERIMENTS: Dict[str, Experiment] = {e.name: e for e in (
+    Experiment("fig3", "fig3:run", _SWEEP, 3),
+    Experiment("fig4", "fig4:run", _SWEEP, 4),
+    Experiment("fig5", "fig5:run", _SWEEP, 5),
+    Experiment("fig6", "fig6:run", _SWEEP, 6),
+    Experiment("fig7", "fig7:run", _SWEEP, 7),
+    Experiment("table1", "table1:run", "table1:format_table", 10),
+    Experiment("scaling", "scaling:run", "scaling:format_report", 30),
+    Experiment("baselines", "baselines:run", _SWEEP, 40),
+    Experiment("ablation-cuts", "ablation:run_cuts", _SWEEP, 21),
+    Experiment("ablation-gamma", "ablation:run_gamma", _SWEEP, 22),
+    Experiment("ablation-streaming", "ablation:run_streaming", _SWEEP, 23),
+    Experiment("robustness", "robustness:run",
+               "robustness:format_robustness_table", 77),
+    Experiment("replan", "robustness:run_replan",
+               "robustness:format_replan_table", 78),
+    Experiment("contention", "contention:run",
+               "contention:format_contention_table", 79),
+    Experiment("topology", "contention:run_topologies",
+               "contention:format_topology_table", 79),
+)}

@@ -1,32 +1,19 @@
-"""Plain-text and CSV reporting of sweep results.
+"""Plain-text and CSV reporting of experiment results.
 
 Every figure driver prints the same rows/series the paper plots, as
-fixed-width text tables (the reproduction's "figures"), and can dump CSV for
-external plotting.
+fixed-width text tables (the reproduction's "figures"), and every result
+type can be dumped as CSV for external plotting through :func:`write_csv`.
 """
 
 from __future__ import annotations
 
 import csv
 import os
-from typing import Optional, Sequence, TextIO
+from typing import Optional, TextIO
 
-from ..obs import get_reporter
 from .runner import SweepResult
 
-_R = get_reporter()
-
-__all__ = [
-    "format_sweep_table", "print_sweep", "write_csv", "results_dir",
-    "open_checkpoint", "maybe_close",
-]
-
-
-def maybe_close(journal):
-    """Context manager closing ``journal`` on exit; no-op for ``None``."""
-    from contextlib import nullcontext
-
-    return journal if journal is not None else nullcontext(None)
+__all__ = ["format_sweep_table", "write_csv", "results_dir"]
 
 
 def results_dir() -> str:
@@ -34,32 +21,6 @@ def results_dir() -> str:
     path = os.environ.get("REPRO_RESULTS_DIR", os.path.join(os.getcwd(), "results"))
     os.makedirs(path, exist_ok=True)
     return path
-
-
-def open_checkpoint(driver: str, cfg_name: str, seed: int,
-                    checkpoint, resume: bool = False):
-    """Resolve ``--checkpoint``/``--resume`` into an open journal (or None).
-
-    ``checkpoint`` may be falsy (no journalling), an explicit path, or
-    ``"auto"`` — the CLI's bare ``--checkpoint`` — which lands under
-    ``results/checkpoints/``.  The journal is fingerprinted with
-    ``driver:cfg:seed`` so a resume against a different configuration
-    fails loudly instead of splicing mismatched results.
-    """
-    if not checkpoint:
-        if resume:
-            raise ValueError("--resume requires --checkpoint")
-        return None
-    from ..parallel import SweepJournal
-
-    if checkpoint == "auto":
-        checkpoint = os.path.join(
-            results_dir(), "checkpoints",
-            f"{driver}_{cfg_name}_seed{seed}.journal",
-        )
-    return SweepJournal(
-        checkpoint, fingerprint=f"{driver}:{cfg_name}:{seed}", resume=resume
-    )
 
 
 def format_sweep_table(result: SweepResult, *, time_unit: str = "ms") -> str:
@@ -95,44 +56,25 @@ def format_sweep_table(result: SweepResult, *, time_unit: str = "ms") -> str:
     return "\n".join(lines)
 
 
-def print_sweep(result: SweepResult, *, time_unit: str = "ms") -> None:
-    _R.out(format_sweep_table(result, time_unit=time_unit))
+def write_csv(result, path: Optional[str] = None, *,
+              fileobj: Optional[TextIO] = None) -> str:
+    """Write any experiment result as a long-format CSV; returns the path.
 
-
-def write_csv(
-    result: SweepResult,
-    path: Optional[str] = None,
-    *,
-    fileobj: Optional[TextIO] = None,
-) -> str:
-    """Write the sweep as a long-format CSV; returns the file path."""
-    if fileobj is None:
-        if path is None:
-            fname = result.title.lower().replace(" ", "_").replace("/", "-") + ".csv"
-            path = os.path.join(results_dir(), fname)
-        handle: TextIO = open(path, "w", newline="")
-        close = True
-    else:
-        handle = fileobj
-        close = False
-        path = path or "<stream>"
-    try:
-        writer = csv.writer(handle)
-        writer.writerow(
-            [result.x_label, "algorithm", "improvement", "time_s", "hit_rate"]
-        )
-        for point in result.points:
-            for name, stats in point.improvements.items():
-                writer.writerow(
-                    [
-                        point.x,
-                        name,
-                        f"{stats.mean:.6f}",
-                        f"{point.times[name].mean:.6f}",
-                        f"{stats.hit_rate:.3f}",
-                    ]
-                )
-    finally:
-        if close:
-            handle.close()
+    ``result`` supplies ``csv_header``, ``csv_rows()`` and ``csv_name``,
+    the file name used under :func:`results_dir` when neither ``path``
+    nor ``fileobj`` is given.
+    """
+    if fileobj is not None:
+        _write_rows(fileobj, result)
+        return path or "<stream>"
+    if path is None:
+        path = os.path.join(results_dir(), result.csv_name)
+    with open(path, "w", newline="") as handle:
+        _write_rows(handle, result)
     return path
+
+
+def _write_rows(handle: TextIO, result) -> None:
+    writer = csv.writer(handle)
+    writer.writerow(result.csv_header)
+    writer.writerows(result.csv_rows())

@@ -29,17 +29,14 @@ Both drivers fan their per-(configuration, replication) work out through
 :mod:`repro.parallel`; ``--workers N`` results are bit-identical to
 serial runs.
 
-Run:  python -m repro.experiments.robustness --scale smoke --csv
-      python -m repro.experiments.robustness --study replan --workers 4
+Run:  repro experiment robustness --scale smoke --csv
+      repro experiment replan --workers 4
 """
 
 from __future__ import annotations
 
-import argparse
-import csv
-import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, TextIO, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -66,9 +63,7 @@ from ..runtime import (
     replicate,
     robustness_report,
 )
-from ..obs import get_reporter
 from .config import get_scale
-from .reporting import maybe_close, open_checkpoint, results_dir
 
 __all__ = [
     "RobustnessPoint",
@@ -79,9 +74,6 @@ __all__ = [
     "run_replan",
     "format_robustness_table",
     "format_replan_table",
-    "print_report",
-    "write_robustness_csv",
-    "write_replan_csv",
 ]
 
 
@@ -103,6 +95,15 @@ class RobustnessResult:
 
     title: str
     points: List[RobustnessPoint] = field(default_factory=list)
+
+    csv_name = "robustness_noise_sweep.csv"
+    csv_header = ("noise_sigma", "algorithm", "analytic_s", "mean_s",
+                  "degradation", "p95_degradation")
+
+    def csv_rows(self):
+        for p in self.points:
+            yield [p.sigma, p.algorithm, *(f"{v:.6f}" for v in (
+                p.analytic_s, p.mean_s, p.degradation, p.p95_degradation))]
 
     def algorithms(self) -> List[str]:
         seen: Dict[str, None] = {}
@@ -140,6 +141,16 @@ class ReplanResult:
 
     title: str
     points: List[ReplanPoint] = field(default_factory=list)
+
+    csv_name = "replan_policy_sweep.csv"
+    csv_header = ("policy", "algorithm", "analytic_s", "mean_s", "degradation",
+                  "p95_degradation", "mean_killed", "mean_remapped")
+
+    def csv_rows(self):
+        for p in self.points:
+            yield [p.policy, p.algorithm, *(f"{v:.6f}" for v in (
+                p.analytic_s, p.mean_s, p.degradation, p.p95_degradation,
+                p.mean_killed, p.mean_remapped))]
 
     def algorithms(self) -> List[str]:
         seen: Dict[str, None] = {}
@@ -262,8 +273,7 @@ def run(
     seed: int = 77,
     workers: Optional[int] = None,
     progress: Optional[Callable[[str], None]] = None,
-    checkpoint=None,
-    resume: bool = False,
+    journal=None,
 ) -> RobustnessResult:
     """Sweep noise levels; returns mean/p95 degradation per algorithm.
 
@@ -272,8 +282,8 @@ def run(
     along the noise axis are paired — seed variance never masquerades as
     a noise effect.
 
-    ``checkpoint``/``resume`` journal completed cells (see
-    :func:`repro.experiments.reporting.open_checkpoint`): a resumed run
+    ``journal`` checkpoints completed cells (see
+    :func:`repro.experiments.registry.open_journal`): a resumed run
     recomputes only outstanding cells and emits a byte-identical CSV.
     """
     cfg = get_scale(scale)
@@ -287,8 +297,7 @@ def run(
         for s in graph_seed.spawn(cfg.robustness_graphs)
     ]
 
-    journal = open_checkpoint("robustness", cfg.name, seed, checkpoint, resume)
-    with _sweep_pool(workers) as executor, maybe_close(journal):
+    with _sweep_pool(workers) as executor:
         # map once per (graph, algorithm); the sweep reuses the mappings
         mappings, analytics = _map_phase(
             graphs, platform, cfg, map_seed, workers, progress, executor,
@@ -340,8 +349,7 @@ def run_replan(
     seed: int = 78,
     workers: Optional[int] = None,
     progress: Optional[Callable[[str], None]] = None,
-    checkpoint=None,
-    resume: bool = False,
+    journal=None,
 ) -> ReplanResult:
     """Sweep re-mapping policies under a mid-run device failure.
 
@@ -349,8 +357,7 @@ def run_replan(
     ``cfg.replan_failure_frac`` of each mapping's analytic makespan;
     every policy replays the *same* seeds, failure instants and noise
     draws, so differences are pure policy effect.
-    ``checkpoint``/``resume`` journal completed cells exactly as in
-    :func:`run`.
+    ``journal`` checkpoints completed cells exactly as in :func:`run`.
     """
     cfg = get_scale(scale)
     workers = resolve_workers(workers, cfg.parallel_workers)
@@ -367,8 +374,7 @@ def run_replan(
         random_sp_graph(cfg.robustness_n_tasks, np.random.default_rng(s))
         for s in graph_seed.spawn(cfg.robustness_graphs)
     ]
-    journal = open_checkpoint("replan", cfg.name, seed, checkpoint, resume)
-    with _sweep_pool(workers) as executor, maybe_close(journal):
+    with _sweep_pool(workers) as executor:
         mappings, analytics = _map_phase(
             graphs, platform, cfg, map_seed, workers, progress, executor,
             journal,
@@ -474,139 +480,3 @@ def format_replan_table(result: ReplanResult) -> str:
     table("tasks remapped per run", lambda p: p.mean_remapped)
     return "\n".join(lines)
 
-
-def print_report(result) -> None:
-    reporter = get_reporter()
-    if isinstance(result, ReplanResult):
-        reporter.out(format_replan_table(result))
-    else:
-        reporter.out(format_robustness_table(result))
-
-
-def write_robustness_csv(
-    result: RobustnessResult,
-    path: Optional[str] = None,
-    *,
-    fileobj: Optional[TextIO] = None,
-) -> str:
-    """Write the sweep as a long-format CSV; returns the file path."""
-    if fileobj is None:
-        if path is None:
-            path = os.path.join(results_dir(), "robustness_noise_sweep.csv")
-        handle: TextIO = open(path, "w", newline="")
-        close = True
-    else:
-        handle = fileobj
-        close = False
-        path = path or "<stream>"
-    try:
-        writer = csv.writer(handle)
-        writer.writerow([
-            "noise_sigma", "algorithm", "analytic_s", "mean_s",
-            "degradation", "p95_degradation",
-        ])
-        for p in result.points:
-            writer.writerow([
-                p.sigma,
-                p.algorithm,
-                f"{p.analytic_s:.6f}",
-                f"{p.mean_s:.6f}",
-                f"{p.degradation:.6f}",
-                f"{p.p95_degradation:.6f}",
-            ])
-    finally:
-        if close:
-            handle.close()
-    return path
-
-
-def write_replan_csv(
-    result: ReplanResult,
-    path: Optional[str] = None,
-    *,
-    fileobj: Optional[TextIO] = None,
-) -> str:
-    """Write the policy sweep as a long-format CSV; returns the file path."""
-    if fileobj is None:
-        if path is None:
-            path = os.path.join(results_dir(), "replan_policy_sweep.csv")
-        handle: TextIO = open(path, "w", newline="")
-        close = True
-    else:
-        handle = fileobj
-        close = False
-        path = path or "<stream>"
-    try:
-        writer = csv.writer(handle)
-        writer.writerow([
-            "policy", "algorithm", "analytic_s", "mean_s",
-            "degradation", "p95_degradation", "mean_killed", "mean_remapped",
-        ])
-        for p in result.points:
-            writer.writerow([
-                p.policy,
-                p.algorithm,
-                f"{p.analytic_s:.6f}",
-                f"{p.mean_s:.6f}",
-                f"{p.degradation:.6f}",
-                f"{p.p95_degradation:.6f}",
-                f"{p.mean_killed:.6f}",
-                f"{p.mean_remapped:.6f}",
-            ])
-    finally:
-        if close:
-            handle.close()
-    return path
-
-
-if __name__ == "__main__":
-    parser = argparse.ArgumentParser(
-        description="Mapper robustness under runtime noise / device failure"
-    )
-    parser.add_argument(
-        "--scale", default="smoke", choices=["smoke", "small", "paper"]
-    )
-    parser.add_argument(
-        "--study", default="noise", choices=["noise", "replan"],
-        help="noise degradation sweep or failure re-mapping policy sweep",
-    )
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument(
-        "--workers", type=int, default=None,
-        help="process-pool size (default: scale config; 0 = all CPUs)",
-    )
-    parser.add_argument(
-        "--csv", action="store_true", help="also write a CSV into ./results/"
-    )
-    parser.add_argument(
-        "--checkpoint", nargs="?", const="auto", metavar="PATH",
-        help="journal completed cells (default path under results/checkpoints)",
-    )
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="reuse journalled cells from an interrupted --checkpoint run",
-    )
-    parser.add_argument("--quiet", action="store_true")
-    args = parser.parse_args()
-    reporter = get_reporter()
-    progress = (
-        None if args.quiet else (lambda msg: reporter.out(f"  [{msg}]"))
-    )
-    if args.study == "replan":
-        seed = 78 if args.seed is None else args.seed
-        replan = run_replan(
-            scale=args.scale, seed=seed, workers=args.workers,
-            progress=progress, checkpoint=args.checkpoint, resume=args.resume,
-        )
-        print_report(replan)
-        if args.csv:
-            reporter.out(f"csv written to {write_replan_csv(replan)}")
-    else:
-        seed = 77 if args.seed is None else args.seed
-        result = run(
-            scale=args.scale, seed=seed, workers=args.workers,
-            progress=progress, checkpoint=args.checkpoint, resume=args.resume,
-        )
-        print_report(result)
-        if args.csv:
-            reporter.out(f"csv written to {write_robustness_csv(result)}")

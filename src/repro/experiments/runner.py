@@ -82,6 +82,22 @@ class SweepResult:
             out.append(s)
         return out
 
+    @property
+    def csv_name(self) -> str:
+        return self.title.lower().replace(" ", "_").replace("/", "-") + ".csv"
+
+    @property
+    def csv_header(self) -> List[str]:
+        return [self.x_label, "algorithm", "improvement", "time_s", "hit_rate"]
+
+    def csv_rows(self):
+        for point in self.points:
+            for name, stats in point.improvements.items():
+                yield [
+                    point.x, name, f"{stats.mean:.6f}",
+                    f"{point.times[name].mean:.6f}", f"{stats.hit_rate:.3f}",
+                ]
+
 
 def _point_graph_worker(item) -> List[tuple]:
     """Run every mapper on one graph (one parallel work item).

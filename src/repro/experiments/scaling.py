@@ -11,26 +11,24 @@ exponent ``time ~ n^alpha`` by least squares on log-log data.  The paper's
 claim corresponds to ``alpha`` around 2 (and clearly below the worst-case 3)
 for both decomposition strategies.
 
-Run:  python -m repro.experiments.scaling --scale smoke
+Run:  repro experiment scaling --scale smoke
 """
 
 from __future__ import annotations
 
-import argparse
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from ..graphs.generators import random_sp_graph
 from ..mappers import sn_first_fit, sp_first_fit, single_node, series_parallel
-from ..obs import get_reporter
 from ..parallel import resolve_workers
 from ..platform import paper_platform
 from .config import get_scale
-from .reporting import maybe_close, open_checkpoint
+from .reporting import format_sweep_table
 from .runner import SweepResult, run_sweep
 
-__all__ = ["run", "fit_exponents"]
+__all__ = ["run", "fit_exponents", "format_report"]
 
 
 def run(
@@ -39,12 +37,11 @@ def run(
     seed: int = 30,
     workers: Optional[int] = None,
     progress: Optional[Callable[[str], None]] = None,
-    checkpoint=None,
-    resume: bool = False,
+    journal=None,
 ) -> SweepResult:
     """Measure mapper wall time over graph size.
 
-    ``checkpoint``/``resume`` journal completed per-graph work through
+    ``journal`` checkpoints completed per-graph work through
     :func:`~repro.experiments.runner.run_sweep` — note only the
     seed-derived columns of a resumed run are meaningful here, since this
     driver's whole point is wall-clock timing.
@@ -60,21 +57,19 @@ def run(
     def make_mappers(x: float):
         return [single_node(), series_parallel(), sn_first_fit(), sp_first_fit()]
 
-    journal = open_checkpoint("scaling", cfg.name, seed, checkpoint, resume)
-    with maybe_close(journal):
-        return run_sweep(
-            "Scaling decomposition mappers",
-            "n_tasks",
-            cfg.fig4_sizes,
-            make_graphs,
-            make_mappers,
-            platform,
-            seed=seed,
-            n_random_schedules=max(5, cfg.n_random_schedules // 5),
-            progress=progress,
-            workers=resolve_workers(workers, cfg.parallel_workers),
-            journal=journal,
-        )
+    return run_sweep(
+        "Scaling decomposition mappers",
+        "n_tasks",
+        cfg.fig4_sizes,
+        make_graphs,
+        make_mappers,
+        platform,
+        seed=seed,
+        n_random_schedules=max(5, cfg.n_random_schedules // 5),
+        progress=progress,
+        workers=resolve_workers(workers, cfg.parallel_workers),
+        journal=journal,
+    )
 
 
 def fit_exponents(result: SweepResult) -> Dict[str, float]:
@@ -95,31 +90,11 @@ def fit_exponents(result: SweepResult) -> Dict[str, float]:
     return out
 
 
-if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description="Empirical mapper complexity")
-    parser.add_argument(
-        "--scale", default="smoke", choices=["smoke", "small", "paper"]
-    )
-    parser.add_argument("--seed", type=int, default=30)
-    parser.add_argument(
-        "--workers", type=int, default=None,
-        help="process-pool size (default: scale config; 0 = all CPUs)",
-    )
-    parser.add_argument(
-        "--checkpoint", nargs="?", const="auto", metavar="PATH",
-        help="journal completed cells (default path under results/checkpoints)",
-    )
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="reuse journalled cells from an interrupted --checkpoint run",
-    )
-    args = parser.parse_args()
-    from .reporting import print_sweep
-
-    result = run(scale=args.scale, seed=args.seed, workers=args.workers,
-                 checkpoint=args.checkpoint, resume=args.resume)
-    print_sweep(result)
-    reporter = get_reporter()
-    reporter.out("\nfitted time ~ n^alpha exponents:")
-    for name, alpha in fit_exponents(result).items():
-        reporter.out(f"  {name:>16s}: alpha = {alpha:.2f}")
+def format_report(result: SweepResult) -> str:
+    """The sweep tables followed by the fitted exponent per algorithm."""
+    lines = [format_sweep_table(result), "", "fitted time ~ n^alpha exponents:"]
+    lines += [
+        f"  {name:>16s}: alpha = {alpha:.2f}"
+        for name, alpha in fit_exponents(result).items()
+    ]
+    return "\n".join(lines)

@@ -15,9 +15,6 @@ verification.
 
 from __future__ import annotations
 
-import argparse
-import csv
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -32,7 +29,6 @@ from ..mappers import (
     sn_first_fit,
     sp_first_fit,
 )
-from ..obs import get_reporter
 from ..parallel import (
     SupervisedPool,
     parallel_map,
@@ -41,7 +37,6 @@ from ..parallel import (
 )
 from ..platform import paper_platform
 from .config import get_scale
-from .reporting import maybe_close, open_checkpoint, results_dir
 
 __all__ = ["Table1Result", "run", "format_table"]
 
@@ -95,8 +90,19 @@ class Table1Result:
     improvement: Dict[str, Dict[str, float]] = field(default_factory=dict)
     total_time_s: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
+    csv_name = "table1.csv"
+    csv_header = ("family", "algorithm", "improvement", "total_time_s")
+
     def families(self) -> List[str]:
         return list(self.improvement)
+
+    def csv_rows(self):
+        for family in self.families():
+            for a in self.algorithms:
+                yield [
+                    family, a, f"{self.improvement[family][a]:.6f}",
+                    f"{self.total_time_s[family][a]:.6f}",
+                ]
 
 
 def run(
@@ -106,12 +112,11 @@ def run(
     families: Optional[List[str]] = None,
     workers: Optional[int] = None,
     progress: Optional[Callable[[str], None]] = None,
-    checkpoint=None,
-    resume: bool = False,
+    journal=None,
 ) -> Table1Result:
-    """Reproduce Table I; ``checkpoint``/``resume`` journal completed
-    cells so an interrupted run restarts where it left off (see
-    :func:`repro.experiments.reporting.open_checkpoint`)."""
+    """Reproduce Table I; ``journal`` checkpoints completed cells so an
+    interrupted run restarts where it left off (see
+    :func:`repro.experiments.registry.open_journal`)."""
     cfg = get_scale(scale)
     workers = resolve_workers(workers, cfg.parallel_workers)
     platform = paper_platform()
@@ -132,9 +137,7 @@ def run(
         ):
             for param_seed in size_seed.spawn(cfg.table1_parameterizations):
                 items.append((family, size, param_seed, cfg, platform))
-    journal = open_checkpoint("table1", cfg.name, seed, checkpoint, resume)
-    with SupervisedPool(workers, chaos=plan_from_env()) as executor, \
-            maybe_close(journal):
+    with SupervisedPool(workers, chaos=plan_from_env()) as executor:
         cells = parallel_map(
             _param_worker, items, workers=workers,
             progress=progress, label="table1 cell", executor=executor,
@@ -191,57 +194,3 @@ def _fmt_time(seconds: float, width: int) -> str:
         return f"{seconds:>{width - 2}.1f} s"
     return f"{seconds * 1e3:>{width - 3}.0f} ms"
 
-
-def write_csv(result: Table1Result, path: Optional[str] = None) -> str:
-    if path is None:
-        path = os.path.join(results_dir(), "table1.csv")
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["family", "algorithm", "improvement", "total_time_s"])
-        for family in result.families():
-            for a in result.algorithms:
-                writer.writerow(
-                    [
-                        family,
-                        a,
-                        f"{result.improvement[family][a]:.6f}",
-                        f"{result.total_time_s[family][a]:.6f}",
-                    ]
-                )
-    return path
-
-
-if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description="Reproduce paper Table I")
-    parser.add_argument(
-        "--scale", default="smoke", choices=["smoke", "small", "paper"]
-    )
-    parser.add_argument("--seed", type=int, default=10)
-    parser.add_argument("--families", nargs="*", default=None)
-    parser.add_argument(
-        "--workers", type=int, default=None,
-        help="process-pool size (default: scale config; 0 = all CPUs)",
-    )
-    parser.add_argument("--csv", action="store_true")
-    parser.add_argument(
-        "--checkpoint", nargs="?", const="auto", metavar="PATH",
-        help="journal completed cells (default path under results/checkpoints)",
-    )
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="reuse journalled cells from an interrupted --checkpoint run",
-    )
-    args = parser.parse_args()
-    reporter = get_reporter()
-    table = run(
-        scale=args.scale,
-        seed=args.seed,
-        families=args.families,
-        workers=args.workers,
-        progress=lambda msg: reporter.out(f"  [{msg}]"),
-        checkpoint=args.checkpoint,
-        resume=args.resume,
-    )
-    reporter.out(format_table(table))
-    if args.csv:
-        reporter.out(f"csv written to {write_csv(table)}")

@@ -1,72 +1,8 @@
-"""Tests for the experiment CLI plumbing and reporting helpers."""
+"""Tests for the experiment reporting helpers."""
 
 import os
-import sys
 
-import pytest
-
-from repro.experiments._cli import run_cli
-from repro.experiments.metrics import aggregate
 from repro.experiments.reporting import results_dir
-from repro.experiments.runner import PointResult, SweepResult
-
-
-def _stub_result():
-    result = SweepResult("stub title", "n")
-    result.points.append(
-        PointResult(
-            x=5.0,
-            improvements={"A": aggregate([0.1, 0.2])},
-            times={"A": aggregate([0.01, 0.02])},
-            evaluations={"A": 10.0},
-        )
-    )
-    return result
-
-
-class TestRunCli:
-    def test_prints_table(self, capsys, monkeypatch):
-        monkeypatch.setattr(
-            sys, "argv", ["prog", "--scale", "smoke", "--quiet"]
-        )
-        calls = {}
-
-        def fake_run(scale="smoke", seed=0, workers=None, progress=None):
-            calls["scale"] = scale
-            calls["seed"] = seed
-            calls["workers"] = workers
-            calls["progress"] = progress
-            return _stub_result()
-
-        run_cli("test driver", fake_run, default_seed=42)
-        out = capsys.readouterr().out
-        assert "stub title" in out
-        assert calls == {
-            "scale": "smoke", "seed": 42, "workers": None, "progress": None,
-        }
-
-    def test_progress_enabled_by_default(self, capsys, monkeypatch):
-        monkeypatch.setattr(sys, "argv", ["prog"])
-        seen = {}
-
-        def fake_run(scale="smoke", seed=0, workers=None, progress=None):
-            seen["progress"] = progress
-            if progress:
-                progress("tick")
-            return _stub_result()
-
-        run_cli("test driver", fake_run, default_seed=1)
-        assert seen["progress"] is not None
-        assert "[tick]" in capsys.readouterr().out
-
-    def test_csv_flag(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
-        monkeypatch.setattr(sys, "argv", ["prog", "--csv", "--quiet"])
-        run_cli("t", lambda scale="smoke", **kw: _stub_result(),
-                default_seed=0)
-        out = capsys.readouterr().out
-        assert "csv written" in out
-        assert any(p.suffix == ".csv" for p in tmp_path.iterdir())
 
 
 class TestResultsDir:

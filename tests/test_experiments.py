@@ -181,15 +181,12 @@ class TestRobustnessDriver:
     def test_format_and_csv(self, result, tmp_path):
         import csv as csv_mod
 
-        from repro.experiments.robustness import (
-            format_robustness_table,
-            write_robustness_csv,
-        )
+        from repro.experiments.robustness import format_robustness_table
 
         text = format_robustness_table(result)
         assert "mean degradation" in text and "p95 degradation" in text
         assert "HEFT" in text
-        path = write_robustness_csv(result, str(tmp_path / "rob.csv"))
+        path = write_csv(result, str(tmp_path / "rob.csv"))
         rows = list(csv_mod.reader(open(path)))
         assert rows[0][:2] == ["noise_sigma", "algorithm"]
         assert len(rows) == 1 + len(result.points)

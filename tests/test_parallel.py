@@ -14,7 +14,7 @@ import io
 import numpy as np
 import pytest
 
-from repro.experiments import robustness, table1
+from repro.experiments import robustness, table1, write_csv
 from repro.experiments.config import get_scale
 from repro.experiments.runner import run_point
 from repro.graphs.generators import random_sp_graph
@@ -134,8 +134,8 @@ class TestSerialParallelEquivalence:
         serial = robustness.run(scale=tiny_scale, seed=1, workers=1)
         pooled = robustness.run(scale=tiny_scale, seed=1, workers=2)
         a, b = io.StringIO(), io.StringIO()
-        robustness.write_robustness_csv(serial, fileobj=a)
-        robustness.write_robustness_csv(pooled, fileobj=b)
+        write_csv(serial, fileobj=a)
+        write_csv(pooled, fileobj=b)
         assert a.getvalue() == b.getvalue()
 
     def test_robustness_noise_seeds_paired_across_sigmas(self, tiny_scale):
@@ -156,8 +156,8 @@ class TestSerialParallelEquivalence:
         serial = robustness.run_replan(scale=cfg, seed=2, workers=1)
         pooled = robustness.run_replan(scale=cfg, seed=2, workers=2)
         a, b = io.StringIO(), io.StringIO()
-        robustness.write_replan_csv(serial, fileobj=a)
-        robustness.write_replan_csv(pooled, fileobj=b)
+        write_csv(serial, fileobj=a)
+        write_csv(pooled, fileobj=b)
         assert a.getvalue() == b.getvalue()
 
     def test_table1_rows_identical_modulo_wallclock(self, tiny_scale):

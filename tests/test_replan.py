@@ -268,15 +268,13 @@ class TestReplanDriver:
     def test_format_and_csv(self, result, tmp_path):
         import csv as csv_mod
 
-        from repro.experiments.robustness import (
-            format_replan_table,
-            write_replan_csv,
-        )
+        from repro.experiments import write_csv
+        from repro.experiments.robustness import format_replan_table
 
         text = format_replan_table(result)
         assert "mean degradation" in text
         assert "fallback" in text and "decomposition" in text
-        path = write_replan_csv(result, str(tmp_path / "replan.csv"))
+        path = write_csv(result, str(tmp_path / "replan.csv"))
         rows = list(csv_mod.reader(open(path)))
         assert rows[0][:2] == ["policy", "algorithm"]
         assert len(rows) == 1 + len(result.points)

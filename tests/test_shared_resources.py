@@ -457,8 +457,7 @@ class TestFeasibilitySweep:
 # ---------------------------------------------------------------------------
 class TestContentionDriver:
     def test_smoke_run_and_csv(self, tmp_path):
-        from repro.experiments import contention
-        from repro.experiments.config import SCALES
+        from repro.experiments import SCALES, contention, write_csv
 
         cfg = dataclasses.replace(
             SCALES["smoke"],
@@ -484,13 +483,11 @@ class TestContentionDriver:
                 <= result.cell(a, 0, 0.5).jobs_per_second + 1e-12
             )
         buf = io.StringIO()
-        contention.write_contention_csv(result, fileobj=buf)
+        write_csv(result, fileobj=buf)
         lines = buf.getvalue().strip().splitlines()
         assert lines[0].startswith("algorithm,link_slots,period_frac")
         assert len(lines) == 1 + len(result.points)
-        path = contention.write_contention_csv(
-            result, str(tmp_path / "c.csv")
-        )
+        path = write_csv(result, str(tmp_path / "c.csv"))
         assert (tmp_path / "c.csv").exists() and path.endswith("c.csv")
 
 

@@ -20,7 +20,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.experiments import robustness
+from repro.experiments import EXPERIMENTS, robustness, write_csv
 from repro.experiments.config import get_scale
 from repro.obs import metrics as obs_metrics
 from repro.parallel import (
@@ -358,7 +358,7 @@ def tiny_scale():
 
 def _robustness_csv(result):
     buf = io.StringIO()
-    robustness.write_robustness_csv(result, fileobj=buf)
+    write_csv(result, fileobj=buf)
     return buf.getvalue()
 
 
@@ -380,6 +380,9 @@ class TestChaosSweepEquivalence:
         assert chaotic == clean
 
 
+_ROBUSTNESS = EXPERIMENTS["robustness"]
+
+
 class TestResumeEquivalence:
     def test_interrupted_then_resumed_csv_is_byte_identical(
         self, tiny_scale, tmp_path, monkeypatch
@@ -390,8 +393,8 @@ class TestResumeEquivalence:
         reference = _robustness_csv(
             robustness.run(scale=tiny_scale, seed=1, workers=1)
         )
-        checkpointed = _robustness_csv(robustness.run(
-            scale=tiny_scale, seed=1, workers=1, checkpoint=journal_path,
+        checkpointed = _robustness_csv(_ROBUSTNESS.run(
+            tiny_scale, seed=1, workers=1, checkpoint=journal_path,
         ))
         assert checkpointed == reference
 
@@ -400,8 +403,8 @@ class TestResumeEquivalence:
         assert len(lines) > 5
         with open(journal_path, "w") as fh:
             fh.write("\n".join(lines[:-4]) + "\n")
-        resumed = _robustness_csv(robustness.run(
-            scale=tiny_scale, seed=1, workers=1, checkpoint=journal_path,
+        resumed = _robustness_csv(_ROBUSTNESS.run(
+            tiny_scale, seed=1, workers=1, checkpoint=journal_path,
             resume=True,
         ))
         assert resumed == reference
@@ -412,8 +415,8 @@ class TestResumeEquivalence:
         self, tiny_scale, tmp_path, monkeypatch
     ):
         journal_path = str(tmp_path / "robustness.journal")
-        first = _robustness_csv(robustness.run(
-            scale=tiny_scale, seed=1, workers=1, checkpoint=journal_path,
+        first = _robustness_csv(_ROBUSTNESS.run(
+            tiny_scale, seed=1, workers=1, checkpoint=journal_path,
         ))
         # poison every worker: a resume that recomputes anything dies
         monkeypatch.setattr(
@@ -422,15 +425,15 @@ class TestResumeEquivalence:
         monkeypatch.setattr(
             robustness, "_map_graph_worker", _always_fail
         )
-        resumed = _robustness_csv(robustness.run(
-            scale=tiny_scale, seed=1, workers=1, checkpoint=journal_path,
+        resumed = _robustness_csv(_ROBUSTNESS.run(
+            tiny_scale, seed=1, workers=1, checkpoint=journal_path,
             resume=True,
         ))
         assert resumed == first
 
     def test_resume_requires_checkpoint(self, tiny_scale):
         with pytest.raises(ValueError, match="--resume requires"):
-            robustness.run(scale=tiny_scale, seed=1, workers=1, resume=True)
+            _ROBUSTNESS.run(tiny_scale, seed=1, workers=1, resume=True)
 
 
 # ---------------------------------------------------------------------------
@@ -438,9 +441,11 @@ class TestResumeEquivalence:
 # ---------------------------------------------------------------------------
 
 class TestCheckpointCli:
-    def test_checkpoint_flags_reach_the_driver(self, capsys, monkeypatch):
+    def test_checkpoint_flags_reach_the_driver(self, capsys, monkeypatch,
+                                               tmp_path):
         from repro.cli import main as cli_main
 
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
         captured = {}
 
         def stub(scale="smoke", workers=None, **kw):
@@ -451,15 +456,65 @@ class TestCheckpointCli:
         assert cli_main(
             ["experiment", "robustness", "--checkpoint", "--resume"]
         ) == 0
-        assert captured["checkpoint"] == "auto"
-        assert captured["resume"] is True
+        # bare --checkpoint: the registry opens the journal at the auto
+        # path, fingerprinted name:cfg:seed, and hands it to the driver
+        journal = captured["journal"]
+        assert isinstance(journal, SweepJournal)
+        assert journal.fingerprint == "robustness:smoke:77"
+        assert journal.path == os.path.join(
+            str(tmp_path), "checkpoints", "robustness_smoke_seed77.journal"
+        )
         assert "stub" in capsys.readouterr().out
 
-    def test_checkpoint_rejected_for_figures(self, capsys):
-        from repro.cli import main as cli_main
+    def test_fig4_checkpoint_resume_is_byte_identical(self, tmp_path,
+                                                      monkeypatch):
+        """Every registry entry journals: a fig4 sweep interrupted after
+        its first point and resumed emits the clean run's CSV byte for
+        byte.  The mapper clock is frozen so ``time_s`` is comparable."""
+        import types
 
-        assert cli_main(["experiment", "fig4", "--checkpoint"]) == 2
-        assert "not supported" in capsys.readouterr().err
+        import repro.mappers.base as mapper_base
+        from repro.cli import main as cli_main
+        from repro.experiments import SCALES, runner
+
+        monkeypatch.setattr(mapper_base, "time",
+                            types.SimpleNamespace(perf_counter=lambda: 0.0))
+        monkeypatch.setitem(SCALES, "tiny", dataclasses.replace(
+            get_scale("smoke"), name="tiny", fig4_sizes=[6, 9],
+            graphs_per_point=2, n_random_schedules=3,
+        ))
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / "clean"))
+        argv = ["experiment", "fig4", "--scale", "tiny", "--csv"]
+        assert cli_main(argv) == 0
+        clean = (tmp_path / "clean" / "fig4_decomposition_vs_heft_peft.csv")
+
+        journal = tmp_path / "fig4.journal"
+        real_point = runner.run_point
+        calls = []
+
+        def interrupt_second_point(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return real_point(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "run_point", interrupt_second_point)
+        with pytest.raises(KeyboardInterrupt):
+            cli_main(argv + ["--checkpoint", str(journal)])
+        monkeypatch.setattr(runner, "run_point", real_point)
+        # header + the first point's two graphs
+        assert len(journal.read_text().splitlines()) == 3
+
+        # the resume recomputes only the second point's two graphs
+        real_worker = runner._point_graph_worker
+        computed = []
+        monkeypatch.setattr(runner, "_point_graph_worker",
+                            lambda item: computed.append(1) or real_worker(item))
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / "resumed"))
+        assert cli_main(argv + ["--checkpoint", str(journal), "--resume"]) == 0
+        assert len(computed) == 2
+        resumed = tmp_path / "resumed" / clean.name
+        assert resumed.read_bytes() == clean.read_bytes()
 
     def test_resume_requires_checkpoint_flag(self, capsys):
         from repro.cli import main as cli_main

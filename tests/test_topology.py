@@ -305,10 +305,8 @@ class TestTopologyJson:
 
 class TestTopologySweep:
     def test_serial_equals_workers2_and_mesh_anchors_to_shared(self, tmp_path):
-        from repro.experiments.contention import (
-            run_topologies,
-            write_topology_csv,
-        )
+        from repro.experiments import write_csv
+        from repro.experiments.contention import run_topologies
 
         serial = run_topologies(
             "smoke", topologies=["shared", "mesh"], workers=1
@@ -319,8 +317,8 @@ class TestTopologySweep:
         assert serial.points == pooled.points
         c1 = tmp_path / "serial.csv"
         c2 = tmp_path / "pooled.csv"
-        write_topology_csv(serial, str(c1))
-        write_topology_csv(pooled, str(c2))
+        write_csv(serial, str(c1))
+        write_csv(pooled, str(c2))
         assert c1.read_bytes() == c2.read_bytes()
 
         # equivalence anchor: mesh with unlimited slots == shared pool
