@@ -75,6 +75,19 @@ def test_every_committed_csv_has_an_entry(tiny_results):
     assert set(COMMITTED) <= written
 
 
+@pytest.mark.parametrize(
+    "name", ["robustness", "replan", "contention", "topology"]
+)
+def test_smoke_run_regenerates_the_committed_csv(name):
+    """The runtime studies are deterministic: a smoke run with the
+    registry's seed reproduces its committed CSV byte for byte."""
+    result = EXPERIMENTS[name].run("smoke")
+    buf = io.StringIO()
+    write_csv(result, fileobj=buf)
+    with open(os.path.join(RESULTS, result.csv_name), "rb") as fh:
+        assert buf.getvalue().encode() == fh.read()
+
+
 def test_import_loads_no_driver():
     code = (
         "import sys, repro.experiments as E\n"
