@@ -72,7 +72,7 @@ def test_bench_replan_policy_sweep(benchmark):
     write_csv(result)
     # the failure must actually strand work, and every policy must
     # exercise the rescue path — otherwise the comparison is inert
-    for policy in result.policies():
+    for policy in result.axis("policy"):
         assert any(
             p.mean_remapped > 0
             for p in result.points if p.policy == policy

@@ -79,7 +79,7 @@ def test_robustness_noise_sweep(benchmark):
     print(entry.format(result))
     write_csv(result)
 
-    sigmas = result.sigmas()
+    sigmas = result.axis("noise_sigma")
     for algorithm in result.algorithms():
         lo = result.cell(sigmas[0], algorithm)
         hi = result.cell(sigmas[-1], algorithm)

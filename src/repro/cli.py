@@ -875,10 +875,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "interrupted run, recomputing only the rest "
                         "(byte-identical output)")
     p.add_argument("--topology", nargs="*", metavar="NAME", default=None,
-                   help="contention/topology only: sweep interconnect "
-                        "shapes instead of the link-slot axis; bare "
-                        "--topology uses the scale's defaults, or name any "
-                        "of: shared, mesh, numa, ring, star")
+                   help="contention/topology only: add interconnect "
+                        "shapes as an outer axis, crossed with the link "
+                        "slots and arrival periods; bare --topology uses "
+                        "the scale's defaults, or name each at most once "
+                        "from: shared, mesh, numa, ring, star")
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser(

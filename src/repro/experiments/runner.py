@@ -10,31 +10,55 @@ follow the same pattern:
    mapper wall-clock time,
 4. aggregate per sweep point into :class:`SweepSeries` rows.
 
+The runtime studies (robustness, replan, contention, topology) share the
+first two steps through :func:`run_study`: it maps a set of graphs once
+with a roster, then replays every mapping through a study-specific cell
+worker across the study's axes and averages each metric over graphs
+into a :class:`StudyResult`.
+
 Seeds are derived from a root :class:`numpy.random.SeedSequence`, making
 every experiment reproducible end to end.  Graphs within a point are
-independent work items, so ``run_point``/``run_sweep`` fan them out
-through :mod:`repro.parallel` — ``workers=N`` results are bit-identical
-to serial ones (see the seed-sharding contract in
+independent work items, so ``run_point``/``run_sweep``/``run_study`` fan
+them out through :mod:`repro.parallel` — ``workers=N`` results are
+bit-identical to serial ones (see the seed-sharding contract in
 ``src/repro/parallel/README.md``).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from types import SimpleNamespace
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..evaluation.evaluator import MappingEvaluator
+from ..graphs.generators import random_sp_graph
 from ..graphs.taskgraph import TaskGraph
 from ..mappers.base import Mapper
 from ..obs import metrics as _obs_metrics
 from ..obs import trace as _trace
-from ..parallel import SupervisedPool, parallel_map, plan_from_env
+from ..parallel import (
+    SupervisedPool,
+    parallel_map,
+    plan_from_env,
+    resolve_workers,
+)
+from ..platform import paper_platform
 from ..platform.platform import Platform
 from .metrics import AggregateStats, aggregate
 
-__all__ = ["PointResult", "SweepSeries", "SweepResult", "run_point", "run_sweep"]
+__all__ = [
+    "PointResult",
+    "SweepSeries",
+    "SweepResult",
+    "Replay",
+    "StudyResult",
+    "run_point",
+    "run_sweep",
+    "run_study",
+]
 
 
 @dataclass
@@ -99,29 +123,69 @@ class SweepResult:
                 ]
 
 
-def _point_graph_worker(item) -> List[tuple]:
-    """Run every mapper on one graph (one parallel work item).
+def _point_graph_worker(item) -> list:
+    """Run every mapper of a roster on one graph (one parallel work item).
 
     Module-level so the process pool can pickle it by reference; all
     randomness comes from the :class:`~numpy.random.SeedSequence`
-    carried in the item (seed-sharding contract).
+    carried in the item (seed-sharding contract): its first child seeds
+    the evaluator's schedule suite, one more child seeds each mapper.
+    ``summarise(evaluator, mapper, result)`` reduces each run to the
+    record the caller keeps.
     """
-    g, gseed, mappers, platform, n_random_schedules = item
+    g, gseed, mappers, platform, n_random_schedules, summarise = item
     eval_rng, *mapper_rngs = [
         np.random.default_rng(s) for s in gseed.spawn(1 + len(mappers))
     ]
     evaluator = MappingEvaluator(
         g, platform, rng=eval_rng, n_random_schedules=n_random_schedules
     )
-    out = []
-    for mapper, rng in zip(mappers, mapper_rngs):
-        result = mapper.map(evaluator, rng=rng)
-        out.append((
-            mapper.name,
-            evaluator.relative_improvement(result.mapping),
-            result.elapsed_s,
-            float(result.n_evaluations),
-        ))
+    return [
+        summarise(evaluator, mapper, mapper.map(evaluator, rng=rng))
+        for mapper, rng in zip(mappers, mapper_rngs)
+    ]
+
+
+def _improvement_row(evaluator, mapper, result) -> tuple:
+    """A sweep point's record: improvement, wall-clock time, evaluations."""
+    return (
+        mapper.name,
+        evaluator.relative_improvement(result.mapping),
+        result.elapsed_s,
+        float(result.n_evaluations),
+    )
+
+
+def _replay_row(evaluator, mapper, result) -> tuple:
+    """A runtime study's record: mapping, analytic makespan, area usage."""
+    mapping = list(result.mapping)
+    model = evaluator.model
+    return mapping, model.simulate(mapping), model.area_usage(mapping)
+
+
+def _map_graphs(mappers, graphs, seeds, platform, n_random_schedules,
+                summarise, *, x, workers, executor, journal,
+                progress=None, label="task") -> List[list]:
+    """Map every graph with the roster: one ``experiment.point``.
+
+    Traced runs get an ``experiment.point`` span around the mapping and
+    bump the ``experiment.points``/``experiment.graphs`` counters.
+    """
+    items = [
+        (g, gseed, list(mappers), platform, n_random_schedules, summarise)
+        for g, gseed in zip(graphs, seeds)
+    ]
+    with _trace.span(
+        "experiment.point", "experiment",
+        {"x": x, "graphs": len(items)} if _trace.enabled() else None,
+    ):
+        out = parallel_map(_point_graph_worker, items, workers=workers,
+                           progress=progress, label=label,
+                           executor=executor, journal=journal)
+    registry = _obs_metrics.get_registry()
+    if registry is not None:
+        registry.counter("experiment.points").inc()
+        registry.counter("experiment.graphs").inc(len(items))
     return out
 
 
@@ -148,28 +212,18 @@ def run_point(
     recovery.  ``journal`` checkpoints per-graph results for resume.
     """
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    graph_seeds = seq.spawn(len(graphs))
     improvements: Dict[str, List[float]] = {m.name: [] for m in mappers}
     times: Dict[str, List[float]] = {m.name: [] for m in mappers}
     evals: Dict[str, List[float]] = {m.name: [] for m in mappers}
-    items = [
-        (g, gseed, list(mappers), platform, n_random_schedules)
-        for g, gseed in zip(graphs, graph_seeds)
-    ]
-    with _trace.span(
-        "experiment.point", "experiment",
-        {"x": x, "graphs": len(items)} if _trace.enabled() else None,
+    for rows in _map_graphs(
+        mappers, graphs, seq.spawn(len(graphs)), platform,
+        n_random_schedules, _improvement_row, x=x, workers=workers,
+        executor=executor, journal=journal,
     ):
-        for rows in parallel_map(_point_graph_worker, items, workers=workers,
-                                 executor=executor, journal=journal):
-            for name, imp, elapsed, n_evals in rows:
-                improvements[name].append(imp)
-                times[name].append(elapsed)
-                evals[name].append(n_evals)
-    registry = _obs_metrics.get_registry()
-    if registry is not None:
-        registry.counter("experiment.points").inc()
-        registry.counter("experiment.graphs").inc(len(items))
+        for name, imp, elapsed, n_evals in rows:
+            improvements[name].append(imp)
+            times[name].append(elapsed)
+            evals[name].append(n_evals)
     return PointResult(
         x=x,
         improvements={k: aggregate(v) for k, v in improvements.items()},
@@ -230,4 +284,139 @@ def run_sweep(
             result.points.append(point)
             if progress is not None:
                 progress(f"{title}: {x_label}={x} done")
+    return result
+
+
+# ---------------------------------------------------------------------------
+# runtime studies: map once, replay every mapping across the study's axes
+# ---------------------------------------------------------------------------
+
+class Replay(NamedTuple):
+    """One graph's mapping by one algorithm, as a study cell replays it."""
+
+    graph: TaskGraph
+    platform: Platform      # replay platform (the nominal one unless reshaped)
+    mapping: List[int]
+    analytic: float         # analytic makespan on the nominal platform (s)
+
+
+@dataclass
+class StudyResult:
+    """A runtime study's rows: key columns, then metrics averaged over graphs.
+
+    Every point carries one attribute per column.  ``keys`` are the CSV
+    key columns in CSV order (always including ``"algorithm"``), which is
+    also the argument order of :meth:`cell`; rows stay in sweep order.
+    """
+
+    title: str
+    csv_name: str
+    keys: Tuple[str, ...]
+    metrics: Tuple[str, ...]
+    points: List[SimpleNamespace] = field(default_factory=list)
+
+    @property
+    def csv_header(self) -> Tuple[str, ...]:
+        return self.keys + self.metrics
+
+    def csv_rows(self):
+        for p in self.points:
+            yield [getattr(p, k) for k in self.keys] + [
+                f"{getattr(p, m):.6f}" for m in self.metrics
+            ]
+
+    def axis(self, name: str) -> list:
+        """Distinct values of one key column, in row order."""
+        return list(dict.fromkeys(getattr(p, name) for p in self.points))
+
+    def algorithms(self) -> List[str]:
+        return self.axis("algorithm")
+
+    def cell(self, *key) -> SimpleNamespace:
+        for p in self.points:
+            if tuple(getattr(p, k) for k in self.keys) == key:
+                return p
+        raise KeyError(key)
+
+
+def run_study(
+    result: StudyResult,
+    cfg,
+    *,
+    roster: Sequence[Mapper],
+    n_tasks: int,
+    n_graphs: int,
+    axes: Dict[str, Sequence],
+    cell: Callable[[tuple], Dict[str, float]],
+    cell_args: Callable[[dict], tuple],
+    label: str,
+    seed: int,
+    workers: Optional[int] = None,
+    progress: Optional[Callable[[str], None]] = None,
+    journal=None,
+    reshape: Optional[Callable[[Platform, Dict[int, float]], Platform]] = None,
+) -> StudyResult:
+    """Run one runtime study and fill ``result`` with its rows.
+
+    1. Generate ``n_graphs`` SP graphs of ``n_tasks`` tasks.
+    2. Map each graph once with ``roster`` on the paper platform; every
+       mapping becomes a :class:`Replay`, on ``reshape(platform,
+       area_usage)`` when given (built once per graph and algorithm).
+    3. Cross ``axes`` (outermost first) x algorithms x graphs into items
+       ``(replay, sim_seed, *cell_args(point))`` and run the module-level
+       ``cell`` worker on all of them with one :func:`parallel_map`
+       (journal keys ``"{label}:{index}"``).
+    4. Average each of ``result.metrics`` over graphs into one row per
+       (axis point, algorithm).
+
+    ``seed`` spawns graph, map and simulation children.  Each (graph,
+    algorithm) pair keeps one simulation seed at every axis point, so
+    moving along an axis changes only the swept parameter, never the
+    draws; deterministic cells ignore it.
+    """
+    workers = resolve_workers(workers, cfg.parallel_workers)
+    platform = paper_platform()
+    graph_seed, map_seed, sim_seed = np.random.SeedSequence(seed).spawn(3)
+    graphs = [
+        random_sp_graph(n_tasks, np.random.default_rng(s))
+        for s in graph_seed.spawn(n_graphs)
+    ]
+    points = [dict(zip(axes, values))
+              for values in itertools.product(*axes.values())]
+    algorithms = [mapper.name for mapper in roster]
+
+    with SupervisedPool(workers, chaos=plan_from_env()) as executor:
+        mapped = _map_graphs(
+            roster, graphs, map_seed.spawn(n_graphs), platform,
+            cfg.n_random_schedules, _replay_row, x=result.csv_name,
+            workers=workers, executor=executor, journal=journal,
+            progress=progress, label="roster graph",
+        )
+        replays = [
+            [Replay(g, reshape(platform, usage) if reshape else platform,
+                    mapping, analytic)
+             for mapping, analytic, usage in rows]
+            for g, rows in zip(graphs, mapped)
+        ]
+        sim_seeds = sim_seed.spawn(n_graphs * len(algorithms))
+        items = [
+            (replays[k][a], sim_seeds[k * len(algorithms) + a],
+             *cell_args(point))
+            for point in points
+            for a in range(len(algorithms))
+            for k in range(n_graphs)
+        ]
+        cells = iter(parallel_map(
+            cell, items, workers=workers, progress=progress, label=label,
+            executor=executor, journal=journal,
+        ))
+
+    for point in points:
+        for algorithm in algorithms:
+            rows = list(itertools.islice(cells, n_graphs))
+            result.points.append(SimpleNamespace(
+                **point, algorithm=algorithm,
+                **{m: float(np.mean([r[m] for r in rows]))
+                   for m in result.metrics},
+            ))
     return result

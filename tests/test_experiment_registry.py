@@ -14,7 +14,7 @@ from repro.cli import build_parser, main
 from repro.experiments import EXPERIMENTS, get_scale, write_csv
 from repro.experiments.metrics import aggregate
 from repro.experiments.registry import _resolve
-from repro.experiments.runner import PointResult, SweepResult
+from repro.experiments.runner import PointResult, StudyResult, SweepResult
 
 RESULTS = os.path.join(os.path.dirname(__file__), os.pardir, "results")
 COMMITTED = sorted(f for f in os.listdir(RESULTS) if f.endswith(".csv"))
@@ -166,7 +166,7 @@ class TestExperimentCommand:
 
         def stub(scale="smoke", **kw):
             captured.update(kw)
-            return contention.TopologyResult(title="topo stub")
+            return StudyResult("topo stub", "stub.csv", ("algorithm",), ())
 
         monkeypatch.setattr(contention, "run_topologies", stub)
         argv = ["experiment", "contention", "--topology", "mesh", "star"]

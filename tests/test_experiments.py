@@ -169,7 +169,7 @@ class TestRobustnessDriver:
         return run(scale=tiny, seed=1)
 
     def test_sweep_shape(self, result):
-        assert result.sigmas() == [0.2]
+        assert result.axis("noise_sigma") == [0.2]
         assert set(result.algorithms()) == {
             "HEFT", "PEFT", "NSGAII", "SNFirstFit", "SPFirstFit"
         }

@@ -322,6 +322,38 @@ class TestBitIdentical:
         assert registry.snapshot()["runtime.runs"] == 1
 
 
+    def test_runtime_study_csv_unchanged_and_point_span_recorded(self):
+        import dataclasses
+        import io
+
+        from repro.experiments import EXPERIMENTS, get_scale, write_csv
+
+        tiny = dataclasses.replace(
+            get_scale("smoke"), robustness_noise_levels=[0.2],
+            robustness_replications=2, robustness_n_tasks=12,
+            robustness_graphs=2, nsga_generations=4, n_random_schedules=3,
+        )
+
+        def csv_text():
+            buf = io.StringIO()
+            write_csv(EXPERIMENTS["robustness"].run(tiny, workers=1),
+                      fileobj=buf)
+            return buf.getvalue()
+
+        off = csv_text()
+        obs.observe()
+        try:
+            on = csv_text()
+        finally:
+            tracer, registry = obs.shutdown()
+        assert on == off
+        # the roster-mapping step is the study's sweep point
+        assert [s for s in tracer.spans if s[0] == "experiment.point"]
+        snap = registry.snapshot()
+        assert snap["experiment.points"] == 1
+        assert snap["experiment.graphs"] == 2
+
+
 # ---------------------------------------------------------------------------
 # 6. simulated-time engine timeline
 # ---------------------------------------------------------------------------

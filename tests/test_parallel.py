@@ -16,7 +16,7 @@ import pytest
 
 from repro.experiments import robustness, table1, write_csv
 from repro.experiments.config import get_scale
-from repro.experiments.runner import run_point
+from repro.experiments.runner import StudyResult, run_point
 from repro.graphs.generators import random_sp_graph
 from repro.mappers import HeftMapper, sp_first_fit
 from repro.parallel import parallel_map, resolve_workers, spawn_seeds
@@ -194,7 +194,7 @@ class TestExperimentCliWorkers:
 
         def stub(scale="smoke", workers=None, **kw):
             captured["workers"] = workers
-            return robustness.RobustnessResult(title="stub")
+            return StudyResult("stub", "stub.csv", ("algorithm",), ())
 
         monkeypatch.setattr(robustness, "run", stub)
         assert cli_main(

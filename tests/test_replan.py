@@ -256,7 +256,7 @@ class TestReplanDriver:
         return run_replan(scale=tiny, seed=5)
 
     def test_sweep_shape(self, result):
-        assert result.policies() == ["fallback", "decomposition"]
+        assert result.axis("policy") == ["fallback", "decomposition"]
         assert set(result.algorithms()) == {
             "HEFT", "PEFT", "NSGAII", "SNFirstFit", "SPFirstFit"
         }

@@ -22,6 +22,7 @@ import pytest
 
 from repro.experiments import EXPERIMENTS, robustness, write_csv
 from repro.experiments.config import get_scale
+from repro.experiments.runner import StudyResult
 from repro.obs import metrics as obs_metrics
 from repro.parallel import (
     ChaosError,
@@ -356,7 +357,7 @@ def tiny_scale():
     )
 
 
-def _robustness_csv(result):
+def _csv_text(result):
     buf = io.StringIO()
     write_csv(result, fileobj=buf)
     return buf.getvalue()
@@ -368,13 +369,13 @@ class TestChaosSweepEquivalence:
         """The chaos proof: worker SIGKILLs and transient exceptions
         injected mid-sweep change nothing about the CSV."""
         monkeypatch.delenv("REPRO_CHAOS", raising=False)
-        clean = _robustness_csv(
+        clean = _csv_text(
             robustness.run(scale=tiny_scale, seed=1, workers=1)
         )
         monkeypatch.setenv(
             "REPRO_CHAOS", "seed=11,crash=0.25,error=0.2,timeout=60"
         )
-        chaotic = _robustness_csv(
+        chaotic = _csv_text(
             robustness.run(scale=tiny_scale, seed=1, workers=2)
         )
         assert chaotic == clean
@@ -390,10 +391,10 @@ class TestResumeEquivalence:
         monkeypatch.delenv("REPRO_CHAOS", raising=False)
         journal_path = str(tmp_path / "robustness.journal")
 
-        reference = _robustness_csv(
+        reference = _csv_text(
             robustness.run(scale=tiny_scale, seed=1, workers=1)
         )
-        checkpointed = _robustness_csv(_ROBUSTNESS.run(
+        checkpointed = _csv_text(_ROBUSTNESS.run(
             tiny_scale, seed=1, workers=1, checkpoint=journal_path,
         ))
         assert checkpointed == reference
@@ -403,7 +404,7 @@ class TestResumeEquivalence:
         assert len(lines) > 5
         with open(journal_path, "w") as fh:
             fh.write("\n".join(lines[:-4]) + "\n")
-        resumed = _robustness_csv(_ROBUSTNESS.run(
+        resumed = _csv_text(_ROBUSTNESS.run(
             tiny_scale, seed=1, workers=1, checkpoint=journal_path,
             resume=True,
         ))
@@ -411,21 +412,29 @@ class TestResumeEquivalence:
         # the resumed run appended exactly the dropped records back
         assert len(open(journal_path).read().splitlines()) == len(lines)
 
+    @pytest.mark.parametrize("name, cell", [
+        ("robustness", "_replication_cell"),
+        ("contention", "_stream_cell"),
+    ], ids=["robustness", "contention"])
     def test_fully_journalled_resume_recomputes_nothing(
-        self, tiny_scale, tmp_path, monkeypatch
+        self, name, cell, tiny_scale, tmp_path, monkeypatch
     ):
-        journal_path = str(tmp_path / "robustness.journal")
-        first = _robustness_csv(_ROBUSTNESS.run(
+        import importlib
+
+        from repro.experiments import runner
+
+        entry = EXPERIMENTS[name]
+        journal_path = str(tmp_path / f"{name}.journal")
+        first = _csv_text(entry.run(
             tiny_scale, seed=1, workers=1, checkpoint=journal_path,
         ))
         # poison every worker: a resume that recomputes anything dies
         monkeypatch.setattr(
-            robustness, "_noise_cell_worker", _always_fail
+            importlib.import_module(f"repro.experiments.{name}"), cell,
+            _always_fail,
         )
-        monkeypatch.setattr(
-            robustness, "_map_graph_worker", _always_fail
-        )
-        resumed = _robustness_csv(_ROBUSTNESS.run(
+        monkeypatch.setattr(runner, "_point_graph_worker", _always_fail)
+        resumed = _csv_text(entry.run(
             tiny_scale, seed=1, workers=1, checkpoint=journal_path,
             resume=True,
         ))
@@ -450,7 +459,7 @@ class TestCheckpointCli:
 
         def stub(scale="smoke", workers=None, **kw):
             captured.update(kw)
-            return robustness.RobustnessResult(title="stub")
+            return StudyResult("stub", "stub.csv", ("algorithm",), ())
 
         monkeypatch.setattr(robustness, "run", stub)
         assert cli_main(

@@ -344,6 +344,9 @@ class TestTopologySweep:
 
         with pytest.raises(ValueError):
             run_topologies("smoke", topologies=["hypercube"])
+        # a repeated name would emit every one of its rows twice
+        with pytest.raises(ValueError, match="duplicate"):
+            run_topologies("smoke", topologies=["mesh", "mesh"])
 
 
 # ---------------------------------------------------------------------------
