@@ -1,10 +1,10 @@
 """Metaheuristic population-batch benchmarks.
 
-The wall-clock medians of the metaheuristic mappers live in
-``BENCH_meta.json`` (maintained by ``record.py --suite meta`` and gated
-in CI by ``record.py --suite meta --check nsgaii_smoke``); their seeded
-trajectories are pinned in ``tests/test_golden.py``.  Here we only check
-that the counters prove the population path ran.
+The batch fitness path is speed-gated against per-genome reference
+fitness by ``test_micro.py::test_nsgaii_batch_fitness_speedup_vs_reference``
+and timed by perfbench (``mapper.NSGAII.s``); seeded trajectories are
+pinned in ``tests/test_golden.py``.  Here we only check that the
+counters prove the population path ran.
 """
 
 import numpy as np

@@ -319,6 +319,12 @@ class DecompositionMapper(Mapper):
         moves: Sequence[Tuple[np.ndarray, int]],
         cap: int,
     ) -> Tuple[np.ndarray, float, int]:
+        """Scratch loop: every trial move is a full :meth:`_objective` call.
+
+        It stays as the path for custom objectives (the delta evaluator
+        only knows the construction makespan) and as the reference side
+        of the mapper speed gate in ``benchmarks/test_micro.py``.
+        """
         iterations = 0
         eps = 1e-12
         while iterations < cap:
@@ -349,6 +355,8 @@ class DecompositionMapper(Mapper):
         moves: Sequence[Tuple[np.ndarray, int]],
         cap: int,
     ) -> Tuple[np.ndarray, float, int]:
+        """Scratch twin of :meth:`_run_gamma_delta`, kept for the same
+        reasons as :meth:`_run_basic`."""
         eps = 1e-12
         n_moves = len(moves)
         expected = [0.0] * n_moves  # expected improvement per move

@@ -5,9 +5,9 @@ whether two runs of this codebase are comparable: package version,
 Python and numpy versions, BLAS backend, which span kernel the process
 will actually use (compiled C vs pure-Python fallback, and whether the
 fallback was forced via ``REPRO_PURE_PYTHON``), and coarse host facts
-(hostname, machine, CPU count).  ``repro env`` prints it; benchmark
-records (``benchmarks/record.py``) embed it so ``BENCH_*.json``
-trajectories can be compared across machines with eyes open.
+(hostname, machine, CPU count).  ``repro env`` prints it; perfbench
+records embed it so runs can be compared across machines with eyes
+open.
 """
 
 from __future__ import annotations

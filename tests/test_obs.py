@@ -1,6 +1,6 @@
 """The observability backbone's hard contracts.
 
-Four pins, matching the guarantees documented in ``repro/obs/__init__``:
+Five pins, matching the guarantees documented in ``repro/obs/__init__``:
 
 1. **Round trip** — a Chrome trace-event export reconstructs to the
    same span records (names, categories, lanes, args, durations,
@@ -12,6 +12,8 @@ Four pins, matching the guarantees documented in ``repro/obs/__init__``:
    singleton (no allocation) and nothing is recorded anywhere.
 4. **Bit-identical results** — enabling tracing + metrics changes no
    numeric output of any mapper or the runtime engine.
+5. **Off the hot path** — a mapper run makes as many tracer and
+   registry calls on a 200-task graph as on a 50-task one.
 """
 
 import json
@@ -24,7 +26,12 @@ from repro.cli import main as cli_main
 from repro.evaluation import MappingEvaluator
 from repro.graphs.generators import random_sp_graph
 from repro.io import graph_to_dict, mapping_to_dict
-from repro.mappers import HeftMapper, SimulatedAnnealingMapper, sp_first_fit
+from repro.mappers import (
+    HeftMapper,
+    NsgaIIMapper,
+    SimulatedAnnealingMapper,
+    sp_first_fit,
+)
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.trace import _NOOP, Tracer
@@ -464,3 +471,60 @@ class TestCli:
         assert "done" in out  # progress ticks surface at --verbose
         cli_main(["env"])
         capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# 8. enabled overhead, counted: instrument calls per run do not grow
+# ---------------------------------------------------------------------------
+@pytest.fixture()
+def record_calls(monkeypatch):
+    """Count instrument lookups (``_get``, behind counter/gauge/histogram)
+    and every ``inc``/``set``/``observe``."""
+    calls = {}
+    for cls, method in ((obs_metrics.MetricsRegistry, "_get"),
+                        (obs_metrics.Counter, "inc"),
+                        (obs_metrics.Gauge, "set"),
+                        (obs_metrics.Histogram, "observe")):
+        def counted(self, *args, _orig=getattr(cls, method), _key=method):
+            calls[_key] = calls.get(_key, 0) + 1
+            return _orig(self, *args)
+        monkeypatch.setattr(cls, method, counted)
+    return calls
+
+
+def _observed_calls(record_calls, factory, n_tasks):
+    g = random_sp_graph(n_tasks, np.random.default_rng(1234))
+    ev = MappingEvaluator(g, paper_platform(), rng=np.random.default_rng(5),
+                          n_random_schedules=2)
+    record_calls.clear()
+    obs.observe()
+    try:
+        factory().map(ev, rng=np.random.default_rng(42))
+    finally:
+        tracer, _registry = obs.shutdown()
+    return dict(record_calls, spans=len(tracer.spans),
+                instants=len(tracer.instants))
+
+
+class TestEnabledOverhead:
+    """Contract 3, pinned by counting instead of timing.
+
+    Every span, instant, instrument lookup and ``inc``/``set``/``observe``
+    is a per-run or per-batch cost: a 4x larger graph (~4x the delta
+    evaluations) makes exactly as many.  The only per-move record is
+    ``Histogram.observe_int`` on a handle captured once per run (the
+    ``delta.suffix_len`` bucket increment), which is left out of the
+    count.  Wall-clock overhead is recorded by perfbench's
+    ``bench.trace_overhead``.
+    """
+
+    @pytest.mark.parametrize("factory", [
+        sp_first_fit,
+        lambda: NsgaIIMapper(generations=30, population_size=50),
+    ], ids=["sp_first_fit", "nsgaii"])
+    def test_instrument_calls_do_not_grow_with_graph_size(
+            self, record_calls, factory):
+        small = _observed_calls(record_calls, factory, 50)
+        large = _observed_calls(record_calls, factory, 200)
+        assert small["spans"] > 0 and small["_get"] > 0
+        assert small == large
