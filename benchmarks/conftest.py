@@ -8,10 +8,14 @@ temporary results directory, so a test run never rewrites the committed
 ``results/``; regenerate those with ``repro experiment NAME --csv``.
 """
 
+import csv
+import os
+
 import numpy as np
 import pytest
 
 from repro.evaluation import MappingEvaluator
+from repro.experiments import bench_scale
 from repro.graphs.generators import random_sp_graph
 from repro.platform import paper_platform
 
@@ -35,3 +39,32 @@ def results_dir_in_tmp(tmp_path_factory):
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("REPRO_RESULTS_DIR", str(tmp_path_factory.mktemp("results")))
         yield
+
+
+RESULTS = os.path.join(os.path.dirname(__file__), os.pardir, "results")
+
+
+@pytest.fixture()
+def matches_committed_csv():
+    """Check a written CSV against its committed ``results/`` twin.
+
+    At smoke scale every column except the wall-clock ``time_s`` must
+    equal the committed file's; at other scales there is nothing to
+    compare against and the check passes trivially.
+    """
+
+    def check(path: str) -> None:
+        if bench_scale().name != "smoke":
+            return
+
+        def rows(p):
+            with open(p, newline="") as fh:
+                table = list(csv.DictReader(fh))
+            for row in table:
+                row.pop("time_s", None)
+            return table
+
+        committed = os.path.join(RESULTS, os.path.basename(path))
+        assert rows(path) == rows(committed)
+
+    return check

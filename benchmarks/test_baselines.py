@@ -4,20 +4,22 @@ Not a paper artifact — a regression radar over every fast mapper in the
 library.  Asserts the two structural facts the whole reproduction rests on:
 the decomposition mappers beat the single-pass list schedulers on average,
 and no mapper ever loses to the all-CPU baseline by construction where that
-guarantee exists.
+guarantee exists.  At smoke scale every deterministic column of the
+written CSV must equal the committed ``results/extended_baselines.csv``,
+the only committed result that runs CPOP, LAHEFT and min-/max-min.
 """
 
 from repro.experiments import EXPERIMENTS, bench_scale, write_csv
 
 
-def test_baseline_roster(benchmark):
+def test_baseline_roster(benchmark, matches_committed_csv):
     entry = EXPERIMENTS["baselines"]
     result = benchmark.pedantic(
         lambda: entry.run(bench_scale()), rounds=1, iterations=1
     )
     print()
     print(entry.format(result))
-    write_csv(result)
+    matches_committed_csv(write_csv(result))
 
     series = {s.name: s for s in result.series()}
     mean = lambda s: sum(s.improvement) / len(s.improvement)

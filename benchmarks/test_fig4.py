@@ -6,19 +6,22 @@ checks the paper's qualitative shape:
 - at the largest size the decomposition mappers beat both list schedulers,
 - the FirstFit heuristic is substantially cheaper than the basic variant
   while giving up almost no improvement.
+
+At smoke scale every column except ``time_s`` must also equal the
+committed ``results/`` CSV.
 """
 
 from repro.experiments import EXPERIMENTS, bench_scale, write_csv
 
 
-def test_fig4_regenerate(benchmark):
+def test_fig4_regenerate(benchmark, matches_committed_csv):
     entry = EXPERIMENTS["fig4"]
     result = benchmark.pedantic(
         lambda: entry.run(bench_scale()), rounds=1, iterations=1
     )
     print()
     print(entry.format(result))
-    write_csv(result)
+    matches_committed_csv(write_csv(result))
 
     series = {s.name: s for s in result.series()}
     largest = -1

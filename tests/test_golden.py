@@ -1,4 +1,4 @@
-"""Golden trajectory pins for every search loop over the evaluation core.
+"""Golden trajectory pins for every mapping loop over the evaluation core.
 
 Each case runs one mapper with a fixed seed on a fixed graph and reduces
 the outcome to a digest: a hash of the final mapping, ``repr`` of its
@@ -14,7 +14,10 @@ the legacy scalar mapper loops, whose trajectories the suite then
 proved equal to the fast paths.  Every digest must still match bit for
 bit, with the compiled kernel and with the pure-Python kernel alike, so
 any change to an evaluation path that moves a single float, rng draw or
-counter shows up here.
+counter shows up here.  The six list schedulers (HEFT, PEFT, CPOP,
+min-min, max-min, lookahead HEFT) were pinned later, while each still
+carried its own copy of the EFT rule, before they moved onto the shared
+list-scheduling core of :mod:`repro.mappers.heft`.
 
 Re-record only for an intended behaviour change::
 
@@ -40,9 +43,15 @@ from repro.graphs.generators import (
     random_sp_graph,
 )
 from repro.mappers import (
+    CpopMapper,
     DecompositionMapper,
+    HeftMapper,
+    LookaheadHeftMapper,
+    MaxMinMapper,
+    MinMinMapper,
     NsgaIIMapper,
     ParetoNsgaIIMapper,
+    PeftMapper,
     SimulatedAnnealingMapper,
     TabuSearchMapper,
     series_parallel,
@@ -76,14 +85,27 @@ MAPPERS = {
     "SeriesParallelGamma2": lambda: DecompositionMapper(
         "series_parallel", "gamma", gamma=2.0
     ),
+    "HEFT": HeftMapper,
+    "PEFT": PeftMapper,
+    "CPOP": CpopMapper,
+    "MinMin": MinMinMapper,
+    "MaxMin": MaxMinMapper,
+    "LAHEFT": LookaheadHeftMapper,
 }
+
+#: the list schedulers: one pass, no search, no rng draw
+LIST_SCHEDULERS = ("HEFT", "PEFT", "CPOP", "MinMin", "MaxMin", "LAHEFT")
 
 GRAPHS = ("sp", "almost_sp", "montage")
 SEEDS = (0, 1, 2)
 N_TASKS = 30
 
-#: the area-tight platform case: infeasible moves must be skipped alike
-TIGHT_CASES = [("Tabu", "sp_tight", 9), ("Annealing", "sp_tight", 9)]
+#: the area-tight platform case: infeasible moves must be skipped alike,
+#: and the list schedulers must run out of FPGA area the same way
+TIGHT_CASES = [
+    (mapper, "sp_tight", 9)
+    for mapper in ("Tabu", "Annealing") + LIST_SCHEDULERS
+]
 
 CASES = [
     (mapper, graph, seed)
