@@ -1,7 +1,6 @@
 """Model-based evaluation: cost model, flat kernel, delta evaluation,
 schedule suites, evaluator, traces."""
 
-from .cache import CachedEvaluator
 from .costmodel import AREA_TOL, INFEASIBLE, CostModel
 from .delta import DeltaEvaluator
 from .energy import JOULES_PER_MB, EnergyModel, energy_joules
@@ -13,7 +12,6 @@ from .trace import ScheduleTrace, TaskTrace, render_gantt, simulate_trace
 __all__ = [
     "INFEASIBLE",
     "AREA_TOL",
-    "CachedEvaluator",
     "CostModel",
     "DeltaEvaluator",
     "FlatModel",

@@ -67,8 +67,6 @@ class Mapper(abc.ABC):
         batched_before = getattr(evaluator, "n_batched_evaluations", 0)
         calls_before = getattr(evaluator, "n_batch_calls", 0)
         equiv_before = getattr(evaluator, "n_equivalent_evaluations", None)
-        cache_hits_before = getattr(evaluator, "hits", None)
-        cache_misses_before = getattr(evaluator, "misses", 0)
         # wall time feeds only the reported elapsed_s diagnostic,
         # never the mapping itself
         t0 = time.perf_counter()  # repro-lint: disable=DET002
@@ -124,13 +122,6 @@ class Mapper(abc.ABC):
             if stats.get("batch_size_mean"):
                 registry.gauge("mapper.batch_size_mean").set(
                     stats["batch_size_mean"]
-                )
-            if cache_hits_before is not None:
-                registry.counter("mapper.cache_hits").inc(
-                    evaluator.hits - cache_hits_before
-                )
-                registry.counter("mapper.cache_misses").inc(
-                    evaluator.misses - cache_misses_before
                 )
             registry.histogram("mapper.elapsed_s").observe(result.elapsed_s)
             registry.histogram("mapper.makespan").observe(result.makespan)

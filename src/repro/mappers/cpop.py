@@ -4,7 +4,10 @@ The companion algorithm to HEFT from the same paper: tasks on the *critical
 path* (maximal ``rank_u + rank_d``) are all pinned to the single processor
 that minimizes the path's total execution time; off-path tasks are scheduled
 like HEFT (insertion-based earliest finish time), processed in decreasing
-``rank_u + rank_d`` priority from a ready queue.
+``rank_u + rank_d`` priority.  Only the critical path and its pinned
+processor live here: a pinned task scores ``inf`` on every other device, and
+the ready list, the EFT rule and the host fallback (taken when the pinned
+processor has no area left) are the core of :mod:`repro.mappers.heft`.
 
 Included as an extension baseline: like HEFT it has a local view plus one
 global decision (the critical-path processor), which makes it an instructive
@@ -15,7 +18,6 @@ statically instead of by model-based search.
 
 from __future__ import annotations
 
-import heapq
 from typing import Dict, Tuple
 
 import numpy as np
@@ -23,7 +25,14 @@ import numpy as np
 from ..evaluation.costmodel import AREA_TOL
 from ..evaluation.evaluator import MappingEvaluator
 from .base import Mapper
-from .heft import DeviceTimelines, mean_comm, mean_exec, upward_ranks
+from .heft import (
+    ListSchedule,
+    Placement,
+    mean_comm,
+    mean_exec,
+    priority_order,
+    upward_ranks,
+)
 
 __all__ = ["CpopMapper"]
 
@@ -90,63 +99,20 @@ class CpopMapper(Mapper):
         area = model._area  # noqa: SLF001
         caps = evaluator.platform.area_capacities()
         cp_area = float(area[on_cp].sum())
-        best_d, best_cost = 0, _INF
-        for d in range(m):
-            if d in caps and cp_area > caps[d] + AREA_TOL:
-                continue
-            cost = float(exec_table[on_cp, d].sum())
-            if cost < best_cost:
-                best_cost = cost
-                best_d = d
-        cp_processor = best_d
+        cp_processor = min(
+            (d for d in range(m) if d not in caps or cp_area <= caps[d] + AREA_TOL),
+            key=lambda d: float(exec_table[on_cp, d].sum()),
+            default=0,
+        )
 
-        timelines = DeviceTimelines(evaluator)
-        mapping = np.zeros(n, dtype=np.int64)
-        aft = np.zeros(n)
-        indeg = {t: g.in_degree(t) for t in g.tasks()}
-        ready = [(-priority[index[t]], index[t]) for t in g.tasks()
-                 if indeg[t] == 0]
-        heapq.heapify(ready)
+        def pinned(i: int, p: Placement) -> float:
+            return p[3] if not on_cp[i] or p[0] == cp_processor else _INF
 
-        def eft_on(i: int, d: int) -> Tuple[float, int, float]:
-            if not timelines.area_allows(i, d):
-                return _INF, -1, _INF
-            r = model._initial[i][d]  # noqa: SLF001
-            for p, trans in model._pred[i]:  # noqa: SLF001
-                v = aft[p] + trans[mapping[p]][d]
-                if v > r:
-                    r = v
-            duration = exec_table[i, d]
-            start, slot = timelines.earliest_start(d, r, duration)
-            return start + duration, slot, start
-
-        while ready:
-            _, i = heapq.heappop(ready)
-            if on_cp[i]:
-                eft, slot, start = eft_on(i, cp_processor)
-                d = cp_processor
-                if not np.isfinite(eft):
-                    d = 0
-                    eft, slot, start = eft_on(i, 0)
-            else:
-                best = (_INF, 0, -1, 0.0)
-                for d_try in range(m):
-                    eft, slot, start = eft_on(i, d_try)
-                    if eft < best[0] - 1e-15:
-                        best = (eft, d_try, slot, start)
-                eft, d, slot, start = best
-                if not np.isfinite(eft):  # pragma: no cover - area exhausted
-                    d = 0
-                    eft, slot, start = eft_on(i, 0)
-            mapping[i] = d
-            aft[i] = eft
-            timelines.commit(i, d, slot, start, eft)
-            for s in g.successors(tasks[i]):
-                indeg[s] -= 1
-                if indeg[s] == 0:
-                    heapq.heappush(ready, (-priority[index[s]], index[s]))
-        return mapping, {
-            "schedule_length": float(aft.max(initial=0.0)),
+        sched = ListSchedule(evaluator)
+        for i in priority_order(evaluator, priority):
+            sched.commit(i, *sched.best(i, pinned))
+        return sched.mapping, {
+            "schedule_length": sched.schedule_length,
             "cp_processor": float(cp_processor),
             "cp_tasks": float(on_cp.sum()),
         }

@@ -29,14 +29,14 @@ seeded trajectories do not depend on the kernel (pinned by
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..evaluation.evaluator import MappingEvaluator
 from .base import Mapper
 
-__all__ = ["NsgaIIMapper", "single_point_crossover"]
+__all__ = ["NsgaIIMapper", "repair_area", "single_point_crossover"]
 
 
 def single_point_crossover(
@@ -69,6 +69,31 @@ def single_point_crossover(
     children[idx + 1] = np.where(tail, a, b)
 
 
+def repair_area(
+    pop: np.ndarray, evaluator: MappingEvaluator, rng: np.random.Generator
+) -> None:
+    """Move tasks off over-committed area devices until feasible (in place).
+
+    Shared by :class:`NsgaIIMapper` and
+    :class:`~repro.mappers.multiobjective.ParetoNsgaIIMapper`: each
+    over-committed genome draws one ``permutation`` of its tasks on the
+    device and sends them to the host in that order.
+    """
+    area = evaluator.model._area  # noqa: SLF001 - package-internal
+    host = evaluator.platform.host_index
+    for d, capacity in evaluator.platform.area_capacities().items():
+        usage = (pop == d) @ area
+        for r in np.nonzero(usage > capacity)[0]:
+            genome = pop[r]
+            on_dev = np.nonzero(genome == d)[0]
+            used = float(area[on_dev].sum())
+            for g in rng.permutation(on_dev):
+                if used <= capacity:
+                    break
+                genome[g] = host
+                used -= area[g]
+
+
 class NsgaIIMapper(Mapper):
     """Single-objective NSGA-II (see module docstring)."""
 
@@ -95,24 +120,6 @@ class NsgaIIMapper(Mapper):
         super().__init__()
 
     # ------------------------------------------------------------------
-    def _repair(self, pop: np.ndarray, area: np.ndarray, host: int,
-                capacities: Sequence[Tuple[int, float]],
-                rng: np.random.Generator) -> None:
-        """Move tasks off over-committed area devices until feasible (in place)."""
-        for d, capacity in capacities:
-            usage = (pop == d) @ area
-            for r in np.nonzero(usage > capacity)[0]:
-                genome = pop[r]
-                on_dev = np.nonzero(genome == d)[0]
-                order = rng.permutation(on_dev)
-                used = float(area[on_dev].sum())
-                for g in order:
-                    if used <= capacity:
-                        break
-                    genome[g] = host
-                    used -= area[g]
-
-    # ------------------------------------------------------------------
     def _run(
         self, evaluator: MappingEvaluator, rng: np.random.Generator
     ) -> Tuple[np.ndarray, Dict[str, float]]:
@@ -120,15 +127,13 @@ class NsgaIIMapper(Mapper):
         m = evaluator.n_devices
         pop_size = self.population_size
         p_mut = self.mutation_rate if self.mutation_rate is not None else 1.0 / n
-        area = evaluator.model._area  # noqa: SLF001 - package-internal
         host = evaluator.platform.host_index
-        capacities = list(evaluator.platform.area_capacities().items())
         fitness_of = evaluator.construction_makespans
 
         pop = rng.integers(0, m, size=(pop_size, n), dtype=np.int64)
         if self.seed_cpu_individual:
             pop[0] = host
-        self._repair(pop, area, host, capacities, rng)
+        repair_area(pop, evaluator, rng)
         fitness = fitness_of(pop)
         history: List[float] = []
 
@@ -144,7 +149,7 @@ class NsgaIIMapper(Mapper):
             mask = rng.random(size=children.shape) < p_mut
             if mask.any():
                 children[mask] = rng.integers(0, m, size=int(mask.sum()))
-            self._repair(children, area, host, capacities, rng)
+            repair_area(children, evaluator, rng)
 
             child_fitness = fitness_of(children)
             # (mu + lambda) elitism == single-objective NSGA-II survival

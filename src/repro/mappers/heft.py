@@ -1,6 +1,7 @@
-"""HEFT — Heterogeneous Earliest Finish Time (Topcuoglu et al. [6]).
+"""HEFT (Topcuoglu et al. [6]) and the list-scheduling core of every list
+scheduler in this package.
 
-The classic list-scheduling baseline of the paper's evaluation:
+HEFT is the classic list-scheduling baseline of the paper's evaluation:
 
 1. *upward ranks*: ``rank_u(t) = w_mean(t) + max_succ(c_mean(t,s) +
    rank_u(s))`` where ``w_mean`` is the device-averaged execution time and
@@ -9,19 +10,25 @@ The classic list-scheduling baseline of the paper's evaluation:
    minimizing its earliest finish time (EFT) with *insertion-based* slot
    scheduling.
 
-Device timelines honour the platform's concurrency model: each slot of a
-serializing device is a separate timeline; the FPGA does not queue at all but
-its remaining area is tracked — a placement that would overflow the area gets
-``EFT = inf``.  Per the paper's critique, HEFT has no notion of dataflow
-streaming: it sees only the same-device-transfer-is-free effect.  The final
-*mapping* (not HEFT's internal schedule) is evaluated by the shared cost
-model, exactly as in the paper's model-based comparison.
+The core (:class:`ListSchedule` plus the :func:`priority_order` driver) is
+the one scheduling rule that HEFT, PEFT, CPOP, min-min/max-min and
+lookahead HEFT share; each of them keeps only its priority or its device
+score.  A task is ready on device ``d`` at ``max(initial transfer, pred
+finish + transfer)``; serializing devices expose one insertion-based
+timeline per slot; the FPGA does not queue at all but its remaining area is
+tracked, and a placement that would overflow it gets ``EFT = inf``.  When no
+device has area left, the task falls back to the host with its area
+ignored.  Per the paper's critique, these schedulers have no notion of
+dataflow streaming: they see only the same-device-transfer-is-free effect.
+The final *mapping* (not the internal schedule) is evaluated by the shared
+cost model, exactly as in the paper's model-based comparison.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Optional, Tuple
+import heapq
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,32 +36,52 @@ from ..evaluation.costmodel import AREA_TOL
 from ..evaluation.evaluator import MappingEvaluator
 from .base import Mapper
 
-__all__ = ["HeftMapper", "DeviceTimelines", "mean_exec", "mean_comm"]
+__all__ = [
+    "HeftMapper",
+    "ListSchedule",
+    "mean_comm",
+    "mean_exec",
+    "priority_order",
+    "upward_ranks",
+]
 
 _INF = float("inf")
 
+#: a device replaces the incumbent of a best-device scan only if its score
+#: is lower by more than this, so near-ties keep the lower device index
+TIE_BAND = 1e-15
 
-class DeviceTimelines:
-    """Insertion-based timelines for all devices of a platform.
+#: where and when one task runs: ``(device, slot, start, finish)``; the slot
+#: is -1 on a non-serializing device, the finish ``inf`` where area is short
+Placement = Tuple[int, int, float, float]
 
-    Serializing devices expose one timeline per slot; non-serializing
-    (FPGA-like) devices accept any start time but consume area.
+
+class ListSchedule:
+    """The per-run state of one list-scheduling pass.
+
+    Holds the insertion-based timelines (one sorted busy-interval list per
+    slot of a serializing device; non-serializing, FPGA-like devices accept
+    any start time but consume area), the area left on each area-bounded
+    device, and the ``mapping`` and actual finish times ``aft`` of the
+    tasks committed so far.
     """
 
     def __init__(self, evaluator: MappingEvaluator) -> None:
         platform = evaluator.platform
-        self._slots: List[Optional[List[List[Tuple[float, float]]]]] = []
-        for dev in platform.devices:
-            if dev.serializes:
-                self._slots.append([[] for _ in range(dev.slots)])
-            else:
-                self._slots.append(None)
-        self._area_left: Dict[int, float] = dict(platform.area_capacities())
         model = evaluator.model
+        self._slots: List[Optional[List[List[Tuple[float, float]]]]] = [
+            [[] for _ in range(dev.slots)] if dev.serializes else None
+            for dev in platform.devices
+        ]
+        self._area_left: Dict[int, float] = dict(platform.area_capacities())
         self._task_area = model._area  # noqa: SLF001 - package-internal
+        self._initial = model._initial  # noqa: SLF001
+        self._pred = model._pred  # noqa: SLF001
         self.exec_table = model.exec_table
+        self.host = platform.host_index
+        self.mapping = np.zeros(model.n, dtype=np.int64)
+        self.aft = np.zeros(model.n)
 
-    # ------------------------------------------------------------------
     def area_allows(self, task_idx: int, device: int) -> bool:
         if device not in self._area_left:
             return True
@@ -68,46 +95,116 @@ class DeviceTimelines:
         best_start = _INF
         best_slot = 0
         for j, intervals in enumerate(slots):
-            st = self._earliest_gap(intervals, ready, duration)
-            if st < best_start:
-                best_start = st
+            # earliest gap of ``duration`` in the sorted busy intervals
+            t = ready
+            for s, f in intervals:
+                if s - t >= duration:
+                    break
+                if f > t:
+                    t = f
+            if t < best_start:
+                best_start = t
                 best_slot = j
         return best_start, best_slot
 
-    @staticmethod
-    def _earliest_gap(
-        intervals: List[Tuple[float, float]], ready: float, duration: float
-    ) -> float:
-        """Earliest feasible start in a sorted busy-interval list (insertion)."""
-        t = ready
-        for s, f in intervals:
-            if s - t >= duration:
-                return t
-            if f > t:
-                t = f
-        return t
+    def eft(self, i: int, d: int) -> Placement:
+        """Insertion-based placement of task ``i`` on device ``d``."""
+        if not self.area_allows(i, d):
+            return d, -1, _INF, _INF
+        return self._place(i, d)
+
+    def _place(self, i: int, d: int) -> Placement:
+        ready = self._initial[i][d]
+        aft, mapping = self.aft, self.mapping
+        for p, trans in self._pred[i]:
+            r = aft[p] + trans[mapping[p]][d]
+            if r > ready:
+                ready = r
+        duration = self.exec_table[i, d]
+        start, slot = self.earliest_start(d, ready, duration)
+        return d, slot, start, start + duration
+
+    def best(
+        self,
+        i: int,
+        score: Optional[Callable[[int, Placement], float]] = None,
+    ) -> Placement:
+        """The device with the lowest ``score(i, placement)`` (default: the
+        finish time) among those with area left, ties to the lower index
+        within :data:`TIE_BAND`.  If no device has area left (or every score
+        is ``inf``), the one host fallback: the host, area ignored."""
+        pick: Optional[Placement] = None
+        pick_key = _INF
+        for d in range(len(self._slots)):
+            p = self.eft(i, d)
+            if p[3] == _INF:
+                continue
+            key = p[3] if score is None else score(i, p)
+            if key < pick_key - TIE_BAND:
+                pick, pick_key = p, key
+        return pick if pick is not None else self._place(i, self.host)
 
     def commit(
         self, task_idx: int, device: int, slot: int, start: float, finish: float
     ) -> None:
+        self.mapping[task_idx] = device
+        self.aft[task_idx] = finish
         slots = self._slots[device]
         if slots is not None:
-            intervals = slots[slot]
-            bisect.insort(intervals, (start, finish))
+            bisect.insort(slots[slot], (start, finish))
         if device in self._area_left:
             self._area_left[device] -= self._task_area[task_idx]
 
-    def clone(self) -> "DeviceTimelines":
+    def clone(self) -> "ListSchedule":
         """Cheap copy for tentative scheduling (lookahead): copies only the
-        mutable timeline/area state, shares the read-only tables."""
-        other = object.__new__(DeviceTimelines)
+        mutable timeline, area, mapping and finish-time state and shares
+        the read-only tables."""
+        other = object.__new__(ListSchedule)
+        other.__dict__.update(self.__dict__)
         other._slots = [
             None if s is None else [list(iv) for iv in s] for s in self._slots
         ]
         other._area_left = dict(self._area_left)
-        other._task_area = self._task_area
-        other.exec_table = self.exec_table
+        other.mapping = self.mapping.copy()
+        other.aft = self.aft.copy()
         return other
+
+    @property
+    def schedule_length(self) -> float:
+        return float(self.aft.max(initial=0.0))
+
+
+def priority_order(
+    evaluator: MappingEvaluator,
+    priority: Sequence[float],
+    pick: Optional[Callable[[List[int]], int]] = None,
+) -> Iterator[int]:
+    """Ready-list driver: yield every task index once, after all of its
+    predecessors have been yielded (and, by the caller, committed).
+
+    The next task is the ready one with the highest ``priority``, ties to
+    the lower index; ``pick``, if given, chooses it from the list of ready
+    tasks instead (min-min's wave pick).
+    """
+    g = evaluator.graph
+    index = evaluator.model.index
+    tasks = evaluator.model.tasks
+    waiting = [g.in_degree(t) for t in tasks]
+    heap = [(-priority[i], i) for i, k in enumerate(waiting) if k == 0]
+    heapq.heapify(heap)
+    while heap:
+        if pick is None:
+            i = heapq.heappop(heap)[1]
+        else:
+            i = pick([j for _, j in heap])
+            heap.remove((-priority[i], i))
+            heapq.heapify(heap)
+        yield i
+        for s in g.successors(tasks[i]):
+            j = index[s]
+            waiting[j] -= 1
+            if waiting[j] == 0:
+                heapq.heappush(heap, (-priority[j], j))
 
 
 def mean_exec(evaluator: MappingEvaluator) -> np.ndarray:
@@ -127,15 +224,10 @@ def mean_comm(evaluator: MappingEvaluator) -> Dict[Tuple[int, int], float]:
     n_pairs = m * (m - 1)
     for i in range(model.n):
         for p, trans in model._pred[i]:  # noqa: SLF001
-            if n_pairs == 0:
-                out[(p, i)] = 0.0
-                continue
-            total = 0.0
-            for du in range(m):
-                for dv in range(m):
-                    if du != dv:
-                        total += trans[du][dv]
-            out[(p, i)] = total / n_pairs
+            total = sum(
+                trans[du][dv] for du in range(m) for dv in range(m) if du != dv
+            )
+            out[(p, i)] = total / n_pairs if n_pairs else 0.0
     return out
 
 
@@ -167,42 +259,7 @@ class HeftMapper(Mapper):
     def _run(
         self, evaluator: MappingEvaluator, rng: np.random.Generator
     ) -> Tuple[np.ndarray, Dict[str, float]]:
-        model = evaluator.model
-        n, m = model.n, model.m
-        rank = upward_ranks(evaluator)
-        # Decreasing rank_u is a topological order (rank(parent) > rank(child)
-        # whenever mean costs are positive); stable tie-break on index.
-        order = sorted(range(n), key=lambda i: (-rank[i], i))
-
-        timelines = DeviceTimelines(evaluator)
-        exec_table = model.exec_table
-        mapping = np.zeros(n, dtype=np.int64)
-        aft = np.zeros(n)
-
-        for i in order:
-            best = (_INF, _INF, 0, -1, 0.0)  # (EFT, EST, device, slot, start)
-            for d in range(m):
-                if not timelines.area_allows(i, d):
-                    continue
-                ready = model._initial[i][d]  # noqa: SLF001
-                for p, trans in model._pred[i]:  # noqa: SLF001
-                    r = aft[p] + trans[mapping[p]][d]
-                    if r > ready:
-                        ready = r
-                duration = exec_table[i, d]
-                start, slot = timelines.earliest_start(d, ready, duration)
-                eft = start + duration
-                if eft < best[0] - 1e-15:
-                    best = (eft, start, d, slot, start)
-            eft, _, d, slot, start = best
-            if not np.isfinite(eft):  # pragma: no cover - area exhausted
-                d, slot = 0, 0
-                ready = model._initial[i][0]  # noqa: SLF001
-                for p, trans in model._pred[i]:  # noqa: SLF001
-                    ready = max(ready, aft[p] + trans[mapping[p]][0])
-                start, slot = timelines.earliest_start(0, ready, exec_table[i, 0])
-                eft = start + exec_table[i, 0]
-            mapping[i] = d
-            aft[i] = eft
-            timelines.commit(i, d, slot, start, eft)
-        return mapping, {"schedule_length": float(aft.max(initial=0.0))}
+        sched = ListSchedule(evaluator)
+        for i in priority_order(evaluator, upward_ranks(evaluator)):
+            sched.commit(i, *sched.best(i))
+        return sched.mapping, {"schedule_length": sched.schedule_length}

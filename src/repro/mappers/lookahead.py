@@ -7,6 +7,12 @@ EFT and pick the device minimizing the maximum child EFT instead of ``t``'s
 own EFT.  One level of lookahead multiplies HEFT's cost by roughly
 ``m * avg_out_degree`` but can dodge decisions that strangle the next layer.
 
+Only the child-lookahead score lives here: it is handed to the best-device
+scan of the list-scheduling core in :mod:`repro.mappers.heft`, which also
+supplies the ready list, the EFT rule, the trial copies (``clone``) and the
+host fallback.  The child scan keeps a strict ``<`` without the core's tie
+band.
+
 Included as an extension baseline (not part of the paper's evaluation
 roster) — the ablation benchmark compares it against HEFT and the
 decomposition mappers.
@@ -14,13 +20,13 @@ decomposition mappers.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from ..evaluation.evaluator import MappingEvaluator
 from .base import Mapper
-from .heft import DeviceTimelines, upward_ranks
+from .heft import ListSchedule, Placement, priority_order, upward_ranks
 
 __all__ = ["LookaheadHeftMapper"]
 
@@ -35,71 +41,37 @@ class LookaheadHeftMapper(Mapper):
     def _run(
         self, evaluator: MappingEvaluator, rng: np.random.Generator
     ) -> Tuple[np.ndarray, Dict[str, float]]:
-        model = evaluator.model
         g = evaluator.graph
-        index = model.index
-        tasks = model.tasks
-        n, m = model.n, model.m
-        exec_table = model.exec_table
+        index = evaluator.model.index
         rank = upward_ranks(evaluator)
-        order = sorted(range(n), key=lambda i: (-rank[i], i))
+        children = [
+            sorted((index[s] for s in g.successors(t)), key=lambda j: (-rank[j], j))
+            for t in evaluator.model.tasks
+        ]
+        sched = ListSchedule(evaluator)
+        devices = range(evaluator.n_devices)
 
-        timelines = DeviceTimelines(evaluator)
-        mapping = np.zeros(n, dtype=np.int64)
-        aft = np.zeros(n)
+        def lookahead(i: int, p: Placement) -> float:
+            """Tentatively commit ``i`` at ``p``, then greedy-EFT its
+            children; the score is the latest finish of the lot."""
+            trial = sched.clone()
+            trial.commit(i, *p)
+            score = p[3]
+            for c in children[i]:
+                c_pick = None
+                for d in devices:
+                    q = trial.eft(c, d)
+                    if q[3] < (_INF if c_pick is None else c_pick[3]):
+                        c_pick = q
+                if c_pick is None:
+                    return _INF
+                trial.commit(c, *c_pick)
+                # a trial child stays unmapped: later siblings read its
+                # transfers from device 0 (pinned by the golden digests)
+                trial.mapping[c] = sched.mapping[c]
+                score = max(score, c_pick[3])
+            return score
 
-        def eft_on(i: int, d: int, tl: DeviceTimelines, aft_arr) -> Tuple[float, int, float]:
-            if not tl.area_allows(i, d):
-                return _INF, -1, _INF
-            ready = model._initial[i][d]  # noqa: SLF001
-            for p, trans in model._pred[i]:  # noqa: SLF001
-                r = aft_arr[p] + trans[mapping[p]][d]
-                if r > ready:
-                    ready = r
-            duration = exec_table[i, d]
-            start, slot = tl.earliest_start(d, ready, duration)
-            return start + duration, slot, start
-
-        for i in order:
-            children = [index[s] for s in g.successors(tasks[i])]
-            best = (_INF, _INF, 0, -1, 0.0)  # (score, eft, device, slot, start)
-            for d in range(m):
-                eft, slot, start = eft_on(i, d, timelines, aft)
-                if not np.isfinite(eft):
-                    continue
-                if children:
-                    # tentative commit, then greedy-EFT the children
-                    trial_tl = timelines.clone()
-                    trial_tl.commit(i, d, slot, start, eft)
-                    trial_aft = aft.copy()
-                    trial_aft[i] = eft
-                    mapping[i] = d
-                    score = eft
-                    for c in sorted(children, key=lambda j: (-rank[j], j)):
-                        c_best = _INF
-                        c_pick = None
-                        for dc in range(m):
-                            c_eft, c_slot, c_start = eft_on(
-                                c, dc, trial_tl, trial_aft
-                            )
-                            if c_eft < c_best:
-                                c_best = c_eft
-                                c_pick = (dc, c_slot, c_start)
-                        if c_pick is None:
-                            score = _INF
-                            break
-                        trial_tl.commit(c, c_pick[0], c_pick[1], c_pick[2], c_best)
-                        trial_aft[c] = c_best
-                        score = max(score, c_best)
-                else:
-                    score = eft
-                if score < best[0] - 1e-15:
-                    best = (score, eft, d, slot, start)
-            score, eft, d, slot, start = best
-            if not np.isfinite(score):  # pragma: no cover - area exhausted
-                d = 0
-                eft, slot, start = eft_on(i, 0, timelines, aft)
-            mapping[i] = d
-            aft[i] = eft
-            timelines.commit(i, d, slot, start, eft)
-        return mapping, {"schedule_length": float(aft.max(initial=0.0))}
+        for i in priority_order(evaluator, rank):
+            sched.commit(i, *sched.best(i, lookahead if children[i] else None))
+        return sched.mapping, {"schedule_length": sched.schedule_length}

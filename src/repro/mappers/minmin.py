@@ -10,25 +10,25 @@ waves:
   tasks pack tightly, large ones risk starving);
 - **max-min** commits the *largest* MCT first (front-loads the long poles).
 
-Completion times use the same slot timelines and transfer model as the HEFT
-implementation, so the four list-scheduling baselines differ only in their
-ordering policy — a clean controlled comparison against the decomposition
-principle.
+Completion times come from the list-scheduling core of
+:mod:`repro.mappers.heft` (same EFT rule, slot timelines, area check and
+host fallback as HEFT), and the ready list is its driver with the wave pick
+in place of a static priority, so the list-scheduling baselines differ only
+in their ordering policy — a clean controlled comparison against the
+decomposition principle.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from ..evaluation.evaluator import MappingEvaluator
 from .base import Mapper
-from .heft import DeviceTimelines
+from .heft import ListSchedule, priority_order
 
 __all__ = ["MinMinMapper", "MaxMinMapper"]
-
-_INF = float("inf")
 
 
 class _BatchMapper(Mapper):
@@ -40,68 +40,22 @@ class _BatchMapper(Mapper):
     def _run(
         self, evaluator: MappingEvaluator, rng: np.random.Generator
     ) -> Tuple[np.ndarray, Dict[str, float]]:
-        model = evaluator.model
-        g = evaluator.graph
-        index = model.index
-        tasks = model.tasks
-        n, m = model.n, model.m
-        exec_table = model.exec_table
+        sched = ListSchedule(evaluator)
 
-        timelines = DeviceTimelines(evaluator)
-        mapping = np.zeros(n, dtype=np.int64)
-        aft = np.zeros(n)
-        indeg = {t: g.in_degree(t) for t in g.tasks()}
-        ready = {index[t] for t in g.tasks() if indeg[t] == 0}
-        scheduled = 0
-        waves = 0
-
-        def best_mct(i: int) -> Tuple[float, int, int, float]:
-            best = (_INF, 0, -1, 0.0)
-            for d in range(m):
-                if not timelines.area_allows(i, d):
-                    continue
-                r = model._initial[i][d]  # noqa: SLF001
-                for p, trans in model._pred[i]:  # noqa: SLF001
-                    v = aft[p] + trans[mapping[p]][d]
-                    if v > r:
-                        r = v
-                duration = exec_table[i, d]
-                start, slot = timelines.earliest_start(d, r, duration)
-                if start + duration < best[0] - 1e-15:
-                    best = (start + duration, d, slot, start)
-            return best
-
-        while ready:
-            waves += 1
-            # completion-time matrix for the current wave
-            candidates = {i: best_mct(i) for i in ready}
-            pick = (max if self.pick_max else min)(
-                candidates, key=lambda i: (candidates[i][0], i)
+        def wave_pick(ready: List[int]) -> int:
+            # completion-time row of every ready task for the current wave
+            mct = {i: sched.best(i)[3] for i in ready}
+            return (max if self.pick_max else min)(
+                ready, key=lambda i: (mct[i], i)
             )
-            mct, d, slot, start = candidates[pick]
-            if not np.isfinite(mct):  # pragma: no cover - area exhausted
-                d, slot = 0, 0
-                r = model._initial[pick][0]  # noqa: SLF001
-                for p, trans in model._pred[pick]:  # noqa: SLF001
-                    r = max(r, aft[p] + trans[mapping[p]][0])
-                start, slot = timelines.earliest_start(
-                    0, r, exec_table[pick, 0]
-                )
-                mct = start + exec_table[pick, 0]
-            mapping[pick] = d
-            aft[pick] = mct
-            timelines.commit(pick, d, slot, start, mct)
-            scheduled += 1
-            ready.discard(pick)
-            for s in g.successors(tasks[pick]):
-                indeg[s] -= 1
-                if indeg[s] == 0:
-                    ready.add(index[s])
-        if scheduled != n:  # pragma: no cover - defensive
-            raise RuntimeError("batch mapper failed to schedule all tasks")
-        return mapping, {
-            "schedule_length": float(aft.max(initial=0.0)),
-            "waves": float(waves),
+
+        # one wave per task: each wave commits exactly one ready task
+        n = evaluator.n_tasks
+        for i in priority_order(evaluator, np.zeros(n), wave_pick):
+            sched.commit(i, *sched.best(i))
+        return sched.mapping, {
+            "schedule_length": sched.schedule_length,
+            "waves": float(n),
         }
 
 

@@ -36,7 +36,7 @@ from ..evaluation.energy import EnergyModel
 from ..evaluation.evaluator import MappingEvaluator
 from .base import Mapper
 from .decomposition import DecompositionMapper
-from .genetic import single_point_crossover
+from .genetic import repair_area, single_point_crossover
 
 __all__ = [
     "dominates",
@@ -205,22 +205,6 @@ class ParetoNsgaIIMapper(Mapper):
                 objs[r, 1] = np.inf
         return objs
 
-    def _repair(self, pop, evaluator, rng) -> None:
-        model = evaluator.model
-        area = model._area  # noqa: SLF001
-        host = evaluator.platform.host_index
-        for d, capacity in evaluator.platform.area_capacities().items():
-            usage = (pop == d) @ area
-            for r in np.nonzero(usage > capacity)[0]:
-                genome = pop[r]
-                on_dev = rng.permutation(np.nonzero(genome == d)[0])
-                used = float(area[np.nonzero(genome == d)[0]].sum())
-                for g in on_dev:
-                    if used <= capacity:
-                        break
-                    genome[g] = host
-                    used -= area[g]
-
     @staticmethod
     def _survival(objs: np.ndarray, keep: int) -> np.ndarray:
         """NSGA-II environmental selection: fronts, then crowding."""
@@ -250,7 +234,7 @@ class ParetoNsgaIIMapper(Mapper):
 
         pop = rng.integers(0, m, size=(pop_size, n), dtype=np.int64)
         pop[0] = evaluator.platform.host_index
-        self._repair(pop, evaluator, rng)
+        repair_area(pop, evaluator, rng)
         objs = self._evaluate(pop, evaluator, energy)
         history: List[Tuple[float, float]] = []
 
@@ -281,7 +265,7 @@ class ParetoNsgaIIMapper(Mapper):
             mask = rng.random(size=children.shape) < p_mut
             if mask.any():
                 children[mask] = rng.integers(0, m, size=int(mask.sum()))
-            self._repair(children, evaluator, rng)
+            repair_area(children, evaluator, rng)
             child_objs = self._evaluate(children, evaluator, energy)
 
             combined = np.vstack([pop, children])

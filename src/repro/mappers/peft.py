@@ -16,20 +16,20 @@ task takes the device minimizing the *optimistic* EFT,
 
 The paper's evaluation uses PEFT as the stronger list-scheduling baseline
 ("one of the best-performing HEFT variants for complex systems" [10]).
-Scheduling machinery (insertion-based slot timelines, FPGA area tracking) is
-shared with :mod:`repro.mappers.heft`.
+Only the OCT table and its O_EFT offset live here: the ready list, the EFT
+rule, the area check and the host fallback are the list-scheduling core of
+:mod:`repro.mappers.heft`.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Dict, Tuple
 
 import numpy as np
 
 from ..evaluation.evaluator import MappingEvaluator
 from .base import Mapper
-from .heft import DeviceTimelines
+from .heft import ListSchedule, Placement, priority_order
 
 __all__ = ["PeftMapper", "optimistic_cost_table"]
 
@@ -80,61 +80,12 @@ class PeftMapper(Mapper):
     def _run(
         self, evaluator: MappingEvaluator, rng: np.random.Generator
     ) -> Tuple[np.ndarray, Dict[str, float]]:
-        model = evaluator.model
-        g = evaluator.graph
-        index = model.index
-        n, m = model.n, model.m
-        exec_table = model.exec_table
         oct_table = optimistic_cost_table(evaluator)
-        rank_oct = oct_table.mean(axis=1)
 
-        timelines = DeviceTimelines(evaluator)
-        mapping = np.zeros(n, dtype=np.int64)
-        aft = np.zeros(n)
-        scheduled = [False] * n
+        def o_eft(i: int, p: Placement) -> float:
+            return p[3] + oct_table[i, p[0]]
 
-        indeg = {t: g.in_degree(t) for t in g.tasks()}
-        ready_heap = [
-            (-rank_oct[index[t]], index[t]) for t in g.tasks() if indeg[t] == 0
-        ]
-        heapq.heapify(ready_heap)
-        tasks = model.tasks
-
-        n_done = 0
-        while ready_heap:
-            _, i = heapq.heappop(ready_heap)
-            best = (_INF, _INF, 0, -1, 0.0)  # (O_EFT, EFT, device, slot, start)
-            for d in range(m):
-                if not timelines.area_allows(i, d):
-                    continue
-                ready = model._initial[i][d]  # noqa: SLF001
-                for p, trans in model._pred[i]:  # noqa: SLF001
-                    r = aft[p] + trans[mapping[p]][d]
-                    if r > ready:
-                        ready = r
-                duration = exec_table[i, d]
-                start, slot = timelines.earliest_start(d, ready, duration)
-                eft = start + duration
-                o_eft = eft + oct_table[i, d]
-                if o_eft < best[0] - 1e-15:
-                    best = (o_eft, eft, d, slot, start)
-            o_eft, eft, d, slot, start = best
-            if not np.isfinite(o_eft):  # pragma: no cover - area exhausted
-                d, slot = 0, 0
-                ready = model._initial[i][0]  # noqa: SLF001
-                for p, trans in model._pred[i]:  # noqa: SLF001
-                    ready = max(ready, aft[p] + trans[mapping[p]][0])
-                start, slot = timelines.earliest_start(0, ready, exec_table[i, 0])
-                eft = start + exec_table[i, 0]
-            mapping[i] = d
-            aft[i] = eft
-            scheduled[i] = True
-            n_done += 1
-            timelines.commit(i, d, slot, start, eft)
-            for s in g.successors(tasks[i]):
-                indeg[s] -= 1
-                if indeg[s] == 0:
-                    heapq.heappush(ready_heap, (-rank_oct[index[s]], index[s]))
-        if n_done != n:  # pragma: no cover - defensive
-            raise RuntimeError("PEFT failed to schedule all tasks")
-        return mapping, {"schedule_length": float(aft.max(initial=0.0))}
+        sched = ListSchedule(evaluator)
+        for i in priority_order(evaluator, oct_table.mean(axis=1)):
+            sched.commit(i, *sched.best(i, o_eft))
+        return sched.mapping, {"schedule_length": sched.schedule_length}

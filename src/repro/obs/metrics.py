@@ -1,7 +1,7 @@
 """Counters, gauges and histograms behind one snapshot/merge API.
 
 The codebase accumulates many ad-hoc counters — ``CostModel``'s
-``n_simulations``/``n_delta_evaluations``, evaluator-cache hits,
+``n_simulations``/``n_delta_evaluations``, kernel dedup hits,
 ``RuntimeTrace``'s wait times and wasted energy, per-mapper batch-size
 means.  They remain where they are (they are part of those objects'
 public contracts), but when observability is enabled the instrumented

@@ -28,7 +28,6 @@ import pytest
 
 from repro.evaluation import (
     INFEASIBLE,
-    CachedEvaluator,
     CostModel,
     MappingEvaluator,
     random_topological_schedule,
@@ -148,20 +147,6 @@ class TestBatchBitIdentity:
             for b in range(a + 1, len(pop)):
                 if idx[a] == idx[b]:
                     assert _same(ms[a], ms[b])
-
-    def test_cached_evaluator_batches_through_memo(self, platform):
-        g = random_sp_graph(12, np.random.default_rng(5))
-        cached = CachedEvaluator(make_evaluator(g, platform, n_random=2))
-        rng = np.random.default_rng(6)
-        pop = rng.integers(0, 3, size=(10, 12), dtype=np.int64)
-        first = cached.construction_makespans(pop)
-        assert cached.misses == 10 and cached.hits == 0
-        again = cached.construction_makespans(pop)
-        np.testing.assert_array_equal(first, again)
-        assert cached.hits == 10
-        # scalar and batched paths answer from the same memo
-        assert cached.construction_makespan(pop[0]) == first[0]
-        assert cached.hits == 11
 
 
 # ---------------------------------------------------------------------------
@@ -398,15 +383,6 @@ class TestEvaluatorPickleMidRun:
         np.testing.assert_array_equal(before, after)
         # scalar entry agrees too (kernel re-initialized on unpickle)
         assert clone.construction_makespan(pop[0]) == before[0]
-
-    def test_cached_evaluator_round_trip_mid_run(self, platform):
-        g = random_sp_graph(12, np.random.default_rng(10))
-        cached = CachedEvaluator(make_evaluator(g, platform, n_random=2))
-        rng = np.random.default_rng(10)
-        pop = rng.integers(0, 3, size=(8, 12), dtype=np.int64)
-        vals = cached.construction_makespans(pop)
-        clone = pickle.loads(pickle.dumps(cached))
-        np.testing.assert_array_equal(clone.construction_makespans(pop), vals)
 
     def test_mapper_runs_identically_after_round_trip(self, platform):
         g = random_sp_graph(12, np.random.default_rng(12))

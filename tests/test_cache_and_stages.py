@@ -1,83 +1,15 @@
-"""Tests for the cached evaluator and the stage-structured generators."""
+"""Tests for the stage-structured generators (fork-join, pipeline)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.evaluation import CachedEvaluator
 from repro.graphs.generators import (
     random_forkjoin_graph,
     random_pipeline_graph,
 )
-from repro.graphs.generators import random_sp_graph
-from repro.mappers import NsgaIIMapper, sp_first_fit
-from repro.platform import paper_platform
 from repro.sp import is_series_parallel, sp_distance
-from tests.conftest import make_evaluator
-
-
-class TestCachedEvaluator:
-    def test_values_match_inner(self, platform, rng):
-        g = random_sp_graph(15, rng)
-        ev = make_evaluator(g, platform, n_random=3)
-        cached = CachedEvaluator(ev)
-        for _ in range(5):
-            m = rng.integers(0, 3, size=15)
-            assert cached.construction_makespan(m) == pytest.approx(
-                ev.construction_makespan(m)
-            )
-
-    def test_hits_on_repeats(self, platform, rng):
-        g = random_sp_graph(10, rng)
-        ev = make_evaluator(g, platform, n_random=3)
-        cached = CachedEvaluator(ev)
-        m = np.zeros(10, dtype=np.int64)
-        cached.construction_makespan(m)
-        cached.construction_makespan(m)
-        cached.construction_makespan(m.copy())  # same bytes, new array
-        assert cached.misses == 1
-        assert cached.hits == 2
-        assert cached.hit_rate == pytest.approx(2 / 3)
-
-    def test_lru_eviction(self, platform, rng):
-        g = random_sp_graph(8, rng)
-        ev = make_evaluator(g, platform, n_random=3)
-        cached = CachedEvaluator(ev, max_entries=2)
-        a = np.zeros(8, dtype=np.int64)
-        b = np.ones(8, dtype=np.int64)
-        c = np.full(8, 2, dtype=np.int64)
-        for m in (a, b, c):  # evicts a
-            cached.construction_makespan(m)
-        cached.construction_makespan(a)
-        assert cached.misses == 4  # a was recomputed
-
-    def test_clear(self, platform, rng):
-        g = random_sp_graph(8, rng)
-        cached = CachedEvaluator(make_evaluator(g, platform, n_random=3))
-        cached.construction_makespan(np.zeros(8, dtype=np.int64))
-        cached.clear()
-        assert cached.hits == 0 and cached.misses == 0
-
-    def test_validation(self, platform, rng):
-        g = random_sp_graph(8, rng)
-        with pytest.raises(ValueError):
-            CachedEvaluator(make_evaluator(g, platform), max_entries=0)
-
-    def test_mappers_work_through_cache(self, platform):
-        """The cache is a drop-in for GA and decomposition mappers."""
-        g = random_sp_graph(12, np.random.default_rng(1))
-        ev = make_evaluator(g, platform, n_random=3)
-        cached = CachedEvaluator(ev)
-        res_sp = sp_first_fit().map(cached, rng=np.random.default_rng(2))
-        assert ev.is_feasible(res_sp.mapping)
-        res_ga = NsgaIIMapper(generations=6).map(
-            cached, rng=np.random.default_rng(3)
-        )
-        assert ev.is_feasible(res_ga.mapping)
-        # elitist GA re-evaluates nothing through the cache path, but
-        # crossover recreates genomes: expect at least some hits
-        assert cached.hits > 0
 
 
 class TestForkJoin:

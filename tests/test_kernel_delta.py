@@ -11,8 +11,6 @@ hence every ``improvement`` number in the committed result CSVs) follow
 from these equalities.
 """
 
-import pickle
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro.evaluation import (
     INFEASIBLE,
-    CachedEvaluator,
     CostModel,
     DeltaEvaluator,
     MappingEvaluator,
@@ -330,39 +327,6 @@ class TestCounters:
         ev.construction_makespan(ev.cpu_mapping())
         assert ev.n_equivalent_evaluations == ev.n_full_simulations == 1
         assert ev.n_delta_evaluations == 0
-
-
-# ---------------------------------------------------------------------------
-# CachedEvaluator delegation hardening (repro.parallel round trip)
-# ---------------------------------------------------------------------------
-class TestCachedEvaluatorPickling:
-    def test_pickle_round_trip(self, platform):
-        g = random_sp_graph(12, np.random.default_rng(2))
-        cached = CachedEvaluator(make_evaluator(g, platform, n_random=2))
-        m = np.zeros(12, dtype=np.int64)
-        value = cached.construction_makespan(m)
-        clone = pickle.loads(pickle.dumps(cached))
-        assert clone.construction_makespan(m) == value
-        assert clone.model.simulate(m) == value
-
-    def test_getattr_does_not_recurse_without_inner(self):
-        # simulate pickle's probing of a half-constructed instance: any
-        # delegated lookup before _inner exists must fail cleanly (the
-        # old unguarded __getattr__ recursed via self._inner forever)
-        shell = CachedEvaluator.__new__(CachedEvaluator)
-        with pytest.raises(AttributeError):
-            shell.reported_makespan  # delegated; no _inner yet
-        with pytest.raises(AttributeError):
-            shell._inner
-        with pytest.raises(AttributeError):
-            shell.__wrapped_dunder__  # dunders must never delegate
-
-    def test_missing_attribute_raises_attribute_error(self, platform):
-        g = random_sp_graph(6, np.random.default_rng(4))
-        cached = CachedEvaluator(make_evaluator(g, platform, n_random=2))
-        with pytest.raises(AttributeError):
-            cached.definitely_not_an_attribute
-        assert not hasattr(cached, "nope")
 
 
 def _same(a: float, b: float) -> bool:

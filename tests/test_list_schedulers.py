@@ -1,15 +1,34 @@
-"""Tests for the HEFT and PEFT baselines."""
+"""Tests for the HEFT and PEFT baselines and for the list-scheduling core
+that all six list schedulers share."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from repro.graphs import TaskGraph, augment
 from repro.graphs.generators import random_sp_graph
-from repro.mappers import HeftMapper, PeftMapper
-from repro.mappers.heft import mean_comm, mean_exec, upward_ranks
+from repro.mappers import (
+    CpopMapper,
+    HeftMapper,
+    LookaheadHeftMapper,
+    MaxMinMapper,
+    MinMinMapper,
+    PeftMapper,
+)
+from repro.mappers.heft import ListSchedule, mean_comm, mean_exec, upward_ranks
 from repro.mappers.peft import optimistic_cost_table
-from repro.platform import cpu_only_platform, paper_platform
+from repro.platform import Platform, cpu_only_platform, paper_platform
 from tests.conftest import make_evaluator
+
+LIST_SCHEDULERS = [
+    HeftMapper,
+    PeftMapper,
+    CpopMapper,
+    MinMinMapper,
+    MaxMinMapper,
+    LookaheadHeftMapper,
+]
 
 
 class TestHeftInternals:
@@ -138,3 +157,57 @@ class TestComparative:
             )
         assert np.mean(imps_h) > 0.0
         assert np.mean(imps_p) > 0.0
+
+
+def _rank_tie_graph():
+    """Task 1 has zero work and a free out-edge, so on a zero-latency
+    platform ``rank_u[1] == rank_u[0]`` although 1 is a parent of 0;
+    sorting by ``(-rank_u, index)`` puts the child 0 first."""
+    g = TaskGraph()
+    for t in range(4):
+        g.add_task(t, complexity=5.0, parallelizability=0.5)
+    g.add_edge(2, 1, data_mb=0.0)
+    g.add_edge(1, 0, data_mb=0.0)
+    g.add_edge(3, 0, data_mb=100.0)
+    base = paper_platform()
+    return g, Platform(base.devices, base.bandwidth_gbps, np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("factory", LIST_SCHEDULERS, ids=lambda f: f.name)
+class TestListSchedulingCore:
+    def test_commit_order_is_topological(self, factory, monkeypatch):
+        g, plat = _rank_tie_graph()
+        ev = make_evaluator(g, plat)
+        rank = upward_ranks(ev)
+        assert rank[0] == rank[1]
+        commits = {}
+        real_commit = ListSchedule.commit
+
+        def record(sched, task_idx, *placement):
+            commits.setdefault(sched, []).append(task_idx)
+            real_commit(sched, task_idx, *placement)
+
+        monkeypatch.setattr(ListSchedule, "commit", record)
+        factory().map(ev)
+        # lookahead trial copies commit too; the real pass commits all four
+        (order,) = [o for o in commits.values() if sorted(o) == [0, 1, 2, 3]]
+        pos = {t: k for k, t in enumerate(order)}
+        idx = ev.model.index
+        for u, v in g.edges():
+            assert pos[idx[u]] < pos[idx[v]], (u, v, order)
+
+    def test_host_fallback_when_every_device_is_out_of_area(self, factory):
+        plat = paper_platform()
+        capped = Platform(
+            [dataclasses.replace(d, area_capacity=15.0) for d in plat.devices],
+            plat.bandwidth_gbps,
+            plat.latency_s,
+        )
+        g = TaskGraph()
+        for t in range(6):
+            g.add_task(t, complexity=5.0, streamability=4.0, area=10.0)
+        for t in range(5):
+            g.add_edge(t, t + 1)
+        res = factory().map(make_evaluator(g, capped))
+        assert res.mapping.shape == (6,)
+        assert np.isfinite(res.stats["schedule_length"])

@@ -3,10 +3,9 @@
 The ``parallel_map`` contract (PR 5) requires every payload shipped to a
 worker process to pickle; the cost model strips its ctypes handles in
 ``__getstate__`` (PR 3/4).  This file pins the *user-facing* surface of
-that contract: every public :class:`~repro.mappers.Mapper` subclass and
-:class:`~repro.evaluation.CachedEvaluator` can be pickled after a run
-(carrying whatever state the run accumulated) and the clone behaves
-bit-identically.
+that contract: every public :class:`~repro.mappers.Mapper` subclass can be
+pickled after a run (carrying whatever state the run accumulated) and the
+clone behaves bit-identically.
 """
 
 import pickle
@@ -15,7 +14,7 @@ import numpy as np
 import pytest
 
 import repro.mappers as mappers_mod
-from repro.evaluation import CachedEvaluator, MappingEvaluator
+from repro.evaluation import MappingEvaluator
 from repro.graphs import TaskGraph, augment
 from repro.mappers import Mapper, MappingResult
 from repro.platform import paper_platform
@@ -98,37 +97,6 @@ def test_factory_mappers_roundtrip(factory_name):
     clone = roundtrip(mapper)
     rerun = clone.map(tiny_evaluator(), rng=np.random.default_rng(7))
     assert np.array_equal(rerun.mapping, result.mapping)
-
-
-class TestCachedEvaluator:
-    def test_roundtrip_preserves_memo_and_counters(self):
-        cached = CachedEvaluator(tiny_evaluator())
-        m = np.zeros(cached.n_tasks, dtype=np.int64)
-        first = cached.construction_makespan(m)
-        cached.construction_makespan(m)  # hit
-        assert (cached.hits, cached.misses) == (1, 1)
-
-        clone = roundtrip(cached)
-        assert (clone.hits, clone.misses) == (1, 1)
-        # memo survived: scoring the same row is a hit, same value
-        assert clone.construction_makespan(m) == first
-        assert clone.hits == 2
-
-    def test_roundtrip_mid_mapper_run(self):
-        cached = CachedEvaluator(tiny_evaluator())
-        result = mappers_mod.HeftMapper().map(
-            cached, rng=np.random.default_rng(0)
-        )
-        clone = roundtrip(cached)
-        assert clone.construction_makespan(result.mapping) == \
-            result.makespan
-
-    def test_getattr_safe_during_unpickle(self):
-        # PR 3 regression: __getattr__ must not recurse before __dict__
-        # is restored
-        clone = roundtrip(CachedEvaluator(tiny_evaluator()))
-        assert clone.hit_rate == 0.0
-        assert clone.n_tasks == 4
 
 
 def test_mapping_result_roundtrips():

@@ -1,11 +1,12 @@
-"""Unit tests for the insertion-based device timelines shared by the list
-schedulers (HEFT/PEFT/CPOP/lookahead/min-min)."""
+"""Unit tests for the timelines, area ledger and clone of
+:class:`~repro.mappers.heft.ListSchedule`, the list-scheduling core shared
+by HEFT, PEFT, CPOP, min-min/max-min and lookahead HEFT."""
 
 import numpy as np
 import pytest
 
 from repro.graphs import TaskGraph
-from repro.mappers.heft import DeviceTimelines
+from repro.mappers.heft import ListSchedule
 from repro.platform import paper_platform
 from tests.conftest import make_evaluator
 
@@ -16,7 +17,7 @@ def timelines(platform):
     for i in range(4):
         g.add_task(i, complexity=1.0, area=10.0)
     ev = make_evaluator(g, platform)
-    return DeviceTimelines(ev)
+    return ListSchedule(ev)
 
 
 class TestEarliestGap:
@@ -75,7 +76,7 @@ class TestArea:
         for i in range(3):
             g.add_task(i, complexity=1.0, area=45.0)
         ev = make_evaluator(g, platform)
-        tl = DeviceTimelines(ev)
+        tl = ListSchedule(ev)
         tl.commit(0, 2, -1, 0.0, 1.0)
         tl.commit(1, 2, -1, 0.0, 1.0)
         assert not tl.area_allows(2, 2)  # 90 used, 45 does not fit
