@@ -20,26 +20,20 @@ compiler and loads it via :mod:`ctypes`:
 Set ``REPRO_PURE_PYTHON=1`` to force the Python kernel (used by the
 test-suite to cover both paths).
 
-Exposed entry points (see the C source below for contracts):
+Every entry runs the one loop body ``span_core``; the four entry
+points (see the C source below for contracts) are:
 
 - ``repro_span``       — full scratch simulation into caller buffers;
-- ``repro_span_batch`` — lane loop over a whole ``(B, n)`` population:
-  one native call simulates every mapping back to back, so the Python
-  call overhead (argument marshalling, pointer extraction — an order of
-  magnitude more than the n=50 simulation itself) is paid once per
-  *population* instead of once per genome;
-- ``repro_span_batch_dedup`` — the lane loop plus in-kernel genome
-  dedup (open-addressing table, duplicates verified by full row
-  comparison) and per-lane feasibility skipping, so a converged
-  population costs one simulation per *distinct* feasible genome and
-  the Python side is a single call with no grouping work;
-- ``repro_rebuild``    — scratch simulation recording per-position
-  prefix snapshots (slot availability + running makespan) for the
-  incremental evaluator;
-- ``repro_rebuild_from`` — the same recording walk resumed from a
-  position whose prefix snapshots are still valid, so committing an
-  accepted move costs O(affected suffix) instead of O(V + E) (the
-  tabu/annealing accept path);
+- ``repro_span_batch_dedup`` — lane loop over a whole ``(B, n)``
+  population with in-kernel genome dedup (open-addressing table,
+  duplicates verified by full row comparison) and per-lane feasibility
+  skipping: one native call per population, one simulation per
+  *distinct* feasible genome, and no grouping work on the Python side;
+- ``repro_rebuild_from`` — the delta base's recording walk (per-position
+  slot availability + running makespan) resumed from a position whose
+  prefix snapshots are still valid, so committing an accepted move
+  costs O(affected suffix) instead of O(V + E) (the tabu/annealing
+  accept path); from position 0 it is the full rebuild;
 - ``repro_eval_move``  — suffix-only re-simulation of one candidate
   move against the snapshotted base, with bound-abort.
 """
@@ -79,29 +73,39 @@ typedef struct {
     int64_t *mapping;          /* n, mutated and restored by eval_move */
     const int64_t *order;      /* n */
     const int64_t *pos;        /* n: task -> schedule position */
-    const double *base_start;  /* n */
-    const double *base_finish; /* n */
+    double *base_start;        /* n, rewritten by rebuild_from */
+    double *base_finish;       /* n, rewritten by rebuild_from */
     double *ts;                /* n workspace (suffix values) */
     double *tf;                /* n workspace */
-    const double *snap_avail;  /* n * n_slots prefix snapshots */
-    const double *pre_ms;      /* n prefix-max ends */
+    double *snap_avail;        /* n * n_slots prefix snapshots */
+    double *pre_ms;            /* n prefix-max ends */
     double *avail_ws;          /* n_slots workspace */
     int64_t *old_ws;           /* >= max subgraph size workspace */
 } ReproDelta;
 
-/* One loop body for every path; mirrors kernel.simulate_span statement
- * for statement (same op order => bit-identical doubles).  When pos is
- * NULL every predecessor reads ts/tf; otherwise positions before k read
- * the base arrays (incremental suffix mode, no restore needed). */
+/* The one loop body of every entry; mirrors kernel.simulate_span
+ * statement for statement (same op order => bit-identical doubles).
+ * When pos is NULL every predecessor reads ts/tf; otherwise positions
+ * before k read the base arrays (incremental suffix mode, no restore
+ * needed).  When pre_ms is set, the slot vector and the running
+ * makespan *before* each position are recorded into snap_avail/pre_ms;
+ * a recording walk must reach every position, so it never aborts on
+ * the bound. */
 static double span_core(const ReproCtx *c, const int64_t *mapping,
                         const int64_t *order, const int64_t *pos, int64_t k,
                         const double *base_start, const double *base_finish,
                         double *ts, double *tf, double *avail,
+                        double *snap_avail, double *pre_ms,
                         double makespan, int contention, double bound)
 {
-    const int64_t n = c->n, m = c->m;
+    const int64_t n = c->n, m = c->m, n_slots = c->n_slots;
     const int use_base = (pos != NULL);
     for (int64_t j = k; j < n; j++) {
+        if (pre_ms) {
+            for (int64_t s = 0; s < n_slots; s++)
+                snap_avail[j * n_slots + s] = avail[s];
+            pre_ms[j] = makespan;
+        }
         const int64_t i = order[j];
         const int64_t d = mapping[i];
         const int64_t row = i * m;
@@ -143,7 +147,7 @@ static double span_core(const ReproCtx *c, const int64_t *mapping,
         const double end = fin + c->final_t[row + d];
         if (end > makespan) {
             makespan = end;
-            if (makespan >= bound) return INFINITY;
+            if (makespan >= bound && !pre_ms) return INFINITY;
         }
     }
     return makespan;
@@ -157,141 +161,25 @@ double repro_span(const ReproCtx *c, const int64_t *mapping,
     for (int64_t s = 0; s < c->n_slots; s++) avail[s] = 0.0;
     return span_core(c, mapping, order, (const int64_t *)0, 0,
                      (const double *)0, (const double *)0,
-                     start, finish, avail, 0.0, contention, INFINITY);
+                     start, finish, avail, (double *)0, (double *)0,
+                     0.0, contention, INFINITY);
 }
 
-/* Scratch simulation of the delta base that additionally records, for
- * every position, the slot availability *before* it and the running
- * prefix makespan.  Duplicates span_core's body plus the two recording
- * statements (kept adjacent so the exactness contract stays auditable). */
-double repro_rebuild(const ReproCtx *c, const ReproDelta *d,
-                     double *start, double *finish,
-                     double *snap_avail, double *pre_ms, double *avail)
+/* The delta base's recording walk, resumed at position k: the prefix
+ * snapshots, base start/finish and pre_ms entries before k are still
+ * valid for the (just mutated) base mapping, because a move whose first
+ * affected position is k cannot change state before k.  k = 0 is the
+ * full rebuild: row 0 of the snapshots is the zero slot vector,
+ * pre_ms[0] is 0, and a schedule order that places every producer
+ * before its consumers never reads a start/finish before writing it. */
+double repro_rebuild_from(const ReproCtx *c, const ReproDelta *d, int64_t k)
 {
-    const int64_t n = c->n, m = c->m, n_slots = c->n_slots;
-    const int64_t *mapping = d->mapping;
-    const int64_t *order = d->order;
-    for (int64_t i = 0; i < n; i++) { start[i] = 0.0; finish[i] = 0.0; }
-    for (int64_t s = 0; s < n_slots; s++) avail[s] = 0.0;
-    double makespan = 0.0;
-    for (int64_t j = 0; j < n; j++) {
-        for (int64_t s = 0; s < n_slots; s++)
-            snap_avail[j * n_slots + s] = avail[s];
-        pre_ms[j] = makespan;
-        const int64_t i = order[j];
-        const int64_t d_ = mapping[i];
-        const int64_t row = i * m;
-        double ready = c->initial_t[row + d_];
-        double drain = 0.0;
-        const int64_t e1 = c->pred_ptr[i + 1];
-        for (int64_t e = c->pred_ptr[i]; e < e1; e++) {
-            const int64_t p = c->pred_src[e];
-            const int64_t dp = mapping[p];
-            double r;
-            if (dp == d_ && c->streaming[d_]) {
-                r = start[p] + c->fill_t[p * m + dp];
-                if (finish[p] > drain) drain = finish[p];
-            } else {
-                r = finish[p] + c->pred_trans[e * m * m + dp * m + d_];
-            }
-            if (r > ready) ready = r;
-        }
-        double st = ready;
-        int64_t slot = -1;
-        if (c->serializes[d_]) {
-            const int64_t s0 = c->slot_ptr[d_], s1 = c->slot_ptr[d_ + 1];
-            slot = s0;
-            double earliest = avail[s0];
-            for (int64_t q = s0 + 1; q < s1; q++) {
-                if (avail[q] < earliest) { earliest = avail[q]; slot = q; }
-            }
-            if (earliest > ready) st = earliest;
-        }
-        double fin = st + c->exec_t[row + d_];
-        if (drain > fin) fin = drain;
-        start[i] = st;
-        finish[i] = fin;
-        if (slot >= 0) avail[slot] = fin;
-        const double end = fin + c->final_t[row + d_];
-        if (end > makespan) makespan = end;
-    }
-    return makespan;
-}
-
-/* Suffix-only commit: resume the recording rebuild from position k —
- * the prefix snapshots, start/finish and pre_ms entries before k are
- * already valid for the (just mutated) base mapping, because a move
- * whose first affected position is k cannot change state before k.
- * Identical loop body to repro_rebuild, so the suffix values are
- * bit-identical to a full rebuild's. */
-double repro_rebuild_from(const ReproCtx *c, const ReproDelta *d, int64_t k,
-                          double *start, double *finish,
-                          double *snap_avail, double *pre_ms, double *avail)
-{
-    const int64_t n = c->n, m = c->m, n_slots = c->n_slots;
-    const int64_t *mapping = d->mapping;
-    const int64_t *order = d->order;
-    for (int64_t s = 0; s < n_slots; s++)
-        avail[s] = snap_avail[k * n_slots + s];
-    double makespan = pre_ms[k];
-    for (int64_t j = k; j < n; j++) {
-        for (int64_t s = 0; s < n_slots; s++)
-            snap_avail[j * n_slots + s] = avail[s];
-        pre_ms[j] = makespan;
-        const int64_t i = order[j];
-        const int64_t d_ = mapping[i];
-        const int64_t row = i * m;
-        double ready = c->initial_t[row + d_];
-        double drain = 0.0;
-        const int64_t e1 = c->pred_ptr[i + 1];
-        for (int64_t e = c->pred_ptr[i]; e < e1; e++) {
-            const int64_t p = c->pred_src[e];
-            const int64_t dp = mapping[p];
-            double r;
-            if (dp == d_ && c->streaming[d_]) {
-                r = start[p] + c->fill_t[p * m + dp];
-                if (finish[p] > drain) drain = finish[p];
-            } else {
-                r = finish[p] + c->pred_trans[e * m * m + dp * m + d_];
-            }
-            if (r > ready) ready = r;
-        }
-        double st = ready;
-        int64_t slot = -1;
-        if (c->serializes[d_]) {
-            const int64_t s0 = c->slot_ptr[d_], s1 = c->slot_ptr[d_ + 1];
-            slot = s0;
-            double earliest = avail[s0];
-            for (int64_t q = s0 + 1; q < s1; q++) {
-                if (avail[q] < earliest) { earliest = avail[q]; slot = q; }
-            }
-            if (earliest > ready) st = earliest;
-        }
-        double fin = st + c->exec_t[row + d_];
-        if (drain > fin) fin = drain;
-        start[i] = st;
-        finish[i] = fin;
-        if (slot >= 0) avail[slot] = fin;
-        const double end = fin + c->final_t[row + d_];
-        if (end > makespan) makespan = end;
-    }
-    return makespan;
-}
-
-/* Multi-lane entry: simulate B independent mappings (rows of a dense
- * (B, n) int64 array) under one shared order.  Lanes reuse the same
- * start/finish/avail workspaces (repro_span zeroes them per lane), so
- * each lane is exactly one repro_span call — results are bit-identical
- * to B scalar simulations, the loop only amortizes call overhead. */
-void repro_span_batch(const ReproCtx *c, const int64_t *mappings,
-                      const int64_t *order, int64_t n_lanes, double *out,
-                      double *start, double *finish, double *avail,
-                      int contention)
-{
-    for (int64_t b = 0; b < n_lanes; b++) {
-        out[b] = repro_span(c, mappings + b * c->n, order,
-                            start, finish, avail, contention);
-    }
+    const double *snap = d->snap_avail + k * c->n_slots;
+    for (int64_t s = 0; s < c->n_slots; s++) d->avail_ws[s] = snap[s];
+    return span_core(c, d->mapping, d->order, (const int64_t *)0, k,
+                     (const double *)0, (const double *)0,
+                     d->base_start, d->base_finish, d->avail_ws,
+                     d->snap_avail, d->pre_ms, d->pre_ms[k], 1, INFINITY);
 }
 
 /* Batch entry with in-kernel genome dedup: lanes whose row equals an
@@ -307,8 +195,7 @@ int64_t repro_span_batch_dedup(const ReproCtx *c, const int64_t *mappings,
                                const int64_t *order, int64_t n_lanes,
                                const uint8_t *feas, double *out,
                                int64_t *table, int64_t table_size,
-                               double *start, double *finish, double *avail,
-                               int contention)
+                               double *start, double *finish, double *avail)
 {
     const int64_t n = c->n;
     const uint64_t mask = (uint64_t)table_size - 1;
@@ -333,7 +220,7 @@ int64_t repro_span_batch_dedup(const ReproCtx *c, const int64_t *mappings,
             idx = (idx + 1) & mask;
         }
         if (dup >= 0) { out[b] = out[dup]; continue; }
-        out[b] = repro_span(c, row, order, start, finish, avail, contention);
+        out[b] = repro_span(c, row, order, start, finish, avail, 1);
         simulated++;
     }
     return simulated;
@@ -353,7 +240,8 @@ double repro_eval_move(const ReproCtx *c, const ReproDelta *d,
     for (int64_t s = 0; s < c->n_slots; s++) d->avail_ws[s] = snap[s];
     const double ms = span_core(c, mp, d->order, d->pos, k,
                                 d->base_start, d->base_finish, d->ts, d->tf,
-                                d->avail_ws, d->pre_ms[k], 1, bound);
+                                d->avail_ws, (double *)0, (double *)0,
+                                d->pre_ms[k], 1, bound);
     for (int64_t s = 0; s < sub_len; s++) mp[sub[s]] = old[s];
     return ms;
 }
@@ -414,18 +302,6 @@ class CKernel:
         vp = ctypes.c_void_p
         lib.repro_span.restype = ctypes.c_double
         lib.repro_span.argtypes = [vp, vp, vp, vp, vp, vp, ctypes.c_int]
-        lib.repro_span_batch.restype = None
-        lib.repro_span_batch.argtypes = [
-            vp,
-            vp,
-            vp,
-            ctypes.c_int64,
-            vp,
-            vp,
-            vp,
-            vp,
-            ctypes.c_int,
-        ]
         lib.repro_span_batch_dedup.restype = ctypes.c_int64
         lib.repro_span_batch_dedup.argtypes = [
             vp,
@@ -439,21 +315,9 @@ class CKernel:
             vp,
             vp,
             vp,
-            ctypes.c_int,
         ]
-        lib.repro_rebuild.restype = ctypes.c_double
-        lib.repro_rebuild.argtypes = [vp, vp, vp, vp, vp, vp, vp]
         lib.repro_rebuild_from.restype = ctypes.c_double
-        lib.repro_rebuild_from.argtypes = [
-            vp,
-            vp,
-            ctypes.c_int64,
-            vp,
-            vp,
-            vp,
-            vp,
-            vp,
-        ]
+        lib.repro_rebuild_from.argtypes = [vp, vp, ctypes.c_int64]
         lib.repro_eval_move.restype = ctypes.c_double
         lib.repro_eval_move.argtypes = [
             vp,

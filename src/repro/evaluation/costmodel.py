@@ -27,26 +27,32 @@ All tables (execution times, per-edge transfer costs for every device pair)
 are precomputed once per graph, so one evaluation is a tight O(V + E) loop —
 the hot path of the whole library (hpc guide: optimize the bottleneck only).
 
-Evaluation architecture — one specification, one fast path per kernel:
+Evaluation architecture — one specification, one loop body per kernel:
 
 - the specification is the nested-list walk :meth:`_simulate_reference`,
-  kept as the test oracle and never run on a hot path;
+  kept as the test oracle and never run on a hot path; with a
+  ``record`` list it also yields the per-task records of
+  :func:`repro.evaluation.trace.simulate_trace`;
 - the tables are flattened once into a :class:`repro.evaluation.kernel.FlatModel`
   (CSR predecessor offsets, per-edge ``m*m`` transfer rows, contiguous
   ``float64`` exec/fill/initial/final).  With the compiled kernel loaded
-  every entry goes to its C function; otherwise every entry runs the one
-  pure-Python loop :func:`repro.evaluation.kernel.simulate_span`;
+  every entry goes to its C function, all four on the one C loop
+  ``span_core``; otherwise every entry runs the one pure-Python loop
+  :func:`repro.evaluation.kernel.simulate_span`;
 - :meth:`simulate` is one scratch pass (construction makespan, the
   101-schedule reported suite);
 - :meth:`simulate_many` scores a ``(P, n)`` population (NSGA-II, Pareto
-  NSGA-II): vectorized, guard-banded area feasibility over all rows,
-  then the C kernel's ``repro_span_batch_dedup`` lane loop (one ctypes
-  call per population) or one scratch span per feasible row;
+  NSGA-II) and is the one place that decides genome dedup:
+  vectorized, guard-banded area feasibility over all rows, then the C
+  kernel's ``repro_span_batch_dedup`` lane loop (one ctypes call per
+  population, dedup in-kernel) or a vectorized checksum dedup and one
+  scratch span per distinct feasible row;
 - :class:`repro.evaluation.delta.DeltaEvaluator` keeps per-position
   prefix snapshots under the fixed BFS schedule and re-simulates **only
   the suffix** from the first position a move touches — O(affected
   suffix) instead of O(V + E) per candidate move (greedy, tabu and
-  annealing mappers);
+  annealing mappers); its snapshots come from the same loop run with
+  recording buffers;
 - exactness contract: every path performs bit-for-bit the same float64
   operations in the same order as :meth:`_simulate_reference` (pinned by
   ``tests/test_kernel_delta.py`` / ``tests/test_batch_population.py``,
@@ -57,7 +63,7 @@ Bookkeeping: ``n_simulations`` counts full scratch simulations (one per
 :meth:`simulate` call, as before); ``n_delta_evaluations`` counts
 incremental suffix re-evaluations and ``delta_work`` accumulates their
 cost in full-evaluation equivalents (suffix length / n);
-``n_batched_evaluations`` counts lanes evaluated through
+``n_batched_evaluations`` counts distinct lanes simulated by
 :meth:`simulate_many` (each a full pass) and ``n_batch_calls`` the calls,
 so ``n_batched_evaluations / n_batch_calls`` is the realized mean batch
 width.  ``n_simulations + delta_work + n_batched_evaluations`` is the
@@ -228,6 +234,9 @@ class CostModel:
         self.n_batched_evaluations = 0
         #: number of simulate_many calls that simulated at least one lane
         self.n_batch_calls = 0
+        # genome-checksum weights of the pure-Python population dedup
+        # (built on first use, see simulate_many)
+        self._dedup_w: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     def _init_ckernel(self, use_ckernel: Optional[bool]) -> None:
@@ -252,7 +261,6 @@ class CostModel:
         self._ws_finish_p = self._ws_finish.ctypes.data
         self._ws_avail_p = self._ws_avail.ctypes.data
         self._bfs_order_p = self.bfs_order_np.ctypes.data
-        self._span_batch_c = ck.lib.repro_span_batch
         self._span_batch_dedup_c = ck.lib.repro_span_batch_dedup
         self._dedup_table: Optional[np.ndarray] = None
 
@@ -262,7 +270,7 @@ class CostModel:
         for key in ("_ck", "_ck_ctx", "_ck_ctx_p", "_ws_start",
                     "_ws_finish", "_ws_avail", "_ws_start_p",
                     "_ws_finish_p", "_ws_avail_p", "_bfs_order_p",
-                    "_span_batch_c", "_span_batch_dedup_c",
+                    "_span_batch_dedup_c",
                     "_dedup_table"):
             state.pop(key, None)
         return state
@@ -321,125 +329,108 @@ class CostModel:
             return np.ones(len(mappings), dtype=bool)
         return mask
 
-    def simulate_many(
-        self,
-        mappings: np.ndarray,
-        order: Optional[Sequence[int]] = None,
-        *,
-        check_feasibility: bool = True,
-        contention: bool = True,
-        dedup: bool = False,
-    ) -> np.ndarray:
-        """Makespans of every row of a ``(P, n)`` array of mappings.
+    def simulate_many(self, mappings: np.ndarray) -> np.ndarray:
+        """Construction makespans of every row of a ``(P, n)`` array.
 
-        The multi-lane entry behind
-        :meth:`~repro.evaluation.evaluator.MappingEvaluator.construction_makespans`:
-        one call evaluates a whole population.  With the C kernel loaded
-        the rows run through the native ``repro_span_batch`` lane loop
-        (one ctypes call per population instead of one per genome); the
-        pure-Python path runs one scratch span per feasible row.  Every
+        The population entry behind
+        :meth:`~repro.evaluation.evaluator.MappingEvaluator.construction_makespans`,
+        and the one place that decides genome dedup: identical rows are
+        simulated once and share the exact value, so a converged
+        population costs one simulation per *distinct* feasible genome.
+        With the C kernel loaded the whole population is one
+        ``repro_span_batch_dedup`` call (in-kernel open-addressing on a
+        64-bit row hash, duplicates verified by full row comparison).  On
+        the pure-Python kernel the dedup is vectorized: rows are
+        stable-sorted by a weighted checksum and verified against their
+        sorted neighbour, then each distinct feasible row is one scratch
+        span.  Either way sharing is never speculative — a hash collision
+        costs a lane or a probe step, never a wrong value — and every
         lane is bit-identical to a scalar :meth:`simulate` of that row
         (:data:`INFEASIBLE` for rows failing the area check).
 
-        With ``dedup=True`` (and the C kernel loaded) lanes run through
-        ``repro_span_batch_dedup``: identical rows are simulated once and
-        share the exact value (verified by full row comparison in the
-        kernel), and only the *distinct* simulated lanes count toward
-        ``n_batched_evaluations``.  On the pure-Python path ``dedup`` is
-        ignored here — :meth:`MappingEvaluator.construction_makespans`
-        performs the equivalent vectorized dedup before calling in.
-
-        Lanes count toward ``n_batched_evaluations`` (not
-        ``n_simulations``) and each call toward ``n_batch_calls``.
+        Distinct simulated lanes count toward ``n_batched_evaluations``
+        (not ``n_simulations``), and each call that simulates at least
+        one lane toward ``n_batch_calls``.
         """
         pop = np.ascontiguousarray(mappings, dtype=np.int64)
         if pop.ndim != 2 or pop.shape[1] != self.n:
             raise ValueError(
                 f"expected a (P, {self.n}) array of mappings, got {pop.shape}"
             )
-        if pop.shape[0] == 0:
+        P = pop.shape[0]
+        if P == 0:
             return np.empty(0)
-        if order is None:
-            order_p = self._bfs_order_p if self._ck is not None else None
-        elif self._ck is not None:
-            order_np = np.ascontiguousarray(order, dtype=np.int64)
-            order_p = order_np.ctypes.data
-        if self._ck is not None and dedup:
-            feas_p = 0
-            if check_feasibility:
-                feas = self.feasible_mask(pop)
-                if not feas.any():
-                    return np.full(pop.shape[0], INFEASIBLE)
-                feas_p = feas.view(np.uint8).ctypes.data
-            n_lanes = pop.shape[0]
-            res = np.empty(n_lanes)
-            table_size = 1 << (DEDUP_TABLE_FACTOR * n_lanes - 1).bit_length()
+        registry = _metrics.get_registry()
+        if self._ck is not None:
+            feas = self.feasible_mask(pop)
+            if not feas.any():
+                return np.full(P, INFEASIBLE)
+            res = np.empty(P)
+            table_size = 1 << (DEDUP_TABLE_FACTOR * P - 1).bit_length()
             if self._dedup_table is None or len(self._dedup_table) < table_size:
                 self._dedup_table = np.empty(table_size, dtype=np.int64)
             simulated = self._span_batch_dedup_c(
                 self._ck_ctx_p,
                 pop.ctypes.data,
-                order_p,
-                n_lanes,
-                feas_p,
+                self._bfs_order_p,
+                P,
+                feas.view(np.uint8).ctypes.data,
                 res.ctypes.data,
                 self._dedup_table.ctypes.data,
                 table_size,
                 self._ws_start_p,
                 self._ws_finish_p,
                 self._ws_avail_p,
-                1 if contention else 0,
             )
             if simulated:
                 self.n_batched_evaluations += simulated
                 self.n_batch_calls += 1
-            registry = _metrics.get_registry()
             if registry is not None:
                 registry.counter("kernel.calls.c_dedup").inc()
-                registry.histogram("kernel.batch_size").observe_int(n_lanes)
-                registry.counter("kernel.dedup_hits").inc(n_lanes - simulated)
-                registry.counter("kernel.dedup_lanes").inc(n_lanes)
+                registry.histogram("kernel.batch_size").observe_int(P)
+                registry.counter("kernel.dedup_hits").inc(P - simulated)
+                registry.counter("kernel.dedup_lanes").inc(P)
             return res
-        idx = None
-        if check_feasibility:
-            feas = self.feasible_mask(pop)
-            if not feas.all():
-                out = np.full(pop.shape[0], INFEASIBLE)
-                idx = np.flatnonzero(feas)
-                if idx.size == 0:
-                    return out
-                pop = np.ascontiguousarray(pop[idx])
-        n_lanes = pop.shape[0]
-        self.n_batched_evaluations += n_lanes
-        self.n_batch_calls += 1
-        registry = _metrics.get_registry()
-        if registry is not None:
-            path = "c_batch" if self._ck is not None else "py"
-            registry.counter(f"kernel.calls.{path}").inc()
-            registry.histogram("kernel.batch_size").observe_int(n_lanes)
-        res = np.empty(n_lanes)
-        if self._ck is not None:
-            self._span_batch_c(
-                self._ck_ctx_p,
-                pop.ctypes.data,
-                order_p,
-                n_lanes,
-                res.ctypes.data,
-                self._ws_start_p,
-                self._ws_finish_p,
-                self._ws_avail_p,
-                1 if contention else 0,
-            )
-        else:
-            ord_l = self.bfs_order if order is None else [int(i) for i in order]
-            for b, row in enumerate(pop.tolist()):
-                res[b] = simulate_flat(
-                    self.flat, row, ord_l, contention=contention
+        # vectorized dedup: stable-sort rows by a 64-bit weighted checksum
+        # (int64 wraparound arithmetic), then open a new lane wherever the
+        # checksum changes OR the full row differs from its sorted
+        # neighbour.  Equal rows hash equally, so they are adjacent
+        # (stable within a run) and share one lane.  It measures as a win
+        # (elitism and crossover-less pairs recreate parents) and beats
+        # np.unique(axis=0) on the same populations.
+        lanes, lane_of = pop, None
+        if P > 1:
+            if self._dedup_w is None:
+                self._dedup_w = np.random.default_rng(0x5EED).integers(
+                    np.iinfo(np.int64).min,
+                    np.iinfo(np.int64).max,
+                    size=self.n,
+                    dtype=np.int64,
                 )
-        if idx is None:
-            return res
-        out[idx] = res
-        return out
+            h = pop @ self._dedup_w
+            sort_idx = np.argsort(h, kind="stable")
+            hs = h[sort_idx]
+            new_lane = np.empty(P, dtype=bool)
+            new_lane[0] = True
+            np.not_equal(hs[1:], hs[:-1], out=new_lane[1:])
+            if not new_lane.all():  # all checksums distinct => rows distinct
+                rows = pop[sort_idx]
+                new_lane[1:] |= (rows[1:] != rows[:-1]).any(axis=1)
+                lanes = rows[new_lane]
+                lane_of = np.empty(P, dtype=np.int64)
+                lane_of[sort_idx] = np.cumsum(new_lane) - 1
+        res = np.full(len(lanes), INFEASIBLE)
+        feas = np.flatnonzero(self.feasible_mask(lanes))
+        if feas.size:
+            self.n_batched_evaluations += feas.size
+            self.n_batch_calls += 1
+            if registry is not None:
+                registry.counter("kernel.calls.py").inc()
+                registry.histogram("kernel.batch_size").observe_int(feas.size)
+            rows_l = lanes.tolist()
+            for b in feas.tolist():
+                res[b] = simulate_flat(self.flat, rows_l[b], self.bfs_order)
+        return res if lane_of is None else res[lane_of]
 
     # ------------------------------------------------------------------
     # simulation
@@ -501,12 +492,21 @@ class CostModel:
         *,
         check_feasibility: bool = True,
         contention: bool = True,
+        record: Optional[list] = None,
     ) -> float:
         """The original nested-list walk, kept as the executable spec.
 
         The kernel (:meth:`simulate`) and the incremental delta evaluator
         must reproduce this bit-for-bit (``tests/test_kernel_delta.py``);
         it is not used on any hot path.  Does not touch the counters.
+
+        With a ``record`` list, one ``(index, device, slot, ready, start,
+        finish, streamed)`` tuple is appended per schedule position —
+        ``slot`` is the slot within the device (-1 when the device does
+        not serialize) and ``streamed`` whether any input streamed from a
+        co-mapped producer.  :func:`repro.evaluation.trace.simulate_trace`
+        reads it; without ``record`` the walk costs what it always did
+        (it is the reference side of the speed gates).
         """
         if check_feasibility and not self.is_feasible(mapping):
             return INFEASIBLE
@@ -527,6 +527,7 @@ class CostModel:
         # per-device slot availability times (earliest-slot list scheduling)
         avail = [[0.0] * s for s in self._slots]
         makespan = 0.0
+        recording = record is not None
 
         for i in order:
             d = mapping[i]
@@ -564,6 +565,15 @@ class CostModel:
             finish[i] = fin
             if slot >= 0:
                 avail[d][slot] = fin
+            if recording:
+                # a plain loop: a generator here would turn the walk's
+                # locals into closure cells and slow every position
+                streamed = False
+                if streaming_dev[d]:
+                    for p, _ in pred[i]:
+                        if mapping[p] == d:
+                            streamed = True
+                record.append((i, d, slot, ready, st, fin, streamed))
             end = fin + final[i][d]
             if end > makespan:
                 makespan = end

@@ -31,14 +31,16 @@ Committing an accepted move is suffix-sized too: :meth:`apply_move`
 with the candidate's ``first_pos`` resumes the recording rebuild from
 that position — the prefix snapshots are still valid, so the
 tabu/annealing accept path never pays a full O(V + E) rebuild.  A full
-rebuild is the same recording walk started at position 0 on fresh
-state.
+rebuild is the same recording walk started at position 0 (row 0 of the
+snapshots is always the zero slot vector, and the fixed BFS order is
+topological, so no stale start/finish is ever read).
 
-Each operation has exactly one implementation per kernel: the C entries
-(``repro_eval_move``, ``repro_rebuild``, ``repro_rebuild_from``) when the
-compiled kernel is loaded, otherwise :func:`~repro.evaluation.kernel.simulate_span`
-for move evaluation and :meth:`DeltaEvaluator._record_from` for the
-recording walk.  Both kernels charge the counters identically.
+Each kernel runs every operation through its one loop body: the C
+entries ``repro_eval_move`` and ``repro_rebuild_from`` (both on
+``span_core``) when the compiled kernel is loaded, otherwise
+:func:`~repro.evaluation.kernel.simulate_span`, which records the
+snapshots when handed the recording buffers.  Both kernels charge the
+counters identically.
 
 Bookkeeping: every suffix re-simulation (and every suffix commit)
 increments ``model.n_delta_evaluations`` and adds ``suffix_length / n``
@@ -84,10 +86,12 @@ class DeltaEvaluator:
     Usage::
 
         delta = DeltaEvaluator(model)
-        current = delta.reset(mapping)          # full sim + snapshots
-        sub, first, area = delta.candidate(np.array([3, 4]))
-        ms = delta.evaluate_move(sub, device, first, area)
-        current = delta.apply_move(sub, device)  # commit + rebuild
+        current = delta.reset(mapping)           # full sim + snapshots
+        cand = delta.candidate([3, 4])           # prepared once, reused
+        ms = delta.evaluate_move(cand, device)   # suffix-only trial
+        current = delta.apply_move(              # commit + suffix rebuild
+            cand.members, device, first_pos=cand.first_pos
+        )
 
     ``evaluate_move`` accepts a ``bound``: the suffix simulation aborts
     (returning ``inf``) once the running makespan reaches it.  Since the
@@ -97,13 +101,11 @@ class DeltaEvaluator:
     heuristic's expectations) simply pass no bound.
     """
 
-    def __init__(self, model: CostModel, order: Optional[Sequence[int]] = None) -> None:
+    def __init__(self, model: CostModel) -> None:
         self.model = model
         self.flat = model.flat
         self.n = model.n
-        self.order: List[int] = [int(i) for i in (order if order is not None else model.bfs_order)]
-        if len(self.order) != self.n:
-            raise ValueError("order must schedule every task exactly once")
+        self.order: List[int] = model.bfs_order
         pos = [0] * self.n
         for j, i in enumerate(self.order):
             pos[i] = j
@@ -131,8 +133,10 @@ class DeltaEvaluator:
         self._finish: List[float] = [0.0] * n
         self._tstart: List[float] = [0.0] * n
         self._tfinish: List[float] = [0.0] * n
-        self._snap_avail: List[List[float]] = []
-        self._pre_ms: List[float] = []
+        # row 0 of the snapshots stays the zero slot vector and
+        # pre_ms[0] stays 0, so a full rebuild is the walk from position 0
+        self._snap_avail: List[List[float]] = [self.flat.fresh_avail()] * n
+        self._pre_ms: List[float] = [0.0] * n
         self.base_makespan: float = INF
 
         self._np_map = np.zeros(n, dtype=np.int64)
@@ -141,7 +145,7 @@ class DeltaEvaluator:
             # the C kernel's state: preallocated once, refilled in place
             # and never reallocated (the kernel keeps raw pointers)
             n_slots = self.flat.n_slots
-            self._order_np = np.asarray(self.order, dtype=np.int64)
+            self._order_np = model.bfs_order_np
             self._pos_np = np.asarray(pos, dtype=np.int64)
             self._start_np = np.zeros(n)
             self._finish_np = np.zeros(n)
@@ -167,6 +171,7 @@ class DeltaEvaluator:
             self._dctx_p = ctypes.byref(self._dctx)
             self._ctx_p = model._ck_ctx_p
             self._eval_move_c = self._ck.lib.repro_eval_move
+            self._rebuild_from_c = self._ck.lib.repro_rebuild_from
             # prebuilt ctypes arguments: converting Python ints/floats on
             # every call costs more than the native suffix simulation
             self._c_devices = [ctypes.c_int64(d) for d in range(self.flat.m)]
@@ -216,30 +221,6 @@ class DeltaEvaluator:
         usage = self.model.area_usage(self._np_map)
         self._usage = [usage[d] for d in self._area_devs]
         return self._rebuild()
-
-    def _rebuild(self) -> float:
-        """Full base simulation recording per-position prefix snapshots.
-
-        Counts as one full simulation (``model.n_simulations``).  With the
-        C kernel loaded the recording walk runs natively
-        (``repro_rebuild``); otherwise it is :meth:`_record_from`
-        position 0 on fresh state.
-        """
-        self.model.n_simulations += 1
-        if self._ck is not None:
-            self.base_makespan = self._ck.lib.repro_rebuild(
-                self._ctx_p,
-                self._dctx_p,
-                self._start_np.ctypes.data,
-                self._finish_np.ctypes.data,
-                self._snap_np.ctypes.data,
-                self._pre_ms_np.ctypes.data,
-                self._avail_ws.ctypes.data,
-            )
-            return self.base_makespan
-        self._snap_avail = [self.flat.fresh_avail()] * self.n
-        self._pre_ms = [0.0] * self.n
-        return self._record_from(0)
 
     # ------------------------------------------------------------------
     def _move_feasible(self, sub_list: List[int], device: int, sub_area: float) -> bool:
@@ -349,9 +330,8 @@ class DeltaEvaluator:
         With ``first_pos`` (the candidate's first schedule position, from
         :meth:`candidate`) the rebuild resumes from that position — the
         prefix snapshots are still valid, so a commit costs O(affected
-        suffix); suffix values are bit-identical to a full rebuild
-        (``repro_rebuild_from`` / :meth:`_record_from`).  Without it a
-        full O(V + E) recording rebuild runs.
+        suffix); suffix values are bit-identical to a full rebuild.
+        Without it a full O(V + E) recording rebuild runs.
         """
         for t in sub_list:
             self._map[t] = device
@@ -362,119 +342,56 @@ class DeltaEvaluator:
         area = self.model._area  # noqa: SLF001
         np_map = self._np_map
         self._usage = [float(area[np_map == a].sum()) for a in self._area_devs]
-        if first_pos is None or first_pos <= 0:
-            return self._rebuild()
-        return self._rebuild_from(first_pos)
+        return self._rebuild(first_pos or 0)
 
-    def _rebuild_from(self, k: int) -> float:
-        """Recording rebuild resumed at position ``k`` (prefix untouched).
+    def _rebuild(self, k: int = 0) -> float:
+        """The recording walk from position ``k`` to the end.
 
-        Counts as an incremental evaluation (``n_delta_evaluations`` /
-        fractional ``delta_work``), not a full simulation.
+        Reads the snapshots at ``k`` and rewrites those from ``k`` on,
+        with the base start/finish of the suffix: ``repro_rebuild_from``
+        on the C kernel, otherwise
+        :func:`~repro.evaluation.kernel.simulate_span` with its recording
+        buffers plus a refresh of the suffix's trial mirrors.  ``k = 0``
+        is the full rebuild and counts as one full simulation
+        (``model.n_simulations``); a resumed walk counts as an
+        incremental evaluation (``n_delta_evaluations`` / fractional
+        ``delta_work``).
         """
         model = self.model
-        model.n_delta_evaluations += 1
-        model.delta_work += (self.n - k) / self.n
-        if self._suffix_hist is not None:
-            self._suffix_hist.observe_int(self.n - k)
+        if k == 0:
+            model.n_simulations += 1
+        else:
+            model.n_delta_evaluations += 1
+            model.delta_work += (self.n - k) / self.n
+            if self._suffix_hist is not None:
+                self._suffix_hist.observe_int(self.n - k)
         if self._ck is not None:
-            self.base_makespan = self._ck.lib.repro_rebuild_from(
-                self._ctx_p,
-                self._dctx_p,
-                k,
-                self._start_np.ctypes.data,
-                self._finish_np.ctypes.data,
-                self._snap_np.ctypes.data,
-                self._pre_ms_np.ctypes.data,
-                self._avail_ws.ctypes.data,
+            self.base_makespan = self._rebuild_from_c(
+                self._ctx_p, self._dctx_p, k
             )
             return self.base_makespan
-        return self._record_from(k)
-
-    def _record_from(self, k: int) -> float:
-        """The pure-Python recording walk from position ``k`` to the end.
-
-        :func:`repro.evaluation.kernel.simulate_span` with two recording
-        statements added per position (the slot vector and the prefix
-        makespan *before* the position); the float operations must stay
-        statement-for-statement identical to the kernel (exactness
-        contract).  Reads the snapshots at ``k``, rewrites those from
-        ``k`` on and refreshes the trial mirrors of the suffix.  Touches
-        no counter.
-        """
-        flat = self.flat
         order = self.order
-        mapping = self._map
-        m = flat.m
-        exec_l = flat.exec_l
-        fill_l = flat.fill_l
-        initial_l = flat.initial_l
-        final_l = flat.final_l
-        pred_l = flat.pred_l
-        streaming = flat.streaming_l
-        serializes = flat.serializes_l
-        slot_ptr = flat.slot_ptr_l
-
         start = self._start
         finish = self._finish
-        snap_avail = self._snap_avail
-        pre_ms = self._pre_ms
-        avail = snap_avail[k].copy()
-        makespan = pre_ms[k]
-
-        for j in range(k, self.n):
-            snap_avail[j] = avail.copy()
-            pre_ms[j] = makespan
-            i = order[j]
-            d = mapping[i]
-            row = i * m
-            ready = initial_l[row + d]
-            drain = 0.0
-            for p, trans in pred_l[i]:
-                dp = mapping[p]
-                if dp == d and streaming[d]:
-                    r = start[p] + fill_l[p * m + dp]
-                    fp = finish[p]
-                    if fp > drain:
-                        drain = fp
-                else:
-                    r = finish[p] + trans[dp * m + d]
-                if r > ready:
-                    ready = r
-            st = ready
-            slot = -1
-            if serializes[d]:
-                s0 = slot_ptr[d]
-                s1 = slot_ptr[d + 1]
-                slot = s0
-                earliest = avail[s0]
-                for q in range(s0 + 1, s1):
-                    v = avail[q]
-                    if v < earliest:
-                        earliest = v
-                        slot = q
-                if earliest > ready:
-                    st = earliest
-            fin = st + exec_l[row + d]
-            if drain > fin:
-                fin = drain
-            start[i] = st
-            finish[i] = fin
-            if slot >= 0:
-                avail[slot] = fin
-            end = fin + final_l[row + d]
-            if end > makespan:
-                makespan = end
-
-        # refresh the suffix of the trial mirrors
+        self.base_makespan = simulate_span(
+            self.flat,
+            self._map,
+            order,
+            k,
+            start,
+            finish,
+            self._snap_avail[k].copy(),
+            self._pre_ms[k],
+            snap_avail=self._snap_avail,
+            pre_ms=self._pre_ms,
+        )
         ts = self._tstart
         tf = self._tfinish
         for j in range(k, self.n):
             i = order[j]
             ts[i] = start[i]
             tf[i] = finish[i]
-        self.base_makespan = makespan
-        return makespan
+        return self.base_makespan
 
     # ------------------------------------------------------------------
     @property

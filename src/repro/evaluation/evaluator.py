@@ -12,21 +12,14 @@
   (BFS + 100 random, Sec. IV-A), used for the figures and tables.
 
 Population-based mappers evaluate whole generations through
-:meth:`MappingEvaluator.construction_makespans`: a ``(P, n)`` array of
-genomes goes through **genome dedup** (identical rows are simulated once
-and share the exact value) and one :meth:`CostModel.simulate_many` call.
-With the C kernel loaded, dedup happens *inside* the native lane loop
-(``repro_span_batch_dedup``: open-addressing on a 64-bit row hash,
-duplicates verified by full row comparison — a collision costs a probe,
-never a wrong value), so a population costs one ctypes call.  On the
-pure-Python kernel each distinct row is one scratch span, and the dedup
-in front of it is vectorized: rows are stable-sorted by a weighted
-checksum and verified against their sorted neighbour, so sharing is
-never speculative either way.  That dedup measures as a win (a
-converged NSGA-II generation collapses to a fraction of its nominal
-width; elitism and crossover-less pairs recreate parents), and it beats
-``np.unique(axis=0)`` on the same populations.  Per-lane results are
-bit-identical to :meth:`construction_makespan` of that row.
+:meth:`MappingEvaluator.construction_makespans`, which hands the
+``(P, n)`` array of genomes to one :meth:`CostModel.simulate_many` call.
+That call decides **genome dedup** (identical rows are simulated once
+and share the exact value; a converged NSGA-II generation collapses to
+a fraction of its nominal width): inside the native lane loop on the C
+kernel, vectorized in front of the scratch spans on the pure-Python
+kernel.  Per-lane results are bit-identical to
+:meth:`construction_makespan` of that row.
 
 The *relative improvement* metric follows Sec. IV-A: average positive
 relative improvement over the pure-CPU mapping, deteriorations counted as
@@ -72,14 +65,6 @@ class MappingEvaluator:
         self._cpu_mapping = np.zeros(self.model.n, dtype=np.int64)
         self._cpu_construction: Optional[float] = None
         self._cpu_reported: Optional[float] = None
-        # fixed random weights for the vectorized genome checksum used by
-        # construction_makespans' dedup (int64 wraparound arithmetic)
-        self._hash_w = np.random.default_rng(0x5EED).integers(
-            np.iinfo(np.int64).min,
-            np.iinfo(np.int64).max,
-            size=self.model.n,
-            dtype=np.int64,
-        )
 
     # ------------------------------------------------------------------
     @property
@@ -151,44 +136,12 @@ class MappingEvaluator:
     def construction_makespans(self, mappings: np.ndarray) -> np.ndarray:
         """Construction makespans of every row of a ``(P, n)`` population.
 
-        Identical genomes are deduplicated (simulated once, shared) and
-        the distinct rows go through one :meth:`CostModel.simulate_many`
-        batch call.  Per row, the result is bit-identical to
+        One :meth:`CostModel.simulate_many` call, which dedups identical
+        genomes.  Per row, the result is bit-identical to
         :meth:`construction_makespan` (:data:`~repro.evaluation.costmodel.INFEASIBLE`
         for area-violating rows) — see the module docstring.
         """
-        pop = np.ascontiguousarray(mappings, dtype=np.int64)
-        if pop.ndim != 2:
-            raise ValueError(f"expected a (P, n) population, got {pop.shape}")
-        P = pop.shape[0]
-        if self.model._ck is not None:  # noqa: SLF001 - package-internal
-            # the C kernel dedups in-kernel (repro_span_batch_dedup):
-            # one native call per population, no Python grouping work
-            return self.model.simulate_many(pop, dedup=True)
-        if P <= 1:
-            return self.model.simulate_many(pop)
-        # vectorized dedup: stable-sort rows by a 64-bit weighted checksum,
-        # then open a new lane wherever the checksum changes OR the full
-        # row differs from its sorted neighbour.  Equal rows hash equally,
-        # so they are adjacent (stable within a run) and share one lane;
-        # an (astronomically unlikely) checksum collision between distinct
-        # rows fails the exact row comparison and gets its own lane —
-        # collisions cost a lane, never a wrong value.
-        h = pop @ self._hash_w
-        sort_idx = np.argsort(h, kind="stable")
-        hs = h[sort_idx]
-        new_lane = np.empty(P, dtype=bool)
-        new_lane[0] = True
-        np.not_equal(hs[1:], hs[:-1], out=new_lane[1:])
-        if new_lane.all():  # all checksums distinct => all rows distinct
-            return self.model.simulate_many(pop)
-        rows = pop[sort_idx]
-        new_lane[1:] |= (rows[1:] != rows[:-1]).any(axis=1)
-        lane_id = np.cumsum(new_lane) - 1
-        ms = self.model.simulate_many(np.ascontiguousarray(rows[new_lane]))
-        out = np.empty(P)
-        out[sort_idx] = ms[lane_id]
-        return out
+        return self.model.simulate_many(mappings)
 
     def reported_makespan(self, mapping: Sequence[int]) -> float:
         """Minimum makespan over the full schedule suite (paper Sec. IV-A)."""

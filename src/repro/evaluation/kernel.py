@@ -24,9 +24,12 @@ etc.), which CPython indexes several times faster than ndarray scalars.
 :func:`simulate_span` is the one pure-Python evaluation loop.  A full
 scratch simulation (:func:`simulate_flat`) is a span from position 0;
 an incremental suffix re-simulation (:mod:`repro.evaluation.delta`) is a
-span from the first position a move touches; a population is a loop of
-scratch spans.  Scratch and delta evaluation thus run literally the
-same statements.
+span from the first position a move touches; the delta evaluator's
+base rebuild is a span handed the two recording buffers (slot vector
+and running makespan before each position); a population is a loop of
+scratch spans over its distinct rows.  Scratch, delta and rebuild thus
+run literally the same statements, as do the C kernel's entries on its
+one ``span_core``.
 
 Exactness contract: :func:`simulate_span` performs bit-for-bit the same
 float64 operations in the same order as the nested-list walk kept as
@@ -184,6 +187,8 @@ def simulate_span(
     *,
     contention: bool = True,
     bound: float = INF,
+    snap_avail: Optional[List[List[float]]] = None,
+    pre_ms: Optional[List[float]] = None,
 ) -> float:
     """Simulate schedule positions ``k .. len(order)-1`` in place.
 
@@ -195,6 +200,11 @@ def simulate_span(
     the running makespan reaches ``bound`` (the caller's
     branch-and-bound cutoff: max is monotone, so the final value could
     only be larger and an exact result is not needed to reject the move).
+
+    With ``snap_avail``/``pre_ms`` given (the delta evaluator's recording
+    walk) the slot vector and the running makespan *before* each position
+    ``j`` are stored in ``snap_avail[j]``/``pre_ms[j]``; a recording walk
+    must reach every position, so it never aborts on the bound.
 
     The float operations replicate ``CostModel._simulate_reference``
     bit-for-bit — see the module docstring's exactness contract.
@@ -208,8 +218,12 @@ def simulate_span(
     streaming = flat.streaming_l
     serializes = flat.serializes_l
     slot_ptr = flat.slot_ptr_l
+    record = pre_ms is not None
 
     for j in range(k, len(order)):
+        if record:
+            snap_avail[j] = avail.copy()
+            pre_ms[j] = makespan
         i = order[j]
         d = mapping[i]
         row = i * m
@@ -252,7 +266,7 @@ def simulate_span(
         end = fin + final_l[row + d]
         if end > makespan:
             makespan = end
-            if makespan >= bound:
+            if makespan >= bound and not record:
                 return INF
     return makespan
 

@@ -13,9 +13,10 @@ a trace into a terminal Gantt chart:
     vega56      |      ██2██               |
     xcz7045     |  ≈≈≈≈4≈≈≈≈               |
 
-The trace is the debugging/teaching view of the cost model; the hot path in
-``costmodel`` stays record-free.  Consistency between the two is covered by
-tests (the trace's makespan must equal ``simulate()``'s).
+The trace is the debugging/teaching view of the cost model; the fast
+kernels stay record-free.  Since the trace reads the reference walk
+itself, its makespan is the one ``simulate()`` returns (the kernels'
+exactness contract, also pinned by ``tests/test_trace.py``).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from .costmodel import INFEASIBLE, CostModel
+from .costmodel import CostModel
 
 __all__ = ["TaskTrace", "ScheduleTrace", "simulate_trace", "render_gantt"]
 
@@ -63,53 +64,21 @@ def simulate_trace(
     mapping: Sequence[int],
     order: Optional[Sequence[int]] = None,
 ) -> ScheduleTrace:
-    """Trace-recording twin of ``CostModel.simulate`` (same numbers)."""
-    if not model.is_feasible(mapping):
-        return ScheduleTrace(tasks=[], makespan=INFEASIBLE,
-                             device_busy=[0.0] * model.m)
-    if order is None:
-        order = model.bfs_order
-    mapping = list(mapping)
+    """The reference walk of ``model`` with one record per task.
 
-    n = model.n
-    start = [0.0] * n
-    finish = [0.0] * n
-    avail = [[0.0] * s for s in model._slots]  # noqa: SLF001
+    Runs ``CostModel._simulate_reference`` with recording on, so the
+    makespan is the one ``CostModel.simulate`` returns; an area-infeasible
+    mapping yields no task records and an ``INFEASIBLE`` makespan.
+    """
+    records: list = []
+    makespan = model._simulate_reference(  # noqa: SLF001
+        mapping, order, record=records
+    )
     busy = [0.0] * model.m
-    makespan = 0.0
-    records: List[Optional[TaskTrace]] = [None] * n
-
-    for i in order:
-        d = mapping[i]
-        ready = model._initial[i][d]  # noqa: SLF001
-        drain = 0.0
-        streamed = False
-        for p, trans in model._pred[i]:  # noqa: SLF001
-            dp = mapping[p]
-            if dp == d and model._streaming_dev[d]:  # noqa: SLF001
-                r = start[p] + model._fill[p][dp]  # noqa: SLF001
-                streamed = True
-                if finish[p] > drain:
-                    drain = finish[p]
-            else:
-                r = finish[p] + trans[dp][d]
-            if r > ready:
-                ready = r
-        st = ready
-        slot = -1
-        if model._serializes[d]:  # noqa: SLF001
-            slots_d = avail[d]
-            slot = min(range(len(slots_d)), key=slots_d.__getitem__)
-            if slots_d[slot] > ready:
-                st = slots_d[slot]
-        exec_t = model._exec[i][d]  # noqa: SLF001
-        fin = max(st + exec_t, drain)
-        start[i] = st
-        finish[i] = fin
-        busy[d] += exec_t
-        if slot >= 0:
-            avail[d][slot] = fin
-        records[i] = TaskTrace(
+    tasks = []
+    for i, d, slot, ready, st, fin, streamed in records:
+        busy[d] += model._exec[i][d]  # noqa: SLF001
+        tasks.append(TaskTrace(
             task=model.tasks[i],
             index=i,
             device=d,
@@ -119,13 +88,8 @@ def simulate_trace(
             finish=fin,
             streamed=streamed,
             waited=max(0.0, st - ready),
-        )
-        end = fin + model._final[i][d]  # noqa: SLF001
-        if end > makespan:
-            makespan = end
-
-    ordered = [records[i] for i in order]
-    return ScheduleTrace(tasks=ordered, makespan=makespan, device_busy=busy)
+        ))
+    return ScheduleTrace(tasks=tasks, makespan=makespan, device_busy=busy)
 
 
 def render_gantt(

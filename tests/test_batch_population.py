@@ -8,8 +8,8 @@ it:
 - every lane of ``CostModel.simulate_many`` /
   ``MappingEvaluator.construction_makespans`` must be **bit-identical**
   to a scalar evaluation of that row — across graph families, random
-  populations, FPGA area-infeasible genomes, duplicate rows (the dedup
-  path) and ``contention=False``;
+  populations, FPGA area-infeasible genomes and duplicate rows (the
+  dedup path, on both kernels);
 - the four metaheuristic mappers (NSGA-II, Pareto NSGA-II, tabu,
   annealing) must reproduce their **golden seeded trajectories**
   (``tests/test_golden.py``) on both kernels: same rng draws, same
@@ -30,7 +30,6 @@ from repro.evaluation import (
     INFEASIBLE,
     CostModel,
     MappingEvaluator,
-    random_topological_schedule,
 )
 from repro.evaluation._ckernel import load_ckernel
 from repro.graphs.generators import random_sp_graph
@@ -77,27 +76,6 @@ class TestBatchBitIdentity:
             for r in range(len(pop)):
                 assert _same(batched[r], model.simulate(pop[r]))
 
-    @pytest.mark.parametrize("use_ckernel", MODES, ids=MODE_IDS)
-    def test_contention_false_and_custom_order(self, use_ckernel):
-        rng = np.random.default_rng(7)
-        g = graph_family("almost_sp", 20, rng)
-        plat = tight_platform()
-        model = CostModel(g, plat, use_ckernel=use_ckernel)
-        pop = rng.integers(0, plat.n_devices, size=(30, model.n), dtype=np.int64)
-        nc = model.simulate_many(pop, check_feasibility=False, contention=False)
-        order = random_topological_schedule(g, rng)
-        oc = model.simulate_many(pop, order, check_feasibility=False)
-        for r in range(len(pop)):
-            assert _same(
-                nc[r],
-                model.simulate(
-                    pop[r], check_feasibility=False, contention=False
-                ),
-            )
-            assert _same(
-                oc[r], model.simulate(pop[r], order, check_feasibility=False)
-            )
-
     def test_small_population_scalar_fallback(self):
         """A small population on the pure-Python kernel — same bits."""
         rng = np.random.default_rng(11)
@@ -126,6 +104,24 @@ class TestBatchBitIdentity:
         with pytest.raises(ValueError):
             model.simulate_many(np.zeros((4, model.n + 1), dtype=np.int64))
         assert model.simulate_many(np.zeros((0, model.n), dtype=np.int64)).size == 0
+
+    @pytest.mark.parametrize("use_ckernel", MODES, ids=MODE_IDS)
+    def test_simulate_many_dedups_feasible_rows(self, use_ckernel):
+        """Both kernels simulate each distinct feasible row exactly once."""
+        rng = np.random.default_rng(23)
+        g = random_sp_graph(15, rng)
+        plat = tight_platform()
+        model = CostModel(g, plat, use_ckernel=use_ckernel)
+        distinct = rng.integers(0, 3, size=(8, model.n), dtype=np.int64)
+        distinct[0] = 2  # an FPGA-area violation among the duplicates
+        idx = rng.integers(0, 8, size=50)
+        pop = distinct[idx]
+        feasible = {int(k) for k in np.unique(idx) if model.is_feasible(distinct[k])}
+        ms = model.simulate_many(pop)
+        assert model.n_batched_evaluations == len(feasible)
+        assert model.n_batch_calls == 1
+        for r in range(len(pop)):
+            assert _same(ms[r], model.simulate(pop[r]))
 
     def test_evaluator_dedup_shares_exact_values(self, platform):
         """Duplicate genomes are simulated once and share one value."""

@@ -166,6 +166,7 @@ class TestDeltaEquivalence:
         everything = delta.candidate(np.arange(n))
         assert delta.evaluate_move(everything, 2) == INFEASIBLE
         assert model._simulate_reference([2] * n) == INFEASIBLE
+        commits = 0
         for _ in range(120):
             size = int(rng.integers(1, max(2, n // 3)))
             sub = rng.choice(n, size=size, replace=False)
@@ -177,9 +178,21 @@ class TestDeltaEquivalence:
             ref = model._simulate_reference(trial)
             assert _same(ms, ref)
             if ms != INFEASIBLE and rng.random() < 0.35:
-                # commit: the rebuilt base (makespan AND per-task
-                # start/finish) must equal a scratch simulation
-                assert _same(delta.apply_move(cand.members, d), ref)
+                # commit (every other one resumed at the candidate's
+                # first position): the rebuilt base (makespan AND
+                # per-task start/finish) must equal a scratch simulation
+                commits += 1
+                first_pos = cand.first_pos if commits % 2 else None
+                assert _same(
+                    delta.apply_move(cand.members, d, first_pos=first_pos),
+                    ref,
+                )
+                # ... and the whole recorded state (start/finish, slot
+                # snapshots, prefix makespans) a fresh full rebuild's
+                fresh = DeltaEvaluator(model)
+                fresh.reset(trial)
+                for got, want in zip(_delta_state(delta), _delta_state(fresh)):
+                    np.testing.assert_array_equal(got, want)
                 start = [0.0] * n
                 finish = [0.0] * n
                 simulate_flat(
@@ -327,6 +340,20 @@ class TestCounters:
         ev.construction_makespan(ev.cpu_mapping())
         assert ev.n_equivalent_evaluations == ev.n_full_simulations == 1
         assert ev.n_delta_evaluations == 0
+
+
+def _delta_state(delta):
+    """The base state a DeltaEvaluator records: start, finish, the slot
+    snapshot before every position and the prefix makespans."""
+    if delta._ck is not None:
+        return (delta._start_np, delta._finish_np, delta._snap_np,
+                delta._pre_ms_np)
+    return (
+        np.array(delta._start),
+        np.array(delta._finish),
+        np.array(delta._snap_avail).reshape(delta.n, delta.flat.n_slots),
+        np.array(delta._pre_ms),
+    )
 
 
 def _same(a: float, b: float) -> bool:

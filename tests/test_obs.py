@@ -221,7 +221,7 @@ class TestNoopPath:
         pop = np.zeros((4, 12), dtype=np.int64)
         modes = [(False, "kernel.calls.py")]
         if load_ckernel() is not None:
-            modes.append((True, "kernel.calls.c_batch"))
+            modes.append((True, "kernel.calls.c_dedup"))
         for use_ckernel, name in modes:
             model = CostModel(g, paper_platform(), use_ckernel=use_ckernel)
             with obs.observing() as (_tracer, registry):
