@@ -29,8 +29,8 @@ def test_scaling_exponents(benchmark):
         # and the fitted exponents sit around 0.8-2.1 at smoke scale, so
         # the bound can exclude the cubic regime outright.
         assert alpha < 3.0, f"{name} scales worse than quadratic-with-slack"
-    # FirstFit saves a constant-factor (and often asymptotic) amount of work
-    series = {s.name: s for s in result.series()}
-    assert (
-        series["SPFirstFit"].time_s[-1] < series["SeriesParallel"].time_s[-1]
-    )
+    # FirstFit saves a constant-factor (and often asymptotic) amount of
+    # work; compared in evaluations, not seconds, so the check does not
+    # depend on host speed
+    largest = result.points[-1].evaluations
+    assert largest["SPFirstFit"] < largest["SeriesParallel"]

@@ -53,10 +53,7 @@ class _BatchMapper(Mapper):
         n = evaluator.n_tasks
         for i in priority_order(evaluator, np.zeros(n), wave_pick):
             sched.commit(i, *sched.best(i))
-        return sched.mapping, {
-            "schedule_length": sched.schedule_length,
-            "waves": float(n),
-        }
+        return sched.mapping, {"schedule_length": sched.schedule_length}
 
 
 class MinMinMapper(_BatchMapper):

@@ -9,14 +9,21 @@ does **not** reproduce that recurrence.  This engine therefore separates
 
 - **commitment** — scheduling decisions, made per device in strict priority
   order the moment all information a decision needs is available (all
-  predecessor finish times known, all earlier-priority tasks on the device
+  predecessors committed, all earlier-priority tasks on the device
   committed), exactly like the analytic pass; and
 - **realization** — a classic discrete-event heap that plays the committed
   ready/start/finish instants back in time order, drives the task state
   machine released → ready → running → done, and logs the typed records of
   :mod:`repro.runtime.events`.
 
-With zero noise and no scenarios the commitment cascade *is* the analytic
+A commit *pulls* its ready time from its committed inputs through one rule
+(``RuntimeEngine._ready_time``): the max of arrival + host→device staging
+and, per predecessor, finish + edge transfer — or start + pipeline fill
+when the predecessor streams into the task on the same streaming device,
+which then cannot finish before that predecessor drains.  With bounded
+link slots the same rule queues each cross-device transfer on its route.
+A predecessor's commit only tells its successors that one more input is
+known.  With zero noise and no scenarios the cascade *is* the analytic
 recurrence (same tables, same slot tie-breaking, same streaming/drain
 rules), so the engine's makespan equals ``CostModel.simulate()`` exactly —
 the simulator is a strict generalization of the model, and the test suite
@@ -29,9 +36,12 @@ when a :class:`~repro.runtime.scenarios.DeviceSlowdown` or
 commitment that has not started yet (``start >= t``) is rolled back, running
 tasks on a failed device are killed and remapped, and the cascade replans
 from the surviving state — decisions made before *t* are never rewritten.
-Stochastic runtimes come from :mod:`repro.runtime.stochastic` factors that
-are drawn once per task at submission, so replanning never resamples noise
-and a seed fully determines the trace.
+The surviving state is rebuilt in one pass over the committed tasks (device
+queues, slot availability, link slots, area ledger); rolled-back tasks
+only recount their unknown predecessors and pull fresh ready times when
+they recommit.  Stochastic runtimes come from :mod:`repro.runtime.stochastic`
+factors that are drawn once per task at submission, so replanning never
+resamples noise and a seed fully determines the trace.
 
 Multi-job arrival streams share the platform FIFO: tasks of later arrivals
 queue behind all unfinished tasks of earlier jobs on the same device.
@@ -150,7 +160,11 @@ class RuntimeTrace:
     device_busy: List[float]   # summed execution seconds per device
     #: failures whose designated fallback device was itself already dead
     n_fallback_dead: int = 0
-    #: seconds tasks waited on the cross-job FPGA area ledger / how many did
+    #: seconds tasks waited on the cross-job FPGA area ledger / how many
+    #: did.  A task's wait runs from the start it would have had without
+    #: the ledger — max(ready time, commit instant, free device slot) — to
+    #: the start the ledger granted, so a task recommitted after a
+    #: rollback counts only the part of its wait after the rollback.
     area_wait_time: float = 0.0
     n_area_waits: int = 0
     #: seconds transfers queued for a shared link slot / how many waited
@@ -195,7 +209,7 @@ class _JobState:
         "idx", "name", "arrival", "model", "emodel", "order", "mapping",
         "exec_f", "trans_f", "init_f", "final_f", "succs",
         "committed", "done", "state", "gen",
-        "ready_val", "unknown", "drain", "streamed",
+        "unknown", "drain", "streamed",
         "start", "finish", "slot", "ready", "exec_actual", "fill_actual",
         "area_wait", "link_wait", "link_wait_n", "link_block", "final_wait",
         "link_claims", "final_end",
@@ -208,6 +222,7 @@ class _JobState:
         job: Job,
         model: CostModel,
         emodel: EnergyModel,
+        succs: List[List[int]],
         noise: PerturbationModel,
         rng: np.random.Generator,
     ) -> None:
@@ -229,7 +244,7 @@ class _JobState:
 
         # noise factors, sampled once in a fixed order (see stochastic.py)
         self.exec_f = [1.0] * n
-        self.trans_f: List[List[float]] = [[] for _ in range(n)]
+        self.trans_f = [[1.0] * len(preds) for preds in model._pred]
         self.init_f = [1.0] * n
         self.final_f = [1.0] * n
         if not noise.deterministic:
@@ -240,22 +255,13 @@ class _JobState:
                 ]
                 self.init_f[i] = noise.transfer_factor(rng)
                 self.final_f[i] = noise.transfer_factor(rng)
-        else:
-            for i in range(n):
-                self.trans_f[i] = [1.0] * len(model._pred[i])
 
-        # successor contributions: succs[p] = [(consumer, pred-position)]
-        self.succs: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-        for s in range(n):
-            for k, (p, _row) in enumerate(model._pred[s]):
-                self.succs[p].append((s, k))
-
+        self.succs = succs
         self.committed = [False] * n
         self.done = [False] * n
         self.state = [_RELEASED] * n
         self.gen = [0] * n
-        self.unknown = [len(model._pred[i]) for i in range(n)]
-        self.ready_val = [0.0] * n
+        self.unknown = [len(preds) for preds in model._pred]
         self.drain = [0.0] * n
         self.streamed = [False] * n
         self.start = [0.0] * n
@@ -279,12 +285,6 @@ class _JobState:
         self.completion = float("inf")
         self.n_killed = 0
         self.n_remapped = 0
-        for i in range(n):
-            self.ready_val[i] = self.input_ready(i)
-
-    def input_ready(self, i: int) -> float:
-        """Arrival plus the (jittered) host→device input transfer."""
-        return self.arrival + self.model._initial[i][self.mapping[i]] * self.init_f[i]
 
     def end_time(self, i: int) -> float:
         """Finish plus the (jittered, possibly slot-queued) result transfer."""
@@ -361,18 +361,28 @@ class RuntimeEngine:
         self._watts_idle_total = float(
             sum(d.watts_idle for d in platform.devices)
         )
-        self._models: Dict[int, Tuple[CostModel, EnergyModel]] = {}
+        self._models: Dict[
+            int, Tuple[CostModel, EnergyModel, List[List[int]]]
+        ] = {}
 
     # ------------------------------------------------------------------
-    def _model_for(self, graph: TaskGraph) -> Tuple[CostModel, EnergyModel]:
-        pair = self._models.get(id(graph))
-        if pair is None or pair[0].graph is not graph:
+    def _model_for(
+        self, graph: TaskGraph
+    ) -> Tuple[CostModel, EnergyModel, List[List[int]]]:
+        """Cost and energy models of ``graph`` and its successor lists
+        (a consumer once per edge, as ``unknown`` counts it)."""
+        entry = self._models.get(id(graph))
+        if entry is None or entry[0].graph is not graph:
             if len(self._models) >= 64:  # bound a long-lived engine's cache
                 self._models.clear()
             model = CostModel(graph, self.platform)
-            pair = (model, EnergyModel(model))
-            self._models[id(graph)] = pair
-        return pair
+            succs: List[List[int]] = [[] for _ in range(model.n)]
+            for s in range(model.n):
+                for p, _row in model._pred[s]:
+                    succs[p].append(s)
+            entry = (model, EnergyModel(model), succs)
+            self._models[id(graph)] = entry
+        return entry
 
     # ------------------------------------------------------------------
     def run(
@@ -482,22 +492,19 @@ class RuntimeEngine:
     # arrivals
     # ------------------------------------------------------------------
     def _handle_arrival(self, job: Job, rng: np.random.Generator) -> None:
-        model, emodel = self._model_for(job.graph)
-        js = _JobState(len(self._jobs), job, model, emodel, self.noise, rng)
+        model, emodel, succs = self._model_for(job.graph)
+        js = _JobState(
+            len(self._jobs), job, model, emodel, succs, self.noise, rng
+        )
         self._emit(ev.JobArrived(self._now, js.name))
-        # tasks targeted at an already-dead device move to a surviving,
-        # area-feasible device; with a replan policy the whole arriving
-        # job (nothing has started yet) is spliced onto the policy's
-        # mapping for the surviving platform, same as a mid-run failure.
-        # A job arriving while in-flight jobs hold so much FPGA fabric
-        # that co-residency would oversubscribe a budget is likewise
-        # routed through the policy, which then maps against the
-        # *residual* capacity (without a policy its tasks simply wait on
-        # the area ledger at start time) — and so is a job arriving onto
-        # a device whose cumulative slowdown already crossed the replan
-        # threshold, mirroring how in-flight jobs were remapped when the
-        # slowdown struck.
-        dead = [i for i in range(model.n) if not self._alive[js.mapping[i]]]
+        # the whole arriving job is movable (nothing has started): it is
+        # rerouted like a mid-run failure when a task targets a dead
+        # device and, with a replan policy, also when co-residency with
+        # in-flight jobs would oversubscribe an FPGA budget (the policy
+        # then maps against the *residual* capacity; without one the
+        # tasks wait on the area ledger) or when a target's cumulative
+        # slowdown already crossed the replan threshold.
+        dead = not all(self._alive[d] for d in js.mapping)
         pressure = (
             self._area_pressure(js) if self.replan_policy is not None else ()
         )
@@ -507,35 +514,7 @@ class RuntimeEngine:
             for i in range(model.n)
         )
         if dead or pressure or degraded:
-            proposal = None
-            if self.replan_policy is not None:
-                proposal = self.replan_policy.propose(ReplanContext(
-                    graph=model.graph,
-                    platform=self.platform,
-                    alive=tuple(self._alive),
-                    mapping=tuple(js.mapping),
-                    movable=tuple(range(model.n)),
-                    failed=None,
-                    fallback=None,
-                    speed=tuple(self._speed),
-                    area_in_use=pressure,
-                ))
-            if proposal is None:
-                targets = self._remap_tasks(js, dead, None) if dead else {}
-            else:
-                targets = self._remap_tasks(
-                    js, list(range(model.n)), None, desired=proposal
-                )
-            for i, target in targets.items():
-                old = js.mapping[i]
-                if target == old:
-                    continue
-                js.mapping[i] = target
-                js.ready_val[i] = js.input_ready(i)
-                js.n_remapped += 1
-                self._emit(ev.TaskRemapped(
-                    self._now, js.name, model.tasks[i], old, target
-                ))
+            self._reroute(js, list(range(model.n)), area_in_use=pressure)
         if not model.is_feasible(js.mapping):
             raise ValueError(
                 f"job {js.name}: mapping violates an area budget "
@@ -547,7 +526,7 @@ class RuntimeEngine:
         self._cascade()
 
     # ------------------------------------------------------------------
-    # commitment cascade (the analytic recurrence, incrementalized)
+    # commitment cascade: per-device priority order, ready times pulled
     # ------------------------------------------------------------------
     def _cascade(self) -> None:
         work = deque(range(self.platform.n_devices))
@@ -564,22 +543,15 @@ class RuntimeEngine:
 
     def _commit(self, js: _JobState, i: int, d: int, work: deque) -> None:
         model = js.model
-        if self._link_pools is not None:
-            r = self._claim_links(js, i, d)
-        else:
-            r = js.ready_val[i]
+        r = self._ready_time(js, i, d)
         slot = -1
         st = r if r > self._now else self._now
         if self._serializes[d]:
+            # earliest-free slot, lowest index on ties
             slots_d = self._avail[d]
-            slot = 0
-            earliest = slots_d[0]
-            for k in range(1, len(slots_d)):
-                if slots_d[k] < earliest:
-                    earliest = slots_d[k]
-                    slot = k
-            if earliest > st:
-                st = earliest
+            slot = min(range(len(slots_d)), key=slots_d.__getitem__)
+            if slots_d[slot] > st:
+                st = slots_d[slot]
         speed = self._speed[d]
         exec_t = model._exec[i][d] * js.exec_f[i] * speed
         js.area_wait[i] = 0.0
@@ -603,7 +575,7 @@ class RuntimeEngine:
         js.fill_actual[i] = model._fill[i][d] * js.exec_f[i] * speed
         js.final_end[i] = -1.0
         js.final_wait[i] = 0.0
-        if self._link_pools is not None:
+        if self._route_pools is not None:
             # the device→host result transfer of a sink queues as well
             tf = model._final[i][d] * js.final_f[i]
             if tf > 0.0:
@@ -619,21 +591,76 @@ class RuntimeEngine:
         self._push(st, _START, ("start", js.idx, i, gen))
         self._push(fin, _FINISH, ("finish", js.idx, i, gen))
 
-        # propagate contributions to (necessarily uncommitted) successors
-        for s, k in js.succs[i]:
-            ds = js.mapping[s]
-            if ds == d and self._streaming[d]:
-                contrib = st + js.fill_actual[i]
-                js.streamed[s] = True
-                if fin > js.drain[s]:
-                    js.drain[s] = fin
+        # successors pull their ready times when they commit; here they
+        # only learn that one more input is known
+        unknown = js.unknown
+        for s in js.succs[i]:
+            unknown[s] -= 1
+            if unknown[s] == 0:
+                work.append(js.mapping[s])
+
+    def _ready_time(self, js: _JobState, i: int, d: int) -> float:
+        """Task ``i``'s ready time on device ``d``: the one ready-time rule.
+
+        Runs as the task commits, so every predecessor is committed: the
+        max over its inputs, in model order, of host staging (arrival +
+        transfer), same-device streaming predecessors (start + fill; the
+        task cannot finish before they drain) and other predecessors
+        (finish + transfer).  With finite link pools each cross-device
+        transfer of positive duration first claims its route FIFO
+        (:meth:`_claim_route`); the link-wait record names the link that
+        blocked longest.
+        """
+        model = js.model
+        routes = self._route_pools
+        streaming = self._streaming[d]
+        preds = model._pred[i]
+        js.link_claims[i].clear()
+        wait = 0.0
+        n_waited = 0
+        worst = 0.0
+        block = -1
+        drain = 0.0
+        streamed = False
+        r = js.arrival
+        for k in range(-1, len(preds)):
+            if k < 0:  # host→device input staging
+                src = 0
+                avail = js.arrival
+                tau = model._initial[i][d] * js.init_f[i]
             else:
-                contrib = fin + model._pred[s][k][1][d][ds] * js.trans_f[s][k]
-            if contrib > js.ready_val[s]:
-                js.ready_val[s] = contrib
-            js.unknown[s] -= 1
-            if js.unknown[s] == 0:
-                work.append(ds)
+                p, row = preds[k]
+                src = js.mapping[p]
+                if src == d and streaming:
+                    end = js.start[p] + js.fill_actual[p]
+                    streamed = True
+                    if js.finish[p] > drain:
+                        drain = js.finish[p]
+                    if end > r:
+                        r = end
+                    continue
+                avail = js.finish[p]
+                tau = row[src][d] * js.trans_f[i][k]
+            pools = routes[src][d] if routes is not None and tau > 0.0 else ()
+            if pools:
+                ts, end, bl = self._claim_route(js, i, avail, tau, pools)
+                w = ts - avail
+                if w > 0.0:
+                    wait += w
+                    n_waited += 1
+                    if w > worst:
+                        worst = w
+                        block = bl
+            else:
+                end = avail + tau
+            if end > r:
+                r = end
+        js.drain[i] = drain
+        js.streamed[i] = streamed
+        js.link_wait[i] = wait
+        js.link_wait_n[i] = n_waited
+        js.link_block[i] = block
+        return r
 
     # ------------------------------------------------------------------
     # shared-resource claims (cross-job area ledger, link slots, energy)
@@ -712,15 +739,10 @@ class RuntimeEngine:
         picks: List[Tuple[int, int, int]] = []
         for pi, li in pools:
             avail = self._link_pools[pi]
-            best = 0
-            earliest = avail[0]
-            for k in range(1, len(avail)):
-                if avail[k] < earliest:
-                    earliest = avail[k]
-                    best = k
+            best = min(range(len(avail)), key=avail.__getitem__)
             picks.append((pi, best, li))
-            if earliest > ts:
-                ts = earliest
+            if avail[best] > ts:
+                ts = avail[best]
                 blocking = li
         end = ts + dur
         claims = js.link_claims[i]
@@ -728,72 +750,6 @@ class RuntimeEngine:
             self._link_pools[pi][best] = end
             claims.append((pi, best, end))
         return ts, end, blocking
-
-    def _claim_links(self, js: _JobState, i: int, d: int) -> float:
-        """Queue task ``i``'s input transfers on their routes' slot pools.
-
-        Recomputes the task's ready time with every cross-device transfer
-        (initial host→device staging first, then predecessor edges in
-        model order) claiming the earliest-free slots FIFO in commitment
-        order: a transfer starts at ``max(data available, route free)``.
-        Same-device and zero-duration transfers — and routes through
-        only-unlimited links — bypass the slot pools.  Also refreshes
-        drain/streamed exactly like the uncontended path, and records
-        which link blocked the longest (for the ``LinkWait`` event).
-        """
-        model = js.model
-        route_pools = self._route_pools
-        js.link_claims[i].clear()
-        wait = 0.0
-        n_waited = 0
-        worst = 0.0
-        block = -1
-        r = js.arrival
-        t0 = model._initial[i][d] * js.init_f[i]
-        if t0 > 0.0:
-            pools = route_pools[0][d]
-            if pools:
-                ts, end, bl = self._claim_route(js, i, js.arrival, t0, pools)
-                w = ts - js.arrival
-                wait += w
-                n_waited += ts > js.arrival
-                if w > worst:
-                    worst = w
-                    block = bl
-                r = end
-            else:
-                r = js.arrival + t0
-        drain = 0.0
-        streamed = False
-        for k, (p, row) in enumerate(model._pred[i]):
-            dp = js.mapping[p]
-            if dp == d and self._streaming[d]:
-                contrib = js.start[p] + js.fill_actual[p]
-                streamed = True
-                if js.finish[p] > drain:
-                    drain = js.finish[p]
-            else:
-                tau = row[dp][d] * js.trans_f[i][k]
-                pools = route_pools[dp][d] if dp != d else ()
-                if pools and tau > 0.0:
-                    fp = js.finish[p]
-                    ts, contrib, bl = self._claim_route(js, i, fp, tau, pools)
-                    w = ts - fp
-                    wait += w
-                    n_waited += ts > fp
-                    if w > worst:
-                        worst = w
-                        block = bl
-                else:
-                    contrib = js.finish[p] + tau
-            if contrib > r:
-                r = contrib
-        js.drain[i] = drain
-        js.streamed[i] = streamed
-        js.link_wait[i] = wait
-        js.link_wait_n[i] = n_waited
-        js.link_block[i] = block
-        return r
 
     def _claim_area(
         self, js: _JobState, i: int, d: int, st0: float, exec_t: float
@@ -1049,12 +1005,12 @@ class RuntimeEngine:
             for i in range(js.model.n):
                 if not js.committed[i] or js.done[i]:
                     continue
-                if js.start[i] >= t:
-                    js.committed[i] = False
-                    js.gen[i] += 1
-                elif failed is not None and js.mapping[i] == failed:
-                    js.committed[i] = False
-                    js.gen[i] += 1
+                running = js.start[i] < t
+                if running and js.mapping[i] != failed:
+                    continue
+                js.committed[i] = False
+                js.gen[i] += 1
+                if running:
                     js.state[i] = _RELEASED
                     js.n_killed += 1
                     partial = t - js.start[i]
@@ -1083,130 +1039,114 @@ class RuntimeEngine:
             self._emit(ev.FallbackDead(t, fallback, failed))
             fallback = None
         if failed is not None or slowed is not None:
-            policy = self.replan_policy
             for js in self._jobs:
                 movable = [
                     i for i in range(js.model.n)
                     if not js.done[i] and not js.committed[i]
                 ]
-                if slowed is not None and failed is None and not any(
+                if failed is None and not any(
                     js.mapping[i] == slowed for i in movable
                 ):
                     continue  # the slowdown cannot affect this job's plan
-                proposal = None
-                if policy is not None and movable:
-                    proposal = policy.propose(ReplanContext(
-                        graph=js.model.graph,
-                        platform=self.platform,
-                        alive=tuple(self._alive),
-                        mapping=tuple(js.mapping),
-                        movable=tuple(movable),
-                        failed=failed,
-                        fallback=fallback,
-                        slowed=slowed,
-                        speed=tuple(self._speed),
-                    ))
-                if proposal is None:
-                    if failed is None:
-                        continue  # slowdown-only: nothing is stranded
-                    stranded = [
-                        i for i in movable if js.mapping[i] == failed
-                    ]
-                    targets = self._remap_tasks(js, stranded, fallback)
-                else:
-                    targets = self._remap_tasks(
-                        js, movable, fallback, desired=proposal
-                    )
-                for i, target in targets.items():
-                    old = js.mapping[i]
-                    if target == old:
-                        continue
-                    js.mapping[i] = target
-                    # any logged TaskReady named the old device; re-announce
-                    # readiness on the device the task will actually run on
-                    js.state[i] = _RELEASED
-                    js.n_remapped += 1
-                    self._emit(ev.TaskRemapped(
-                        t, js.name, js.model.tasks[i], old, target
-                    ))
+                self._reroute(
+                    js, movable, failed=failed, fallback=fallback,
+                    slowed=slowed,
+                )
 
-        # 3) rebuild the planning frontier of every uncommitted task
+        # 3) rebuild in one pass, job by job: uncommitted tasks recount
+        #    their unknown predecessors (ready times are pulled afresh when
+        #    they recommit) and rejoin the device queues in priority order;
+        #    committed tasks restore slot availability, link slots (a done
+        #    task's result transfer may outlive it) and the area ledger
+        #    (unfinished ones only).  Then the cascade replans.
+        m = self.platform.n_devices
+        queues: List[List[Tuple[int, int]]] = [[] for _ in range(m)]
+        avail = [[0.0] * len(slots) for slots in self._avail]
+        pools = self._link_pools
+        if pools is not None:
+            pools = [[0.0] * len(pool) for pool in pools]
+        claims: Dict[int, List[Tuple[float, float, float]]] = {
+            d: [] for d in self._area_caps
+        }
         for js in self._jobs:
-            model = js.model
-            for i in range(model.n):
-                if js.committed[i]:
+            committed = js.committed
+            preds = js.model._pred
+            for i in js.order:
+                if not committed[i]:
+                    js.unknown[i] = sum(
+                        1 for p, _row in preds[i] if not committed[p]
+                    )
+                    queues[js.mapping[i]].append((js.idx, i))
+            area = js.model._area
+            for i in range(js.model.n):
+                if not committed[i]:
                     continue
                 d = js.mapping[i]
-                rv = js.input_ready(i)
-                drain = 0.0
-                streamed = False
-                unknown = 0
-                for k, (p, row) in enumerate(model._pred[i]):
-                    if not js.committed[p]:
-                        unknown += 1
-                        continue
-                    dp = js.mapping[p]
-                    if dp == d and self._streaming[d]:
-                        contrib = js.start[p] + js.fill_actual[p]
-                        streamed = True
-                        if js.finish[p] > drain:
-                            drain = js.finish[p]
-                    else:
-                        contrib = js.finish[p] + row[dp][d] * js.trans_f[i][k]
-                    if contrib > rv:
-                        rv = contrib
-                js.ready_val[i] = rv
-                js.drain[i] = drain
-                js.streamed[i] = streamed
-                js.unknown[i] = unknown
-
-        # 4) rebuild device queues and slot availability, then replan
-        m = self.platform.n_devices
-        self._queues = [[] for _ in range(m)]
+                slot = js.slot[i]
+                if slot >= 0 and js.finish[i] > avail[d][slot]:
+                    avail[d][slot] = js.finish[i]
+                for pool, slot, end in js.link_claims[i]:
+                    if end > pools[pool][slot]:
+                        pools[pool][slot] = end
+                if not js.done[i] and d in claims and area[i] > 0.0:
+                    claims[d].append(
+                        (js.start[i], js.finish[i], float(area[i]))
+                    )
+        self._queues = queues
         self._heads = [0] * m
-        for js in self._jobs:
-            for i in js.order:
-                if not js.committed[i]:
-                    self._queues[js.mapping[i]].append((js.idx, i))
-        for d in range(m):
-            if not self._serializes[d]:
-                continue
-            avail = [0.0] * len(self._avail[d])
-            for js in self._jobs:
-                for i in range(js.model.n):
-                    if js.committed[i] and js.mapping[i] == d and js.slot[i] >= 0:
-                        if js.finish[i] > avail[js.slot[i]]:
-                            avail[js.slot[i]] = js.finish[i]
-            self._avail[d] = avail
-        # shared-resource state follows the same rebuild discipline: link
-        # slots stay busy for transfers of still-committed work (a done
-        # task's result transfer may outlive it); rolled-back tasks'
-        # claims evaporate and are re-queued when they recommit.  The
-        # area ledger keeps the claims of committed, unfinished tasks.
-        if self._link_pools is not None:
-            link_pools = [[0.0] * len(pool) for pool in self._link_pools]
-            for js in self._jobs:
-                for i in range(js.model.n):
-                    if js.committed[i]:
-                        for pool, s, end in js.link_claims[i]:
-                            if end > link_pools[pool][s]:
-                                link_pools[pool][s] = end
-            self._link_pools = link_pools
-        if self._area_claims:
-            claims: Dict[int, List[Tuple[float, float, float]]] = {
-                d: [] for d in self._area_caps
-            }
-            for js in self._jobs:
-                area = js.model._area
-                for i in range(js.model.n):
-                    if js.committed[i] and not js.done[i]:
-                        d = js.mapping[i]
-                        if d in claims and area[i] > 0.0:
-                            claims[d].append(
-                                (js.start[i], js.finish[i], float(area[i]))
-                            )
-            self._area_claims = claims
+        self._avail = avail
+        self._link_pools = pools
+        self._area_claims = claims
         self._cascade()
+
+    def _reroute(
+        self,
+        js: _JobState,
+        movable: List[int],
+        *,
+        failed: Optional[int] = None,
+        fallback: Optional[int] = None,
+        slowed: Optional[int] = None,
+        area_in_use: Tuple[Tuple[int, float], ...] = (),
+    ) -> None:
+        """Move ``js``'s ``movable`` tasks to new devices and log each move.
+
+        A replan policy's proposal is validated by :meth:`_remap_tasks`;
+        without a policy, or when it declines, only stranded tasks (movable
+        ones on a dead device) move.  A moved task is rewound to released,
+        so its readiness is re-announced on its new device.
+        """
+        proposal = None
+        if self.replan_policy is not None and movable:
+            proposal = self.replan_policy.propose(ReplanContext(
+                graph=js.model.graph,
+                platform=self.platform,
+                alive=tuple(self._alive),
+                mapping=tuple(js.mapping),
+                movable=tuple(movable),
+                failed=failed,
+                fallback=fallback,
+                slowed=slowed,
+                speed=tuple(self._speed),
+                area_in_use=area_in_use,
+            ))
+        if proposal is None:
+            stranded = [i for i in movable if not self._alive[js.mapping[i]]]
+            targets = self._remap_tasks(js, stranded, fallback)
+        else:
+            targets = self._remap_tasks(
+                js, movable, fallback, desired=proposal
+            )
+        for i, target in targets.items():
+            old = js.mapping[i]
+            if target == old:
+                continue
+            js.mapping[i] = target
+            js.state[i] = _RELEASED
+            js.n_remapped += 1
+            self._emit(ev.TaskRemapped(
+                self._now, js.name, js.model.tasks[i], old, target
+            ))
 
     # ------------------------------------------------------------------
     def _build_trace(self) -> RuntimeTrace:

@@ -66,7 +66,6 @@ class TestMinMaxMin:
         ev = make_evaluator(g, platform)
         res = factory().map(ev, rng=rng)
         assert ev.is_feasible(res.mapping)
-        assert res.stats["waves"] == 25  # one commit per wave
 
     @pytest.mark.parametrize("factory", [MinMinMapper, MaxMinMapper])
     def test_deterministic(self, platform, rng, factory):
