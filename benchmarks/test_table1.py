@@ -6,7 +6,9 @@ checks the per-family signatures the paper reports:
 
 - ``seismology`` (and ``bwa``): no significant acceleration for anyone,
 - decomposition matches or beats HEFT on every family,
-- the GA is the most expensive algorithm on every family.
+- the GA is the most expensive algorithm on every family, counted in
+  model evaluations (a count, so the check does not depend on host
+  load the way the ``total_time_s`` column does).
 """
 
 from repro.experiments import EXPERIMENTS, bench_scale, write_csv
@@ -22,10 +24,10 @@ def test_table1_regenerate(benchmark):
     write_csv(result)
 
     for family in result.families():
-        tot = result.total_time_s[family]
-        others = [tot[a] for a in result.algorithms if a != "NSGAII"]
-        assert tot["NSGAII"] >= max(others), (
-            f"GA should be the slowest on {family}"
+        evals = result.total_evaluations[family]
+        others = [evals[a] for a in result.algorithms if a != "NSGAII"]
+        assert evals["NSGAII"] > max(others), (
+            f"GA should need the most evaluations on {family}"
         )
     # across families, decomposition must be competitive with HEFT on
     # average (per-family winners vary with the substitute cost model:

@@ -20,8 +20,8 @@ compiler and loads it via :mod:`ctypes`:
 Set ``REPRO_PURE_PYTHON=1`` to force the Python kernel (used by the
 test-suite to cover both paths).
 
-Every entry runs the one loop body ``span_core``; the four entry
-points (see the C source below for contracts) are:
+The six entry points (see the C source below for contracts) are listed
+here; all but the last run the one loop body ``span_core``:
 
 - ``repro_span``       — full scratch simulation into caller buffers;
 - ``repro_span_batch_dedup`` — lane loop over a whole ``(B, n)``
@@ -35,7 +35,19 @@ points (see the C source below for contracts) are:
   costs O(affected suffix) instead of O(V + E) (the tabu/annealing
   accept path); from position 0 it is the full rebuild;
 - ``repro_eval_move``  — suffix-only re-simulation of one candidate
-  move against the snapshotted base, with bound-abort.
+  move against the snapshotted base, with bound-abort;
+- ``repro_span_min``   — the reported makespan (paper Sec. IV-A): one
+  mapping over all ``K`` rows of a schedule suite in one call, each walk
+  bounded by the best makespan so far (the minimum stays exact);
+- ``repro_random_orders`` — the schedule suite's ``K`` random Kahn walks
+  over successor CSR arrays, drawing through the caller's numpy bit
+  generator exactly as ``Generator.integers`` does (see
+  :mod:`repro.evaluation.schedules` for the draw-stream contract).
+
+The Python wrappers of the last two (:meth:`CKernel.span_min`,
+:meth:`CKernel.random_orders`) check the shape, dtype and C-contiguity
+of every caller buffer, and the range of every index the C side reads
+through, before the call.
 """
 
 from __future__ import annotations
@@ -47,6 +59,8 @@ import subprocess
 import sys
 import tempfile
 from typing import Optional
+
+import numpy as np
 
 __all__ = ["CKernel", "ReproCtx", "ReproDelta", "load_ckernel"]
 
@@ -245,6 +259,97 @@ double repro_eval_move(const ReproCtx *c, const ReproDelta *d,
     for (int64_t s = 0; s < sub_len; s++) mp[sub[s]] = old[s];
     return ms;
 }
+
+/* The reported makespan (paper Sec. IV-A): the minimum over the k rows
+ * of orders (k*n).  Every walk after the first gets the best makespan
+ * so far as its bound, so it stops once it cannot beat the current
+ * minimum; max is monotone, so the minimum stays exact.  INFINITY for
+ * k == 0. */
+double repro_span_min(const ReproCtx *c, const int64_t *mapping,
+                      const int64_t *orders, int64_t k,
+                      double *start, double *finish, double *avail)
+{
+    double best = INFINITY;
+    for (int64_t r = 0; r < k; r++) {
+        for (int64_t i = 0; i < c->n; i++) { start[i] = 0.0; finish[i] = 0.0; }
+        for (int64_t s = 0; s < c->n_slots; s++) avail[s] = 0.0;
+        const double ms = span_core(c, mapping, orders + r * c->n,
+                                    (const int64_t *)0, 0,
+                                    (const double *)0, (const double *)0,
+                                    start, finish, avail,
+                                    (double *)0, (double *)0, 0.0, 1, best);
+        if (ms < best) best = ms;
+    }
+    return best;
+}
+
+/* numpy's bitgen_t (numpy/random/bitgen.h), the struct behind
+ * Generator.bit_generator.ctypes.bit_generator. */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} ReproBitGen;
+
+/* Generator.integers(rng + 1) for 0 < rng < 2^32 - 1: numpy's 32-bit
+ * Lemire method with its rejection loop (buffered_bounded_lemire_uint32
+ * in numpy/random/src/distributions/distributions.c), so the value and
+ * the number of 32-bit draws both match numpy. */
+static uint32_t lemire_u32(ReproBitGen *bg, uint32_t rng)
+{
+    const uint32_t rng_excl = rng + 1;
+    uint64_t m = (uint64_t)bg->next_uint32(bg->state) * rng_excl;
+    uint32_t leftover = (uint32_t)(m & 0xFFFFFFFFULL);
+    if (leftover < rng_excl) {
+        const uint32_t threshold = (UINT32_MAX - rng) % rng_excl;
+        while (leftover < threshold) {
+            m = (uint64_t)bg->next_uint32(bg->state) * rng_excl;
+            leftover = (uint32_t)(m & 0xFFFFFFFFULL);
+        }
+    }
+    return (uint32_t)(m >> 32);
+}
+
+/* k random schedule orders into the rows of out (k*n): the Kahn walk of
+ * the Python suite builder (repro.evaluation.schedules, one walk per
+ * row, same draws).  The ready list starts with
+ * the sources in task order; each step draws pos = integers(n_ready)
+ * (no draw when one task is ready), swaps ready[pos] with the last
+ * entry, pops it, and appends the successors (succ_ptr/succ_dst CSR, in
+ * successor order) whose in-degree drops to zero.  ready and indeg are
+ * n-long workspaces; n < 2^32.  Returns the number of positions filled,
+ * k*n unless the graph has a cycle. */
+int64_t repro_random_orders(const int64_t *succ_ptr, const int64_t *succ_dst,
+                            const int64_t *indeg0, int64_t n, int64_t k,
+                            ReproBitGen *bg, int64_t *out,
+                            int64_t *ready, int64_t *indeg)
+{
+    int64_t filled = 0;
+    for (int64_t r = 0; r < k; r++) {
+        int64_t *row = out + r * n;
+        int64_t n_ready = 0, len = 0;
+        for (int64_t i = 0; i < n; i++) {
+            indeg[i] = indeg0[i];
+            if (indeg0[i] == 0) ready[n_ready++] = i;
+        }
+        while (n_ready > 0) {
+            const int64_t pos = n_ready > 1
+                ? (int64_t)lemire_u32(bg, (uint32_t)(n_ready - 1)) : 0;
+            const int64_t t = ready[pos];
+            ready[pos] = ready[n_ready - 1];
+            n_ready--;
+            row[len++] = t;
+            for (int64_t e = succ_ptr[t]; e < succ_ptr[t + 1]; e++) {
+                const int64_t s = succ_dst[e];
+                if (--indeg[s] == 0) ready[n_ready++] = s;
+            }
+        }
+        filled += len;
+    }
+    return filled;
+}
 """
 
 _P = ctypes.POINTER
@@ -285,6 +390,19 @@ class ReproDelta(ctypes.Structure):
         ("avail_ws", _f64),
         ("old_ws", _i64),
     ]
+
+
+def _require(arr, dtype, shape, name) -> None:
+    """Raise :class:`ValueError` unless ``arr`` is a C-contiguous numpy
+    array of ``dtype`` and ``shape`` (the C entries trust both)."""
+    if not (isinstance(arr, np.ndarray) and arr.dtype == dtype
+            and arr.shape == shape and arr.flags.c_contiguous):
+        got = (f"{arr.dtype} {arr.shape}" if isinstance(arr, np.ndarray)
+               else type(arr).__name__)
+        raise ValueError(
+            f"{name}: expected a C-contiguous {np.dtype(dtype)} array of "
+            f"shape {shape}, got {got}"
+        )
 
 
 def _ptr(arr, typ):
@@ -328,6 +446,75 @@ class CKernel:
             ctypes.c_int64,
             ctypes.c_double,
         ]
+        lib.repro_span_min.restype = ctypes.c_double
+        lib.repro_span_min.argtypes = [vp, vp, vp, ctypes.c_int64, vp, vp, vp]
+        lib.repro_random_orders.restype = ctypes.c_int64
+        lib.repro_random_orders.argtypes = [
+            vp,
+            vp,
+            vp,
+            ctypes.c_int64,
+            ctypes.c_int64,
+            vp,
+            vp,
+            vp,
+            vp,
+        ]
+
+    # ------------------------------------------------------------------
+    def span_min(self, ctx, mapping, orders, start, finish, avail) -> float:
+        """Minimum makespan of ``mapping`` over the rows of ``orders``
+        (``repro_span_min``); ``start``/``finish``/``avail`` are
+        workspaces.  Every buffer and the device and task indices are
+        checked before the call, because the C side indexes with them
+        unchecked."""
+        n = ctx.n
+        _require(mapping, np.int64, (n,), "mapping")
+        _require(orders, np.int64, (len(orders), n), "orders")
+        _require(start, np.float64, (n,), "start")
+        _require(finish, np.float64, (n,), "finish")
+        _require(avail, np.float64, (max(1, ctx.n_slots),), "avail")
+        if n and (mapping.min() < 0 or mapping.max() >= ctx.m):
+            raise ValueError(f"mapping: device index outside [0, {ctx.m})")
+        if orders.size and (orders.min() < 0 or orders.max() >= n):
+            raise ValueError(f"orders: task index outside [0, {n})")
+        return self.lib.repro_span_min(
+            ctypes.byref(ctx), mapping.ctypes.data, orders.ctypes.data,
+            len(orders), start.ctypes.data, finish.ctypes.data,
+            avail.ctypes.data,
+        )
+
+    def random_orders(self, succ_ptr, succ_dst, indeg, k, rng):
+        """``k`` random topological orders as one ``(k, n)`` int64 array
+        (``repro_random_orders``), drawn through ``rng``'s bit generator
+        with its lock held: the orders and the generator's state
+        afterwards equal ``k`` calls of the Python walk.  Raises
+        :class:`ValueError` when the CSR arrays are malformed or the graph
+        has a cycle."""
+        n = len(indeg)
+        _require(indeg, np.int64, (n,), "indeg")
+        _require(succ_ptr, np.int64, (n + 1,), "succ_ptr")
+        _require(succ_dst, np.int64, (len(succ_dst),), "succ_dst")
+        if n >= 1 << 32:
+            raise ValueError(f"random_orders: {n} tasks, at most 2**32 - 1")
+        if (succ_ptr[0] != 0 or succ_ptr[n] != len(succ_dst)
+                or (np.diff(succ_ptr) < 0).any()
+                or (len(succ_dst) and (succ_dst.min() < 0
+                                       or succ_dst.max() >= n))):
+            raise ValueError("random_orders: malformed successor CSR")
+        out = np.empty((k, n), dtype=np.int64)
+        ready = np.empty(n, dtype=np.int64)
+        work = np.empty(n, dtype=np.int64)
+        bitgen = rng.bit_generator
+        with bitgen.lock:
+            filled = self.lib.repro_random_orders(
+                succ_ptr.ctypes.data, succ_dst.ctypes.data, indeg.ctypes.data,
+                n, k, bitgen.ctypes.bit_generator, out.ctypes.data,
+                ready.ctypes.data, work.ctypes.data,
+            )
+        if filled != k * n:
+            raise ValueError("random_orders: the graph has a cycle")
+        return out
 
     # ------------------------------------------------------------------
     def make_delta(

@@ -36,11 +36,13 @@ Evaluation architecture — one specification, one loop body per kernel:
 - the tables are flattened once into a :class:`repro.evaluation.kernel.FlatModel`
   (CSR predecessor offsets, per-edge ``m*m`` transfer rows, contiguous
   ``float64`` exec/fill/initial/final).  With the compiled kernel loaded
-  every entry goes to its C function, all four on the one C loop
+  every entry goes to its C function, all on the one C loop
   ``span_core``; otherwise every entry runs the one pure-Python loop
   :func:`repro.evaluation.kernel.simulate_span`;
-- :meth:`simulate` is one scratch pass (construction makespan, the
-  101-schedule reported suite);
+- :meth:`simulate` is one scratch pass (construction makespan);
+- :meth:`simulate_min` is the 101-schedule reported suite: one C call
+  (``repro_span_min``) over the suite's ``(K, n)`` order array, or a
+  loop of scratch spans, each bounded by the best makespan so far;
 - :meth:`simulate_many` scores a ``(P, n)`` population (NSGA-II, Pareto
   NSGA-II) and is the one place that decides genome dedup:
   vectorized, guard-banded area feasibility over all rows, then the C
@@ -82,7 +84,7 @@ from ..obs import metrics as _metrics
 from ..platform.platform import Platform
 from ..platform.taskmodel import exec_time_table
 from ._ckernel import load_ckernel
-from .kernel import DEDUP_TABLE_FACTOR, FlatModel, simulate_flat
+from .kernel import DEDUP_TABLE_FACTOR, FlatModel, simulate_flat, simulate_span
 
 __all__ = ["CostModel", "INFEASIBLE", "AREA_TOL", "area_guard_band"]
 
@@ -484,6 +486,46 @@ class CostModel:
         else:
             mapping = list(mapping)
         return simulate_flat(self.flat, mapping, order, contention=contention)
+
+    def simulate_min(self, mapping: Sequence[int], orders: np.ndarray) -> float:
+        """Minimum makespan of ``mapping`` over the rows of a ``(K, n)``
+        int64 ``orders`` array (the reported makespan over a
+        :class:`~repro.evaluation.schedules.ScheduleSuite`).
+
+        Returns :data:`INFEASIBLE` if an area budget is violated, else
+        counts ``K`` full simulations.  Each schedule after the first runs
+        with the best makespan so far as its bound and stops once it
+        cannot beat it, so the minimum is exact: bit-identical to the
+        minimum of :meth:`simulate` over the rows.  One
+        ``repro_span_min`` call on the C kernel; on the pure-Python
+        kernel a loop of :func:`~repro.evaluation.kernel.simulate_span`
+        with the running minimum as ``bound``.
+        """
+        if not self.is_feasible(mapping):
+            return INFEASIBLE
+        self.n_simulations += len(orders)
+        if self._ck is not None:
+            return self._ck.span_min(
+                self._ck_ctx,
+                np.ascontiguousarray(mapping, dtype=np.int64),
+                orders,
+                self._ws_start,
+                self._ws_finish,
+                self._ws_avail,
+            )
+        flat = self.flat
+        mapping = (
+            mapping.tolist() if isinstance(mapping, np.ndarray) else list(mapping)
+        )
+        best = INFEASIBLE
+        for order in orders.tolist():
+            ms = simulate_span(
+                flat, mapping, order, 0, [0.0] * self.n, [0.0] * self.n,
+                flat.fresh_avail(), 0.0, bound=best,
+            )
+            if ms < best:
+                best = ms
+        return best
 
     def _simulate_reference(
         self,

@@ -34,7 +34,7 @@ import numpy as np
 
 from ..graphs.taskgraph import TaskGraph
 from ..platform.platform import Platform
-from .costmodel import INFEASIBLE, CostModel
+from .costmodel import CostModel
 from .schedules import ScheduleSuite
 
 __all__ = ["MappingEvaluator"]
@@ -145,14 +145,7 @@ class MappingEvaluator:
 
     def reported_makespan(self, mapping: Sequence[int]) -> float:
         """Minimum makespan over the full schedule suite (paper Sec. IV-A)."""
-        if not self.model.is_feasible(mapping):
-            return INFEASIBLE
-        best = INFEASIBLE
-        for order in self.suite.orders:
-            ms = self.model.simulate(mapping, order, check_feasibility=False)
-            if ms < best:
-                best = ms
-        return best
+        return self.model.simulate_min(mapping, self.suite.orders)
 
     # ------------------------------------------------------------------
     @property

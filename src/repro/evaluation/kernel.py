@@ -27,7 +27,9 @@ an incremental suffix re-simulation (:mod:`repro.evaluation.delta`) is a
 span from the first position a move touches; the delta evaluator's
 base rebuild is a span handed the two recording buffers (slot vector
 and running makespan before each position); a population is a loop of
-scratch spans over its distinct rows.  Scratch, delta and rebuild thus
+scratch spans over its distinct rows; the reported makespan
+(``CostModel.simulate_min``) is a loop of scratch spans over a schedule
+suite, each bounded by the best makespan so far.  Scratch, delta and rebuild thus
 run literally the same statements, as do the C kernel's entries on its
 one ``span_core``.
 

@@ -77,18 +77,22 @@ def _param_worker(item) -> Dict[str, tuple]:
     for mapper, rng in zip(mappers, mapper_rngs):
         res = mapper.map(evaluator, rng=rng)
         out[mapper.name] = (
-            evaluator.relative_improvement(res.mapping), res.elapsed_s
+            evaluator.relative_improvement(res.mapping), res.elapsed_s,
+            res.n_evaluations,
         )
     return out
 
 
 @dataclass
 class Table1Result:
-    """Per-family improvement means and summed execution times."""
+    """Per-family improvement means, summed execution times and summed
+    model-evaluation counts (``total_evaluations`` is not a CSV column;
+    unlike the times it depends only on code, seed and scale)."""
 
     algorithms: List[str]
     improvement: Dict[str, Dict[str, float]] = field(default_factory=dict)
     total_time_s: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    total_evaluations: Dict[str, Dict[str, int]] = field(default_factory=dict)
 
     csv_name = "table1.csv"
     csv_header = ("family", "algorithm", "improvement", "total_time_s")
@@ -148,12 +152,14 @@ def run(
     for family in sorted(sizes):
         imps: Dict[str, List[float]] = {n: [] for n in names}
         per_graph_time: Dict[str, List[float]] = {n: [] for n in names}
+        evals: Dict[str, int] = {n: 0 for n in names}
         for size in sizes[family]:
             times_this_graph: Dict[str, List[float]] = {n: [] for n in names}
             for _ in range(cfg.table1_parameterizations):
-                for name, (imp, elapsed) in next(it).items():
+                for name, (imp, elapsed, n_evals) in next(it).items():
                     imps[name].append(imp)
                     times_this_graph[name].append(elapsed)
+                    evals[name] += n_evals
             for name, times in times_this_graph.items():
                 per_graph_time[name].append(float(np.mean(times)))
             if progress is not None:
@@ -164,6 +170,7 @@ def run(
         result.total_time_s[family] = {
             k: float(np.sum(v)) for k, v in per_graph_time.items()
         }
+        result.total_evaluations[family] = evals
     return result
 
 

@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from ...evaluation.evaluator import MappingEvaluator
 
@@ -111,6 +109,11 @@ class MilpBuilder:
         time_limit_s: Optional[float] = None,
         mip_rel_gap: Optional[float] = None,
     ) -> MilpSolution:
+        # scipy is imported here, on the first solve, so that
+        # ``import repro`` does not pay for loading it
+        import scipy.sparse as sp
+        from scipy.optimize import Bounds, LinearConstraint, milp
+
         c = np.zeros(self._n)
         for col, val in self._obj.items():
             c[col] = val

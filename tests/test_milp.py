@@ -1,5 +1,8 @@
 """Tests for the MILP infrastructure and the three MILP mappers."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,12 @@ from repro.mappers import WgdpDeviceMapper, WgdpTimeMapper, ZhouLiuMapper
 from repro.mappers.milp import MilpBuilder, MilpProblemData
 from repro.platform import paper_platform
 from tests.conftest import make_evaluator
+
+
+def test_import_does_not_load_scipy():
+    """scipy is loaded on the first MILP solve, not by ``import repro``."""
+    code = "import sys, repro; assert 'scipy.optimize' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 class TestMilpBuilder:

@@ -161,8 +161,9 @@ class TestSerialParallelEquivalence:
         assert a.getvalue() == b.getvalue()
 
     def test_table1_rows_identical_modulo_wallclock(self, tiny_scale):
-        """Improvement columns are seed-derived and must match exactly;
-        total_time_s is wall-clock and exempt from the invariant."""
+        """Improvement columns and evaluation counts are seed-derived and
+        must match exactly; total_time_s is wall-clock and exempt from the
+        invariant."""
         serial = table1.run(
             scale=tiny_scale, seed=10, families=["montage"], workers=1
         )
@@ -171,6 +172,7 @@ class TestSerialParallelEquivalence:
         )
         assert serial.algorithms == pooled.algorithms
         assert serial.improvement == pooled.improvement
+        assert serial.total_evaluations == pooled.total_evaluations
 
     def test_run_point_identical(self):
         platform = paper_platform()
