@@ -17,7 +17,11 @@ any change to an evaluation path that moves a single float, rng draw or
 counter shows up here.  The six list schedulers (HEFT, PEFT, CPOP,
 min-min, max-min, lookahead HEFT) were pinned later, while each still
 carried its own copy of the EFT rule, before they moved onto the shared
-list-scheduling core of :mod:`repro.mappers.heft`.
+list-scheduling core of :mod:`repro.mappers.heft`.  The two
+:class:`~repro.mappers.multiobjective.EnergyAwareDecompositionMapper`
+cases (weighted makespan/energy objective, ``alpha = 0.5``) were pinned
+while custom objectives still ran on their own copies of the greedy
+loops, before those loops folded into one loop per heuristic.
 
 Re-record only for an intended behaviour change::
 
@@ -45,6 +49,7 @@ from repro.graphs.generators import (
 from repro.mappers import (
     CpopMapper,
     DecompositionMapper,
+    EnergyAwareDecompositionMapper,
     HeftMapper,
     LookaheadHeftMapper,
     MaxMinMapper,
@@ -91,6 +96,13 @@ MAPPERS = {
     "MinMin": MinMinMapper,
     "MaxMin": MaxMinMapper,
     "LAHEFT": LookaheadHeftMapper,
+    # a custom objective: every move is one full _objective call
+    "EnergyAware0.5-SPFirstFit": lambda: EnergyAwareDecompositionMapper(
+        0.5, "series_parallel", "first_fit"
+    ),
+    "EnergyAware0.5-SingleNode": lambda: EnergyAwareDecompositionMapper(
+        0.5, "single_node", "basic"
+    ),
 }
 
 #: the list schedulers: one pass, no search, no rng draw
