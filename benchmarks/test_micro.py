@@ -82,9 +82,9 @@ def test_bench_mapper(benchmark, sp_graph_50, factory):
 
 class _ReferenceMapper(DecompositionMapper):
     """The same greedy search with every move fully re-evaluated on the
-    nested-list reference walk: the pre-kernel evaluation cost, kept as
-    an executable path by the scratch ``_run_basic``/``_run_gamma`` loops
-    that any custom ``_objective`` takes."""
+    nested-list reference walk: the pre-kernel evaluation cost.  A
+    custom ``_objective`` makes the greedy loops score every move with
+    one full call to it instead of the delta evaluator."""
 
     def _objective(self, evaluator, mapping):
         return evaluator.model._simulate_reference(mapping)
@@ -136,7 +136,7 @@ _needs_ckernel = pytest.mark.skipif(
 # bar = 5 * max(1, quiet reference / frozen).  Quiet-spell reference
 # (best over 13 fresh processes): sp_n50 16.40 ms, sn_n50 72.75 ms,
 # sp_n200 253.15 ms, i.e. 5.0x, 5.0x and 5.2x.  sp_n200 is raised to 9x:
-# forcing the fast side onto the scratch loops still reads 4.1-7.5x
+# forcing the fast side onto full re-evaluation still reads 4.1-7.5x
 # there (2.1-2.6x and 1.9-2.6x at n=50), while the delta path reads
 # 12.2-30.5x over ~40 runs.  collect_env(): x86_64, cpu_count 2,
 # CPython 3.11.7, numpy 2.4.6, scipy-openblas 0.3.31, kernel c,

@@ -306,6 +306,18 @@ class CostModel:
         usage = self.area_usage(mapping)
         return all(usage[d] <= self._area_limits[d] + AREA_TOL for d in usage)
 
+    def check_devices(self, mapping: np.ndarray) -> None:
+        """Raise :class:`ValueError` unless every entry of ``mapping`` is
+        a device index in ``[0, m)``.
+
+        Both kernels index their flat tables with the device unchecked:
+        the C kernel would read out of bounds, and a negative index on
+        the pure-Python kernel would silently read a neighbouring row.
+        One min/max per call, at every entry a mapping comes in by.
+        """
+        if mapping.size and (mapping.min() < 0 or mapping.max() >= self.m):
+            raise ValueError(f"mapping: device index outside [0, {self.m})")
+
     def feasible_mask(self, mappings: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`is_feasible` over the rows of ``(P, n)``.
 
@@ -362,6 +374,7 @@ class CostModel:
         P = pop.shape[0]
         if P == 0:
             return np.empty(0)
+        self.check_devices(pop)
         registry = _metrics.get_registry()
         if self._ck is not None:
             feas = self.feasible_mask(pop)
@@ -456,14 +469,15 @@ class CostModel:
         (:func:`repro.evaluation.kernel.simulate_span`); results are
         bit-identical to :meth:`_simulate_reference`.
         """
-        if check_feasibility and not self.is_feasible(mapping):
+        if isinstance(mapping, np.ndarray) and mapping.dtype == np.int64:
+            map_np = np.ascontiguousarray(mapping)
+        else:
+            map_np = np.ascontiguousarray(mapping, dtype=np.int64)
+        self.check_devices(map_np)
+        if check_feasibility and not self.is_feasible(map_np):
             return INFEASIBLE
         self.n_simulations += 1
         if self._ck is not None:
-            if isinstance(mapping, np.ndarray) and mapping.dtype == np.int64:
-                map_np = np.ascontiguousarray(mapping)
-            else:
-                map_np = np.ascontiguousarray(mapping, dtype=np.int64)
             if order is None:
                 order_np = self.bfs_order_np
             elif isinstance(order, np.ndarray) and order.dtype == np.int64:
@@ -481,11 +495,9 @@ class CostModel:
             )
         if order is None:
             order = self.bfs_order
-        if isinstance(mapping, np.ndarray):
-            mapping = mapping.tolist()
-        else:
-            mapping = list(mapping)
-        return simulate_flat(self.flat, mapping, order, contention=contention)
+        return simulate_flat(
+            self.flat, map_np.tolist(), order, contention=contention
+        )
 
     def simulate_min(self, mapping: Sequence[int], orders: np.ndarray) -> float:
         """Minimum makespan of ``mapping`` over the rows of a ``(K, n)``
@@ -514,9 +526,9 @@ class CostModel:
                 self._ws_avail,
             )
         flat = self.flat
-        mapping = (
-            mapping.tolist() if isinstance(mapping, np.ndarray) else list(mapping)
-        )
+        map_np = np.asarray(mapping, dtype=np.int64)
+        self.check_devices(map_np)
+        mapping = map_np.tolist()
         best = INFEASIBLE
         for order in orders.tolist():
             ms = simulate_span(

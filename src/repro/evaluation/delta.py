@@ -214,6 +214,7 @@ class DeltaEvaluator:
     def reset(self, mapping: Sequence[int]) -> float:
         """Set the base mapping (must be feasible) and rebuild snapshots."""
         np_map = np.asarray(mapping, dtype=np.int64)
+        self.model.check_devices(np_map)
         if not self.model.is_feasible(np_map):
             raise ValueError("delta evaluation needs a feasible base mapping")
         np.copyto(self._np_map, np_map)

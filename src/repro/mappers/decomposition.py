@@ -31,16 +31,29 @@ Heuristics (Sec. III-D):
   finds no improvement, every move has just been recomputed under the final
   mapping (the paper's "last iteration recomputes every possible mapping"),
   so termination is exact, not heuristic.
+
+Each heuristic is one loop over a *move scorer*.  The default objective
+(the construction makespan) is scored by
+:class:`~repro.evaluation.delta.DeltaEvaluator`, which re-simulates only
+the suffix from a move's first affected schedule position and returns
+the same float as a full evaluation.  A subclass that overrides
+``_objective`` (e.g.
+:class:`repro.mappers.multiobjective.EnergyAwareDecompositionMapper`) is
+scored by :class:`_ObjectiveMoves`, one full ``_objective`` call per
+move.  A trivial override therefore forces full re-evaluation, which is
+how ``tests/test_kernel_delta.py`` checks that both scorers take the
+same trajectory.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..evaluation.delta import Candidate, DeltaEvaluator
 from ..evaluation.evaluator import MappingEvaluator
+from ..evaluation.kernel import INF
 from ..obs import trace as _trace
 from ..sp.subgraphs import series_parallel_candidates, single_node_candidates
 from .base import Mapper
@@ -147,76 +160,52 @@ class DecompositionMapper(Mapper):
         mapping = evaluator.cpu_mapping()
         cap = max(1, int(np.ceil(self.iteration_cap_factor * evaluator.n_tasks)))
 
-        # The incremental (delta) path evaluates moves by re-simulating only
-        # the suffix from each move's first affected schedule position —
-        # bit-identical results, O(affected suffix) per move.  It applies
-        # whenever the objective is the plain construction makespan (the
-        # default); subclasses with a custom ``_objective`` (e.g. the
-        # energy-aware mapper) fall back to full trial evaluations.
-        model = getattr(evaluator, "model", None)
-        if type(self)._objective is DecompositionMapper._objective and model is not None:
-            with _trace.span("mapper.construct", "mapper"):
-                delta = DeltaEvaluator(model)
-                prepared = [delta.candidate(sub) for sub in subgraphs]
-                dmoves = [
-                    (cand, d) for cand in prepared for d in range(n_devices)
-                ]
-            with _trace.span("mapper.improve", "mapper"):
-                if self.heuristic == "basic":
-                    mapping, current, iterations = self._run_basic_delta(
-                        delta, mapping, dmoves, cap
-                    )
-                else:
-                    mapping, current, iterations = self._run_gamma_delta(
-                        delta, mapping, dmoves, cap
-                    )
-            n_moves = len(dmoves)
-        else:
-            with _trace.span("mapper.construct", "mapper"):
-                moves: List[Tuple[np.ndarray, int]] = [
-                    (sub, d) for sub in subgraphs for d in range(n_devices)
-                ]
-                current = self._objective(evaluator, mapping)
-            with _trace.span("mapper.improve", "mapper"):
-                if self.heuristic == "basic":
-                    mapping, current, iterations = self._run_basic(
-                        evaluator, mapping, current, moves, cap
-                    )
-                else:
-                    mapping, current, iterations = self._run_gamma(
-                        evaluator, mapping, current, moves, cap
-                    )
-            n_moves = len(moves)
+        with _trace.span("mapper.construct", "mapper"):
+            # only the default objective has a suffix (delta) form
+            if type(self)._objective is DecompositionMapper._objective:
+                scorer = DeltaEvaluator(evaluator.model)
+            else:
+                scorer = _ObjectiveMoves(self, evaluator)
+            prepared = [scorer.candidate(sub) for sub in subgraphs]
+            moves = [(cand, d) for cand in prepared for d in range(n_devices)]
+        with _trace.span("mapper.improve", "mapper"):
+            if self.heuristic == "basic":
+                mapping, current, iterations = self._run_basic(
+                    scorer, mapping, moves, cap
+                )
+            else:
+                mapping, current, iterations = self._run_gamma(
+                    scorer, mapping, moves, cap
+                )
         stats = {
             "iterations": float(iterations),
             "n_candidates": float(len(subgraphs)),
-            "n_moves": float(n_moves),
+            "n_moves": float(len(moves)),
         }
         return mapping, stats
 
     # ------------------------------------------------------------------
-    def _run_basic_delta(
+    def _run_basic(
         self,
-        delta: DeltaEvaluator,
+        scorer: DeltaEvaluator | _ObjectiveMoves,
         mapping: np.ndarray,
         moves: Sequence[Tuple[Candidate, int]],
         cap: int,
     ) -> Tuple[np.ndarray, float, int]:
-        """Basic heuristic on the incremental evaluator.
+        """Basic heuristic: every iteration scores every move.
 
-        Move selection is identical to :meth:`_run_basic`: the evaluator
-        returns bit-identical makespans and move order is preserved (the
-        tie-break is the first strict improvement in move order).  Each
-        move is one suffix evaluation with a bound-abort at the best
-        makespan so far — the abort only short-circuits moves that could
-        not have been selected anyway (the running makespan is a
-        monotone lower bound), so the scan result is exact.
+        The tie-break is the first strict improvement in move order.
+        Each move is scored with a bound at the best value so far; the
+        delta evaluator aborts a suffix once its running makespan
+        reaches it.  The abort only short-circuits moves that could not
+        have been selected anyway (the running makespan is a monotone
+        lower bound), so the scan result is exact.
         """
         iterations = 0
         eps = 1e-12
-        current = delta.reset(mapping)
-        mp = delta.base_list
-        evaluate = delta.evaluate_move
+        current = scorer.reset(mapping)
+        mp = scorer.base_list
+        evaluate = scorer.evaluate_move
         while iterations < cap:
             best_ms = current
             best_move: Optional[Tuple[Candidate, int]] = None
@@ -232,33 +221,34 @@ class DecompositionMapper(Mapper):
                     best_move = (cand, d)
             if best_move is None:
                 break
-            delta.apply_move(best_move[0].members, best_move[1])
+            scorer.apply_move(best_move[0].members, best_move[1])
             current = best_ms
             iterations += 1
-        return delta.mapping, current, iterations
+        return scorer.mapping, current, iterations
 
     # ------------------------------------------------------------------
-    def _run_gamma_delta(
+    def _run_gamma(
         self,
-        delta: DeltaEvaluator,
+        scorer: DeltaEvaluator | _ObjectiveMoves,
         mapping: np.ndarray,
         moves: Sequence[Tuple[Candidate, int]],
         cap: int,
     ) -> Tuple[np.ndarray, float, int]:
-        """Gamma/FirstFit heuristic on the incremental evaluator.
+        """Gamma/FirstFit heuristic.
 
-        Mirrors :meth:`_run_gamma` exactly.  Expectations steer later
-        scan orders, so every evaluated move's gain is exact (no
-        bound-abort): each move is one plain suffix evaluation.
+        Expectations steer later scan orders, so every scored move's
+        gain is exact (no bound).  A no-op move keeps an expectation of
+        zero.
         """
         eps = 1e-12
         n_moves = len(moves)
-        expected = [0.0] * n_moves
-        current = delta.reset(mapping)
-        mp = delta.base_list
-        evaluate = delta.evaluate_move
+        expected = [0.0] * n_moves  # expected improvement per move
+        current = scorer.reset(mapping)
+        mp = scorer.base_list
+        evaluate = scorer.evaluate_move
 
-        # First pass (Sec. III-D): evaluate every move once.
+        # First pass (Sec. III-D: expectations are assigned "after the first
+        # iteration of the algorithm"): evaluate every move once.
         best_gain = 0.0
         best_idx = -1
         for k, (cand, d) in enumerate(moves):
@@ -274,14 +264,19 @@ class DecompositionMapper(Mapper):
                 best_idx = k
         iterations = 0
         if best_idx < 0:
-            return delta.mapping, current, iterations
+            return scorer.mapping, current, iterations
         cand, d = moves[best_idx]
-        delta.apply_move(cand.members, d)
+        scorer.apply_move(cand.members, d)
         current -= best_gain
         iterations += 1
 
         gamma = self.gamma
         while iterations < cap:
+            # One round: scan moves in descending expected improvement
+            # (the paper's priority queue); once an actual improvement b is
+            # found, only look ahead while expected > b / gamma.  A round
+            # that finds nothing has recomputed *every* move under the final
+            # mapping (the paper's exact-termination pass).
             order = np.argsort(
                 -np.asarray(expected), kind="stable"
             ).tolist()
@@ -305,112 +300,54 @@ class DecompositionMapper(Mapper):
             if best_idx < 0:
                 break
             cand, d = moves[best_idx]
-            delta.apply_move(cand.members, d)
+            scorer.apply_move(cand.members, d)
             current -= best_gain
             iterations += 1
-        return delta.mapping, current, iterations
+        return scorer.mapping, current, iterations
 
-    # ------------------------------------------------------------------
-    def _run_basic(
-        self,
-        evaluator: MappingEvaluator,
-        mapping: np.ndarray,
-        current: float,
-        moves: Sequence[Tuple[np.ndarray, int]],
-        cap: int,
-    ) -> Tuple[np.ndarray, float, int]:
-        """Scratch loop: every trial move is a full :meth:`_objective` call.
 
-        It stays as the path for custom objectives (the delta evaluator
-        only knows the construction makespan) and as the reference side
-        of the mapper speed gate in ``benchmarks/test_micro.py``.
-        """
-        iterations = 0
-        eps = 1e-12
-        while iterations < cap:
-            best_ms = current
-            best_move: Optional[Tuple[np.ndarray, int]] = None
-            for sub, d in moves:
-                if np.all(mapping[sub] == d):
-                    continue
-                trial = mapping.copy()
-                trial[sub] = d
-                ms = self._objective(evaluator, trial)
-                if ms < best_ms - eps:
-                    best_ms = ms
-                    best_move = (sub, d)
-            if best_move is None:
-                break
-            mapping[best_move[0]] = best_move[1]
-            current = best_ms
-            iterations += 1
-        return mapping, current, iterations
+class _Subgraph(NamedTuple):
+    """A candidate subgraph as :class:`_ObjectiveMoves` prepares it."""
 
-    # ------------------------------------------------------------------
-    def _run_gamma(
-        self,
-        evaluator: MappingEvaluator,
-        mapping: np.ndarray,
-        current: float,
-        moves: Sequence[Tuple[np.ndarray, int]],
-        cap: int,
-    ) -> Tuple[np.ndarray, float, int]:
-        """Scratch twin of :meth:`_run_gamma_delta`, kept for the same
-        reasons as :meth:`_run_basic`."""
-        eps = 1e-12
-        n_moves = len(moves)
-        expected = [0.0] * n_moves  # expected improvement per move
+    members: List[int]     #: task indices
 
-        def evaluate(k: int) -> float:
-            sub, d = moves[k]
-            if np.all(mapping[sub] == d):
-                return 0.0
-            trial = mapping.copy()
-            trial[sub] = d
-            return current - self._objective(evaluator, trial)
 
-        # First pass (Sec. III-D: expectations are assigned "after the first
-        # iteration of the algorithm"): evaluate every move once.
-        best_gain = 0.0
-        best_idx = -1
-        for k in range(n_moves):
-            gain = evaluate(k)
-            expected[k] = gain
-            if gain > best_gain + eps:
-                best_gain = gain
-                best_idx = k
-        iterations = 0
-        if best_idx < 0:
-            return mapping, current, iterations
-        sub, d = moves[best_idx]
-        mapping[sub] = d
-        current -= best_gain
-        iterations += 1
+class _ObjectiveMoves:
+    """Move scorer for an overridden ``_objective``.
 
-        while iterations < cap:
-            # One round: scan moves in descending expected improvement
-            # (the paper's priority queue); once an actual improvement b is
-            # found, only look ahead while expected > b / gamma.  A round
-            # that finds nothing has recomputed *every* move under the final
-            # mapping (the paper's exact-termination pass).
-            order = sorted(range(n_moves), key=lambda k: -expected[k])
-            best_gain = 0.0
-            best_idx = -1
-            for k in order:
-                if best_gain > eps and expected[k] <= best_gain / self.gamma + eps:
-                    break
-                gain = evaluate(k)
-                expected[k] = gain
-                if gain > best_gain + eps:
-                    best_gain = gain
-                    best_idx = k
-            if best_idx < 0:
-                break
-            sub, d = moves[best_idx]
-            mapping[sub] = d
-            current -= best_gain
-            iterations += 1
-        return mapping, current, iterations
+    Offers the part of :class:`~repro.evaluation.delta.DeltaEvaluator`'s
+    interface that the greedy loops use, and scores every move with one
+    full ``mapper._objective`` call on the moved mapping.  ``bound`` is
+    ignored: an exact value compares the same way.
+    """
+
+    def __init__(self, mapper: DecompositionMapper,
+                 evaluator: MappingEvaluator) -> None:
+        self._mapper = mapper
+        self._evaluator = evaluator
+
+    def candidate(self, sub: np.ndarray) -> _Subgraph:
+        return _Subgraph(sub.tolist())
+
+    def reset(self, mapping: np.ndarray) -> float:
+        self._map = np.array(mapping, dtype=np.int64)
+        self.base_list: List[int] = self._map.tolist()
+        return self._mapper._objective(self._evaluator, self._map)
+
+    def evaluate_move(self, cand: _Subgraph, device: int, *,
+                      bound: float = INF) -> float:
+        trial = self._map.copy()
+        trial[cand.members] = device
+        return self._mapper._objective(self._evaluator, trial)
+
+    def apply_move(self, members: List[int], device: int) -> None:
+        self._map[members] = device
+        for t in members:
+            self.base_list[t] = device
+
+    @property
+    def mapping(self) -> np.ndarray:
+        return self._map.copy()
 
 
 def single_node(**kwargs) -> DecompositionMapper:

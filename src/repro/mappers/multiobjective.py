@@ -19,8 +19,9 @@ work can easily be transferred").  This module carries that out for the
   (baselines = the all-CPU mapping), demonstrating that the greedy
   subgraph-move framework is objective-agnostic: only the full-evaluation
   cost function changes (Sec. III-A).  A custom objective has no suffix
-  form, so it runs the greedy loop's full-evaluation variant
-  (``DecompositionMapper._run_basic`` / ``_run_gamma``).
+  form, so the greedy loops score its moves with one full ``_objective``
+  call each (the ``_ObjectiveMoves`` scorer of
+  :mod:`repro.mappers.decomposition`).
 
 ``examples/energy_tradeoff.py`` sweeps ``alpha`` and plots both mappers'
 fronts side by side.

@@ -18,14 +18,18 @@ results bit-identical to a serial run is simple and strict:
 
 Under these rules ``parallel_map(fn, items, workers=1)`` and
 ``workers=N`` produce the *same floats in the same order*: the serial
-path is a plain in-process loop over the identical items.  The same
+path is an in-process loop over the identical items.  Every call, a
+one-shot call included, dispatches through one
+:class:`~repro.parallel.supervisor.SupervisedPool`, whose serial loop
+is that reference.  The same
 three rules make the fault-tolerance layer free: a retried item reruns
 the same pure function on the same attached seed, and a journalled item
 replays to the same value, so supervision and checkpoint/resume change
 *nothing* about the numbers (see ``README.md`` next to this module).
 
-The pool uses :class:`concurrent.futures.ProcessPoolExecutor`, so worker
-functions must be module-level (picklable by reference).  Wall-clock
+The supervised pool runs on
+:class:`concurrent.futures.ProcessPoolExecutor`, so worker functions
+must be module-level (picklable by reference).  Wall-clock
 fields (mapper ``elapsed_s``) are of course still nondeterministic; the
 equivalence guarantee covers every seed-derived quantity.
 """
@@ -40,7 +44,7 @@ import numpy as np
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 from .faults import FaultPlan, plan_from_env
-from .supervisor import ItemFailedError, RetryPolicy, SupervisedPool
+from .supervisor import RetryPolicy, SupervisedPool
 
 __all__ = ["parallel_map", "resolve_workers", "spawn_seeds"]
 
@@ -124,21 +128,25 @@ def parallel_map(
 ) -> List[R]:
     """Map ``fn`` over ``items``, optionally across worker processes.
 
-    Returns results in item order regardless of completion order.  With
-    ``workers <= 1`` (or a single item) this is a plain serial loop — the
+    Returns results in item order regardless of completion order.  Every
+    call runs through :meth:`SupervisedPool.run
+    <repro.parallel.supervisor.SupervisedPool.run>`; with ``workers <= 1``
+    (or a single pending item) that is its in-process serial loop — the
     reference behaviour the pool path must reproduce bit-identically.
     A failing item is re-raised in the parent as
     :class:`~repro.parallel.supervisor.ItemFailedError` naming the
     (label, item) cell.
 
-    ``executor`` lets a caller that issues many small batches (a sweep
-    with one :func:`parallel_map` per point) reuse one long-lived pool;
-    the caller owns its lifetime.  Passing a
-    :class:`~repro.parallel.supervisor.SupervisedPool` (what the drivers
-    do) adds retries, per-item timeouts and crash recovery; ``policy``
-    requests the same supervision for a one-shot call.  ``chaos`` (or an
-    armed ``REPRO_CHAOS`` environment) injects deterministic faults for
-    rehearsal — see :mod:`repro.parallel.faults`.
+    ``executor`` is a long-lived
+    :class:`~repro.parallel.supervisor.SupervisedPool` that a caller
+    issuing many small batches (a sweep with one :func:`parallel_map`
+    per point) reuses; the caller owns its lifetime and its retry
+    policy.  Without one, the call gets a fresh pool of ``workers``
+    processes under ``policy``, by default one attempt per item and no
+    deadline.  ``chaos`` (or an armed ``REPRO_CHAOS`` environment)
+    injects deterministic faults for rehearsal, and a one-shot call
+    then defaults to a policy sized to outlast them — see
+    :mod:`repro.parallel.faults`.
 
     ``journal`` (a :class:`~repro.parallel.journal.SweepJournal` or a
     scoped view) checkpoints completed items under ``"{label}:{index}"``
@@ -149,15 +157,6 @@ def parallel_map(
     n = len(items)
     if n == 0:
         return []
-    if chaos is None:
-        chaos = plan_from_env()
-    if policy is None and chaos is not None and not isinstance(
-        executor, SupervisedPool
-    ):
-        # an armed chaos plan with no explicit supervision would just
-        # crash the sweep; adopt a policy sized to outlast the plan
-        policy = RetryPolicy.for_chaos(chaos)
-
     # With observability on, every item runs under _observed_call and
     # its spans/metrics are merged back here in submission order (a
     # deterministic structure however the pool schedules).  The wrapped
@@ -202,30 +201,22 @@ def parallel_map(
 
     if pending:
         sub = [payloads[k] for k in pending]
-        eff_workers = min(resolve_workers(workers), len(pending))
-        if isinstance(executor, SupervisedPool):
+        if executor is not None:
             executor.run(call, sub, indices=pending, total=n,
                          label=label, on_result=_complete)
-        elif policy is not None:
-            with SupervisedPool(eff_workers, policy=policy,
-                                chaos=chaos) as sup:
+        else:
+            if chaos is None:
+                chaos = plan_from_env()
+            if policy is None:
+                # a one-shot call fails on the first error, with no
+                # deadline; an armed chaos plan gets a policy sized to
+                # outlast it
+                policy = (RetryPolicy(max_attempts=1) if chaos is None
+                          else RetryPolicy.for_chaos(chaos))
+            workers = min(resolve_workers(workers), len(pending))
+            with SupervisedPool(workers, policy=policy, chaos=chaos) as sup:
                 sup.run(call, sub, indices=pending, total=n,
                         label=label, on_result=_complete)
-        elif eff_workers == 1 and executor is None:
-            for pos, k in enumerate(pending):
-                try:
-                    out = call(sub[pos])
-                except Exception as exc:  # noqa: BLE001 — name the cell
-                    raise ItemFailedError(label, k, n, 1, exc) from exc
-                _complete(pos, out)
-        else:
-            if executor is not None:
-                _pooled_map(executor, call, sub, pending, n, label, _complete)
-            else:
-                from concurrent.futures import ProcessPoolExecutor
-
-                with ProcessPoolExecutor(max_workers=eff_workers) as pool:
-                    _pooled_map(pool, call, sub, pending, n, label, _complete)
 
     if observed:
         _merge_observed(fresh, n, label, anchor)
@@ -248,24 +239,3 @@ def _merge_observed(fresh: dict, n: int, label: str, anchor_ns: int) -> None:
         if registry is not None:
             registry.merge(snapshot)
 
-
-def _pooled_map(pool, call, payloads, pending, n, label, complete) -> None:
-    """Submit all payloads to a bare ``pool``; fail fast on the first error."""
-    from concurrent.futures import FIRST_EXCEPTION, wait
-
-    futures = {
-        pool.submit(call, payload): pos
-        for pos, payload in enumerate(payloads)
-    }
-    waiting = set(futures)
-    while waiting:
-        done, waiting = wait(waiting, return_when=FIRST_EXCEPTION)
-        for fut in done:
-            exc = fut.exception()
-            if exc is not None:
-                for other in waiting:
-                    other.cancel()
-                raise ItemFailedError(
-                    label, pending[futures[fut]], n, 1, exc
-                ) from exc
-            complete(futures[fut], fut.result())

@@ -135,12 +135,15 @@ def _observe_attempts(n: int) -> None:
 class SupervisedPool:
     """A process pool that survives worker crashes, hangs and flakes.
 
-    Drop-in for the ``executor=`` argument of
-    :func:`repro.parallel.parallel_map`; also usable directly via
-    :meth:`run`.  ``workers == 1`` runs in-process with the same retry
-    semantics (minus process-level faults).  Context-managed: the owner
-    creates it once per sweep and every batch reuses the same worker
-    processes until one of them has to be killed.
+    The one dispatch path of :func:`repro.parallel.parallel_map`: a
+    caller passes one as ``executor=``, and a call without one runs on
+    a fresh pool (``RetryPolicy(max_attempts=1)`` unless told otherwise,
+    which fails on the first error with no deadline).  Also usable
+    directly via :meth:`run`.  ``workers == 1`` runs in-process with the
+    same retry semantics (minus process-level faults); that serial loop
+    is the reference the pooled path must reproduce.  Context-managed:
+    the owner creates it once per sweep and every batch reuses the same
+    worker processes until one of them has to be killed.
     """
 
     def __init__(self, workers: int, *,

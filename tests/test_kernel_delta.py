@@ -87,7 +87,7 @@ FAMILIES = ["sp", "almost_sp", "layered", "workflow", "chain"]
 
 
 # ---------------------------------------------------------------------------
-# kernel == legacy reference, bit-identical
+# kernel == reference walk, bit-identical
 # ---------------------------------------------------------------------------
 class TestKernelBitIdentical:
     @pytest.mark.parametrize("use_ckernel", MODES, ids=MODE_IDS)
@@ -262,10 +262,49 @@ class TestDeltaEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# mapper trajectories: delta path == legacy full-evaluation path
+# device indices are range-checked wherever a mapping enters the model
 # ---------------------------------------------------------------------------
-class _LegacyForced(DecompositionMapper):
-    """Overriding ``_objective`` (even trivially) disables the delta path."""
+class TestDeviceRange:
+    """Both kernels index their flat tables with the device unchecked:
+    out of range, the C kernel reads out of bounds and the Python kernel
+    reads a neighbouring row for ``-1``.  Every entry refuses instead."""
+
+    ENTRIES = {
+        "simulate": lambda model, bad: model.simulate(bad),
+        "simulate_many": lambda model, bad: model.simulate_many(
+            np.stack([np.zeros_like(bad), bad])
+        ),
+        "simulate_min": lambda model, bad: model.simulate_min(
+            bad, np.stack([model.bfs_order_np, model.bfs_order_np])
+        ),
+        "delta_reset": lambda model, bad: DeltaEvaluator(model).reset(bad),
+    }
+
+    @pytest.mark.parametrize("use_ckernel", MODES, ids=MODE_IDS)
+    @pytest.mark.parametrize("entry", list(ENTRIES))
+    @pytest.mark.parametrize("where", ["m", "-1"])
+    def test_out_of_range_device_raises(self, entry, where, use_ckernel):
+        g = random_sp_graph(20, np.random.default_rng(0))
+        model = CostModel(g, paper_platform(), use_ckernel=use_ckernel)
+        bad = np.zeros(model.n, dtype=np.int64)
+        bad[7] = model.m if where == "m" else -1
+        with pytest.raises(ValueError, match=r"device index outside \[0, 3\)"):
+            self.ENTRIES[entry](model, bad)
+
+    @pytest.mark.parametrize("use_ckernel", MODES, ids=MODE_IDS)
+    def test_last_device_still_accepted(self, use_ckernel):
+        g = random_sp_graph(20, np.random.default_rng(0))
+        model = CostModel(g, paper_platform(), use_ckernel=use_ckernel)
+        last = [model.m - 1] * model.n
+        assert _same(model.simulate(last), model._simulate_reference(last))
+
+
+# ---------------------------------------------------------------------------
+# mapper trajectories: delta scorer == full re-evaluation of every move
+# ---------------------------------------------------------------------------
+class _FullForced(DecompositionMapper):
+    """Overriding ``_objective`` (even trivially) swaps the delta scorer
+    for one full ``_objective`` call per move."""
 
     def _objective(self, evaluator, mapping):
         return DecompositionMapper._objective(self, evaluator, mapping)
@@ -274,17 +313,17 @@ class _LegacyForced(DecompositionMapper):
 class TestMapperTrajectories:
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**31))
-    def test_first_fit_identical_to_legacy(self, seed):
+    def test_first_fit_identical_to_full_evaluation(self, seed):
         self._check("series_parallel", "first_fit", seed)
 
     @settings(max_examples=6, deadline=None)
     @given(seed=st.integers(0, 2**31))
-    def test_basic_identical_to_legacy(self, seed):
+    def test_basic_identical_to_full_evaluation(self, seed):
         self._check("single_node", "basic", seed)
 
     @settings(max_examples=6, deadline=None)
     @given(seed=st.integers(0, 2**31))
-    def test_gamma_identical_to_legacy(self, seed):
+    def test_gamma_identical_to_full_evaluation(self, seed):
         self._check("series_parallel", "gamma", seed, gamma=2.0)
 
     @staticmethod
@@ -295,12 +334,12 @@ class TestMapperTrajectories:
         fast = DecompositionMapper(strategy, heuristic, **kw).map(
             ev1, rng=np.random.default_rng(seed)
         )
-        legacy = _LegacyForced(strategy, heuristic, **kw).map(
+        full = _FullForced(strategy, heuristic, **kw).map(
             ev2, rng=np.random.default_rng(seed)
         )
-        np.testing.assert_array_equal(fast.mapping, legacy.mapping)
-        assert fast.makespan == legacy.makespan
-        assert fast.stats["iterations"] == legacy.stats["iterations"]
+        np.testing.assert_array_equal(fast.mapping, full.mapping)
+        assert fast.makespan == full.makespan
+        assert fast.stats["iterations"] == full.stats["iterations"]
 
 
 # ---------------------------------------------------------------------------
