@@ -20,8 +20,9 @@ compiler and loads it via :mod:`ctypes`:
 Set ``REPRO_PURE_PYTHON=1`` to force the Python kernel (used by the
 test-suite to cover both paths).
 
-The six entry points (see the C source below for contracts) are listed
-here; all but the last run the one loop body ``span_core``:
+The seven entry points (see the C source below for contracts) are
+listed here; all but ``repro_random_orders`` run the one loop body
+``span_core``:
 
 - ``repro_span``       — full scratch simulation into caller buffers;
 - ``repro_span_batch_dedup`` — lane loop over a whole ``(B, n)``
@@ -36,6 +37,12 @@ here; all but the last run the one loop body ``span_core``:
   accept path); from position 0 it is the full rebuild;
 - ``repro_eval_move``  — suffix-only re-simulation of one candidate
   move against the snapshotted base, with bound-abort;
+- ``repro_scan``       — one whole greedy scan pass of the decomposition
+  mapper (basic or gamma mode): per move the no-op skip, the incremental
+  area check, the counters and a ``repro_eval_move`` call.  A move whose
+  area usage lands inside the guard band returns to Python for the exact
+  recount, and the pass resumes with that decision (see
+  :meth:`repro.evaluation.delta.DeltaEvaluator.scan`);
 - ``repro_span_min``   — the reported makespan (paper Sec. IV-A): one
   mapping over all ``K`` rows of a schedule suite in one call, each walk
   bounded by the best makespan so far (the minimum stays exact);
@@ -44,10 +51,14 @@ here; all but the last run the one loop body ``span_core``:
   generator exactly as ``Generator.integers`` does (see
   :mod:`repro.evaluation.schedules` for the draw-stream contract).
 
-The Python wrappers of the last two (:meth:`CKernel.span_min`,
-:meth:`CKernel.random_orders`) check the shape, dtype and C-contiguity
-of every caller buffer, and the range of every index the C side reads
-through, before the call.
+Every buffer crosses into C through a checked builder or wrapper
+(:meth:`CKernel.make_ctx`, :meth:`CKernel.make_delta`,
+:meth:`CKernel.make_moves`, :meth:`CKernel.span_min`,
+:meth:`CKernel.random_orders`): each checks the shape, dtype and
+C-contiguity of every buffer, CSR offsets, and the range of every index
+the C side reads through, once when the structure is built.  The per-call
+entries then trust them; ``repro_scan`` checks its per-pass ``order``
+itself.
 """
 
 from __future__ import annotations
@@ -62,7 +73,15 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["CKernel", "ReproCtx", "ReproDelta", "load_ckernel"]
+__all__ = [
+    "CKernel",
+    "ReproCtx",
+    "ReproDelta",
+    "ReproMoves",
+    "ReproScan",
+    "SCAN_BUCKETS",
+    "load_ckernel",
+]
 
 _C_SOURCE = r"""
 #include <math.h>
@@ -260,6 +279,128 @@ double repro_eval_move(const ReproCtx *c, const ReproDelta *d,
     return ms;
 }
 
+/* A greedy scan's move tables: the candidate subgraphs as a member CSR,
+ * the moves as (candidate, device) pairs, and the inputs of the
+ * incremental area check.  area_limit holds each area device's budget
+ * plus the tolerance and area_band its guard band, both computed by the
+ * caller; usage is the base mapping's per-device usage, which the caller
+ * refreshes in place whenever the base changes. */
+typedef struct {
+    int64_t n_moves, n_area;
+    const int64_t *cand_ptr;   /* n_cand + 1 */
+    const int64_t *members;    /* cand_ptr[n_cand] task indices */
+    const int64_t *first_pos;  /* n_cand */
+    const double *cand_area;   /* n_cand summed task areas */
+    const int64_t *move_cand;  /* n_moves */
+    const int64_t *move_dev;   /* n_moves */
+    const double *area;        /* n per-task areas */
+    const int64_t *area_dev;   /* n_area */
+    const double *area_limit;  /* n_area */
+    const double *area_band;   /* n_area */
+    const double *usage;       /* n_area */
+} ReproMoves;
+
+/* One scan pass's state, resumable after an exact-recount break-out. */
+typedef struct {
+    int64_t next;              /* next position in the scan order */
+    int64_t forced;            /* the caller's area decision (0/1) for
+                                  position next, or -1 */
+    double best;               /* basic: best makespan; gamma: best gain */
+    int64_t best_idx;          /* the winning move, -1 if none */
+    int64_t n_evals;           /* moves scored */
+    double delta_work;         /* running sum of suffix / n, in move order */
+    int64_t suffix_total;      /* summed suffix lengths */
+    int64_t suffix_buckets[64];/* suffix lengths by bit length */
+} ReproScan;
+
+/* DeltaEvaluator._move_feasible's incremental area check, same
+ * operations in the same order: 1 feasible, 0 infeasible, -1 when a
+ * device's new usage lands inside its guard band (exact recount). */
+static int move_area_ok(const ReproMoves *mv, const int64_t *mp,
+                        const int64_t *sub, int64_t len, int64_t dev,
+                        double sub_area)
+{
+    for (int64_t ai = 0; ai < mv->n_area; ai++) {
+        const int64_t a = mv->area_dev[ai];
+        double removed = 0.0;
+        for (int64_t s = 0; s < len; s++)
+            if (mp[sub[s]] == a) removed += mv->area[sub[s]];
+        const double added = dev == a ? sub_area : 0.0;
+        if (removed == 0.0 && added == 0.0) continue;
+        const double usage = mv->usage[ai] - removed + added;
+        const double limit = mv->area_limit[ai];
+        if (fabs(usage - limit) <= mv->area_band[ai]) return -1;
+        if (usage > limit) return 0;
+    }
+    return 1;
+}
+
+/* One greedy scan pass over the moves in `order` (NULL: table order),
+ * each scored by repro_eval_move.  A no-op move (every member already
+ * on the device) is skipped; an infeasible one scores INFINITY; every
+ * other move charges n_evals, delta_work and the suffix buckets.
+ * Basic mode (expected == NULL): a move gets the bound best - eps, and
+ * the first makespan below best - eps wins.  Gamma mode: no bound,
+ * each move's gain current - makespan goes into expected[k] (0 for a
+ * no-op) and the first gain above best + eps wins; with gamma > 0 the
+ * pass stops once best > eps and the next move expects at most
+ * best / gamma + eps.  Returns -1 when the pass is done, -2 for an
+ * order entry outside [0, n_moves), else the index of a move whose
+ * area check needs the caller's exact recount: the caller stores the
+ * decision in st->forced and calls again, resuming at st->next. */
+int64_t repro_scan(const ReproCtx *c, const ReproDelta *d,
+                   const ReproMoves *mv, const int64_t *order,
+                   double *expected, double current, double gamma,
+                   double eps, ReproScan *st)
+{
+    const int64_t n = c->n;
+    const int64_t *mp = d->mapping;
+    for (int64_t j = st->next; j < mv->n_moves; j++) {
+        const int64_t k = order ? order[j] : j;
+        if (k < 0 || k >= mv->n_moves) return -2;
+        if (gamma > 0.0 && st->best > eps
+            && expected[k] <= st->best / gamma + eps)
+            break;
+        const int64_t ci = mv->move_cand[k], dev = mv->move_dev[k];
+        const int64_t *sub = mv->members + mv->cand_ptr[ci];
+        const int64_t len = mv->cand_ptr[ci + 1] - mv->cand_ptr[ci];
+        int64_t s = 0;
+        while (s < len && mp[sub[s]] == dev) s++;
+        if (s == len) {
+            if (expected) expected[k] = 0.0;
+            continue;
+        }
+        int ok = (int)st->forced;
+        st->forced = -1;
+        if (ok < 0) {
+            ok = move_area_ok(mv, mp, sub, len, dev, mv->cand_area[ci]);
+            if (ok < 0) { st->next = j; return k; }
+        }
+        double ms = INFINITY;
+        if (ok) {
+            const int64_t fp = mv->first_pos[ci];
+            const int64_t suffix = n - fp;
+            int b = 0;
+            for (uint64_t v = (uint64_t)suffix; v; v >>= 1) b++;
+            st->n_evals++;
+            st->delta_work += (double)suffix / (double)n;
+            st->suffix_buckets[b]++;
+            st->suffix_total += suffix;
+            ms = repro_eval_move(c, d, sub, len, dev, fp,
+                                 expected ? INFINITY : st->best - eps);
+        }
+        if (!expected) {
+            if (ms < st->best - eps) { st->best = ms; st->best_idx = k; }
+        } else {
+            const double gain = current - ms;
+            expected[k] = gain;
+            if (gain > st->best + eps) { st->best = gain; st->best_idx = k; }
+        }
+    }
+    st->next = mv->n_moves;
+    return -1;
+}
+
 /* The reported makespan (paper Sec. IV-A): the minimum over the k rows
  * of orders (k*n).  Every walk after the first gets the best makespan
  * so far as its bound, so it stops once it cannot beat the current
@@ -392,6 +533,42 @@ class ReproDelta(ctypes.Structure):
     ]
 
 
+#: bucket count of ``ReproScan.suffix_buckets`` (bit lengths 0..63 of a
+#: non-negative int64), mirrored from the C struct (lint rule KER001)
+SCAN_BUCKETS = 64
+
+
+class ReproMoves(ctypes.Structure):
+    _fields_ = [
+        ("n_moves", ctypes.c_int64),
+        ("n_area", ctypes.c_int64),
+        ("cand_ptr", _i64),
+        ("members", _i64),
+        ("first_pos", _i64),
+        ("cand_area", _f64),
+        ("move_cand", _i64),
+        ("move_dev", _i64),
+        ("area", _f64),
+        ("area_dev", _i64),
+        ("area_limit", _f64),
+        ("area_band", _f64),
+        ("usage", _f64),
+    ]
+
+
+class ReproScan(ctypes.Structure):
+    _fields_ = [
+        ("next", ctypes.c_int64),
+        ("forced", ctypes.c_int64),
+        ("best", ctypes.c_double),
+        ("best_idx", ctypes.c_int64),
+        ("n_evals", ctypes.c_int64),
+        ("delta_work", ctypes.c_double),
+        ("suffix_total", ctypes.c_int64),
+        ("suffix_buckets", ctypes.c_int64 * SCAN_BUCKETS),
+    ]
+
+
 def _require(arr, dtype, shape, name) -> None:
     """Raise :class:`ValueError` unless ``arr`` is a C-contiguous numpy
     array of ``dtype`` and ``shape`` (the C entries trust both)."""
@@ -403,6 +580,21 @@ def _require(arr, dtype, shape, name) -> None:
             f"{name}: expected a C-contiguous {np.dtype(dtype)} array of "
             f"shape {shape}, got {got}"
         )
+
+
+def _require_range(arr, hi, name, what="index") -> None:
+    """Raise :class:`ValueError` unless every entry of ``arr`` is in
+    ``[0, hi)``."""
+    if arr.size and (arr.min() < 0 or arr.max() >= hi):
+        raise ValueError(f"{name}: {what} outside [0, {hi})")
+
+
+def _require_csr(ptr, size, name) -> None:
+    """Raise :class:`ValueError` unless ``ptr`` is a CSR offset array
+    over ``size`` entries: starts at 0, never decreases, ends at
+    ``size``."""
+    if ptr[0] != 0 or ptr[-1] != size or (np.diff(ptr) < 0).any():
+        raise ValueError(f"{name}: malformed CSR offsets")
 
 
 def _ptr(arr, typ):
@@ -445,6 +637,18 @@ class CKernel:
             ctypes.c_int64,
             ctypes.c_int64,
             ctypes.c_double,
+        ]
+        lib.repro_scan.restype = ctypes.c_int64
+        lib.repro_scan.argtypes = [
+            vp,
+            vp,
+            vp,
+            vp,
+            vp,
+            ctypes.c_double,
+            ctypes.c_double,
+            ctypes.c_double,
+            vp,
         ]
         lib.repro_span_min.restype = ctypes.c_double
         lib.repro_span_min.argtypes = [vp, vp, vp, ctypes.c_int64, vp, vp, vp]
@@ -519,6 +723,7 @@ class CKernel:
     # ------------------------------------------------------------------
     def make_delta(
         self,
+        ctx,
         mapping,
         order,
         pos,
@@ -531,11 +736,27 @@ class CKernel:
         avail_ws,
         old_ws,
     ) -> ReproDelta:
-        """Build a ``ReproDelta`` over preallocated numpy buffers.
+        """Build a ``ReproDelta`` for ``ctx`` over preallocated numpy
+        buffers, after checking every buffer's dtype, shape and
+        C-contiguity and the range of ``order`` and ``pos``.
 
         The buffers must stay alive and must never be reallocated (refill
-        in place) — the struct holds raw pointers into them.
+        in place) — the struct holds raw pointers into them.  ``mapping``
+        is filled later; its devices are checked where a mapping comes
+        in (``DeltaEvaluator.reset``).
         """
+        n = ctx.n
+        for arr, name in ((mapping, "mapping"), (order, "order"),
+                          (pos, "pos"), (old_ws, "old_ws")):
+            _require(arr, np.int64, (n,), name)
+        for arr, name in ((base_start, "base_start"),
+                          (base_finish, "base_finish"), (ts, "ts"),
+                          (tf, "tf"), (pre_ms, "pre_ms")):
+            _require(arr, np.float64, (n,), name)
+        _require(snap_avail, np.float64, (n, ctx.n_slots), "snap_avail")
+        _require(avail_ws, np.float64, (max(1, ctx.n_slots),), "avail_ws")
+        _require_range(order, n, "order", "task index")
+        _require_range(pos, n, "pos", "schedule position")
         return ReproDelta(
             mapping=_ptr(mapping, _i64),
             order=_ptr(order, _i64),
@@ -552,16 +773,32 @@ class CKernel:
 
     # ------------------------------------------------------------------
     def make_ctx(self, flat) -> ReproCtx:
-        """Build a ``ReproCtx`` over a FlatModel's arrays.
+        """Build a ``ReproCtx`` over a FlatModel's arrays, after checking
+        their dtypes, shapes and C-contiguity, the predecessor and slot
+        CSR offsets and the predecessor task indices.
 
         The caller must keep ``flat`` (and the returned struct) alive as
         long as the context is used — the struct holds raw pointers into
         the FlatModel's numpy buffers.
         """
+        n, m, n_slots = flat.n, flat.m, flat.n_slots
+        for arr, name in ((flat.exec, "exec"), (flat.fill, "fill"),
+                          (flat.initial, "initial"), (flat.final, "final")):
+            _require(arr, np.float64, (n, m), name)
+        _require(flat.pred_ptr, np.int64, (n + 1,), "pred_ptr")
+        n_edges = len(flat.pred_src)
+        _require(flat.pred_src, np.int64, (n_edges,), "pred_src")
+        _require(flat.pred_trans, np.float64, (n_edges, m * m), "pred_trans")
+        _require(flat.streaming_u8, np.uint8, (m,), "streaming")
+        _require(flat.serializes_u8, np.uint8, (m,), "serializes")
+        _require(flat.slot_ptr, np.int64, (m + 1,), "slot_ptr")
+        _require_csr(flat.pred_ptr, n_edges, "pred_ptr")
+        _require_csr(flat.slot_ptr, n_slots, "slot_ptr")
+        _require_range(flat.pred_src, n, "pred_src", "task index")
         return ReproCtx(
-            n=flat.n,
-            m=flat.m,
-            n_slots=flat.n_slots,
+            n=n,
+            m=m,
+            n_slots=n_slots,
             exec_t=_ptr(flat.exec, _f64),
             fill_t=_ptr(flat.fill, _f64),
             initial_t=_ptr(flat.initial, _f64),
@@ -573,6 +810,74 @@ class CKernel:
             serializes=_ptr(flat.serializes_u8, _u8),
             slot_ptr=_ptr(flat.slot_ptr, _i64),
         )
+
+    # ------------------------------------------------------------------
+    def make_moves(
+        self,
+        ctx,
+        cand_ptr,
+        members,
+        first_pos,
+        cand_area,
+        move_cand,
+        move_dev,
+        area,
+        area_dev,
+        area_limit,
+        area_band,
+        usage,
+    ) -> ReproMoves:
+        """Build the ``ReproMoves`` tables of ``repro_scan`` for ``ctx``,
+        after checking every buffer's dtype, shape and C-contiguity, the
+        member CSR (each candidate at most ``n`` long, the size of the
+        delta state's ``old_ws``) and the range of every task, position,
+        candidate and device index the C side reads through.
+
+        The struct holds raw pointers; the buffers ride along on it
+        (``_buffers``), and ``usage`` is refilled in place by its owner.
+        """
+        n, m = ctx.n, ctx.m
+        n_cand = len(first_pos)
+        n_moves = len(move_cand)
+        n_area = len(area_dev)
+        _require(cand_ptr, np.int64, (n_cand + 1,), "cand_ptr")
+        _require(members, np.int64, (len(members),), "members")
+        _require(first_pos, np.int64, (n_cand,), "first_pos")
+        _require(cand_area, np.float64, (n_cand,), "cand_area")
+        _require(move_cand, np.int64, (n_moves,), "move_cand")
+        _require(move_dev, np.int64, (n_moves,), "move_dev")
+        _require(area, np.float64, (n,), "area")
+        _require(area_dev, np.int64, (n_area,), "area_dev")
+        for arr, name in ((area_limit, "area_limit"),
+                          (area_band, "area_band"), (usage, "usage")):
+            _require(arr, np.float64, (n_area,), name)
+        _require_csr(cand_ptr, len(members), "cand_ptr")
+        if n_cand and np.diff(cand_ptr).max() > n:
+            raise ValueError(f"cand_ptr: a candidate longer than {n} tasks")
+        _require_range(members, n, "members", "task index")
+        _require_range(first_pos, n, "first_pos", "schedule position")
+        _require_range(move_cand, n_cand, "move_cand", "candidate index")
+        _require_range(move_dev, m, "move_dev", "device index")
+        _require_range(area_dev, m, "area_dev", "device index")
+        buffers = (cand_ptr, members, first_pos, cand_area, move_cand,
+                   move_dev, area, area_dev, area_limit, area_band, usage)
+        moves = ReproMoves(
+            n_moves=n_moves,
+            n_area=n_area,
+            cand_ptr=_ptr(cand_ptr, _i64),
+            members=_ptr(members, _i64),
+            first_pos=_ptr(first_pos, _i64),
+            cand_area=_ptr(cand_area, _f64),
+            move_cand=_ptr(move_cand, _i64),
+            move_dev=_ptr(move_dev, _i64),
+            area=_ptr(area, _f64),
+            area_dev=_ptr(area_dev, _i64),
+            area_limit=_ptr(area_limit, _f64),
+            area_band=_ptr(area_band, _f64),
+            usage=_ptr(usage, _f64),
+        )
+        moves._buffers = buffers
+        return moves
 
 
 #: base compile flags (part of the .so cache key, so changing them
@@ -771,7 +1076,9 @@ def source_consistency_problems() -> list:
     - the documented table-sizing contract (``>= FACTOR*B`` slots)
       matches ``DEDUP_TABLE_FACTOR``;
     - infeasible lanes are marked with C ``INFINITY``, which is the same
-      sentinel as ``costmodel.INFEASIBLE`` / ``kernel.INF``.
+      sentinel as ``costmodel.INFEASIBLE`` / ``kernel.INF``;
+    - ``ReproScan.suffix_buckets`` has :data:`SCAN_BUCKETS` entries, the
+      length of the ctypes mirror that ``DeltaEvaluator.scan`` reads.
     """
     import re
 
@@ -793,7 +1100,8 @@ def source_consistency_problems() -> list:
                     return lineno
         return 1
 
-    def check(pattern: str, expected: int, what: str) -> None:
+    def check(pattern: str, expected: int, what: str,
+              mirror: str = "repro.evaluation.kernel") -> None:
         m = re.search(pattern, _C_SOURCE)
         if m is None:
             problems.append((
@@ -805,7 +1113,7 @@ def source_consistency_problems() -> list:
             problems.append((
                 c_line(pattern),
                 f"C {what} is {m.group(1)}, Python mirror "
-                f"(repro.evaluation.kernel) says {expected}",
+                f"({mirror}) says {expected}",
             ))
 
     check(r"uint64_t h = (\d+)ULL", DEDUP_FNV_OFFSET, "FNV-1a offset basis")
@@ -813,6 +1121,10 @@ def source_consistency_problems() -> list:
     check(
         r">=\s*(\d+)\*B", DEDUP_TABLE_FACTOR,
         "dedup table-sizing factor (slots per lane)",
+    )
+    check(
+        r"suffix_buckets\[(\d+)\]", SCAN_BUCKETS,
+        "scan suffix-bucket count", "_ckernel.SCAN_BUCKETS",
     )
     if "out[b] = INFINITY" not in _C_SOURCE:
         problems.append((

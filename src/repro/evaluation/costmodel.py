@@ -318,6 +318,26 @@ class CostModel:
         if mapping.size and (mapping.min() < 0 or mapping.max() >= self.m):
             raise ValueError(f"mapping: device index outside [0, {self.m})")
 
+    def check_order(self, order: Sequence[int]) -> np.ndarray:
+        """``order`` as a C-contiguous int64 array, or :class:`ValueError`
+        unless it has ``n`` entries, each a task index in ``[0, n)``.
+
+        Both kernels index their tables with the schedule's tasks
+        unchecked, just as with devices (:meth:`check_devices`).
+        """
+        if isinstance(order, np.ndarray) and order.dtype == np.int64:
+            order_np = np.ascontiguousarray(order)
+        else:
+            order_np = np.ascontiguousarray(order, dtype=np.int64)
+        if order_np.shape != (self.n,):
+            raise ValueError(
+                f"order: expected {self.n} task indices, got shape "
+                f"{order_np.shape}"
+            )
+        if self.n and (order_np.min() < 0 or order_np.max() >= self.n):
+            raise ValueError(f"order: task index outside [0, {self.n})")
+        return order_np
+
     def feasible_mask(self, mappings: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`is_feasible` over the rows of ``(P, n)``.
 
@@ -474,16 +494,11 @@ class CostModel:
         else:
             map_np = np.ascontiguousarray(mapping, dtype=np.int64)
         self.check_devices(map_np)
+        order_np = self.bfs_order_np if order is None else self.check_order(order)
         if check_feasibility and not self.is_feasible(map_np):
             return INFEASIBLE
         self.n_simulations += 1
         if self._ck is not None:
-            if order is None:
-                order_np = self.bfs_order_np
-            elif isinstance(order, np.ndarray) and order.dtype == np.int64:
-                order_np = np.ascontiguousarray(order)
-            else:
-                order_np = np.ascontiguousarray(order, dtype=np.int64)
             return self._ck.lib.repro_span(
                 self._ck_ctx_p,
                 map_np.ctypes.data,
@@ -493,10 +508,11 @@ class CostModel:
                 self._ws_avail.ctypes.data,
                 1 if contention else 0,
             )
-        if order is None:
-            order = self.bfs_order
         return simulate_flat(
-            self.flat, map_np.tolist(), order, contention=contention
+            self.flat,
+            map_np.tolist(),
+            self.bfs_order if order is None else order_np.tolist(),
+            contention=contention,
         )
 
     def simulate_min(self, mapping: Sequence[int], orders: np.ndarray) -> float:
@@ -528,6 +544,8 @@ class CostModel:
         flat = self.flat
         map_np = np.asarray(mapping, dtype=np.int64)
         self.check_devices(map_np)
+        if orders.size and (orders.min() < 0 or orders.max() >= self.n):
+            raise ValueError(f"orders: task index outside [0, {self.n})")
         mapping = map_np.tolist()
         best = INFEASIBLE
         for order in orders.tolist():

@@ -42,25 +42,41 @@ entries ``repro_eval_move`` and ``repro_rebuild_from`` (both on
 snapshots when handed the recording buffers.  Both kernels charge the
 counters identically.
 
+A greedy *scan pass* scores every move of a :class:`MoveTable` once
+against the same base — the decomposition mapper's inner loop.
+:meth:`DeltaEvaluator.scan` runs it as one ``repro_scan`` call on the C
+kernel (no-op skip, incremental area check, counters and
+``repro_eval_move`` per move, all native); elsewhere it is
+:func:`scan_moves`, the reference scan, which scores each move through
+:meth:`DeltaEvaluator.evaluate_move` and also serves the mapper's
+full-objective scorer.
+
 Bookkeeping: every suffix re-simulation (and every suffix commit)
 increments ``model.n_delta_evaluations`` and adds ``suffix_length / n``
 to ``model.delta_work`` (full-evaluation equivalents); full base
-rebuilds count toward ``model.n_simulations``.
+rebuilds count toward ``model.n_simulations``.  The C scan charges the
+same counters per pass: ``delta_work`` summed in move order from its
+value before the pass, and the ``delta.suffix_len`` histogram as bucket
+counts, so both scans leave bit-identical counters.
 """
 
 from __future__ import annotations
 
 import ctypes
-from typing import List, NamedTuple, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..obs import metrics as _metrics
 from ..sp.subgraphs import schedule_span
+from ._ckernel import ReproScan, _require
 from .costmodel import AREA_TOL, INFEASIBLE, CostModel, area_guard_band
 from .kernel import INF, simulate_span
 
-__all__ = ["Candidate", "DeltaEvaluator"]
+__all__ = ["Candidate", "DeltaEvaluator", "MoveTable", "scan_moves"]
+
+#: strict-improvement margin of a greedy scan pass (see :func:`scan_moves`)
+SCAN_EPS = 1e-12
 
 
 class Candidate(NamedTuple):
@@ -73,6 +89,83 @@ class Candidate(NamedTuple):
     area: float            #: summed task area (incremental feasibility)
     c_len: object          #: ``len(members)`` as ``c_int64`` (C kernel)
     c_first: object        #: ``first_pos`` as ``c_int64`` (C kernel)
+
+
+class MoveTable(NamedTuple):
+    """The (candidate, device) moves of a greedy search, in scan order."""
+
+    pairs: List[Tuple[Candidate, int]]  #: ``(candidate, device)`` per move
+    native: object = None  #: ``repro_scan``'s tables (C kernel only)
+
+
+def scan_moves(
+    scorer,
+    table: MoveTable,
+    current: float,
+    *,
+    expected: Optional[np.ndarray] = None,
+    order: Optional[np.ndarray] = None,
+    gamma: Optional[float] = None,
+) -> Tuple[float, int]:
+    """One greedy scan pass over ``table``: the reference scan.
+
+    Every move that is not a no-op (some member not yet on the device)
+    is scored with ``scorer.evaluate_move`` against the live base
+    mapping ``scorer.base_list``.  Returns ``(best, index)``, with index
+    ``-1`` when no move improves.
+
+    - Basic mode (``expected`` is None): each move is scored with the
+      bound ``best - SCAN_EPS`` and the first makespan below it wins;
+      ``best`` starts at ``current``.
+    - Gamma mode: no bound; each move's gain ``current - makespan`` is
+      written into ``expected`` (0 for a no-op) and the first gain above
+      ``best + SCAN_EPS`` wins; ``best`` starts at 0.  Moves are visited
+      in ``order`` (default: table order), and with ``gamma`` the pass
+      stops once ``best > SCAN_EPS`` and the next move expects at most
+      ``best / gamma + SCAN_EPS`` (paper Sec. III-D).
+
+    ``DeltaEvaluator.scan`` runs the same pass in one ``repro_scan``
+    call on the C kernel; this function serves the pure-Python kernel
+    and the full-objective scorer, and is what the C scan is checked
+    against.
+    """
+    eps = SCAN_EPS
+    mp = scorer.base_list
+    evaluate = scorer.evaluate_move
+    pairs = table.pairs
+    best_idx = -1
+    if expected is None:
+        best = current
+        for k, (cand, d) in enumerate(pairs):
+            for t in cand.members:
+                if mp[t] != d:
+                    break
+            else:  # no-op move: already mapped there
+                continue
+            ms = evaluate(cand, d, bound=best - eps)
+            if ms < best - eps:
+                best = ms
+                best_idx = k
+        return best, best_idx
+    exp = expected.tolist()
+    best = 0.0
+    for k in range(len(pairs)) if order is None else order.tolist():
+        if gamma is not None and best > eps and exp[k] <= best / gamma + eps:
+            break
+        cand, d = pairs[k]
+        for t in cand.members:
+            if mp[t] != d:
+                break
+        else:
+            exp[k] = 0.0
+            continue
+        gain = current - evaluate(cand, d)
+        exp[k] = gain
+        if gain > best + eps:
+            best = gain
+            best_idx = k
+    expected[:] = exp
+    return best, best_idx
 
 # Near the area threshold, the incremental usage sum falls back to an
 # exact scratch recount (see _move_feasible); the band for "near" is
@@ -113,8 +206,13 @@ class DeltaEvaluator:
 
         self._area: List[float] = model._area.tolist()
         self._area_devs: List[int] = sorted(model._area_limits)
+        # per area device: the budget plus the tolerance, and the guard
+        # band around it (both also handed to the C scan)
         self._area_limits: List[float] = [
-            model._area_limits[d] for d in self._area_devs
+            model._area_limits[d] + AREA_TOL for d in self._area_devs
+        ]
+        self._area_bands: List[float] = [
+            area_guard_band(limit) for limit in self._area_limits
         ]
 
         # Suffix-length histogram, captured once here so the per-move
@@ -156,6 +254,7 @@ class DeltaEvaluator:
             self._avail_ws = np.empty(max(1, n_slots))
             self._old_ws = np.empty(n, dtype=np.int64)
             self._dctx = self._ck.make_delta(
+                model._ck_ctx,
                 self._np_map,
                 self._order_np,
                 self._pos_np,
@@ -176,6 +275,9 @@ class DeltaEvaluator:
             # every call costs more than the native suffix simulation
             self._c_devices = [ctypes.c_int64(d) for d in range(self.flat.m)]
             self._c_inf = ctypes.c_double(INF)
+            # the C scan reads the base usage in place
+            self._usage_np = np.zeros(len(self._area_devs))
+            self._scan_c = self._ck.lib.repro_scan
 
     # ------------------------------------------------------------------
     def candidate(self, sub: Sequence[int]) -> Candidate:
@@ -211,6 +313,107 @@ class DeltaEvaluator:
         )
 
     # ------------------------------------------------------------------
+    def move_table(
+        self, cands: Sequence[Candidate], n_devices: int
+    ) -> MoveTable:
+        """Every ``(candidate, device)`` move, candidate-major.
+
+        On the C kernel this also builds and checks ``repro_scan``'s
+        tables (member CSR, first positions, area sums, move pairs and
+        the area check's inputs) — once per search, never per pass.
+        """
+        pairs = [(cand, d) for cand in cands for d in range(n_devices)]
+        if self._ck is None:
+            return MoveTable(pairs)
+        sizes = [len(cand.members) for cand in cands]
+        cand_ptr = np.zeros(len(cands) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=cand_ptr[1:])
+        members = (np.concatenate([cand.arr for cand in cands])
+                   if cands else np.empty(0, dtype=np.int64))
+        native = self._ck.make_moves(
+            self.model._ck_ctx,
+            cand_ptr,
+            members,
+            np.array([cand.first_pos for cand in cands], dtype=np.int64),
+            np.array([cand.area for cand in cands], dtype=np.float64),
+            np.repeat(np.arange(len(cands), dtype=np.int64), n_devices),
+            np.tile(np.arange(n_devices, dtype=np.int64), len(cands)),
+            self.model._area,
+            np.asarray(self._area_devs, dtype=np.int64),
+            np.asarray(self._area_limits, dtype=np.float64),
+            np.asarray(self._area_bands, dtype=np.float64),
+            self._usage_np,
+        )
+        native._owner = self  # its tables index this evaluator's state
+        return MoveTable(pairs, native)
+
+    # ------------------------------------------------------------------
+    def scan(
+        self,
+        table: MoveTable,
+        current: float,
+        *,
+        expected: Optional[np.ndarray] = None,
+        order: Optional[np.ndarray] = None,
+        gamma: Optional[float] = None,
+    ) -> Tuple[float, int]:
+        """One greedy scan pass; same contract and result as
+        :func:`scan_moves`, counters included.
+
+        On the C kernel the pass is one ``repro_scan`` call.  It returns
+        early only for a move whose incremental area usage lands inside
+        the guard band: that move is decided here by
+        :meth:`_move_feasible` (the exact recount) and the call resumes
+        with the decision.  The counters come back summed:
+        ``delta_work`` accumulated in move order from ``model.delta_work``
+        and the suffix-length histogram as buckets.
+        """
+        native = table.native
+        if native is None:
+            return scan_moves(self, table, current, expected=expected,
+                              order=order, gamma=gamma)
+        if native._owner is not self:
+            raise ValueError("scan: the move table belongs to another evaluator")
+        n_moves = native.n_moves
+        if expected is not None:
+            _require(expected, np.float64, (n_moves,), "expected")
+        if order is not None:
+            _require(order, np.int64, (n_moves,), "order")
+        model = self.model
+        state = ReproScan(
+            forced=-1,
+            best=current if expected is None else 0.0,
+            best_idx=-1,
+            delta_work=model.delta_work,
+        )
+        args = (
+            self._ctx_p,
+            self._dctx_p,
+            ctypes.byref(native),
+            None if order is None else order.ctypes.data,
+            None if expected is None else expected.ctypes.data,
+            current,
+            0.0 if gamma is None else gamma,
+            SCAN_EPS,
+            ctypes.byref(state),
+        )
+        pairs = table.pairs
+        k = self._scan_c(*args)
+        while k >= 0:
+            cand, d = pairs[k]
+            state.forced = self._move_feasible(cand.members, d, cand.area)
+            k = self._scan_c(*args)
+        if k == -2:
+            raise ValueError(f"order: move index outside [0, {n_moves})")
+        model.n_delta_evaluations += state.n_evals
+        model.delta_work = state.delta_work
+        if self._suffix_hist is not None and state.n_evals:
+            self._suffix_hist.observe_counts(
+                state.suffix_buckets, state.suffix_total
+            )
+        return state.best, state.best_idx
+
+    # ------------------------------------------------------------------
     def reset(self, mapping: Sequence[int]) -> float:
         """Set the base mapping (must be feasible) and rebuild snapshots."""
         np_map = np.asarray(mapping, dtype=np.int64)
@@ -220,8 +423,15 @@ class DeltaEvaluator:
         np.copyto(self._np_map, np_map)
         self._map = self._np_map.tolist()
         usage = self.model.area_usage(self._np_map)
-        self._usage = [usage[d] for d in self._area_devs]
+        self._set_usage([usage[d] for d in self._area_devs])
         return self._rebuild()
+
+    def _set_usage(self, usage: List[float]) -> None:
+        """The base mapping's per-area-device usage (and the C scan's
+        copy of it)."""
+        self._usage = usage
+        if self._ck is not None:
+            self._usage_np[:] = usage
 
     # ------------------------------------------------------------------
     def _move_feasible(self, sub_list: List[int], device: int, sub_area: float) -> bool:
@@ -243,8 +453,8 @@ class DeltaEvaluator:
             if removed == 0.0 and added == 0.0:
                 continue
             new_usage = self._usage[ai] - removed + added
-            limit = self._area_limits[ai] + AREA_TOL
-            if abs(new_usage - limit) <= area_guard_band(limit):
+            limit = self._area_limits[ai]
+            if abs(new_usage - limit) <= self._area_bands[ai]:
                 new_usage = self._exact_usage(sub_list, device, a)
             if new_usage > limit:
                 return False
@@ -342,7 +552,9 @@ class DeltaEvaluator:
         # per accepted SA/tabu move, so this is warm-path code)
         area = self.model._area  # noqa: SLF001
         np_map = self._np_map
-        self._usage = [float(area[np_map == a].sum()) for a in self._area_devs]
+        self._set_usage(
+            [float(area[np_map == a].sum()) for a in self._area_devs]
+        )
         return self._rebuild(first_pos or 0)
 
     def _rebuild(self, k: int = 0) -> float:

@@ -32,12 +32,15 @@ Heuristics (Sec. III-D):
   mapping (the paper's "last iteration recomputes every possible mapping"),
   so termination is exact, not heuristic.
 
-Each heuristic is one loop over a *move scorer*.  The default objective
-(the construction makespan) is scored by
+Each heuristic is one round loop (iteration cap, scan order,
+``apply_move``) over a *move scorer*, whose ``scan`` runs one pass over
+the move table: no-op skip, scoring, and the basic or gamma selection
+rule (:func:`repro.evaluation.delta.scan_moves` states the contract).
+The default objective (the construction makespan) is scored by
 :class:`~repro.evaluation.delta.DeltaEvaluator`, which re-simulates only
 the suffix from a move's first affected schedule position and returns
-the same float as a full evaluation.  A subclass that overrides
-``_objective`` (e.g.
+the same float as a full evaluation; on the C kernel each pass is one
+native call.  A subclass that overrides ``_objective`` (e.g.
 :class:`repro.mappers.multiobjective.EnergyAwareDecompositionMapper`) is
 scored by :class:`_ObjectiveMoves`, one full ``_objective`` call per
 move.  A trivial override therefore forces full re-evaluation, which is
@@ -47,11 +50,11 @@ same trajectory.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
-from ..evaluation.delta import Candidate, DeltaEvaluator
+from ..evaluation.delta import DeltaEvaluator, MoveTable, scan_moves
 from ..evaluation.evaluator import MappingEvaluator
 from ..evaluation.kernel import INF
 from ..obs import trace as _trace
@@ -156,40 +159,40 @@ class DecompositionMapper(Mapper):
     ) -> Tuple[np.ndarray, Dict[str, float]]:
         with _trace.span("mapper.decompose", "mapper"):
             subgraphs = self.candidate_index_sets(evaluator, rng)
-        n_devices = evaluator.n_devices
         mapping = evaluator.cpu_mapping()
         cap = max(1, int(np.ceil(self.iteration_cap_factor * evaluator.n_tasks)))
 
         with _trace.span("mapper.construct", "mapper"):
-            # only the default objective has a suffix (delta) form
-            if type(self)._objective is DecompositionMapper._objective:
-                scorer = DeltaEvaluator(evaluator.model)
-            else:
-                scorer = _ObjectiveMoves(self, evaluator)
-            prepared = [scorer.candidate(sub) for sub in subgraphs]
-            moves = [(cand, d) for cand in prepared for d in range(n_devices)]
+            scorer = self._scorer(evaluator)
+            moves = scorer.move_table(
+                [scorer.candidate(sub) for sub in subgraphs],
+                evaluator.n_devices,
+            )
         with _trace.span("mapper.improve", "mapper"):
-            if self.heuristic == "basic":
-                mapping, current, iterations = self._run_basic(
-                    scorer, mapping, moves, cap
-                )
-            else:
-                mapping, current, iterations = self._run_gamma(
-                    scorer, mapping, moves, cap
-                )
+            run = self._run_basic if self.heuristic == "basic" else self._run_gamma
+            mapping, current, iterations = run(scorer, mapping, moves, cap)
         stats = {
             "iterations": float(iterations),
             "n_candidates": float(len(subgraphs)),
-            "n_moves": float(len(moves)),
+            "n_moves": float(len(moves.pairs)),
         }
         return mapping, stats
+
+    def _scorer(
+        self, evaluator: MappingEvaluator
+    ) -> DeltaEvaluator | _ObjectiveMoves:
+        """The move scorer: the delta evaluator for the default objective
+        (the only one with a suffix form), else full ``_objective`` calls."""
+        if type(self)._objective is DecompositionMapper._objective:
+            return DeltaEvaluator(evaluator.model)
+        return _ObjectiveMoves(self, evaluator)
 
     # ------------------------------------------------------------------
     def _run_basic(
         self,
         scorer: DeltaEvaluator | _ObjectiveMoves,
         mapping: np.ndarray,
-        moves: Sequence[Tuple[Candidate, int]],
+        moves: MoveTable,
         cap: int,
     ) -> Tuple[np.ndarray, float, int]:
         """Basic heuristic: every iteration scores every move.
@@ -202,26 +205,13 @@ class DecompositionMapper(Mapper):
         lower bound), so the scan result is exact.
         """
         iterations = 0
-        eps = 1e-12
         current = scorer.reset(mapping)
-        mp = scorer.base_list
-        evaluate = scorer.evaluate_move
         while iterations < cap:
-            best_ms = current
-            best_move: Optional[Tuple[Candidate, int]] = None
-            for cand, d in moves:
-                for t in cand.members:
-                    if mp[t] != d:
-                        break
-                else:  # no-op move: already mapped there
-                    continue
-                ms = evaluate(cand, d, bound=best_ms - eps)
-                if ms < best_ms - eps:
-                    best_ms = ms
-                    best_move = (cand, d)
-            if best_move is None:
+            best_ms, best_idx = scorer.scan(moves, current)
+            if best_idx < 0:
                 break
-            scorer.apply_move(best_move[0].members, best_move[1])
+            cand, d = moves.pairs[best_idx]
+            scorer.apply_move(cand.members, d)
             current = best_ms
             iterations += 1
         return scorer.mapping, current, iterations
@@ -231,7 +221,7 @@ class DecompositionMapper(Mapper):
         self,
         scorer: DeltaEvaluator | _ObjectiveMoves,
         mapping: np.ndarray,
-        moves: Sequence[Tuple[Candidate, int]],
+        moves: MoveTable,
         cap: int,
     ) -> Tuple[np.ndarray, float, int]:
         """Gamma/FirstFit heuristic.
@@ -240,69 +230,28 @@ class DecompositionMapper(Mapper):
         gain is exact (no bound).  A no-op move keeps an expectation of
         zero.
         """
-        eps = 1e-12
-        n_moves = len(moves)
-        expected = [0.0] * n_moves  # expected improvement per move
+        expected = np.zeros(len(moves.pairs))  # expected improvement per move
         current = scorer.reset(mapping)
-        mp = scorer.base_list
-        evaluate = scorer.evaluate_move
-
         # First pass (Sec. III-D: expectations are assigned "after the first
-        # iteration of the algorithm"): evaluate every move once.
-        best_gain = 0.0
-        best_idx = -1
-        for k, (cand, d) in enumerate(moves):
-            for t in cand.members:
-                if mp[t] != d:
-                    break
-            else:  # no-op move: already mapped there
-                continue
-            gain = current - evaluate(cand, d)
-            expected[k] = gain
-            if gain > best_gain + eps:
-                best_gain = gain
-                best_idx = k
+        # iteration of the algorithm"): score every move once.
+        best_gain, best_idx = scorer.scan(moves, current, expected=expected)
         iterations = 0
-        if best_idx < 0:
-            return scorer.mapping, current, iterations
-        cand, d = moves[best_idx]
-        scorer.apply_move(cand.members, d)
-        current -= best_gain
-        iterations += 1
-
-        gamma = self.gamma
-        while iterations < cap:
+        while best_idx >= 0:
+            cand, d = moves.pairs[best_idx]
+            scorer.apply_move(cand.members, d)
+            current -= best_gain
+            iterations += 1
+            if iterations >= cap:
+                break
             # One round: scan moves in descending expected improvement
             # (the paper's priority queue); once an actual improvement b is
             # found, only look ahead while expected > b / gamma.  A round
             # that finds nothing has recomputed *every* move under the final
             # mapping (the paper's exact-termination pass).
-            order = np.argsort(
-                -np.asarray(expected), kind="stable"
-            ).tolist()
-            best_gain = 0.0
-            best_idx = -1
-            for k in order:
-                if best_gain > eps and expected[k] <= best_gain / gamma + eps:
-                    break
-                cand, d = moves[k]
-                for t in cand.members:
-                    if mp[t] != d:
-                        break
-                else:
-                    expected[k] = 0.0
-                    continue
-                gain = current - evaluate(cand, d)
-                expected[k] = gain
-                if gain > best_gain + eps:
-                    best_gain = gain
-                    best_idx = k
-            if best_idx < 0:
-                break
-            cand, d = moves[best_idx]
-            scorer.apply_move(cand.members, d)
-            current -= best_gain
-            iterations += 1
+            order = np.argsort(-expected, kind="stable")
+            best_gain, best_idx = scorer.scan(
+                moves, current, expected=expected, order=order, gamma=self.gamma
+            )
         return scorer.mapping, current, iterations
 
 
@@ -317,9 +266,12 @@ class _ObjectiveMoves:
 
     Offers the part of :class:`~repro.evaluation.delta.DeltaEvaluator`'s
     interface that the greedy loops use, and scores every move with one
-    full ``mapper._objective`` call on the moved mapping.  ``bound`` is
-    ignored: an exact value compares the same way.
+    full ``mapper._objective`` call on the moved mapping; its ``scan``
+    is the reference :func:`~repro.evaluation.delta.scan_moves`.
+    ``bound`` is ignored: an exact value compares the same way.
     """
+
+    scan = scan_moves
 
     def __init__(self, mapper: DecompositionMapper,
                  evaluator: MappingEvaluator) -> None:
@@ -328,6 +280,9 @@ class _ObjectiveMoves:
 
     def candidate(self, sub: np.ndarray) -> _Subgraph:
         return _Subgraph(sub.tolist())
+
+    def move_table(self, cands: List[_Subgraph], n_devices: int) -> MoveTable:
+        return MoveTable([(cand, d) for cand in cands for d in range(n_devices)])
 
     def reset(self, mapping: np.ndarray) -> float:
         self._map = np.array(mapping, dtype=np.int64)

@@ -29,7 +29,7 @@ only *record*, they are never read back by any algorithm.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 __all__ = [
     "Counter",
@@ -115,6 +115,17 @@ class Histogram:
         self.counts[value.bit_length()] += 1
         self.n += 1
         self.total += value
+
+    def observe_counts(self, counts: Sequence[int], total: int) -> None:
+        """Bulk :meth:`observe_int` of observations already bucketed by
+        bit length (``counts[b]`` of them) and summing to ``total``; the
+        C scan pass records its suffix lengths this way."""
+        own = self.counts
+        for b, c in enumerate(counts):
+            if c:
+                own[b] += c
+                self.n += c
+        self.total += total
 
     def observe(self, value: Number) -> None:
         """Full record, accepts floats (bucketed by their integer part)."""

@@ -110,6 +110,11 @@ class TestSourceConsistency:
         problems = _ckernel.source_consistency_problems()
         assert any("table-sizing" in msg for _, msg in problems)
 
+    def test_detects_a_scan_bucket_drift(self, monkeypatch):
+        monkeypatch.setattr(_ckernel, "SCAN_BUCKETS", 32)
+        problems = _ckernel.source_consistency_problems()
+        assert any("suffix-bucket" in msg for _, msg in problems)
+
 
 # ---------------------------------------------------------------------------
 # bit-identical results under sanitizers (subprocess)

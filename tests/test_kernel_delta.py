@@ -299,6 +299,47 @@ class TestDeviceRange:
         assert _same(model.simulate(last), model._simulate_reference(last))
 
 
+class TestOrderRange:
+    """A caller's schedule order is checked like a mapping: out of range,
+    the C kernel read out of bounds (SIGSEGV for ``10**7``) and the
+    Python kernel returned a wrong makespan for ``-1``.  The reported
+    makespan's suite rows are checked on both kernels too (the Python
+    kernel used to return a wrong minimum where C raised)."""
+
+    @pytest.mark.parametrize("use_ckernel", MODES, ids=MODE_IDS)
+    @pytest.mark.parametrize("bad, match", [
+        (np.full(20, 10**7), r"task index outside \[0, 20\)"),
+        ([-1] * 20, r"task index outside \[0, 20\)"),
+        (list(range(19)), "expected 20 task indices"),
+        (np.arange(40).reshape(2, 20), "expected 20 task indices"),
+    ], ids=["huge", "minus1", "short", "2d"])
+    def test_bad_order_raises(self, bad, match, use_ckernel):
+        g = random_sp_graph(20, np.random.default_rng(0))
+        model = CostModel(g, paper_platform(), use_ckernel=use_ckernel)
+        with pytest.raises(ValueError, match=match):
+            model.simulate(np.zeros(20, dtype=np.int64), order=bad)
+
+    @pytest.mark.parametrize("use_ckernel", MODES, ids=MODE_IDS)
+    @pytest.mark.parametrize("bad", [20, -1])
+    def test_bad_suite_row_raises(self, bad, use_ckernel):
+        g = random_sp_graph(20, np.random.default_rng(0))
+        model = CostModel(g, paper_platform(), use_ckernel=use_ckernel)
+        orders = np.stack([model.bfs_order_np, np.full(20, bad)])
+        with pytest.raises(ValueError, match=r"task index outside \[0, 20\)"):
+            model.simulate_min(np.zeros(20, dtype=np.int64), orders)
+
+    @pytest.mark.parametrize("use_ckernel", MODES, ids=MODE_IDS)
+    def test_valid_orders_still_accepted(self, use_ckernel):
+        g = random_sp_graph(20, np.random.default_rng(0))
+        model = CostModel(g, paper_platform(), use_ckernel=use_ckernel)
+        rng = np.random.default_rng(1)
+        mapping = rng.integers(0, 2, model.n)
+        for order in (model.bfs_order, np.asarray(model.bfs_order),
+                      random_topological_schedule(g, rng)):
+            assert _same(model.simulate(mapping, order=order),
+                         model._simulate_reference(mapping, order))
+
+
 # ---------------------------------------------------------------------------
 # mapper trajectories: delta scorer == full re-evaluation of every move
 # ---------------------------------------------------------------------------

@@ -511,10 +511,10 @@ class TestEnabledOverhead:
 
     Every span, instant, instrument lookup and ``inc``/``set``/``observe``
     is a per-run or per-batch cost: a 4x larger graph (~4x the delta
-    evaluations) makes exactly as many.  The only per-move record is
-    ``Histogram.observe_int`` on a handle captured once per run (the
-    ``delta.suffix_len`` bucket increment), which is left out of the
-    count.  Wall-clock overhead is recorded by perfbench's
+    evaluations) makes exactly as many.  The ``delta.suffix_len``
+    records go through a handle captured once per run and are left out
+    of the count: ``Histogram.observe_int`` per move on the Python
+    scan, ``Histogram.observe_counts`` per pass on the C scan.  Wall-clock overhead is recorded by perfbench's
     ``bench.trace_overhead``.
     """
 
