@@ -1,8 +1,8 @@
 """Benchmark-suite configuration.
 
-``pytest benchmarks/ --benchmark-only`` regenerates every figure/table of
-the paper at the scale selected by ``REPRO_BENCH_SCALE`` (smoke | small |
-paper, default smoke).  Each figure bench prints the paper-style table
+``pytest benchmarks/`` regenerates every figure/table of the paper at the
+scale selected by ``REPRO_BENCH_SCALE`` (smoke | small | paper, default
+smoke).  Each figure bench prints the paper-style table
 (visible with ``-s`` or in the captured output) and writes its CSV into a
 temporary results directory, so a test run never rewrites the committed
 ``results/``; regenerate those with ``repro experiment NAME --csv``.
@@ -27,7 +27,7 @@ def platform():
 
 @pytest.fixture(scope="session")
 def sp_graph_50(platform):
-    """A fixed 50-task random SP graph + evaluator, for micro-benchmarks."""
+    """A fixed 50-task random SP graph + evaluator, for hot-path benches."""
     g = random_sp_graph(50, np.random.default_rng(1234))
     ev = MappingEvaluator(g, platform, rng=np.random.default_rng(5), n_random_schedules=20)
     return g, ev

@@ -39,29 +39,21 @@ def almost_sp_graphs():
 
 
 @pytest.mark.parametrize("strategy", CUT_STRATEGIES)
-def test_ablation_cut_strategy(benchmark, almost_sp_graphs, strategy):
+def test_ablation_cut_strategy(almost_sp_graphs, strategy):
     platform = paper_platform()
     mapper = DecompositionMapper(
         "series_parallel", "first_fit", cut_strategy=strategy
     )
-    imp = benchmark.pedantic(
-        lambda: _mean_improvement(mapper, almost_sp_graphs, platform),
-        rounds=1,
-        iterations=1,
-    )
+    imp = _mean_improvement(mapper, almost_sp_graphs, platform)
     print(f"\ncut_strategy={strategy}: improvement={imp:.3f}")
     assert imp >= 0.0
 
 
 @pytest.mark.parametrize("gamma", [1.0, 1.5, 2.0])
-def test_ablation_gamma_threshold(benchmark, almost_sp_graphs, gamma):
+def test_ablation_gamma_threshold(almost_sp_graphs, gamma):
     platform = paper_platform()
     mapper = DecompositionMapper("series_parallel", "gamma", gamma=gamma)
-    imp = benchmark.pedantic(
-        lambda: _mean_improvement(mapper, almost_sp_graphs, platform),
-        rounds=1,
-        iterations=1,
-    )
+    imp = _mean_improvement(mapper, almost_sp_graphs, platform)
     print(f"\ngamma={gamma}: improvement={imp:.3f}")
     assert imp >= 0.0
 
@@ -85,18 +77,14 @@ def _no_streaming_platform() -> Platform:
     return Platform(devices, base.bandwidth_gbps.copy(), base.latency_s.copy())
 
 
-def test_ablation_streaming_value(benchmark):
+def test_ablation_streaming_value():
     """How much improvement does FPGA dataflow streaming contribute?"""
     rng = np.random.default_rng(21)
     graphs = [random_sp_graph(40, rng) for _ in range(3)]
     mapper = DecompositionMapper("series_parallel", "first_fit")
 
     with_streaming = _mean_improvement(mapper, graphs, paper_platform())
-    without = benchmark.pedantic(
-        lambda: _mean_improvement(mapper, graphs, _no_streaming_platform()),
-        rounds=1,
-        iterations=1,
-    )
+    without = _mean_improvement(mapper, graphs, _no_streaming_platform())
     print(f"\nstreaming on: {with_streaming:.3f}  off: {without:.3f}")
     # streaming should never hurt the best achievable mapping
     assert with_streaming >= without - 0.03

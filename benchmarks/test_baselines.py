@@ -12,11 +12,9 @@ the only committed result that runs CPOP, LAHEFT and min-/max-min.
 from repro.experiments import EXPERIMENTS, bench_scale, write_csv
 
 
-def test_baseline_roster(benchmark, matches_committed_csv):
+def test_baseline_roster(matches_committed_csv):
     entry = EXPERIMENTS["baselines"]
-    result = benchmark.pedantic(
-        lambda: entry.run(bench_scale()), rounds=1, iterations=1
-    )
+    result = entry.run(bench_scale())
     print()
     print(entry.format(result))
     matches_committed_csv(write_csv(result))

@@ -11,11 +11,9 @@ and checks the paper's qualitative shape:
 from repro.experiments import EXPERIMENTS, bench_scale, write_csv
 
 
-def test_fig3_regenerate(benchmark):
+def test_fig3_regenerate():
     entry = EXPERIMENTS["fig3"]
-    result = benchmark.pedantic(
-        lambda: entry.run(bench_scale()), rounds=1, iterations=1
-    )
+    result = entry.run(bench_scale())
     print()
     print(entry.format(result))
     write_csv(result)

@@ -5,7 +5,7 @@ checks the paper's qualitative shape:
 
 - at the largest size the decomposition mappers beat both list schedulers,
 - the FirstFit heuristic is substantially cheaper than the basic variant
-  while giving up almost no improvement.
+  (counted in model evaluations) while giving up almost no improvement.
 
 At smoke scale every column except ``time_s`` must also equal the
 committed ``results/`` CSV.
@@ -14,11 +14,9 @@ committed ``results/`` CSV.
 from repro.experiments import EXPERIMENTS, bench_scale, write_csv
 
 
-def test_fig4_regenerate(benchmark, matches_committed_csv):
+def test_fig4_regenerate(matches_committed_csv):
     entry = EXPERIMENTS["fig4"]
-    result = benchmark.pedantic(
-        lambda: entry.run(bench_scale()), rounds=1, iterations=1
-    )
+    result = entry.run(bench_scale())
     print()
     print(entry.format(result))
     matches_committed_csv(write_csv(result))
@@ -30,11 +28,12 @@ def test_fig4_regenerate(benchmark, matches_committed_csv):
             series[name].improvement[largest]
             >= series["HEFT"].improvement[largest] - 0.03
         ), f"{name} should match or beat HEFT on large graphs"
-    # FirstFit cost advantage (paper: up to 75-80 % time reduction)
-    assert (
-        series["SNFirstFit"].time_s[largest]
-        <= 0.8 * series["SingleNode"].time_s[largest]
-    ), "FirstFit should cut the basic variant's execution time"
+    # FirstFit cost advantage (paper: up to 75-80 % time reduction),
+    # counted in model evaluations so the check does not depend on host speed
+    evals = result.points[largest].evaluations
+    assert evals["SNFirstFit"] <= 0.8 * evals["SingleNode"], (
+        "FirstFit should cut the basic variant's evaluations"
+    )
     # FirstFit quality parity (paper: "almost negligible" difference)
     assert (
         series["SPFirstFit"].improvement[largest]

@@ -2,27 +2,28 @@
 
 Regenerates both panels, prints the table, writes its CSV and
 checks the paper's qualitative shape: the GA is competitive in quality but
-many times slower than the decomposition heuristics.
+many times costlier (in model evaluations) than the decomposition
+heuristics.
 """
 
 from repro.experiments import EXPERIMENTS, bench_scale, write_csv
 
 
-def test_fig5_regenerate(benchmark):
+def test_fig5_regenerate():
     entry = EXPERIMENTS["fig5"]
-    result = benchmark.pedantic(
-        lambda: entry.run(bench_scale()), rounds=1, iterations=1
-    )
+    result = entry.run(bench_scale())
     print()
     print(entry.format(result))
     write_csv(result)
 
     series = {s.name: s for s in result.series()}
     largest = -1
-    # NSGA-II is far slower than the decomposition mappers at the largest size
-    assert (
-        series["NSGAII"].time_s[largest] > 3 * series["SPFirstFit"].time_s[largest]
-    ), "the GA should be several times slower"
+    # NSGA-II is far costlier than the decomposition mappers at the largest
+    # size, in model evaluations so the check does not depend on host speed
+    evals = result.points[largest].evaluations
+    assert evals["NSGAII"] > 3 * evals["SPFirstFit"], (
+        "the GA should need several times the evaluations"
+    )
     # and not dramatically better in quality
     assert (
         series["SPFirstFit"].improvement[largest]

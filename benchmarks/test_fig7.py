@@ -10,11 +10,9 @@ competitive with the GA.
 from repro.experiments import EXPERIMENTS, bench_scale, write_csv
 
 
-def test_fig7_regenerate(benchmark):
+def test_fig7_regenerate():
     entry = EXPERIMENTS["fig7"]
-    result = benchmark.pedantic(
-        lambda: entry.run(bench_scale()), rounds=1, iterations=1
-    )
+    result = entry.run(bench_scale())
     print()
     print(entry.format(result))
     write_csv(result)

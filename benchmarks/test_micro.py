@@ -1,9 +1,9 @@
-"""Micro-benchmarks of the library's hot paths.
+"""Bench targets and speed gates on the library's hot paths.
 
-These use pytest-benchmark's statistics properly (many rounds): the cost of
-one full model-based evaluation (the paper's key primitive), Algorithm 1
-forest construction, candidate-set extraction, and one full mapper run per
-algorithm family on a fixed 50-task graph.
+The bench targets run Algorithm 1 forest construction, candidate-set
+extraction and one mapper run per algorithm family once each and check
+a deterministic fact; perfbench times these layers (``sp.decompose_s``,
+``mapper.<name>.s``).
 
 The speed gates need no committed number: each times the fast path
 against an in-repo reference in one process, in interleaved rounds, and
@@ -38,34 +38,27 @@ from repro.platform import paper_platform
 from repro.sp import grow_decomposition_forest, series_parallel_candidates
 
 
-def test_bench_cost_model_evaluation(benchmark, sp_graph_50):
-    _, ev = sp_graph_50
-    mapping = np.zeros(ev.n_tasks, dtype=np.int64)
-    benchmark(ev.construction_makespan, mapping)
-
-
-def test_bench_reported_makespan_suite(benchmark, sp_graph_50):
-    _, ev = sp_graph_50
-    mapping = np.zeros(ev.n_tasks, dtype=np.int64)
-    benchmark(ev.reported_makespan, mapping)
-
-
-def test_bench_algorithm1_forest_sp(benchmark, platform):
+def test_bench_algorithm1_forest_sp():
     g = random_sp_graph(200, np.random.default_rng(7))
-    rng = np.random.default_rng(0)
-    benchmark(lambda: grow_decomposition_forest(g, rng=rng))
+    forest = grow_decomposition_forest(g, rng=np.random.default_rng(0))
+    # a series-parallel graph decomposes into one tree without a cut
+    assert (len(forest.trees), forest.n_cuts) == (1, 0)
+    assert forest.task_nodes() == set(g.tasks())
 
 
-def test_bench_algorithm1_forest_almost_sp(benchmark, platform):
+def test_bench_algorithm1_forest_almost_sp():
     g = random_almost_sp_graph(200, 100, np.random.default_rng(8))
-    rng = np.random.default_rng(0)
-    benchmark(lambda: grow_decomposition_forest(g, rng=rng))
+    forest = grow_decomposition_forest(g, rng=np.random.default_rng(0))
+    # every edge lands in exactly one tree
+    assert forest.n_cuts > 0 and forest.n_completion_edges == 0
+    assert sorted(forest.real_edges()) == sorted(g.edges())
 
 
-def test_bench_candidate_extraction(benchmark, platform):
+def test_bench_candidate_extraction():
     g = random_sp_graph(200, np.random.default_rng(9))
-    rng = np.random.default_rng(0)
-    benchmark(lambda: series_parallel_candidates(g, rng=rng))
+    cands = set(series_parallel_candidates(g, rng=np.random.default_rng(0)))
+    assert {frozenset([t]) for t in g.tasks()} <= cands
+    assert frozenset(g.tasks()) in cands
 
 
 @pytest.mark.parametrize(
@@ -73,15 +66,10 @@ def test_bench_candidate_extraction(benchmark, platform):
     [HeftMapper, PeftMapper, sn_first_fit, sp_first_fit],
     ids=["heft", "peft", "sn_first_fit", "sp_first_fit"],
 )
-def test_bench_mapper(benchmark, sp_graph_50, factory):
+def test_bench_mapper(sp_graph_50, factory):
     _, ev = sp_graph_50
-    mapper = factory()
-    rng_seed = np.random.SeedSequence(42)
-    benchmark.pedantic(
-        lambda: mapper.map(ev, rng=np.random.default_rng(rng_seed)),
-        rounds=3,
-        iterations=1,
-    )
+    res = factory().map(ev, rng=np.random.default_rng(42))
+    assert ev.model.is_feasible(res.mapping)
 
 
 class _ReferenceMapper(DecompositionMapper):
@@ -257,11 +245,8 @@ def test_nsgaii_batch_fitness_speedup_vs_reference():
     )
 
 
-def test_bench_nsgaii_short(benchmark, sp_graph_50):
+def test_bench_nsgaii_short(sp_graph_50):
     _, ev = sp_graph_50
-    mapper = NsgaIIMapper(generations=20)
-    benchmark.pedantic(
-        lambda: mapper.map(ev, rng=np.random.default_rng(11)),
-        rounds=2,
-        iterations=1,
-    )
+    res = NsgaIIMapper(generations=20).map(ev, rng=np.random.default_rng(11))
+    # the all-CPU individual is seeded, and survival is elitist
+    assert res.makespan <= ev.cpu_construction_makespan

@@ -1,9 +1,8 @@
-"""Benchmarks for the multi-objective extension (paper Sec. V).
+"""Bench targets for the multi-objective extension (paper Sec. V).
 
-Measures the Pareto NSGA-II and the scalarized energy-aware decomposition
+Runs the Pareto NSGA-II and the scalarized energy-aware decomposition
 mapper, and checks the trade-off shape: lowering alpha must never *increase*
-energy, and the Pareto front must contain a solution at least as fast as the
-knee of the scalarized sweep.
+energy, and no point of the Pareto front may dominate another.
 """
 
 import numpy as np
@@ -23,21 +22,15 @@ def _setup(n=30, seed=17):
     return ev, EnergyModel(ev.model)
 
 
-def test_bench_energy_aware_sweep(benchmark):
+def test_bench_energy_aware_sweep():
     ev, energy = _setup()
 
-    def sweep():
-        out = []
-        for alpha in (1.0, 0.5, 0.0):
-            res = EnergyAwareDecompositionMapper(alpha=alpha).map(
-                ev, rng=np.random.default_rng(1)
-            )
-            out.append(
-                (alpha, res.makespan, energy.energy(res.mapping))
-            )
-        return out
-
-    points = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    points = []
+    for alpha in (1.0, 0.5, 0.0):
+        res = EnergyAwareDecompositionMapper(alpha=alpha).map(
+            ev, rng=np.random.default_rng(1)
+        )
+        points.append((alpha, res.makespan, energy.energy(res.mapping)))
     print()
     for alpha, ms, e in points:
         print(f"  alpha={alpha:4.2f}: {ms * 1e3:8.1f} ms {e:8.1f} J")
@@ -49,14 +42,10 @@ def test_bench_energy_aware_sweep(benchmark):
     assert makespans[-1] >= makespans[0] - 1e-9
 
 
-def test_bench_pareto_nsga2(benchmark):
+def test_bench_pareto_nsga2():
     ev, energy = _setup()
     mapper = ParetoNsgaIIMapper(generations=30, population_size=40)
-    res = benchmark.pedantic(
-        lambda: mapper.map(ev, rng=np.random.default_rng(2)),
-        rounds=1,
-        iterations=1,
-    )
+    res = mapper.map(ev, rng=np.random.default_rng(2))
     front = mapper.last_front_
     print(f"\n  front: {[(round(m * 1e3, 1), round(e, 1)) for _, m, e in front]}")
     assert res.stats["front_size"] >= 1

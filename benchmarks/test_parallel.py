@@ -1,18 +1,13 @@
-"""Benchmarks of the parallel experiment backbone.
+"""Bench targets for the parallel experiment backbone.
 
-Logs the wall-clock of the robustness sweep at ``--workers 1`` vs
-``--workers 2`` (the speedup is visible on multi-core hosts; on a
-single-core runner the pooled run only pays fork overhead) and asserts
-the backbone's core promise along the way: the two runs produce
-byte-identical CSVs.  A second bench times the replan-policy sweep, the
-most expensive new runtime path (every failure re-runs a mapper).
+Runs the robustness sweep at ``--workers 1`` and ``--workers 2`` and
+asserts the backbone's core promise: the two runs produce byte-identical
+CSVs.  A second bench runs the replan-policy sweep, the most expensive
+runtime path (every failure re-runs a mapper).
 """
 
 import dataclasses
 import io
-import time
-
-import pytest
 
 from repro.experiments import EXPERIMENTS, bench_scale, robustness, write_csv
 
@@ -27,46 +22,23 @@ def _bench_cfg():
     )
 
 
-def test_bench_robustness_serial_vs_pool(benchmark):
-    """Wall-clock of workers=1 vs workers=2 on one sweep, plus the
-    bit-identical-CSV invariant (the acceptance criterion's evidence)."""
+def test_bench_robustness_serial_vs_pool():
+    """workers=1 and workers=2 on one sweep write bit-identical CSVs."""
     cfg = _bench_cfg()
-
-    t0 = time.perf_counter()
-    serial = robustness.run(scale=cfg, seed=7, workers=1)
-    t_serial = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    pooled = robustness.run(scale=cfg, seed=7, workers=2)
-    t_pool = time.perf_counter() - t0
-
     a, b = io.StringIO(), io.StringIO()
-    write_csv(serial, fileobj=a)
-    write_csv(pooled, fileobj=b)
+    write_csv(robustness.run(scale=cfg, seed=7, workers=1), fileobj=a)
+    write_csv(robustness.run(scale=cfg, seed=7, workers=2), fileobj=b)
     assert a.getvalue() == b.getvalue()
 
-    print()
-    print(f"robustness sweep ({cfg.name}): "
-          f"workers=1 {t_serial:.2f}s | workers=2 {t_pool:.2f}s "
-          f"(speedup x{t_serial / t_pool:.2f})")
 
-    # benchmark the pooled path so regressions in pool overhead show up
-    benchmark.pedantic(
-        lambda: robustness.run(scale=cfg, seed=7, workers=2),
-        rounds=1, iterations=1,
-    )
-
-
-def test_bench_replan_policy_sweep(benchmark):
+def test_bench_replan_policy_sweep():
     """Regenerates replan_policy_sweep.csv at the bench scale.
 
     The replan sweep replays every mapping through mid-run failures;
     mapper-based policies re-map on the surviving platform at failure
     time, so this also bounds the per-failure replanning cost."""
     entry = EXPERIMENTS["replan"]
-    result = benchmark.pedantic(
-        lambda: entry.run(bench_scale()), rounds=1, iterations=1,
-    )
+    result = entry.run(bench_scale())
     print()
     print(entry.format(result))
     write_csv(result)

@@ -17,11 +17,9 @@ import numpy as np
 from repro.experiments import EXPERIMENTS, bench_scale, write_csv
 
 
-def test_scaling_exponents(benchmark):
+def test_scaling_exponents():
     entry = EXPERIMENTS["scaling"]
-    result = benchmark.pedantic(
-        lambda: entry.run(bench_scale()), rounds=1, iterations=1
-    )
+    result = entry.run(bench_scale())
     print()
     print(entry.format(result))
     write_csv(result)

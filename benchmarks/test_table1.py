@@ -14,11 +14,9 @@ checks the per-family signatures the paper reports:
 from repro.experiments import EXPERIMENTS, bench_scale, write_csv
 
 
-def test_table1_regenerate(benchmark):
+def test_table1_regenerate():
     entry = EXPERIMENTS["table1"]
-    result = benchmark.pedantic(
-        lambda: entry.run(bench_scale()), rounds=1, iterations=1
-    )
+    result = entry.run(bench_scale())
     print()
     print(entry.format(result))
     write_csv(result)

@@ -34,7 +34,7 @@ setup(
     # (scipy.optimize.milp) unconditionally
     install_requires=["numpy>=1.22", "scipy>=1.9"],
     extras_require={
-        "dev": ["pytest", "pytest-benchmark", "hypothesis"],
+        "dev": ["pytest", "hypothesis"],
     },
     entry_points={"console_scripts": ["repro = repro.cli:main"]},
     classifiers=[

@@ -198,6 +198,7 @@ class DeltaEvaluator:
         self.model = model
         self.flat = model.flat
         self.n = model.n
+        self.m = model.m
         self.order: List[int] = model.bfs_order
         pos = [0] * self.n
         for j, i in enumerate(self.order):
@@ -288,6 +289,7 @@ class DeltaEvaluator:
         C kernel's per-candidate arguments (data pointer, length, first
         position) are built here once, as ctypes values: converting them
         per move would cost more than the native suffix simulation.
+        The members are range-checked here, once.
         """
         if isinstance(sub, np.ndarray) and sub.dtype == np.int64:
             sub_np = np.ascontiguousarray(sub)
@@ -295,6 +297,7 @@ class DeltaEvaluator:
         else:
             sub_list = [int(t) for t in sub]
             sub_np = np.asarray(sub_list, dtype=np.int64)
+        self._check_tasks(sub_list, "candidate")
         first, _last = schedule_span(sub_list, self.pos)
         area = self._area
         ptr = c_len = c_first = None
@@ -311,6 +314,10 @@ class DeltaEvaluator:
             c_len,
             c_first,
         )
+
+    def _check_tasks(self, tasks: List[int], where: str) -> None:
+        if tasks and (min(tasks) < 0 or max(tasks) >= self.n):
+            raise ValueError(f"{where}: task index outside [0, {self.n})")
 
     # ------------------------------------------------------------------
     def move_table(
@@ -476,6 +483,10 @@ class DeltaEvaluator:
         :data:`INFEASIBLE`); ``inf`` when the running makespan reaches
         ``bound`` first.  The base mapping and snapshots are untouched.
         """
+        if not 0 <= device < self.m:
+            raise ValueError(
+                f"evaluate_move: device index outside [0, {self.m})"
+            )
         sub_list = cand.members
         first_pos = cand.first_pos
         if not self._move_feasible(sub_list, device, cand.area):
@@ -542,8 +553,17 @@ class DeltaEvaluator:
         :meth:`candidate`) the rebuild resumes from that position — the
         prefix snapshots are still valid, so a commit costs O(affected
         suffix); suffix values are bit-identical to a full rebuild.
-        Without it a full O(V + E) recording rebuild runs.
+        Without it a full O(V + E) recording rebuild runs.  ``first_pos``
+        must lie in ``[0, first schedule position of sub_list]``: a later
+        start would keep stale snapshots of the moved members.
         """
+        if not 0 <= device < self.m:
+            raise ValueError(f"apply_move: device index outside [0, {self.m})")
+        self._check_tasks(sub_list, "apply_move")
+        if first_pos is not None and not (
+                0 <= first_pos <= schedule_span(sub_list, self.pos)[0]):
+            raise ValueError(f"apply_move: first_pos {first_pos} is not in "
+                             "[0, the members' first schedule position]")
         for t in sub_list:
             self._map[t] = device
         self._np_map[sub_list] = device

@@ -62,11 +62,11 @@ class Mapper(abc.ABC):
         """Compute a mapping for the evaluator's graph/platform."""
         rng = rng if rng is not None else np.random.default_rng(0)
         evals_before = evaluator.n_evaluations
-        sims_before = getattr(evaluator, "n_full_simulations", 0)
-        deltas_before = getattr(evaluator, "n_delta_evaluations", 0)
-        batched_before = getattr(evaluator, "n_batched_evaluations", 0)
-        calls_before = getattr(evaluator, "n_batch_calls", 0)
-        equiv_before = getattr(evaluator, "n_equivalent_evaluations", None)
+        sims_before = evaluator.n_full_simulations
+        deltas_before = evaluator.n_delta_evaluations
+        batched_before = evaluator.n_batched_evaluations
+        calls_before = evaluator.n_batch_calls
+        equiv_before = evaluator.n_equivalent_evaluations
         # wall time feeds only the reported elapsed_s diagnostic,
         # never the mapping itself
         t0 = time.perf_counter()  # repro-lint: disable=DET002
@@ -75,25 +75,23 @@ class Mapper(abc.ABC):
             mapping, stats = self._run(evaluator, rng)
         elapsed = time.perf_counter() - t0  # repro-lint: disable=DET002
         stats.setdefault(
-            "n_simulations",
-            float(getattr(evaluator, "n_full_simulations", 0) - sims_before),
+            "n_simulations", float(evaluator.n_full_simulations - sims_before)
         )
         stats.setdefault(
             "n_delta_evaluations",
-            float(getattr(evaluator, "n_delta_evaluations", 0) - deltas_before),
+            float(evaluator.n_delta_evaluations - deltas_before),
         )
-        n_batched = getattr(evaluator, "n_batched_evaluations", 0) - batched_before
-        n_calls = getattr(evaluator, "n_batch_calls", 0) - calls_before
+        n_batched = evaluator.n_batched_evaluations - batched_before
+        n_calls = evaluator.n_batch_calls - calls_before
         stats.setdefault("n_batched_evaluations", float(n_batched))
         stats.setdefault(
             "batch_size_mean",
             float(n_batched) / n_calls if n_calls > 0 else 0.0,
         )
-        if equiv_before is not None:
-            stats.setdefault(
-                "n_equivalent_evaluations",
-                float(evaluator.n_equivalent_evaluations - equiv_before),
-            )
+        stats.setdefault(
+            "n_equivalent_evaluations",
+            float(evaluator.n_equivalent_evaluations - equiv_before),
+        )
         mapping = np.asarray(mapping, dtype=np.int64)
         if mapping.shape != (evaluator.n_tasks,):
             raise ValueError(
@@ -117,8 +115,7 @@ class Mapper(abc.ABC):
             registry.counter("mapper.n_evaluations").inc(result.n_evaluations)
             for key in ("n_simulations", "n_delta_evaluations",
                         "n_batched_evaluations", "n_equivalent_evaluations"):
-                if key in stats:
-                    registry.counter(f"mapper.{key}").inc(stats[key])
+                registry.counter(f"mapper.{key}").inc(stats[key])
             if stats.get("batch_size_mean"):
                 registry.gauge("mapper.batch_size_mean").set(
                     stats["batch_size_mean"]

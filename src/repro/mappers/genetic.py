@@ -17,6 +17,8 @@ With a single objective, NSGA-II's non-dominated sorting degenerates to
 sorting by fitness, so the algorithm is the classic elitist (mu + lambda)
 GA with binary tournament selection.  The all-CPU individual is seeded into
 the initial population, so the final result never loses to the baseline.
+:func:`initial_population` and the variation step :func:`vary` are shared
+with :class:`~repro.mappers.multiobjective.ParetoNsgaIIMapper`.
 
 Fitness is evaluated through the population entry
 (:meth:`~repro.evaluation.evaluator.MappingEvaluator.construction_makespans`):
@@ -36,7 +38,7 @@ import numpy as np
 from ..evaluation.evaluator import MappingEvaluator
 from .base import Mapper
 
-__all__ = ["NsgaIIMapper", "repair_area", "single_point_crossover"]
+__all__ = ["NsgaIIMapper", "initial_population", "vary"]
 
 
 def single_point_crossover(
@@ -44,9 +46,7 @@ def single_point_crossover(
 ) -> None:
     """Single-point crossover on consecutive pairs (in place).
 
-    Shared by :class:`NsgaIIMapper` and
-    :class:`~repro.mappers.multiobjective.ParetoNsgaIIMapper`.  The rng
-    draws happen pair by pair in the classic loop order (one
+    The rng draws happen pair by pair in the classic loop order (one
     ``random()`` per pair, one ``integers(1, n)`` per crossover), so the
     stream — and hence every seeded trajectory — is unchanged; only the
     tail swaps are applied in one vectorized pass instead of three numpy
@@ -74,10 +74,8 @@ def repair_area(
 ) -> None:
     """Move tasks off over-committed area devices until feasible (in place).
 
-    Shared by :class:`NsgaIIMapper` and
-    :class:`~repro.mappers.multiobjective.ParetoNsgaIIMapper`: each
-    over-committed genome draws one ``permutation`` of its tasks on the
-    device and sends them to the host in that order.
+    Each over-committed genome draws one ``permutation`` of its tasks on
+    the device and sends them to the host in that order.
     """
     area = evaluator.model._area  # noqa: SLF001 - package-internal
     host = evaluator.platform.host_index
@@ -94,6 +92,33 @@ def repair_area(
                 used -= area[g]
 
 
+def initial_population(
+    evaluator: MappingEvaluator, rng: np.random.Generator, size: int
+) -> np.ndarray:
+    """``size`` random genomes, the all-CPU one in row 0, repaired."""
+    shape = (size, evaluator.n_tasks)
+    pop = rng.integers(0, evaluator.n_devices, size=shape, dtype=np.int64)
+    pop[0] = evaluator.platform.host_index
+    repair_area(pop, evaluator, rng)
+    return pop
+
+
+def vary(children: np.ndarray, evaluator: MappingEvaluator,
+         rng: np.random.Generator, crossover_rate: float,
+         mutation_rate: Optional[float]) -> None:
+    """Crossover, per-gene mutation (rate ``1/n`` unless given) and
+    repair of the selected parents, in place and in that rng order."""
+    single_point_crossover(children, rng, crossover_rate)
+    if mutation_rate is None:
+        mutation_rate = 1.0 / children.shape[1]
+    mask = rng.random(size=children.shape) < mutation_rate
+    if mask.any():
+        children[mask] = rng.integers(
+            0, evaluator.n_devices, size=int(mask.sum())
+        )
+    repair_area(children, evaluator, rng)
+
+
 class NsgaIIMapper(Mapper):
     """Single-objective NSGA-II (see module docstring)."""
 
@@ -106,7 +131,6 @@ class NsgaIIMapper(Mapper):
         population_size: int = 100,
         crossover_rate: float = 0.9,
         mutation_rate: Optional[float] = None,
-        seed_cpu_individual: bool = True,
     ) -> None:
         if generations < 1 or population_size < 2:
             raise ValueError("need at least 1 generation and 2 individuals")
@@ -114,7 +138,6 @@ class NsgaIIMapper(Mapper):
         self.population_size = population_size
         self.crossover_rate = crossover_rate
         self.mutation_rate = mutation_rate
-        self.seed_cpu_individual = seed_cpu_individual
         #: best construction makespan after each generation (last run)
         self.history_: List[float] = []
         super().__init__()
@@ -123,17 +146,10 @@ class NsgaIIMapper(Mapper):
     def _run(
         self, evaluator: MappingEvaluator, rng: np.random.Generator
     ) -> Tuple[np.ndarray, Dict[str, float]]:
-        n = evaluator.n_tasks
-        m = evaluator.n_devices
         pop_size = self.population_size
-        p_mut = self.mutation_rate if self.mutation_rate is not None else 1.0 / n
-        host = evaluator.platform.host_index
         fitness_of = evaluator.construction_makespans
 
-        pop = rng.integers(0, m, size=(pop_size, n), dtype=np.int64)
-        if self.seed_cpu_individual:
-            pop[0] = host
-        repair_area(pop, evaluator, rng)
+        pop = initial_population(evaluator, rng, pop_size)
         fitness = fitness_of(pop)
         history: List[float] = []
 
@@ -144,13 +160,8 @@ class NsgaIIMapper(Mapper):
             parents = np.where(fitness[a] <= fitness[b], a, b)
 
             children = pop[parents]
-            single_point_crossover(children, rng, self.crossover_rate)
-            # per-gene mutation
-            mask = rng.random(size=children.shape) < p_mut
-            if mask.any():
-                children[mask] = rng.integers(0, m, size=int(mask.sum()))
-            repair_area(children, evaluator, rng)
-
+            vary(children, evaluator, rng, self.crossover_rate,
+                 self.mutation_rate)
             child_fitness = fitness_of(children)
             # (mu + lambda) elitism == single-objective NSGA-II survival
             combined = np.concatenate([pop, children])

@@ -37,7 +37,7 @@ from ..evaluation.energy import EnergyModel
 from ..evaluation.evaluator import MappingEvaluator
 from .base import Mapper
 from .decomposition import DecompositionMapper
-from .genetic import repair_area, single_point_crossover
+from .genetic import initial_population, vary
 
 __all__ = [
     "dominates",
@@ -226,16 +226,11 @@ class ParetoNsgaIIMapper(Mapper):
     def _run(
         self, evaluator: MappingEvaluator, rng: np.random.Generator
     ) -> Tuple[np.ndarray, Dict[str, float]]:
-        n = evaluator.n_tasks
-        m = evaluator.n_devices
         pop_size = self.population_size
-        p_mut = self.mutation_rate if self.mutation_rate is not None else 1.0 / n
         energy = EnergyModel(evaluator.model)
         self._energy_memo: Dict[bytes, float] = {}
 
-        pop = rng.integers(0, m, size=(pop_size, n), dtype=np.int64)
-        pop[0] = evaluator.platform.host_index
-        repair_area(pop, evaluator, rng)
+        pop = initial_population(evaluator, rng, pop_size)
         objs = self._evaluate(pop, evaluator, energy)
         history: List[Tuple[float, float]] = []
 
@@ -261,12 +256,9 @@ class ParetoNsgaIIMapper(Mapper):
                 else:
                     pick_a[k] = rng.random() < 0.5
             parents = np.where(pick_a, a, b)
-            children = pop[parents].copy()
-            single_point_crossover(children, rng, self.crossover_rate)
-            mask = rng.random(size=children.shape) < p_mut
-            if mask.any():
-                children[mask] = rng.integers(0, m, size=int(mask.sum()))
-            repair_area(children, evaluator, rng)
+            children = pop[parents]
+            vary(children, evaluator, rng, self.crossover_rate,
+                 self.mutation_rate)
             child_objs = self._evaluate(children, evaluator, energy)
 
             combined = np.vstack([pop, children])

@@ -298,6 +298,55 @@ class TestDeviceRange:
         last = [model.m - 1] * model.n
         assert _same(model.simulate(last), model._simulate_reference(last))
 
+    # The per-move delta entries: the C kernel took device -1 as device
+    # 2 (``_c_devices[-1]``), the Python kernel returned a wrong makespan,
+    # ``candidate([-1])`` was task 19, and a ``first_pos`` past the
+    # members' first position (5 for task 5) kept stale snapshots
+    # (SIGSEGV on C for ``10**7``).  A rejected move leaves the base as is.
+    _DEVICE = r"device index outside \[0, 3\)"
+    _TASK = r"task index outside \[0, 20\)"
+    BAD_MOVES = {
+        "eval_m": (lambda d, c: d.evaluate_move(c, 3), _DEVICE),
+        "eval_-1": (lambda d, c: d.evaluate_move(c, -1), _DEVICE),
+        "apply_m": (lambda d, c: d.apply_move(c.members, 3), _DEVICE),
+        "apply_-1": (lambda d, c: d.apply_move(c.members, -1), _DEVICE),
+        "cand_20": (lambda d, c: d.candidate([3, 20]), _TASK),
+        "cand_-1": (lambda d, c: d.candidate([3, -1]), _TASK),
+        "apply_task_20": (lambda d, c: d.apply_move([3, 20], 1), _TASK),
+        "apply_task_-1": (lambda d, c: d.apply_move([3, -1], 1), _TASK),
+        **{f"first_pos_{k}": (
+            lambda d, c, k=k: d.apply_move([5], 1, first_pos=k), "first_pos")
+           for k in (-1, 6, 10, 10**7)},
+    }
+
+    @staticmethod
+    def _delta(use_ckernel):
+        g = random_sp_graph(20, np.random.default_rng(0))
+        model = CostModel(g, paper_platform(), use_ckernel=use_ckernel)
+        delta = DeltaEvaluator(model)
+        delta.reset(np.zeros(model.n, dtype=np.int64))
+        return model, delta
+
+    @pytest.mark.parametrize("use_ckernel", MODES, ids=MODE_IDS)
+    @pytest.mark.parametrize("move", list(BAD_MOVES))
+    def test_bad_move_raises(self, move, use_ckernel):
+        _, delta = self._delta(use_ckernel)
+        apply, match = self.BAD_MOVES[move]
+        with pytest.raises(ValueError, match=match):
+            apply(delta, delta.candidate([5]))
+        assert not delta.mapping.any()
+
+    @pytest.mark.parametrize("use_ckernel", MODES, ids=MODE_IDS)
+    @pytest.mark.parametrize("first_pos", [0, 5, None])
+    def test_valid_moves_still_accepted(self, first_pos, use_ckernel):
+        model, delta = self._delta(use_ckernel)
+        last = model.m - 1
+        moved = np.zeros(model.n, dtype=np.int64)
+        moved[5] = last
+        want = model._simulate_reference(moved)
+        assert _same(delta.evaluate_move(delta.candidate([5]), last), want)
+        assert _same(delta.apply_move([5], last, first_pos=first_pos), want)
+
 
 class TestOrderRange:
     """A caller's schedule order is checked like a mapping: out of range,
