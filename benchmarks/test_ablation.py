@@ -9,16 +9,32 @@
 3. **Streaming awareness**: mapping quality with the FPGA's streaming
    enabled vs disabled in the cost model (quantifies how much of the
    decomposition advantage comes from dataflow streaming).
+
+The three registry entries (``ablation-cuts``, ``ablation-gamma``,
+``ablation-streaming``) run at the bench scale too; at smoke scale every
+column except ``time_s`` must equal their committed ``results/`` CSVs.
 """
 
 import numpy as np
 import pytest
 
 from repro.evaluation import MappingEvaluator
+from repro.experiments import EXPERIMENTS, bench_scale, write_csv
 from repro.graphs.generators import random_almost_sp_graph, random_sp_graph
 from repro.mappers import DecompositionMapper
 from repro.platform import Platform, cpu, fpga, gpu, paper_platform
 from repro.sp import CUT_STRATEGIES
+
+
+@pytest.mark.parametrize(
+    "name", ["ablation-cuts", "ablation-gamma", "ablation-streaming"]
+)
+def test_ablation_sweep_regenerate(name, matches_committed_csv):
+    entry = EXPERIMENTS[name]
+    result = entry.run(bench_scale())
+    print()
+    print(entry.format(result))
+    matches_committed_csv(write_csv(result))
 
 
 def _mean_improvement(mapper, graphs, platform, seed=0):

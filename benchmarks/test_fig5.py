@@ -3,18 +3,19 @@
 Regenerates both panels, prints the table, writes its CSV and
 checks the paper's qualitative shape: the GA is competitive in quality but
 many times costlier (in model evaluations) than the decomposition
-heuristics.
+heuristics.  At smoke scale every column except ``time_s`` must also
+equal the committed ``results/`` CSV.
 """
 
 from repro.experiments import EXPERIMENTS, bench_scale, write_csv
 
 
-def test_fig5_regenerate():
+def test_fig5_regenerate(matches_committed_csv):
     entry = EXPERIMENTS["fig5"]
     result = entry.run(bench_scale())
     print()
     print(entry.format(result))
-    write_csv(result)
+    matches_committed_csv(write_csv(result))
 
     series = {s.name: s for s in result.series()}
     largest = -1

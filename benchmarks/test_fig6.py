@@ -4,18 +4,19 @@ Regenerates both panels (improvement and execution time vs generations on a
 fixed graph set), prints the table, writes its CSV and checks
 the paper's qualitative shape: GA cost (model evaluations) grows ~linearly
 with the generation budget while the decomposition reference lines are
-flat.
+flat.  At smoke scale every column except ``time_s`` must also equal the
+committed ``results/`` CSV.
 """
 
 from repro.experiments import EXPERIMENTS, bench_scale, write_csv
 
 
-def test_fig6_regenerate():
+def test_fig6_regenerate(matches_committed_csv):
     entry = EXPERIMENTS["fig6"]
     result = entry.run(bench_scale())
     print()
     print(entry.format(result))
-    write_csv(result)
+    matches_committed_csv(write_csv(result))
 
     series = {s.name: s for s in result.series()}
     ga = series["NSGAII"]

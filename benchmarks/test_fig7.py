@@ -4,18 +4,19 @@ Regenerates both panels (improvement and time vs number of conflicting extra
 edges), prints the table, writes its CSV and checks the
 paper's qualitative shape: the series-parallel decomposition converges
 towards the single-node decomposition as the trees shatter, and both stay
-competitive with the GA.
+competitive with the GA.  At smoke scale every column except ``time_s``
+must also equal the committed ``results/`` CSV.
 """
 
 from repro.experiments import EXPERIMENTS, bench_scale, write_csv
 
 
-def test_fig7_regenerate():
+def test_fig7_regenerate(matches_committed_csv):
     entry = EXPERIMENTS["fig7"]
     result = entry.run(bench_scale())
     print()
     print(entry.format(result))
-    write_csv(result)
+    matches_committed_csv(write_csv(result))
 
     series = {s.name: s for s in result.series()}
     sn = series["SNFirstFit"]

@@ -9,7 +9,8 @@ and asserts the fitted exponents stay clearly below the cubic worst case,
 with the FirstFit variants cheaper than the basic ones.  The fit reads the
 sweep's evaluation counts rather than its wall-clock times, so the check
 does not depend on the host's speed or load; the printed report still
-fits the times.
+fits the times.  At smoke scale every column except ``time_s`` must also
+equal the committed ``results/`` CSV.
 """
 
 import numpy as np
@@ -17,12 +18,12 @@ import numpy as np
 from repro.experiments import EXPERIMENTS, bench_scale, write_csv
 
 
-def test_scaling_exponents():
+def test_scaling_exponents(matches_committed_csv):
     entry = EXPERIMENTS["scaling"]
     result = entry.run(bench_scale())
     print()
     print(entry.format(result))
-    write_csv(result)
+    matches_committed_csv(write_csv(result))
 
     points = [p for p in result.points if p.x >= 10]
     log_n = np.log([p.x for p in points])

@@ -9,17 +9,20 @@ checks the per-family signatures the paper reports:
 - the GA is the most expensive algorithm on every family, counted in
   model evaluations (a count, so the check does not depend on host
   load the way the ``total_time_s`` column does).
+
+At smoke scale every column except ``total_time_s`` must also equal the
+committed ``results/table1.csv``.
 """
 
 from repro.experiments import EXPERIMENTS, bench_scale, write_csv
 
 
-def test_table1_regenerate():
+def test_table1_regenerate(matches_committed_csv):
     entry = EXPERIMENTS["table1"]
     result = entry.run(bench_scale())
     print()
     print(entry.format(result))
-    write_csv(result)
+    matches_committed_csv(write_csv(result))
 
     for family in result.families():
         evals = result.total_evaluations[family]

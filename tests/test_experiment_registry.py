@@ -71,7 +71,7 @@ def test_entry_is_a_cli_choice_and_writes_the_committed_header(
 
 def test_every_committed_csv_has_an_entry(tiny_results):
     written = {result.csv_name for result in tiny_results.values()}
-    assert len(COMMITTED) == 12
+    assert len(COMMITTED) == 15
     assert set(COMMITTED) <= written
 
 
