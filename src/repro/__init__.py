@@ -53,12 +53,14 @@ Public API tour
   CSV byte-identity tests; long sweeps checkpoint to an append-only
   journal and resume recomputing only outstanding cells
   (``--checkpoint``/``--resume``);
-- :mod:`repro.experiments` — drivers regenerating every figure and table of
-  the paper's evaluation, plus the runtime-robustness noise sweep, the
+- :mod:`repro.experiments` — every figure and table of the paper's
+  evaluation: the figure sweeps are declarations
+  (:mod:`repro.experiments.sweeps`) run by one sweep function, Table I
+  has its own driver, and the runtime-robustness noise sweep, the
   failure re-mapping policy sweep (:mod:`repro.experiments.robustness`)
   and the shared-resource contention sweep
-  (:mod:`repro.experiments.contention`), all run through one registry
-  (``repro experiment NAME``);
+  (:mod:`repro.experiments.contention`) share one runtime-study harness;
+  all run through one registry (``repro experiment NAME``);
 - :mod:`repro.obs` — the observability backbone: hierarchical span
   tracing with Chrome trace-event export (open ``--trace`` output in
   Perfetto), a counters/gauges/histograms metrics registry with one

@@ -1,4 +1,4 @@
-"""Experiment harness: one driver per figure/table of the paper's evaluation.
+"""Experiment harness: every figure and table of the paper's evaluation.
 
 Every study — Figs. 3-7 and Table I, plus the scaling, baselines,
 ablation, robustness, replan, contention and topology extensions — is an
@@ -7,15 +7,29 @@ entry of :data:`EXPERIMENTS` and runs from the command line as::
     repro experiment fig4 --scale smoke
     repro experiment table1 --scale small --csv
 
-Driver modules are imported only when an entry runs, so importing this
-package stays cheap.  See :mod:`repro.experiments.config` for scales.
+The ten figure sweeps (fig3-fig7, baselines, scaling and the three
+ablations) are declarations in :mod:`repro.experiments.sweeps`, all run
+by :func:`~repro.experiments.runner.run_sweep`; Table I has its own
+driver (:mod:`repro.experiments.table1`), and the four runtime studies
+are declarations on :func:`~repro.experiments.runner.run_study`
+(:mod:`~repro.experiments.robustness`,
+:mod:`~repro.experiments.contention`).  Those modules are imported only
+when an entry runs, so importing this package stays cheap.  See
+:mod:`repro.experiments.config` for scales.
 """
 
 from .config import SCALES, ScaleConfig, bench_scale, get_scale
 from .metrics import AggregateStats, aggregate, positive_improvement
 from .registry import EXPERIMENTS, Experiment
 from .reporting import format_sweep_table, write_csv
-from .runner import PointResult, SweepResult, SweepSeries, run_point, run_sweep
+from .runner import (
+    PointResult,
+    Sweep,
+    SweepResult,
+    SweepSeries,
+    run_point,
+    run_sweep,
+)
 
 __all__ = [
     "EXPERIMENTS",
@@ -30,6 +44,7 @@ __all__ = [
     "format_sweep_table",
     "write_csv",
     "PointResult",
+    "Sweep",
     "SweepResult",
     "SweepSeries",
     "run_point",

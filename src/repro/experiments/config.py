@@ -78,15 +78,6 @@ class ScaleConfig:
     replan_policies: List[str] = field(
         default_factory=lambda: ["fallback", "decomposition", "heft", "minmin"]
     )
-    #: failure instant as a fraction of the mapping's analytic makespan
-    #: (early enough that the failure strands not-yet-started work — at
-    #: smoke scale a late failure leaves nothing to rescue and the
-    #: policy comparison degenerates)
-    replan_failure_frac: float = 0.1
-    #: device that fails mid-run (1 = the GPU on the paper platform)
-    replan_device: int = 1
-    #: lognormal runtime noise applied during the replan sweep
-    replan_sigma: float = 0.1
 
     # Contention — shared-resource sweep (repro.experiments.contention):
     # arrival streams under cross-job FPGA area accounting + link slots
@@ -103,10 +94,6 @@ class ScaleConfig:
     contention_period_fracs: List[float] = field(
         default_factory=lambda: [1.0, 0.5, 0.25]
     )
-    #: FPGA capacity headroom over one job's footprint: the run platform's
-    #: area budget is ``headroom x usage(mapping)`` (when the mapping uses
-    #: the FPGA at all), so overlapping jobs genuinely contend for fabric
-    contention_area_headroom: float = 1.5
     #: interconnect shapes swept by ``--topology`` (and ``run_topologies``):
     #: ``"shared"`` is the legacy single-pool model, the rest are
     #: :data:`repro.platform.topologies.TOPOLOGY_NAMES` presets with the

@@ -16,9 +16,8 @@ metric over graphs:
 - **link wait** — seconds transfers queued for a busy link slot,
 - **energy per job** at the :mod:`repro.evaluation.energy` rates.
 
-The replay platform's FPGA capacity is sized at
-``contention_area_headroom`` (default 1.5x) of one job's mapped
-footprint (:func:`_squeeze_fpga`): a single job always fits, two
+The replay platform's FPGA capacity is sized at :data:`AREA_HEADROOM`
+(1.5x) of one job's mapped footprint (:func:`_squeeze_fpga`): a single job always fits, two
 overlapping jobs cannot both hold their full claim, so the engine's
 cross-job area ledger has real contention to arbitrate at every scale.
 Runs are deterministic (zero noise), so every cell is one exact engine
@@ -61,6 +60,11 @@ __all__ = [
 
 #: names accepted by ``--topology``: the single shared pool + presets
 SWEEP_TOPOLOGIES = ("shared",) + TOPOLOGY_NAMES
+
+#: FPGA capacity headroom over one job's footprint: the run platform's
+#: area budget is ``AREA_HEADROOM x usage(mapping)`` (when the mapping
+#: uses the FPGA at all), so overlapping jobs genuinely contend for fabric
+AREA_HEADROOM = 1.5
 
 _THROUGHPUT = ("jobs_per_second", "latency_mean_s", "latency_p95_s")
 _ENERGY = ("energy_per_job_j", "makespan_s")
@@ -138,7 +142,7 @@ def _run_streams(result, cfg, axes, label, seed, workers, progress,
             p["period_frac"], p["link_slots"],
         ),
         reshape=lambda platform, usage: _squeeze_fpga(
-            platform, usage, cfg.contention_area_headroom
+            platform, usage, AREA_HEADROOM
         ),
         seed=seed, workers=workers, progress=progress, journal=journal,
     )
@@ -160,7 +164,7 @@ def run(
     cfg = get_scale(scale)
     result = StudyResult(
         f"Shared-resource contention: {cfg.contention_jobs}-job streams, "
-        f"{cfg.contention_area_headroom:g}x FPGA headroom ({cfg.name})",
+        f"{AREA_HEADROOM:g}x FPGA headroom ({cfg.name})",
         "contention_sweep.csv", ("algorithm", "link_slots", "period_frac"),
         _THROUGHPUT + ("area_wait_s", "link_wait_s") + _ENERGY,
     )

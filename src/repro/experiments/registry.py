@@ -5,8 +5,10 @@
 :meth:`Experiment.run`, so ``--seed/--workers/--checkpoint/--resume``
 mean the same thing for every driver, and every result is written by
 :func:`repro.experiments.reporting.write_csv`.  Entries name their
-driver and formatter as ``"module:function"`` strings resolved on use,
-so importing this module loads no driver.
+driver and formatter as ``"module:attribute"`` strings resolved on use,
+so importing this module loads no driver.  A figure sweep's driver is
+its declaration in :mod:`repro.experiments.sweeps`; the registry holds
+every study's only default seed.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ class Experiment:
     """A named study: its driver, its text formatter and its default seed."""
 
     name: str
-    driver: str      # "module:function" returning a result with csv_rows()
+    driver: str      # "module:callable" returning a result with csv_rows()
     formatter: str   # "module:function" rendering that result as text
     seed: int
 
@@ -86,17 +88,17 @@ class Experiment:
 _SWEEP = "reporting:format_sweep_table"
 
 EXPERIMENTS: Dict[str, Experiment] = {e.name: e for e in (
-    Experiment("fig3", "fig3:run", _SWEEP, 3),
-    Experiment("fig4", "fig4:run", _SWEEP, 4),
-    Experiment("fig5", "fig5:run", _SWEEP, 5),
-    Experiment("fig6", "fig6:run", _SWEEP, 6),
-    Experiment("fig7", "fig7:run", _SWEEP, 7),
+    Experiment("fig3", "sweeps:fig3", _SWEEP, 3),
+    Experiment("fig4", "sweeps:fig4", _SWEEP, 4),
+    Experiment("fig5", "sweeps:fig5", _SWEEP, 5),
+    Experiment("fig6", "sweeps:fig6", _SWEEP, 6),
+    Experiment("fig7", "sweeps:fig7", _SWEEP, 7),
     Experiment("table1", "table1:run", "table1:format_table", 10),
-    Experiment("scaling", "scaling:run", "scaling:format_report", 30),
-    Experiment("baselines", "baselines:run", _SWEEP, 40),
-    Experiment("ablation-cuts", "ablation:run_cuts", _SWEEP, 21),
-    Experiment("ablation-gamma", "ablation:run_gamma", _SWEEP, 22),
-    Experiment("ablation-streaming", "ablation:run_streaming", _SWEEP, 23),
+    Experiment("scaling", "sweeps:scaling", "scaling:format_report", 30),
+    Experiment("baselines", "sweeps:baselines", _SWEEP, 40),
+    Experiment("ablation-cuts", "sweeps:ablation_cuts", _SWEEP, 21),
+    Experiment("ablation-gamma", "sweeps:ablation_gamma", _SWEEP, 22),
+    Experiment("ablation-streaming", "sweeps:ablation_streaming", _SWEEP, 23),
     Experiment("robustness", "robustness:run",
                "robustness:format_robustness_table", 77),
     Experiment("replan", "robustness:run_replan",

@@ -37,14 +37,6 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from ..mappers import (
-    HeftMapper,
-    NsgaIIMapper,
-    PeftMapper,
-    sn_first_fit,
-    sp_first_fit,
-)
-from ..platform import paper_platform
 from ..runtime import (
     DeviceFailure,
     LognormalNoise,
@@ -53,7 +45,7 @@ from ..runtime import (
     robustness_report,
 )
 from .config import get_scale
-from .runner import StudyResult, run_study
+from .runner import StudyResult, paper_roster, run_study
 
 __all__ = [
     "run",
@@ -64,15 +56,15 @@ __all__ = [
 
 _DEGRADATION = ("analytic_s", "mean_s", "degradation", "p95_degradation")
 
-
-def _roster(cfg):
-    return [
-        HeftMapper(),
-        PeftMapper(),
-        NsgaIIMapper(generations=cfg.nsga_generations),
-        sn_first_fit(),
-        sp_first_fit(),
-    ]
+#: failure instant of the replan sweep, as a fraction of the mapping's
+#: analytic makespan (early enough that the failure strands
+#: not-yet-started work — at smoke scale a late failure leaves nothing
+#: to rescue and the policy comparison degenerates)
+REPLAN_FAILURE_FRAC = 0.1
+#: device that fails mid-run (1 = the GPU on the paper platform)
+REPLAN_DEVICE = 1
+#: lognormal runtime noise applied during the replan sweep
+REPLAN_SIGMA = 0.1
 
 
 def _replication_cell(item) -> Dict[str, float]:
@@ -129,7 +121,8 @@ def run(
         _DEGRADATION,
     )
     return run_study(
-        result, cfg, roster=_roster(cfg), n_tasks=cfg.robustness_n_tasks,
+        result, cfg, roster=paper_roster(cfg.nsga_generations),
+        n_tasks=cfg.robustness_n_tasks,
         n_graphs=cfg.robustness_graphs,
         axes={"noise_sigma": cfg.robustness_noise_levels},
         cell=_replication_cell, label="noise replication",
@@ -150,33 +143,28 @@ def run_replan(
 ) -> StudyResult:
     """Sweep re-mapping policies under a mid-run device failure.
 
-    A device (``cfg.replan_device``) fails at
-    ``cfg.replan_failure_frac`` of each mapping's analytic makespan;
-    every policy replays the *same* seeds, failure instants and noise
-    draws, so differences are pure policy effect.
+    Device :data:`REPLAN_DEVICE` fails at :data:`REPLAN_FAILURE_FRAC`
+    of each mapping's analytic makespan; every policy replays the
+    *same* seeds, failure instants and noise draws, so differences are
+    pure policy effect.
     ``journal`` checkpoints completed cells exactly as in :func:`run`.
     """
     cfg = get_scale(scale)
-    n_devices = paper_platform().n_devices
-    if not 0 <= cfg.replan_device < n_devices:
-        raise ValueError(
-            f"replan_device {cfg.replan_device} out of range for "
-            f"{n_devices}-device platform"
-        )
     result = StudyResult(
-        f"Re-mapping policies under device-{cfg.replan_device} failure "
-        f"at {cfg.replan_failure_frac:g}x makespan ({cfg.name})",
+        f"Re-mapping policies under device-{REPLAN_DEVICE} failure "
+        f"at {REPLAN_FAILURE_FRAC:g}x makespan ({cfg.name})",
         "replan_policy_sweep.csv", ("policy", "algorithm"),
         _DEGRADATION + ("mean_killed", "mean_remapped"),
     )
-    failure = (cfg.replan_failure_frac, cfg.replan_device)
+    failure = (REPLAN_FAILURE_FRAC, REPLAN_DEVICE)
     return run_study(
-        result, cfg, roster=_roster(cfg), n_tasks=cfg.robustness_n_tasks,
+        result, cfg, roster=paper_roster(cfg.nsga_generations),
+        n_tasks=cfg.robustness_n_tasks,
         n_graphs=cfg.robustness_graphs,
         axes={"policy": cfg.replan_policies},
         cell=_replication_cell, label="replan replication",
         cell_args=lambda p: (
-            cfg.replan_sigma, cfg.robustness_replications,
+            REPLAN_SIGMA, cfg.robustness_replications,
             failure + (p["policy"],),
         ),
         seed=seed, workers=workers, progress=progress, journal=journal,

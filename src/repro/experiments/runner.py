@@ -1,7 +1,7 @@
 """Experiment runner: sweep mappers over graph collections.
 
-The drivers in :mod:`repro.experiments` (one per paper figure/table) all
-follow the same pattern:
+Every figure sweep follows the protocol of Sec. IV-A of arXiv 2502.19745,
+and :func:`run_sweep` is its one implementation:
 
 1. generate a list of graphs per sweep point (30 per point at paper scale),
 2. for every graph build one :class:`MappingEvaluator` (so all algorithms
@@ -9,6 +9,10 @@ follow the same pattern:
 3. run every mapper, recording the positive relative improvement and the
    mapper wall-clock time,
 4. aggregate per sweep point into :class:`SweepSeries` rows.
+
+A study supplies only a :class:`Sweep` declaration (its x axis, graphs
+and roster; see :mod:`repro.experiments.sweeps`); :func:`run_sweep`
+decides scale, platform, suite size, workers and journal for all of them.
 
 The runtime studies (robustness, replan, contention, topology) share the
 first two steps through :func:`run_study`: it maps a set of graphs once
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import attrgetter
 from types import SimpleNamespace
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -36,7 +41,14 @@ import numpy as np
 from ..evaluation.evaluator import MappingEvaluator
 from ..graphs.generators import random_sp_graph
 from ..graphs.taskgraph import TaskGraph
-from ..mappers.base import Mapper
+from ..mappers import (
+    HeftMapper,
+    Mapper,
+    NsgaIIMapper,
+    PeftMapper,
+    sn_first_fit,
+    sp_first_fit,
+)
 from ..obs import metrics as _obs_metrics
 from ..obs import trace as _trace
 from ..parallel import (
@@ -47,18 +59,35 @@ from ..parallel import (
 )
 from ..platform import paper_platform
 from ..platform.platform import Platform
+from .config import ScaleConfig, get_scale
 from .metrics import AggregateStats, aggregate
 
 __all__ = [
     "PointResult",
     "SweepSeries",
     "SweepResult",
+    "Sweep",
     "Replay",
     "StudyResult",
+    "paper_roster",
     "run_point",
     "run_sweep",
     "run_study",
 ]
+
+
+def paper_roster(generations: int) -> List[Mapper]:
+    """Table I's algorithms: HEFT, PEFT, NSGA-II, SNFirstFit, SPFirstFit.
+
+    Fig. 7 and the robustness studies compare the same five.
+    """
+    return [
+        HeftMapper(),
+        PeftMapper(),
+        NsgaIIMapper(generations=generations),
+        sn_first_fit(),
+        sp_first_fit(),
+    ]
 
 
 @dataclass
@@ -232,45 +261,72 @@ def run_point(
     )
 
 
+@dataclass(frozen=True)
+class Sweep:
+    """One figure sweep, declared: what varies along x and who competes.
+
+    ``xs(cfg)`` gives the sweep points, ``graphs(cfg, x, rng)`` the graph
+    set of a point and ``roster(cfg, x)`` its algorithms (some figures
+    vary algorithm parameters along x, e.g. Fig. 6 sweeps NSGA-II
+    generations).  ``suite(cfg)`` sizes every graph's schedule suite.
+    With ``one_graph_set`` the graphs are drawn once, as
+    ``graphs(cfg, None, rng)`` from the root seed's first child, and
+    every point reuses them.  Calling a declaration runs it through
+    :func:`run_sweep`.
+    """
+
+    title: str
+    x_label: str
+    xs: Callable[[ScaleConfig], Sequence[float]]
+    graphs: Callable[[ScaleConfig, Optional[float], np.random.Generator],
+                     List[TaskGraph]]
+    roster: Callable[[ScaleConfig, float], Sequence[Mapper]]
+    suite: Callable[[ScaleConfig], int] = attrgetter("n_random_schedules")
+    one_graph_set: bool = False
+
+    def __call__(self, scale="smoke", **kwargs) -> SweepResult:
+        return run_sweep(self, scale, **kwargs)
+
+
 def run_sweep(
-    title: str,
-    x_label: str,
-    xs: Sequence[float],
-    make_graphs: Callable[[float, np.random.Generator], List[TaskGraph]],
-    make_mappers: Callable[[float], Sequence[Mapper]],
-    platform: Platform,
+    sweep: Sweep,
+    scale="smoke",
     *,
-    seed: int = 0,
-    n_random_schedules: int = 100,
+    seed: int,
+    workers: Optional[int] = None,
     progress: Optional[Callable[[str], None]] = None,
-    workers: int = 1,
     journal=None,
 ) -> SweepResult:
-    """Run a full parameter sweep.
+    """Run a declared sweep at ``scale`` on the paper platform.
 
-    ``make_graphs(x, rng)`` builds the graph set of a sweep point;
-    ``make_mappers(x)`` the algorithms (some figures vary algorithm
-    parameters along x, e.g. Fig. 6 sweeps NSGA-II generations).
-    ``workers`` sizes the supervised process pool, created once and
-    reused across every sweep point (per-point pools would pay
-    fork/teardown at each x); the pool retries transient failures,
-    times out hung workers and rebuilds after crashes — results are
-    unaffected (seed-sharding contract).  ``journal`` (a
-    :class:`~repro.parallel.SweepJournal`) checkpoints every completed
-    graph under a per-point key scope so an interrupted sweep resumes
-    without recomputation.
+    ``workers`` (default: the scale's ``parallel_workers``) sizes the
+    supervised process pool, created once and reused across every sweep
+    point (per-point pools would pay fork/teardown at each x); the pool
+    retries transient failures, times out hung workers and rebuilds
+    after crashes — results are unaffected (seed-sharding contract).
+    ``journal`` (a :class:`~repro.parallel.SweepJournal`) checkpoints
+    every completed graph under a per-point key scope so an interrupted
+    sweep resumes without recomputation.
     """
-    result = SweepResult(title=title, x_label=x_label)
+    cfg = get_scale(scale)
+    platform = paper_platform()
+    workers = resolve_workers(workers, cfg.parallel_workers)
+    n_random_schedules = sweep.suite(cfg)
+    xs = sweep.xs(cfg)
+    result = SweepResult(title=sweep.title, x_label=sweep.x_label)
+    if sweep.one_graph_set:
+        shared = sweep.graphs(cfg, None, np.random.default_rng(
+            np.random.SeedSequence(seed).spawn(1)[0]
+        ))
     root = np.random.SeedSequence(seed)
-    workers = max(1, int(workers))
     with SupervisedPool(workers, chaos=plan_from_env()) as executor:
         for i, (x, sub) in enumerate(zip(xs, root.spawn(len(xs)))):
             gen_seed, point_seed = sub.spawn(2)
-            rng = np.random.default_rng(gen_seed)
-            graphs = make_graphs(x, rng)
-            mappers = make_mappers(x)
+            graphs = shared if sweep.one_graph_set else sweep.graphs(
+                cfg, x, np.random.default_rng(gen_seed)
+            )
             point = run_point(
-                mappers,
+                sweep.roster(cfg, x),
                 graphs,
                 platform,
                 seed=point_seed,
@@ -283,7 +339,7 @@ def run_sweep(
             )
             result.points.append(point)
             if progress is not None:
-                progress(f"{title}: {x_label}={x} done")
+                progress(f"{sweep.title}: {sweep.x_label}={x} done")
     return result
 
 

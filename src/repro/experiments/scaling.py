@@ -1,75 +1,21 @@
-"""Empirical complexity of the decomposition mappers (paper Sec. IV-B).
+"""Power-law fit of the scaling sweep's mapper times (paper Sec. IV-B).
 
-"Generally, on our test data, all decomposition-based mapping strategies
-exhibit a quadratic behavior regarding their execution time, although their
-theoretical execution time has a cubic dependency on the number of tasks.
-[...] the number of iterations in which an improvement occurs is in practice
-much smaller than the number of tasks and grows very slowly."
-
-This driver measures mapper wall time over graph size and fits the power-law
-exponent ``time ~ n^alpha`` by least squares on log-log data.  The paper's
-claim corresponds to ``alpha`` around 2 (and clearly below the worst-case 3)
-for both decomposition strategies.
-
-Run:  repro experiment scaling --scale smoke
+The sweep itself is the :data:`repro.experiments.sweeps.scaling`
+declaration, whose docstring quotes the paper's claim: the decomposition
+mappers run in about quadratic time, below their cubic worst case.  This
+module fits ``time ~ n^alpha`` per algorithm and renders the report.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict
 
 import numpy as np
 
-from ..graphs.generators import random_sp_graph
-from ..mappers import sn_first_fit, sp_first_fit, single_node, series_parallel
-from ..parallel import resolve_workers
-from ..platform import paper_platform
-from .config import get_scale
 from .reporting import format_sweep_table
-from .runner import SweepResult, run_sweep
+from .runner import SweepResult
 
-__all__ = ["run", "fit_exponents", "format_report"]
-
-
-def run(
-    scale="smoke",
-    *,
-    seed: int = 30,
-    workers: Optional[int] = None,
-    progress: Optional[Callable[[str], None]] = None,
-    journal=None,
-) -> SweepResult:
-    """Measure mapper wall time over graph size.
-
-    ``journal`` checkpoints completed per-graph work through
-    :func:`~repro.experiments.runner.run_sweep` — note only the
-    seed-derived columns of a resumed run are meaningful here, since this
-    driver's whole point is wall-clock timing.
-    """
-    cfg = get_scale(scale)
-    platform = paper_platform()
-
-    def make_graphs(x: float, rng: np.random.Generator) -> List:
-        return [
-            random_sp_graph(int(x), rng) for _ in range(cfg.graphs_per_point)
-        ]
-
-    def make_mappers(x: float):
-        return [single_node(), series_parallel(), sn_first_fit(), sp_first_fit()]
-
-    return run_sweep(
-        "Scaling decomposition mappers",
-        "n_tasks",
-        cfg.fig4_sizes,
-        make_graphs,
-        make_mappers,
-        platform,
-        seed=seed,
-        n_random_schedules=max(5, cfg.n_random_schedules // 5),
-        progress=progress,
-        workers=resolve_workers(workers, cfg.parallel_workers),
-        journal=journal,
-    )
+__all__ = ["fit_exponents", "format_report"]
 
 
 def fit_exponents(result: SweepResult) -> Dict[str, float]:

@@ -22,13 +22,6 @@ import numpy as np
 
 from ..evaluation.evaluator import MappingEvaluator
 from ..graphs.generators import augment_workflow, benchmark_sizes, make_workflow
-from ..mappers import (
-    HeftMapper,
-    NsgaIIMapper,
-    PeftMapper,
-    sn_first_fit,
-    sp_first_fit,
-)
 from ..parallel import (
     SupervisedPool,
     parallel_map,
@@ -37,21 +30,12 @@ from ..parallel import (
 )
 from ..platform import paper_platform
 from .config import get_scale
+from .runner import _improvement_row, paper_roster
 
 __all__ = ["Table1Result", "run", "format_table"]
 
 
-def _mappers(cfg):
-    return [
-        HeftMapper(),
-        PeftMapper(),
-        NsgaIIMapper(generations=cfg.table1_generations),
-        sn_first_fit(),
-        sp_first_fit(),
-    ]
-
-
-def _param_worker(item) -> Dict[str, tuple]:
+def _param_worker(item) -> List[tuple]:
     """One (family, size, parameterization) cell — a parallel work item.
 
     All randomness (graph generation, augmentation, schedule suite,
@@ -60,7 +44,7 @@ def _param_worker(item) -> Dict[str, tuple]:
     for every seed-derived quantity (wall-clock ``elapsed_s`` excepted).
     """
     family, size, param_seed, cfg, platform = item
-    mappers = _mappers(cfg)
+    mappers = paper_roster(cfg.table1_generations)
     gen_rng, aug_rng, eval_rng, *mapper_rngs = [
         np.random.default_rng(s)
         for s in param_seed.spawn(3 + len(mappers))
@@ -73,14 +57,10 @@ def _param_worker(item) -> Dict[str, tuple]:
         rng=eval_rng,
         n_random_schedules=cfg.n_random_schedules,
     )
-    out: Dict[str, tuple] = {}
-    for mapper, rng in zip(mappers, mapper_rngs):
-        res = mapper.map(evaluator, rng=rng)
-        out[mapper.name] = (
-            evaluator.relative_improvement(res.mapping), res.elapsed_s,
-            res.n_evaluations,
-        )
-    return out
+    return [
+        _improvement_row(evaluator, mapper, mapper.map(evaluator, rng=rng))
+        for mapper, rng in zip(mappers, mapper_rngs)
+    ]
 
 
 @dataclass
@@ -128,7 +108,7 @@ def run(
     if families is not None:
         sizes = {f: sizes[f] for f in families}
 
-    names = [m.name for m in _mappers(cfg)]
+    names = [m.name for m in paper_roster(cfg.table1_generations)]
     result = Table1Result(algorithms=names)
 
     # enumerate every (family, size, parameterization) cell with its seed
@@ -156,10 +136,10 @@ def run(
         for size in sizes[family]:
             times_this_graph: Dict[str, List[float]] = {n: [] for n in names}
             for _ in range(cfg.table1_parameterizations):
-                for name, (imp, elapsed, n_evals) in next(it).items():
+                for name, imp, elapsed, n_evals in next(it):
                     imps[name].append(imp)
                     times_this_graph[name].append(elapsed)
-                    evals[name] += n_evals
+                    evals[name] += int(n_evals)
             for name, times in times_this_graph.items():
                 per_graph_time[name].append(float(np.mean(times)))
             if progress is not None:

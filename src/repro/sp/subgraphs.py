@@ -44,9 +44,12 @@ def schedule_span(members, pos) -> "tuple[int, int]":
     state from ``first`` onward — this is what lets the incremental
     evaluator (:class:`repro.evaluation.delta.DeltaEvaluator`) re-simulate
     just the suffix, and lets callers group moves that share a prefix.
+    An empty ``members`` has no span and raises :class:`ValueError`.
     """
     it = iter(members)
-    t0 = next(it)
+    t0 = next(it, None)
+    if t0 is None:
+        raise ValueError("schedule_span: empty candidate has no span")
     first = last = pos[t0]
     for t in it:
         p = pos[t]

@@ -1,10 +1,15 @@
-"""Tests for the ablation and scaling experiment drivers."""
+"""Tests for the ablation and scaling sweeps."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.experiments import ablation, scaling
+from repro.experiments import EXPERIMENTS, scaling
 from repro.experiments.config import ScaleConfig
+from repro.experiments.sweeps import _streaming_off
+from repro.platform import Platform, paper_platform
+from repro.platform.topologies import with_topology
 from repro.experiments.runner import SweepResult, SweepSeries
 
 TINY = ScaleConfig(
@@ -31,7 +36,7 @@ TINY = ScaleConfig(
 
 class TestAblationCuts:
     def test_runs_all_strategies(self):
-        result = ablation.run_cuts(scale=TINY, seed=1)
+        result = EXPERIMENTS["ablation-cuts"].run(TINY, seed=1)
         names = {s.name for s in result.series()}
         assert names == {
             "SPFF-random", "SPFF-first", "SPFF-smallest", "SPFF-largest"
@@ -42,13 +47,13 @@ class TestAblationCuts:
 
 class TestAblationGamma:
     def test_runs_all_gammas(self):
-        result = ablation.run_gamma(scale=TINY, seed=2)
+        result = EXPERIMENTS["ablation-gamma"].run(TINY, seed=2)
         names = {s.name for s in result.series()}
         assert names == {"Gamma1", "Gamma1.5", "Gamma2", "Gamma4", "Basic"}
 
     def test_gamma_variants_close_to_basic(self):
         """Paper Sec. IV-B: gamma > 1 brings no significant benefit."""
-        result = ablation.run_gamma(scale=TINY, seed=3)
+        result = EXPERIMENTS["ablation-gamma"].run(TINY, seed=3)
         series = {s.name: s for s in result.series()}
         basic = np.mean(series["Basic"].improvement)
         for name in ("Gamma1", "Gamma2"):
@@ -57,16 +62,35 @@ class TestAblationGamma:
 
 class TestAblationStreaming:
     def test_stream_aware_at_least_blind(self):
-        result = ablation.run_streaming(scale=TINY, seed=4)
+        result = EXPERIMENTS["ablation-streaming"].run(TINY, seed=4)
         series = {s.name: s for s in result.series()}
         aware = np.mean(series["StreamAware"].improvement)
         blind = np.mean(series["StreamBlind"].improvement)
         assert aware >= blind - 0.05
 
+    @pytest.mark.parametrize("shape", ["paper", "slots", "mesh"])
+    def test_streaming_off_changes_only_the_streaming_flag(self, shape):
+        base = paper_platform()
+        if shape == "slots":
+            base = Platform(base.devices, base.bandwidth_gbps,
+                            base.latency_s, link_slots=2)
+        elif shape == "mesh":
+            base = with_topology(base, "mesh", slots=1)
+        off = _streaming_off(base)
+        assert any(d.streaming for d in base.devices)
+        assert not any(d.streaming for d in off.devices)
+        for d, o in zip(base.devices, off.devices):
+            assert dataclasses.replace(o, streaming=d.streaming) == d
+        assert len(off.devices) == len(base.devices)
+        assert np.array_equal(off.bandwidth_gbps, base.bandwidth_gbps)
+        assert np.array_equal(off.latency_s, base.latency_s)
+        assert off.link_slots == base.link_slots
+        assert off.link_graph is base.link_graph
+
 
 class TestScaling:
     def test_run_and_fit(self):
-        result = scaling.run(scale=TINY, seed=5)
+        result = EXPERIMENTS["scaling"].run(TINY, seed=5)
         exponents = scaling.fit_exponents(result)
         assert set(exponents) == {
             "SingleNode", "SeriesParallel", "SNFirstFit", "SPFirstFit"

@@ -95,13 +95,13 @@ class TestRegistry:
             assert hasattr(mapper, "map"), name
 
     def test_experiment_command_smoke(self, capsys, monkeypatch):
-        # patch the driver to avoid a real sweep
-        import repro.experiments.fig4 as fig4
+        # patch the sweep runner to avoid a real sweep
+        from repro.experiments import runner
         from repro.experiments.runner import SweepResult
 
         monkeypatch.setattr(
-            fig4, "run",
-            lambda scale="smoke", **kw: SweepResult("stub", "n", []),
+            runner, "run_sweep",
+            lambda sweep, scale="smoke", **kw: SweepResult("stub", "n", []),
         )
         assert main(["experiment", "fig4", "--scale", "smoke"]) == 0
         assert "stub" in capsys.readouterr().out

@@ -14,7 +14,14 @@ from repro.cli import build_parser, main
 from repro.experiments import EXPERIMENTS, get_scale, write_csv
 from repro.experiments.metrics import aggregate
 from repro.experiments.registry import _resolve
-from repro.experiments.runner import PointResult, StudyResult, SweepResult
+from repro.experiments import runner
+from repro.experiments.runner import (
+    PointResult,
+    StudyResult,
+    Sweep,
+    SweepResult,
+    run_sweep,
+)
 
 RESULTS = os.path.join(os.path.dirname(__file__), os.pardir, "results")
 COMMITTED = sorted(f for f in os.listdir(RESULTS) if f.endswith(".csv"))
@@ -60,7 +67,13 @@ def test_entry_is_a_cli_choice_and_writes_the_committed_header(
     entry = EXPERIMENTS[name]
     assert name in _cli_choices()
     driver = _resolve(entry.driver)
-    assert inspect.signature(driver).parameters["seed"].default == entry.seed
+    if isinstance(driver, Sweep):
+        # a declaration has no seed of its own: the registry keeps the
+        # only default, and run_sweep requires one
+        default = inspect.signature(run_sweep).parameters["seed"].default
+        assert default is inspect.Parameter.empty
+    else:
+        assert inspect.signature(driver).parameters["seed"].default == entry.seed
     result = tiny_results[name]
     assert isinstance(entry.format(result), str)
     header = _csv_header(result)
@@ -73,6 +86,18 @@ def test_every_committed_csv_has_an_entry(tiny_results):
     written = {result.csv_name for result in tiny_results.values()}
     assert len(COMMITTED) == 15
     assert set(COMMITTED) <= written
+
+
+def test_sweeps_live_in_one_declaration_module():
+    sweeps = {name for name, e in EXPERIMENTS.items()
+              if isinstance(_resolve(e.driver), Sweep)}
+    assert sweeps == {
+        "fig3", "fig4", "fig5", "fig6", "fig7", "baselines", "scaling",
+        "ablation-cuts", "ablation-gamma", "ablation-streaming",
+    }
+    assert {EXPERIMENTS[n].driver.partition(":")[0] for n in sweeps} == {
+        "sweeps"
+    }
 
 
 @pytest.mark.parametrize(
@@ -118,17 +143,15 @@ def _stub_result():
 
 @pytest.fixture()
 def fig4_stub(monkeypatch):
-    import repro.experiments.fig4 as fig4
-
     calls = {}
 
-    def fake_run(scale="smoke", **kw):
-        calls.update(kw, scale=scale)
+    def fake_run(sweep, scale="smoke", **kw):
+        calls.update(kw, scale=scale, title=sweep.title)
         if kw["progress"] is not None:
             kw["progress"]("tick")
         return _stub_result()
 
-    monkeypatch.setattr(fig4, "run", fake_run)
+    monkeypatch.setattr(runner, "run_sweep", fake_run)
     return calls
 
 
@@ -137,6 +160,7 @@ class TestExperimentCommand:
         assert main(["experiment", "fig4", "--scale", "smoke"]) == 0
         assert "stub title" in capsys.readouterr().out
         assert fig4_stub["scale"] == "smoke"
+        assert fig4_stub["title"] == "Fig4 decomposition vs HEFT PEFT"
         assert fig4_stub["seed"] == 4
         assert fig4_stub["workers"] is None
         assert fig4_stub["journal"] is None

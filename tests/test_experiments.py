@@ -10,10 +10,19 @@ import pytest
 from repro.experiments.config import SCALES, bench_scale, get_scale
 from repro.experiments.metrics import aggregate, positive_improvement
 from repro.experiments.reporting import format_sweep_table, write_csv
-from repro.experiments.runner import run_point, run_sweep
+from repro.experiments.runner import Sweep, run_point, run_sweep
 from repro.graphs.generators import random_sp_graph
 from repro.mappers import HeftMapper, sp_first_fit
 from repro.platform import paper_platform
+
+
+def _sp_sweep(title, xs, roster, suite):
+    """One random SP graph of x tasks per point (run on the paper platform)."""
+    return Sweep(
+        title, "n", xs=lambda cfg: xs,
+        graphs=lambda cfg, x, rng: [random_sp_graph(int(x), rng)],
+        roster=lambda cfg, x: roster(), suite=lambda cfg: suite,
+    )
 
 
 class TestMetrics:
@@ -81,33 +90,21 @@ class TestRunner:
             == b.improvements["SPFirstFit"].mean
         )
 
-    def test_run_sweep_series(self, platform):
+    def test_run_sweep_series(self):
         result = run_sweep(
-            "test sweep",
-            "n",
-            [6, 9],
-            lambda x, rng: [random_sp_graph(int(x), rng)],
-            lambda x: [sp_first_fit()],
-            platform,
+            _sp_sweep("test sweep", [6, 9], lambda: [sp_first_fit()], 3),
             seed=0,
-            n_random_schedules=3,
         )
         series = result.series()
         assert len(series) == 1
         assert series[0].xs == [6.0, 9.0]
         assert len(series[0].improvement) == 2
 
-    def test_run_sweep_progress_callback(self, platform):
+    def test_run_sweep_progress_callback(self):
         messages = []
         run_sweep(
-            "cb",
-            "n",
-            [5],
-            lambda x, rng: [random_sp_graph(int(x), rng)],
-            lambda x: [sp_first_fit()],
-            platform,
+            _sp_sweep("cb", [5], lambda: [sp_first_fit()], 2),
             seed=0,
-            n_random_schedules=2,
             progress=messages.append,
         )
         assert len(messages) == 1
@@ -115,16 +112,11 @@ class TestRunner:
 
 class TestReporting:
     @pytest.fixture()
-    def sweep(self, platform):
+    def sweep(self):
         return run_sweep(
-            "report test",
-            "n",
-            [5, 8],
-            lambda x, rng: [random_sp_graph(int(x), rng)],
-            lambda x: [HeftMapper(), sp_first_fit()],
-            platform,
+            _sp_sweep("report test", [5, 8],
+                      lambda: [HeftMapper(), sp_first_fit()], 2),
             seed=0,
-            n_random_schedules=2,
         )
 
     def test_format_table(self, sweep):

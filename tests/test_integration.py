@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.evaluation import MappingEvaluator
-from repro.experiments import fig4, table1
+from repro.experiments import EXPERIMENTS
 from repro.experiments.config import ScaleConfig
 from repro.graphs.generators import (
     augment_workflow,
@@ -50,7 +50,7 @@ TINY = ScaleConfig(
 
 class TestSweepDrivers:
     def test_fig4_driver_end_to_end(self):
-        result = fig4.run(scale=TINY, seed=1)
+        result = EXPERIMENTS["fig4"].run(TINY, seed=1)
         names = {s.name for s in result.series()}
         assert names == {
             "HEFT", "PEFT", "SingleNode", "SeriesParallel",
@@ -62,11 +62,12 @@ class TestSweepDrivers:
             assert all(t >= 0.0 for t in s.time_s)
 
     def test_table1_driver_single_family(self):
-        result = table1.run(scale=TINY, seed=2, families=["blast"])
+        entry = EXPERIMENTS["table1"]
+        result = entry.run(TINY, seed=2, families=["blast"])
         assert result.families() == ["blast"]
         row = result.improvement["blast"]
         assert set(row) == {"HEFT", "PEFT", "NSGAII", "SNFirstFit", "SPFirstFit"}
-        text = table1.format_table(result)
+        text = entry.format(result)
         assert "blast" in text
 
 

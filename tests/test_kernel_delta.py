@@ -317,6 +317,10 @@ class TestDeviceRange:
         **{f"first_pos_{k}": (
             lambda d, c, k=k: d.apply_move([5], 1, first_pos=k), "first_pos")
            for k in (-1, 6, 10, 10**7)},
+        # an empty candidate has no schedule span (was a bare StopIteration)
+        "cand_empty": (lambda d, c: d.candidate([]), "empty candidate"),
+        "apply_empty": (lambda d, c: d.apply_move([], 1, first_pos=0),
+                        "empty candidate"),
     }
 
     @staticmethod
