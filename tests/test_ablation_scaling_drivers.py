@@ -7,10 +7,10 @@ import pytest
 
 from repro.experiments import EXPERIMENTS, scaling
 from repro.experiments.config import ScaleConfig
+from repro.experiments.runner import SweepResult, SweepSeries
 from repro.experiments.sweeps import _streaming_off
 from repro.platform import Platform, paper_platform
 from repro.platform.topologies import with_topology
-from repro.experiments.runner import SweepResult, SweepSeries
 
 TINY = ScaleConfig(
     name="tiny",

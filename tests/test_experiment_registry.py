@@ -11,10 +11,9 @@ import sys
 import pytest
 
 from repro.cli import build_parser, main
-from repro.experiments import EXPERIMENTS, get_scale, write_csv
+from repro.experiments import EXPERIMENTS, get_scale, runner, write_csv
 from repro.experiments.metrics import aggregate
 from repro.experiments.registry import _resolve
-from repro.experiments import runner
 from repro.experiments.runner import (
     PointResult,
     StudyResult,
