@@ -1,10 +1,11 @@
-"""Optional compiled C version of the flat-array cost kernel.
+"""Optional compiled C kernel over the flat cost tables.
 
-The list-scheduling recurrence is inherently sequential, so the pure
-Python kernel (:mod:`repro.evaluation.kernel`) is bound by interpreter
-dispatch (~1-2 us per schedule position).  This module compiles the very
-same loop — statement for statement — to native code with the system C
-compiler and loads it via :mod:`ctypes`:
+The list-scheduling recurrence is inherently sequential, so the Python
+walk ``CostModel._simulate_reference`` is bound by interpreter dispatch
+(~1-2 us per schedule position).  This module compiles the very same
+recurrence — statement for statement — to native code with the system C
+compiler, reading the arrays of :class:`repro.evaluation.kernel.FlatModel`,
+and loads it via :mod:`ctypes`:
 
 - no third-party dependency: only ``cc``/``gcc``/``clang`` if present;
 - compiled once per source version into a per-user cache directory
@@ -14,10 +15,11 @@ compiler and loads it via :mod:`ctypes`:
   (pinned against ``CostModel._simulate_reference`` by
   ``tests/test_kernel_delta.py``);
 - anything failing (no compiler, sandboxed filesystem, load error)
-  degrades silently to the pure Python kernel — the C path is an
-  optimization, never a requirement.
+  degrades silently to the pure-Python fallback, where every entry runs
+  the reference walk itself — the C path is an optimization, never a
+  requirement.
 
-Set ``REPRO_PURE_PYTHON=1`` to force the Python kernel (used by the
+Set ``REPRO_PURE_PYTHON=1`` to force the fallback (used by the
 test-suite to cover both paths).
 
 The seven entry points (see the C source below for contracts) are
@@ -116,14 +118,14 @@ typedef struct {
     int64_t *old_ws;           /* >= max subgraph size workspace */
 } ReproDelta;
 
-/* The one loop body of every entry; mirrors kernel.simulate_span
- * statement for statement (same op order => bit-identical doubles).
- * When pos is NULL every predecessor reads ts/tf; otherwise positions
- * before k read the base arrays (incremental suffix mode, no restore
- * needed).  When pre_ms is set, the slot vector and the running
- * makespan *before* each position are recorded into snap_avail/pre_ms;
- * a recording walk must reach every position, so it never aborts on
- * the bound. */
+/* The one loop body of every entry; mirrors the reference walk
+ * CostModel._simulate_reference statement for statement (same op
+ * order => bit-identical doubles).  When pos is NULL every predecessor
+ * reads ts/tf; otherwise positions before k read the base arrays
+ * (incremental suffix mode, no restore needed).  When pre_ms is set,
+ * the slot vector and the running makespan *before* each position are
+ * recorded into snap_avail/pre_ms; a recording walk must reach every
+ * position, so it never aborts on the bound. */
 static double span_core(const ReproCtx *c, const int64_t *mapping,
                         const int64_t *order, const int64_t *pos, int64_t k,
                         const double *base_start, const double *base_finish,

@@ -27,39 +27,40 @@ All tables (execution times, per-edge transfer costs for every device pair)
 are precomputed once per graph, so one evaluation is a tight O(V + E) loop —
 the hot path of the whole library (hpc guide: optimize the bottleneck only).
 
-Evaluation architecture — one specification, one loop body per kernel:
+Evaluation architecture — one specification, one compiled loop body:
 
-- the specification is the nested-list walk :meth:`_simulate_reference`,
-  kept as the test oracle and never run on a hot path; with a
-  ``record`` list it also yields the per-task records of
+- the specification is the nested-list walk :meth:`_simulate_reference`;
+  with a ``record`` list it also yields the per-task records of
   :func:`repro.evaluation.trace.simulate_trace`;
 - the tables are flattened once into a :class:`repro.evaluation.kernel.FlatModel`
   (CSR predecessor offsets, per-edge ``m*m`` transfer rows, contiguous
   ``float64`` exec/fill/initial/final).  With the compiled kernel loaded
   every entry goes to its C function, all on the one C loop
-  ``span_core``; otherwise every entry runs the one pure-Python loop
-  :func:`repro.evaluation.kernel.simulate_span`;
+  ``span_core``; without it every entry runs :meth:`_simulate_reference`
+  itself (the fallback kernel), so there is no second Python loop;
 - :meth:`simulate` is one scratch pass (construction makespan);
 - :meth:`simulate_min` is the 101-schedule reported suite: one C call
-  (``repro_span_min``) over the suite's ``(K, n)`` order array, or a
-  loop of scratch spans, each bounded by the best makespan so far;
+  (``repro_span_min``) over the suite's ``(K, n)`` order array, each walk
+  bounded by the best makespan so far, or the minimum of one reference
+  walk per schedule;
 - :meth:`simulate_many` scores a ``(P, n)`` population (NSGA-II, Pareto
   NSGA-II) and is the one place that decides genome dedup:
   vectorized, guard-banded area feasibility over all rows, then the C
   kernel's ``repro_span_batch_dedup`` lane loop (one ctypes call per
-  population, dedup in-kernel) or a vectorized checksum dedup and one
-  scratch span per distinct feasible row;
+  population, dedup in-kernel) or one reference walk per distinct
+  feasible row;
 - :class:`repro.evaluation.delta.DeltaEvaluator` keeps per-position
   prefix snapshots under the fixed BFS schedule and re-simulates **only
   the suffix** from the first position a move touches — O(affected
   suffix) instead of O(V + E) per candidate move (greedy, tabu and
-  annealing mappers); its snapshots come from the same loop run with
-  recording buffers;
-- exactness contract: every path performs bit-for-bit the same float64
+  annealing mappers); its snapshots come from the same C loop run with
+  recording buffers.  Without the C kernel a move is one reference walk
+  of the moved mapping, charged as the suffix it stands for;
+- exactness contract: every C path performs bit-for-bit the same float64
   operations in the same order as :meth:`_simulate_reference` (pinned by
   ``tests/test_kernel_delta.py`` / ``tests/test_batch_population.py``,
-  and the mapper trajectories by ``tests/test_golden.py``) — they are
-  optimizations, never approximations.
+  and the mapper trajectories on both kernels by ``tests/test_golden.py``)
+  — they are optimizations, never approximations.
 
 Bookkeeping: ``n_simulations`` counts full scratch simulations (one per
 :meth:`simulate` call, as before); ``n_delta_evaluations`` counts
@@ -84,7 +85,7 @@ from ..obs import metrics as _metrics
 from ..platform.platform import Platform
 from ..platform.taskmodel import exec_time_table
 from ._ckernel import load_ckernel
-from .kernel import DEDUP_TABLE_FACTOR, FlatModel, simulate_flat, simulate_span
+from .kernel import DEDUP_TABLE_FACTOR, FlatModel
 
 __all__ = ["CostModel", "INFEASIBLE", "AREA_TOL", "area_guard_band"]
 
@@ -236,9 +237,6 @@ class CostModel:
         self.n_batched_evaluations = 0
         #: number of simulate_many calls that simulated at least one lane
         self.n_batch_calls = 0
-        # genome-checksum weights of the pure-Python population dedup
-        # (built on first use, see simulate_many)
-        self._dedup_w: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     def _init_ckernel(self, use_ckernel: Optional[bool]) -> None:
@@ -310,9 +308,9 @@ class CostModel:
         """Raise :class:`ValueError` unless every entry of ``mapping`` is
         a device index in ``[0, m)``.
 
-        Both kernels index their flat tables with the device unchecked:
-        the C kernel would read out of bounds, and a negative index on
-        the pure-Python kernel would silently read a neighbouring row.
+        Both kernels index their tables with the device unchecked: the C
+        kernel would read out of bounds, and a negative index in the
+        reference walk would silently read a neighbouring entry.
         One min/max per call, at every entry a mapping comes in by.
         """
         if mapping.size and (mapping.min() < 0 or mapping.max() >= self.m):
@@ -373,13 +371,11 @@ class CostModel:
         population costs one simulation per *distinct* feasible genome.
         With the C kernel loaded the whole population is one
         ``repro_span_batch_dedup`` call (in-kernel open-addressing on a
-        64-bit row hash, duplicates verified by full row comparison).  On
-        the pure-Python kernel the dedup is vectorized: rows are
-        stable-sorted by a weighted checksum and verified against their
-        sorted neighbour, then each distinct feasible row is one scratch
-        span.  Either way sharing is never speculative — a hash collision
-        costs a lane or a probe step, never a wrong value — and every
-        lane is bit-identical to a scalar :meth:`simulate` of that row
+        64-bit row hash, duplicates verified by full row comparison, so a
+        hash collision costs a lane or a probe step, never a wrong
+        value).  Without it, a dict keyed on each feasible row's bytes
+        holds one reference walk per distinct row.  Every lane is
+        bit-identical to a scalar :meth:`simulate` of that row
         (:data:`INFEASIBLE` for rows failing the area check).
 
         Distinct simulated lanes count toward ``n_batched_evaluations``
@@ -395,11 +391,11 @@ class CostModel:
         if P == 0:
             return np.empty(0)
         self.check_devices(pop)
+        feas = self.feasible_mask(pop)
+        if not feas.any():
+            return np.full(P, INFEASIBLE)
         registry = _metrics.get_registry()
         if self._ck is not None:
-            feas = self.feasible_mask(pop)
-            if not feas.any():
-                return np.full(P, INFEASIBLE)
             res = np.empty(P)
             table_size = 1 << (DEDUP_TABLE_FACTOR * P - 1).bit_length()
             if self._dedup_table is None or len(self._dedup_table) < table_size:
@@ -426,46 +422,23 @@ class CostModel:
                 registry.counter("kernel.dedup_hits").inc(P - simulated)
                 registry.counter("kernel.dedup_lanes").inc(P)
             return res
-        # vectorized dedup: stable-sort rows by a 64-bit weighted checksum
-        # (int64 wraparound arithmetic), then open a new lane wherever the
-        # checksum changes OR the full row differs from its sorted
-        # neighbour.  Equal rows hash equally, so they are adjacent
-        # (stable within a run) and share one lane.  It measures as a win
-        # (elitism and crossover-less pairs recreate parents) and beats
-        # np.unique(axis=0) on the same populations.
-        lanes, lane_of = pop, None
-        if P > 1:
-            if self._dedup_w is None:
-                self._dedup_w = np.random.default_rng(0x5EED).integers(
-                    np.iinfo(np.int64).min,
-                    np.iinfo(np.int64).max,
-                    size=self.n,
-                    dtype=np.int64,
+        res = np.full(P, INFEASIBLE)
+        lanes: Dict[bytes, float] = {}
+        for r in np.flatnonzero(feas).tolist():
+            row = pop[r]
+            key = row.tobytes()
+            ms = lanes.get(key)
+            if ms is None:
+                ms = lanes[key] = self._simulate_reference(
+                    row.tolist(), check_feasibility=False
                 )
-            h = pop @ self._dedup_w
-            sort_idx = np.argsort(h, kind="stable")
-            hs = h[sort_idx]
-            new_lane = np.empty(P, dtype=bool)
-            new_lane[0] = True
-            np.not_equal(hs[1:], hs[:-1], out=new_lane[1:])
-            if not new_lane.all():  # all checksums distinct => rows distinct
-                rows = pop[sort_idx]
-                new_lane[1:] |= (rows[1:] != rows[:-1]).any(axis=1)
-                lanes = rows[new_lane]
-                lane_of = np.empty(P, dtype=np.int64)
-                lane_of[sort_idx] = np.cumsum(new_lane) - 1
-        res = np.full(len(lanes), INFEASIBLE)
-        feas = np.flatnonzero(self.feasible_mask(lanes))
-        if feas.size:
-            self.n_batched_evaluations += feas.size
-            self.n_batch_calls += 1
-            if registry is not None:
-                registry.counter("kernel.calls.py").inc()
-                registry.histogram("kernel.batch_size").observe_int(feas.size)
-            rows_l = lanes.tolist()
-            for b in feas.tolist():
-                res[b] = simulate_flat(self.flat, rows_l[b], self.bfs_order)
-        return res if lane_of is None else res[lane_of]
+            res[r] = ms
+        self.n_batched_evaluations += len(lanes)
+        self.n_batch_calls += 1
+        if registry is not None:
+            registry.counter("kernel.calls.py").inc()
+            registry.histogram("kernel.batch_size").observe_int(len(lanes))
+        return res
 
     # ------------------------------------------------------------------
     # simulation
@@ -485,9 +458,8 @@ class CostModel:
         ``contention=False`` the device-serialization constraint is dropped
         (used for the critical-path lower bound).
 
-        Delegates to the flat-array kernel
-        (:func:`repro.evaluation.kernel.simulate_span`); results are
-        bit-identical to :meth:`_simulate_reference`.
+        One ``repro_span`` call on the C kernel, bit-identical to
+        :meth:`_simulate_reference`, which runs here without it.
         """
         if isinstance(mapping, np.ndarray) and mapping.dtype == np.int64:
             map_np = np.ascontiguousarray(mapping)
@@ -508,10 +480,10 @@ class CostModel:
                 self._ws_avail.ctypes.data,
                 1 if contention else 0,
             )
-        return simulate_flat(
-            self.flat,
+        return self._simulate_reference(
             map_np.tolist(),
-            self.bfs_order if order is None else order_np.tolist(),
+            None if order is None else order_np.tolist(),
+            check_feasibility=False,
             contention=contention,
         )
 
@@ -525,9 +497,8 @@ class CostModel:
         with the best makespan so far as its bound and stops once it
         cannot beat it, so the minimum is exact: bit-identical to the
         minimum of :meth:`simulate` over the rows.  One
-        ``repro_span_min`` call on the C kernel; on the pure-Python
-        kernel a loop of :func:`~repro.evaluation.kernel.simulate_span`
-        with the running minimum as ``bound``.
+        ``repro_span_min`` call on the C kernel; without it the minimum
+        of one unbounded :meth:`_simulate_reference` walk per row.
         """
         if not self.is_feasible(mapping):
             return INFEASIBLE
@@ -541,21 +512,16 @@ class CostModel:
                 self._ws_finish,
                 self._ws_avail,
             )
-        flat = self.flat
         map_np = np.asarray(mapping, dtype=np.int64)
         self.check_devices(map_np)
         if orders.size and (orders.min() < 0 or orders.max() >= self.n):
             raise ValueError(f"orders: task index outside [0, {self.n})")
         mapping = map_np.tolist()
-        best = INFEASIBLE
-        for order in orders.tolist():
-            ms = simulate_span(
-                flat, mapping, order, 0, [0.0] * self.n, [0.0] * self.n,
-                flat.fresh_avail(), 0.0, bound=best,
-            )
-            if ms < best:
-                best = ms
-        return best
+        return min(
+            (self._simulate_reference(mapping, order, check_feasibility=False)
+             for order in orders.tolist()),
+            default=INFEASIBLE,
+        )
 
     def _simulate_reference(
         self,
@@ -568,9 +534,10 @@ class CostModel:
     ) -> float:
         """The original nested-list walk, kept as the executable spec.
 
-        The kernel (:meth:`simulate`) and the incremental delta evaluator
-        must reproduce this bit-for-bit (``tests/test_kernel_delta.py``);
-        it is not used on any hot path.  Does not touch the counters.
+        The C kernel's entries and the incremental delta evaluator must
+        reproduce this bit-for-bit (``tests/test_kernel_delta.py``); it
+        is also the walk every entry runs when the C kernel is not
+        loaded.  Does not touch the counters.
 
         With a ``record`` list, one ``(index, device, slot, ready, start,
         finish, streamed)`` tuple is appended per schedule position —

@@ -13,8 +13,8 @@ unchanged.  :class:`DeltaEvaluator` therefore keeps, for the current
 - the running prefix-max task end (the makespan over the prefix),
 
 and :meth:`evaluate_move` re-simulates **only the suffix** from the first
-affected position, sharing the literal loop body of the scratch kernel
-(:func:`repro.evaluation.kernel.simulate_span`).  The per-move cost drops
+affected position, on the compiled kernel's one loop body ``span_core``
+(the scratch entries' loop).  The per-move cost drops
 from O(V + E) to O(affected suffix) — and the returned makespan is
 bit-identical to a scratch ``CostModel.simulate`` of the moved mapping
 (pinned by ``tests/test_kernel_delta.py``): delta evaluation is an
@@ -35,12 +35,14 @@ rebuild is the same recording walk started at position 0 (row 0 of the
 snapshots is always the zero slot vector, and the fixed BFS order is
 topological, so no stale start/finish is ever read).
 
-Each kernel runs every operation through its one loop body: the C
-entries ``repro_eval_move`` and ``repro_rebuild_from`` (both on
-``span_core``) when the compiled kernel is loaded, otherwise
-:func:`~repro.evaluation.kernel.simulate_span`, which records the
-snapshots when handed the recording buffers.  Both kernels charge the
-counters identically.
+The snapshots exist only on the C kernel: its entries
+``repro_eval_move`` and ``repro_rebuild_from`` (both on ``span_core``)
+hold them.  Without the compiled kernel the evaluator keeps just the
+base mapping and its area usage; a move, a commit and a rebuild are each
+one ``CostModel._simulate_reference`` walk of the whole mapping, and
+``bound`` is ignored.  Both kernels charge the counters identically (a
+fallback move is charged as the suffix it stands for), so mapper
+statistics do not depend on the kernel.
 
 A greedy *scan pass* scores every move of a :class:`MoveTable` once
 against the same base — the decomposition mapper's inner loop.
@@ -71,7 +73,7 @@ from ..obs import metrics as _metrics
 from ..sp.subgraphs import schedule_span
 from ._ckernel import ReproScan, _require
 from .costmodel import AREA_TOL, INFEASIBLE, CostModel, area_guard_band
-from .kernel import INF, simulate_span
+from .kernel import INF
 
 __all__ = ["Candidate", "DeltaEvaluator", "MoveTable", "scan_moves"]
 
@@ -196,7 +198,6 @@ class DeltaEvaluator:
 
     def __init__(self, model: CostModel) -> None:
         self.model = model
-        self.flat = model.flat
         self.n = model.n
         self.m = model.m
         self.order: List[int] = model.bfs_order
@@ -228,14 +229,6 @@ class DeltaEvaluator:
         n = self.n
         self._map: List[int] = []
         self._usage: List[float] = []
-        self._start: List[float] = [0.0] * n
-        self._finish: List[float] = [0.0] * n
-        self._tstart: List[float] = [0.0] * n
-        self._tfinish: List[float] = [0.0] * n
-        # row 0 of the snapshots stays the zero slot vector and
-        # pre_ms[0] stays 0, so a full rebuild is the walk from position 0
-        self._snap_avail: List[List[float]] = [self.flat.fresh_avail()] * n
-        self._pre_ms: List[float] = [0.0] * n
         self.base_makespan: float = INF
 
         self._np_map = np.zeros(n, dtype=np.int64)
@@ -243,7 +236,7 @@ class DeltaEvaluator:
         if self._ck is not None:
             # the C kernel's state: preallocated once, refilled in place
             # and never reallocated (the kernel keeps raw pointers)
-            n_slots = self.flat.n_slots
+            n_slots = model.flat.n_slots
             self._order_np = model.bfs_order_np
             self._pos_np = np.asarray(pos, dtype=np.int64)
             self._start_np = np.zeros(n)
@@ -274,7 +267,7 @@ class DeltaEvaluator:
             self._rebuild_from_c = self._ck.lib.repro_rebuild_from
             # prebuilt ctypes arguments: converting Python ints/floats on
             # every call costs more than the native suffix simulation
-            self._c_devices = [ctypes.c_int64(d) for d in range(self.flat.m)]
+            self._c_devices = [ctypes.c_int64(d) for d in range(self.m)]
             self._c_inf = ctypes.c_double(INF)
             # the C scan reads the base usage in place
             self._usage_np = np.zeros(len(self._area_devs))
@@ -480,8 +473,11 @@ class DeltaEvaluator:
         """Makespan after remapping the candidate to ``device``.
 
         Bit-identical to ``model.simulate`` of the moved mapping (or
-        :data:`INFEASIBLE`); ``inf`` when the running makespan reaches
-        ``bound`` first.  The base mapping and snapshots are untouched.
+        :data:`INFEASIBLE`).  On the C kernel the result is ``inf`` when
+        the running makespan reaches ``bound`` first; without it the
+        move is one reference walk of the moved mapping and ``bound`` is
+        ignored (an exact value compares the same way).  The base
+        mapping and snapshots are untouched.
         """
         if not 0 <= device < self.m:
             raise ValueError(
@@ -510,34 +506,12 @@ class DeltaEvaluator:
                 self._c_inf if bound == INF else bound,
             )
 
-        mp = self._map
-        old = [mp[t] for t in sub_list]
+        moved = self._map.copy()
         for t in sub_list:
-            mp[t] = device
-        ts = self._tstart
-        tf = self._tfinish
-        order = self.order
-        try:
-            return simulate_span(
-                self.flat,
-                mp,
-                order,
-                first_pos,
-                ts,
-                tf,
-                self._snap_avail[first_pos].copy(),
-                self._pre_ms[first_pos],
-                bound=bound,
-            )
-        finally:
-            for t, o in zip(sub_list, old):
-                mp[t] = o
-            bs = self._start
-            bf = self._finish
-            for j in range(first_pos, self.n):
-                i = order[j]
-                ts[i] = bs[i]
-                tf[i] = bf[i]
+            moved[t] = device
+        return model._simulate_reference(
+            moved, self.order, check_feasibility=False
+        )
 
     # ------------------------------------------------------------------
     def apply_move(
@@ -582,10 +556,9 @@ class DeltaEvaluator:
 
         Reads the snapshots at ``k`` and rewrites those from ``k`` on,
         with the base start/finish of the suffix: ``repro_rebuild_from``
-        on the C kernel, otherwise
-        :func:`~repro.evaluation.kernel.simulate_span` with its recording
-        buffers plus a refresh of the suffix's trial mirrors.  ``k = 0``
-        is the full rebuild and counts as one full simulation
+        on the C kernel.  Without it there are no snapshots and the base
+        makespan is one reference walk, charged as the walk it stands
+        for.  ``k = 0`` is the full rebuild and counts as one full simulation
         (``model.n_simulations``); a resumed walk counts as an
         incremental evaluation (``n_delta_evaluations`` / fractional
         ``delta_work``).
@@ -602,28 +575,10 @@ class DeltaEvaluator:
             self.base_makespan = self._rebuild_from_c(
                 self._ctx_p, self._dctx_p, k
             )
-            return self.base_makespan
-        order = self.order
-        start = self._start
-        finish = self._finish
-        self.base_makespan = simulate_span(
-            self.flat,
-            self._map,
-            order,
-            k,
-            start,
-            finish,
-            self._snap_avail[k].copy(),
-            self._pre_ms[k],
-            snap_avail=self._snap_avail,
-            pre_ms=self._pre_ms,
-        )
-        ts = self._tstart
-        tf = self._tfinish
-        for j in range(k, self.n):
-            i = order[j]
-            ts[i] = start[i]
-            tf[i] = finish[i]
+        else:
+            self.base_makespan = model._simulate_reference(
+                self._map, self.order, check_feasibility=False
+            )
         return self.base_makespan
 
     # ------------------------------------------------------------------

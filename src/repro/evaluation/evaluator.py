@@ -17,8 +17,8 @@ Population-based mappers evaluate whole generations through
 That call decides **genome dedup** (identical rows are simulated once
 and share the exact value; a converged NSGA-II generation collapses to
 a fraction of its nominal width): inside the native lane loop on the C
-kernel, vectorized in front of the scratch spans on the pure-Python
-kernel.  Per-lane results are bit-identical to
+kernel, through a dict of reference walks keyed on the row bytes on the
+pure-Python fallback.  Per-lane results are bit-identical to
 :meth:`construction_makespan` of that row.
 
 The *relative improvement* metric follows Sec. IV-A: average positive

@@ -1,4 +1,4 @@
-"""Flat-array cost kernel: the tight inner loop of the makespan simulation.
+"""Flat-array view of the cost tables, as the compiled kernel reads them.
 
 :class:`FlatModel` flattens the per-graph tables of
 :class:`~repro.evaluation.costmodel.CostModel` onto CSR-style contiguous
@@ -15,38 +15,26 @@ numpy arrays:
   ``float64`` tables (execution, pipeline fill, host→device input,
   device→host result).
 
-The C kernel (:mod:`repro.evaluation._ckernel`) reads those arrays.
-The simulation itself is an inherently *sequential* list-scheduling
-recurrence (slot state couples every step), so the pure-Python fallback
-mirrors the arrays once into flat Python lists (``exec_l[i * m + d]``
-etc.), which CPython indexes several times faster than ndarray scalars.
+The C kernel (:mod:`repro.evaluation._ckernel`) reads those arrays: its
+one loop body ``span_core`` serves every entry (scratch, population,
+reported suite, delta move, recording rebuild and greedy scan).  There
+is no second Python loop: without the compiled kernel every entry runs
+the nested-list walk kept as ``CostModel._simulate_reference``, the
+specification ``span_core`` mirrors statement for statement.
 
-:func:`simulate_span` is the one pure-Python evaluation loop.  A full
-scratch simulation (:func:`simulate_flat`) is a span from position 0;
-an incremental suffix re-simulation (:mod:`repro.evaluation.delta`) is a
-span from the first position a move touches; the delta evaluator's
-base rebuild is a span handed the two recording buffers (slot vector
-and running makespan before each position); a population is a loop of
-scratch spans over its distinct rows; the reported makespan
-(``CostModel.simulate_min``) is a loop of scratch spans over a schedule
-suite, each bounded by the best makespan so far.  Scratch, delta and rebuild thus
-run literally the same statements, as do the C kernel's entries on its
-one ``span_core``.
-
-Exactness contract: :func:`simulate_span` performs bit-for-bit the same
-float64 operations in the same order as the nested-list walk kept as
-``CostModel._simulate_reference`` (pinned by
-``tests/test_kernel_delta.py``), so kernel selection is transparent —
-it is an optimization, never an approximation.
+Exactness contract: ``span_core`` performs bit-for-bit the same float64
+operations in the same order as ``CostModel._simulate_reference``
+(pinned by ``tests/test_kernel_delta.py``), so kernel selection is
+transparent — it is an optimization, never an approximation.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["FlatModel", "simulate_span", "simulate_flat", "INF"]
+__all__ = ["FlatModel", "INF"]
 
 INF = float("inf")
 
@@ -92,15 +80,6 @@ class FlatModel:
         "n_slots",
         "streaming_u8",
         "serializes_u8",
-        # interpreter-friendly flat list mirrors (built once, read-only)
-        "exec_l",
-        "fill_l",
-        "initial_l",
-        "final_l",
-        "pred_l",
-        "streaming_l",
-        "serializes_l",
-        "slot_ptr_l",
     )
 
     def __init__(
@@ -152,147 +131,3 @@ class FlatModel:
             slot_ptr[d + 1] = slot_ptr[d] + width
         self.slot_ptr = slot_ptr
         self.n_slots = int(slot_ptr[-1])
-
-        # flat Python mirrors for the interpreter loop
-        self.exec_l = self.exec.ravel().tolist()
-        self.fill_l = self.fill.ravel().tolist()
-        self.initial_l = self.initial.ravel().tolist()
-        self.final_l = self.final.ravel().tolist()
-        trans_l = self.pred_trans.tolist()
-        src_l = self.pred_src.tolist()
-        self.pred_l: List[List[Tuple[int, List[float]]]] = [
-            [
-                (src_l[e], trans_l[e])
-                for e in range(int(ptr[i]), int(ptr[i + 1]))
-            ]
-            for i in range(n)
-        ]
-        self.streaming_l = self.streaming.tolist()
-        self.serializes_l = self.serializes.tolist()
-        self.slot_ptr_l = slot_ptr.tolist()
-
-    # ------------------------------------------------------------------
-    def fresh_avail(self) -> List[float]:
-        """A zeroed flat slot-availability vector."""
-        return [0.0] * self.n_slots
-
-
-def simulate_span(
-    flat: FlatModel,
-    mapping: List[int],
-    order: Sequence[int],
-    k: int,
-    start: List[float],
-    finish: List[float],
-    avail: List[float],
-    makespan: float,
-    *,
-    contention: bool = True,
-    bound: float = INF,
-    snap_avail: Optional[List[List[float]]] = None,
-    pre_ms: Optional[List[float]] = None,
-) -> float:
-    """Simulate schedule positions ``k .. len(order)-1`` in place.
-
-    ``start``/``finish`` must hold valid values for every task scheduled
-    before position ``k`` (they are read for predecessors and written for
-    the span's tasks); ``avail`` is the flat slot-availability vector at
-    position ``k`` and ``makespan`` the running max task-end over
-    positions ``< k``.  Returns the final makespan, or ``inf`` as soon as
-    the running makespan reaches ``bound`` (the caller's
-    branch-and-bound cutoff: max is monotone, so the final value could
-    only be larger and an exact result is not needed to reject the move).
-
-    With ``snap_avail``/``pre_ms`` given (the delta evaluator's recording
-    walk) the slot vector and the running makespan *before* each position
-    ``j`` are stored in ``snap_avail[j]``/``pre_ms[j]``; a recording walk
-    must reach every position, so it never aborts on the bound.
-
-    The float operations replicate ``CostModel._simulate_reference``
-    bit-for-bit — see the module docstring's exactness contract.
-    """
-    m = flat.m
-    exec_l = flat.exec_l
-    fill_l = flat.fill_l
-    initial_l = flat.initial_l
-    final_l = flat.final_l
-    pred_l = flat.pred_l
-    streaming = flat.streaming_l
-    serializes = flat.serializes_l
-    slot_ptr = flat.slot_ptr_l
-    record = pre_ms is not None
-
-    for j in range(k, len(order)):
-        if record:
-            snap_avail[j] = avail.copy()
-            pre_ms[j] = makespan
-        i = order[j]
-        d = mapping[i]
-        row = i * m
-        ready = initial_l[row + d]
-        drain = 0.0
-        for p, trans in pred_l[i]:
-            dp = mapping[p]
-            if dp == d and streaming[d]:
-                # on-chip streaming: start after the producer's pipeline
-                # is filled; cannot finish before the producer finishes.
-                r = start[p] + fill_l[p * m + dp]
-                fp = finish[p]
-                if fp > drain:
-                    drain = fp
-            else:
-                r = finish[p] + trans[dp * m + d]
-            if r > ready:
-                ready = r
-        st = ready
-        slot = -1
-        if contention and serializes[d]:
-            s0 = slot_ptr[d]
-            s1 = slot_ptr[d + 1]
-            slot = s0
-            earliest = avail[s0]
-            for q in range(s0 + 1, s1):
-                v = avail[q]
-                if v < earliest:
-                    earliest = v
-                    slot = q
-            if earliest > ready:
-                st = earliest
-        fin = st + exec_l[row + d]
-        if drain > fin:
-            fin = drain
-        start[i] = st
-        finish[i] = fin
-        if slot >= 0:
-            avail[slot] = fin
-        end = fin + final_l[row + d]
-        if end > makespan:
-            makespan = end
-            if makespan >= bound and not record:
-                return INF
-    return makespan
-
-
-def simulate_flat(
-    flat: FlatModel,
-    mapping: List[int],
-    order: Sequence[int],
-    *,
-    contention: bool = True,
-    out_start: Optional[List[float]] = None,
-    out_finish: Optional[List[float]] = None,
-) -> float:
-    """Full scratch simulation (a span from position 0 on fresh state)."""
-    start = [0.0] * flat.n if out_start is None else out_start
-    finish = [0.0] * flat.n if out_finish is None else out_finish
-    return simulate_span(
-        flat,
-        mapping,
-        order,
-        0,
-        start,
-        finish,
-        flat.fresh_avail(),
-        0.0,
-        contention=contention,
-    )

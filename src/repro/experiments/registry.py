@@ -13,6 +13,8 @@ every study's only default seed.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import importlib
 import os
 from contextlib import nullcontext
@@ -22,12 +24,34 @@ from typing import Callable, Dict, Optional
 from .config import get_scale
 from .reporting import results_dir
 
-__all__ = ["Experiment", "EXPERIMENTS", "open_journal"]
+__all__ = ["Experiment", "EXPERIMENTS", "code_digest", "open_journal"]
 
 
 def _resolve(ref: str) -> Callable:
     module, _, attr = ref.partition(":")
     return getattr(importlib.import_module(f"{__package__}.{module}"), attr)
+
+
+@functools.lru_cache(maxsize=None)
+def code_digest() -> str:
+    """A digest of every ``.py`` source of the ``repro`` package.
+
+    Part of a journal's fingerprint: records written by other code may
+    have another shape or other values, so a resume under changed code
+    is refused rather than spliced.
+    """
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    h = hashlib.sha256()
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames.sort()
+        for name in sorted(filenames):
+            if name.endswith(".py"):
+                path = os.path.join(dirpath, name)
+                rel = os.path.relpath(path, root).replace(os.sep, "/")
+                h.update(rel.encode() + b"\0")
+                with open(path, "rb") as fh:
+                    h.update(fh.read())
+    return h.hexdigest()[:16]
 
 
 def open_journal(name: str, cfg_name: str, seed: int, checkpoint,
@@ -37,8 +61,9 @@ def open_journal(name: str, cfg_name: str, seed: int, checkpoint,
     ``checkpoint`` may be falsy (no journalling), an explicit path, or
     ``"auto"`` — the CLI's bare ``--checkpoint`` — which lands under
     ``results/checkpoints/``.  The journal is fingerprinted with
-    ``name:cfg:seed`` so a resume against a different configuration
-    fails loudly instead of splicing mismatched results.
+    ``name:cfg:seed:code`` (``code`` is :func:`code_digest`) so a resume
+    against a different configuration or different code fails loudly
+    instead of splicing mismatched results.
     """
     if not checkpoint:
         if resume:
@@ -51,7 +76,8 @@ def open_journal(name: str, cfg_name: str, seed: int, checkpoint,
             results_dir(), "checkpoints", f"{name}_{cfg_name}_seed{seed}.journal"
         )
     return SweepJournal(
-        checkpoint, fingerprint=f"{name}:{cfg_name}:{seed}", resume=resume
+        checkpoint, fingerprint=f"{name}:{cfg_name}:{seed}:{code_digest()}",
+        resume=resume,
     )
 
 

@@ -66,17 +66,24 @@ class Mapper(abc.ABC):
         deltas_before = evaluator.n_delta_evaluations
         batched_before = evaluator.n_batched_evaluations
         calls_before = evaluator.n_batch_calls
-        equiv_before = evaluator.n_equivalent_evaluations
+        # the run's delta work is summed from 0.0, so its float value does
+        # not depend on what earlier runs left on the evaluator
+        model = evaluator.model
+        work_before = model.delta_work
+        model.delta_work = 0.0
         # wall time feeds only the reported elapsed_s diagnostic,
         # never the mapping itself
         t0 = time.perf_counter()  # repro-lint: disable=DET002
-        with _trace.span("mapper.run", "mapper", {"mapper": self.name}
-                         if _trace.enabled() else None):
-            mapping, stats = self._run(evaluator, rng)
+        try:
+            with _trace.span("mapper.run", "mapper", {"mapper": self.name}
+                             if _trace.enabled() else None):
+                mapping, stats = self._run(evaluator, rng)
+        finally:
+            run_work = model.delta_work
+            model.delta_work = work_before + run_work
         elapsed = time.perf_counter() - t0  # repro-lint: disable=DET002
-        stats.setdefault(
-            "n_simulations", float(evaluator.n_full_simulations - sims_before)
-        )
+        n_sims = evaluator.n_full_simulations - sims_before
+        stats.setdefault("n_simulations", float(n_sims))
         stats.setdefault(
             "n_delta_evaluations",
             float(evaluator.n_delta_evaluations - deltas_before),
@@ -89,8 +96,7 @@ class Mapper(abc.ABC):
             float(n_batched) / n_calls if n_calls > 0 else 0.0,
         )
         stats.setdefault(
-            "n_equivalent_evaluations",
-            float(evaluator.n_equivalent_evaluations - equiv_before),
+            "n_equivalent_evaluations", float(n_sims + run_work + n_batched)
         )
         mapping = np.asarray(mapping, dtype=np.int64)
         if mapping.shape != (evaluator.n_tasks,):

@@ -15,9 +15,11 @@ the same value the journal holds — an interrupted-then-resumed run emits
 a CSV identical to an uninterrupted one (pinned in
 ``tests/test_supervisor.py``).
 
-The fingerprint (driver name, scale config, seed) guards against resuming
-with a journal from a *different* run, which would silently splice
-mismatched results; :class:`JournalError` is raised instead.
+The fingerprint (driver name, scale config, seed and, from the experiment
+registry, a digest of the package sources) guards against resuming with
+a journal from a *different* run or from other code, which would
+silently splice mismatched results; :class:`JournalError` is raised
+instead.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Exactness contract of the fast evaluation core.
 
-The flat-array kernel (Python and compiled C), the population entry and
-the incremental delta evaluator are *optimizations, never
-approximations*: every path must reproduce the original nested-list
+The compiled C kernel, the population entry and the incremental delta
+evaluator (whose fallbacks run the walk itself) are *optimizations,
+never approximations*: every path must reproduce the original nested-list
 walk (``CostModel._simulate_reference``) **bit for bit** — makespan and
 per-task start/finish — across graph families, random mappings, random
 schedule orders, streaming chains, FPGA area-infeasible mappings and
@@ -24,7 +24,6 @@ from repro.evaluation import (
     random_topological_schedule,
 )
 from repro.evaluation._ckernel import load_ckernel
-from repro.evaluation.kernel import simulate_flat
 from repro.graphs import TaskGraph
 from repro.graphs.generators import (
     augment_workflow,
@@ -187,24 +186,24 @@ class TestDeltaEquivalence:
                     delta.apply_move(cand.members, d, first_pos=first_pos),
                     ref,
                 )
+                if delta._ck is None:
+                    continue  # the fallback records no state
                 # ... and the whole recorded state (start/finish, slot
-                # snapshots, prefix makespans) a fresh full rebuild's
+                # snapshots, prefix makespans) a fresh full rebuild's,
+                # with the base start/finish the reference walk's
                 fresh = DeltaEvaluator(model)
                 fresh.reset(trial)
                 for got, want in zip(_delta_state(delta), _delta_state(fresh)):
                     np.testing.assert_array_equal(got, want)
-                start = [0.0] * n
-                finish = [0.0] * n
-                simulate_flat(
-                    model.flat, trial.tolist(), delta.order,
-                    out_start=start, out_finish=finish,
-                )
-                if delta._ck is None:
-                    base = (delta._start, delta._finish)
-                else:
-                    base = (delta._start_np, delta._finish_np)
-                np.testing.assert_array_equal(base[0], start)
-                np.testing.assert_array_equal(base[1], finish)
+                record = []
+                model._simulate_reference(trial, delta.order, record=record)
+                start = np.zeros(n)
+                finish = np.zeros(n)
+                for i, _d, _slot, _ready, st, fin, _streamed in record:
+                    start[i] = st
+                    finish[i] = fin
+                np.testing.assert_array_equal(delta._start_np, start)
+                np.testing.assert_array_equal(delta._finish_np, finish)
 
     @pytest.mark.parametrize("use_ckernel", MODES, ids=MODE_IDS)
     def test_bound_abort_is_conservative(self, use_ckernel):
@@ -476,17 +475,11 @@ class TestCounters:
 
 
 def _delta_state(delta):
-    """The base state a DeltaEvaluator records: start, finish, the slot
-    snapshot before every position and the prefix makespans."""
-    if delta._ck is not None:
-        return (delta._start_np, delta._finish_np, delta._snap_np,
-                delta._pre_ms_np)
-    return (
-        np.array(delta._start),
-        np.array(delta._finish),
-        np.array(delta._snap_avail).reshape(delta.n, delta.flat.n_slots),
-        np.array(delta._pre_ms),
-    )
+    """The base state a DeltaEvaluator records on the C kernel: start,
+    finish, the slot snapshot before every position and the prefix
+    makespans."""
+    return (delta._start_np, delta._finish_np, delta._snap_np,
+            delta._pre_ms_np)
 
 
 def _same(a: float, b: float) -> bool:

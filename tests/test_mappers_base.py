@@ -83,3 +83,20 @@ class TestTrivialMappers:
         ev = make_evaluator(g, platform)
         res = BestRandomMapper(k=10).map(ev, rng=rng)
         assert res.makespan <= ev.cpu_construction_makespan * (1 + 1e-9)
+
+
+class TestStatsOnAReusedEvaluator:
+    def test_second_run_reports_the_same_stats(self, platform):
+        """A run's stats do not depend on what earlier runs left on the
+        evaluator: ``n_equivalent_evaluations`` sums the run's delta
+        work from zero (summed onto the evaluator's running total it
+        used to read 7476.753333333321, then ...343 here)."""
+        from repro.mappers import single_node
+
+        g = random_sp_graph(150, np.random.default_rng(3))
+        ev = make_evaluator(g, platform)
+        first = single_node().map(ev)
+        second = single_node().map(ev)
+        assert second.stats == first.stats
+        assert second.n_evaluations == first.n_evaluations
+        np.testing.assert_array_equal(second.mapping, first.mapping)

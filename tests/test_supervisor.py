@@ -15,6 +15,7 @@ Three acceptance pins from PR 8:
 
 import dataclasses
 import io
+import json
 import os
 
 import numpy as np
@@ -22,6 +23,7 @@ import pytest
 
 from repro.experiments import EXPERIMENTS, robustness, write_csv
 from repro.experiments.config import get_scale
+from repro.experiments.registry import code_digest, open_journal
 from repro.experiments.runner import StudyResult
 from repro.obs import metrics as obs_metrics
 from repro.parallel import (
@@ -317,6 +319,23 @@ class TestJournal:
         with pytest.raises(JournalError, match="fingerprint"):
             SweepJournal(path, fingerprint="robustness:smoke:78", resume=True)
 
+    def test_journal_from_other_code_is_refused(self, tmp_path):
+        """A same-code resume loads; a header carrying another code
+        digest is refused instead of spliced into this code's results."""
+        path = str(tmp_path / "j.journal")
+        with open_journal("fig4", "smoke", 5, path) as journal:
+            journal.record("a", 1)
+        with open_journal("fig4", "smoke", 5, path, resume=True) as journal:
+            assert journal.get("a") == 1
+        lines = open(path).read().splitlines()
+        header = json.loads(lines[0])
+        assert header["fingerprint"] == f"fig4:smoke:5:{code_digest()}"
+        header["fingerprint"] = "fig4:smoke:5:0000000000000000"
+        with open(path, "w") as fh:
+            fh.write("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        with pytest.raises(JournalError, match="fingerprint"):
+            open_journal("fig4", "smoke", 5, path, resume=True)
+
     def test_resume_without_prior_file_starts_fresh(self, tmp_path):
         path = str(tmp_path / "new.journal")
         with SweepJournal(path, fingerprint="t:1", resume=True) as journal:
@@ -466,10 +485,10 @@ class TestCheckpointCli:
             ["experiment", "robustness", "--checkpoint", "--resume"]
         ) == 0
         # bare --checkpoint: the registry opens the journal at the auto
-        # path, fingerprinted name:cfg:seed, and hands it to the driver
+        # path, fingerprinted name:cfg:seed:code, and hands it to the driver
         journal = captured["journal"]
         assert isinstance(journal, SweepJournal)
-        assert journal.fingerprint == "robustness:smoke:77"
+        assert journal.fingerprint == f"robustness:smoke:77:{code_digest()}"
         assert journal.path == os.path.join(
             str(tmp_path), "checkpoints", "robustness_smoke_seed77.journal"
         )
