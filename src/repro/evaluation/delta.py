@@ -557,9 +557,9 @@ class DeltaEvaluator:
         Reads the snapshots at ``k`` and rewrites those from ``k`` on,
         with the base start/finish of the suffix: ``repro_rebuild_from``
         on the C kernel.  Without it there are no snapshots and the base
-        makespan is one reference walk, charged as the walk it stands
-        for.  ``k = 0`` is the full rebuild and counts as one full simulation
-        (``model.n_simulations``); a resumed walk counts as an
+        makespan is one reference walk, charged like the walk it
+        replaces.  ``k = 0`` is the full rebuild and counts as one full
+        simulation (``model.n_simulations``); a resumed walk counts as an
         incremental evaluation (``n_delta_evaluations`` / fractional
         ``delta_work``).
         """

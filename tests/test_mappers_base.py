@@ -89,8 +89,8 @@ class TestStatsOnAReusedEvaluator:
     def test_second_run_reports_the_same_stats(self, platform):
         """A run's stats do not depend on what earlier runs left on the
         evaluator: ``n_equivalent_evaluations`` sums the run's delta
-        work from zero (summed onto the evaluator's running total it
-        used to read 7476.753333333321, then ...343 here)."""
+        work from zero, since a float sum continued from an earlier
+        run's total differs in its last digits."""
         from repro.mappers import single_node
 
         g = random_sp_graph(150, np.random.default_rng(3))
