@@ -13,7 +13,10 @@ core and ``test_nsgaii_batch_fitness_speedup_vs_reference`` the
 population batch fitness, both against the nested-list walk
 ``CostModel._simulate_reference``; ``test_c_scan_speedup_vs_python_scan``
 gates the one-call C scan pass against the reference scan
-(:func:`repro.evaluation.delta.scan_moves`) on the same C kernel.
+(:func:`repro.evaluation.delta.scan_moves`) on the same C kernel, and
+``test_nsgaii_native_variation_speedup_vs_reference`` NSGA-II's one
+``repro_vary`` call per generation against the numpy variation
+(:func:`repro.mappers.genetic.vary_reference`), also on the same kernel.
 """
 
 import time
@@ -21,7 +24,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.evaluation import DeltaEvaluator, MappingEvaluator
+from repro.evaluation import CostModel, DeltaEvaluator, MappingEvaluator
 from repro.evaluation._ckernel import load_ckernel
 from repro.evaluation.delta import scan_moves
 from repro.graphs.generators import random_almost_sp_graph, random_sp_graph
@@ -242,6 +245,51 @@ def test_nsgaii_batch_fitness_speedup_vs_reference():
     assert speedup >= 5.0, (
         f"NSGA-II batch fitness: only {speedup:.1f}x over per-genome "
         f"reference fitness (need >= 5x)"
+    )
+
+
+class _NumpyVariationModel(CostModel):
+    """The C-kernel model without ``repro_vary``'s tables: every
+    variation and repair runs the numpy reference."""
+
+    def repair_tables(self):
+        return None
+
+
+@_needs_ckernel
+def test_nsgaii_native_variation_speedup_vs_reference():
+    """One ``repro_vary`` call per generation vs the numpy crossover,
+    mutation and repair, both on the C-kernel fitness.
+
+    Bar 1.5x, best/best: native variation read 1.75-2.66x over the numpy
+    reference in 11 fresh processes when it was written (NSGAII 100x100
+    on random_sp_graph(50, default_rng(1234)): 15.2-29.2 ms vs 28.2-57.7
+    ms; collect_env(): x86_64, cpu_count 2, CPython 3.11.7, numpy 2.4.6,
+    scipy-openblas 0.3.31, kernel c).  A variation that silently takes
+    the numpy path on both sides reads ~1x and fails.
+    """
+    seed = np.random.SeedSequence(42)
+
+    def run(ev):
+        mapper = NsgaIIMapper(generations=100, population_size=100)
+
+        def once():
+            result = mapper.map(ev, rng=np.random.default_rng(seed))
+            return list(result.mapping), mapper.history_
+        return once
+
+    fast_ev = _bench_evaluator(50)
+    ref_ev = _bench_evaluator(50)
+    ref_ev.model = _NumpyVariationModel(ref_ev.graph, ref_ev.platform)
+    (fast, ref), best_fast, best_ref = _interleaved(run(fast_ev),
+                                                    run(ref_ev), 5)
+    assert fast == ref
+    speedup = best_ref / best_fast
+    print(f"NSGAII 100x100: native variation {best_fast * 1e3:.2f} ms vs "
+          f"numpy {best_ref * 1e3:.2f} ms -> {speedup:.2f}x (bar 1.5x)")
+    assert speedup >= 1.5, (
+        f"NSGA-II native variation: only {speedup:.2f}x over the numpy "
+        f"reference (need >= 1.5x)"
     )
 
 

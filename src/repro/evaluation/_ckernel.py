@@ -22,9 +22,9 @@ and loads it via :mod:`ctypes`:
 Set ``REPRO_PURE_PYTHON=1`` to force the fallback (used by the
 test-suite to cover both paths).
 
-The seven entry points (see the C source below for contracts) are
-listed here; all but ``repro_random_orders`` run the one loop body
-``span_core``:
+The eight entry points (see the C source below for contracts) are
+listed here; all but ``repro_random_orders`` and ``repro_vary`` run the
+one loop body ``span_core``:
 
 - ``repro_span``       — full scratch simulation into caller buffers;
 - ``repro_span_batch_dedup`` — lane loop over a whole ``(B, n)``
@@ -51,12 +51,19 @@ listed here; all but ``repro_random_orders`` run the one loop body
 - ``repro_random_orders`` — the schedule suite's ``K`` random Kahn walks
   over successor CSR arrays, drawing through the caller's numpy bit
   generator exactly as ``Generator.integers`` does (see
-  :mod:`repro.evaluation.schedules` for the draw-stream contract).
+  :mod:`repro.evaluation.schedules` for the draw-stream contract);
+- ``repro_vary``       — one NSGA-II generation's single-point crossover,
+  per-gene mutation and area repair of a ``(P, n)`` population in place,
+  drawing through the caller's bit generator exactly as the numpy
+  reference does.  A repair comparison inside the guard band returns to
+  Python for numpy's recount, and the call resumes after it (see
+  :mod:`repro.mappers.genetic` for the draw-order contract).
 
 Every buffer crosses into C through a checked builder or wrapper
 (:meth:`CKernel.make_ctx`, :meth:`CKernel.make_delta`,
-:meth:`CKernel.make_moves`, :meth:`CKernel.span_min`,
-:meth:`CKernel.random_orders`): each checks the shape, dtype and
+:meth:`CKernel.make_moves`, :meth:`CKernel.make_repair`,
+:meth:`CKernel.span_min`, :meth:`CKernel.random_orders`,
+:meth:`CKernel.vary`): each checks the shape, dtype and
 C-contiguity of every buffer, CSR offsets, and the range of every index
 the C side reads through, once when the structure is built.  The per-call
 entries then trust them; ``repro_scan`` checks its per-pass ``order``
@@ -80,7 +87,9 @@ __all__ = [
     "ReproCtx",
     "ReproDelta",
     "ReproMoves",
+    "ReproRepair",
     "ReproScan",
+    "ReproVary",
     "SCAN_BUCKETS",
     "load_ckernel",
 ]
@@ -493,6 +502,130 @@ int64_t repro_random_orders(const int64_t *succ_ptr, const int64_t *succ_dst,
     }
     return filled;
 }
+
+/* Generator.permutation's swap index for Fisher-Yates step i (0 < max
+ * < 2^32): numpy's masked rejection on 32-bit draws (random_interval in
+ * numpy/random/src/distributions/distributions.c), not Lemire. */
+static uint32_t interval_u32(ReproBitGen *bg, uint32_t max)
+{
+    uint32_t mask = max;
+    mask |= mask >> 1;
+    mask |= mask >> 2;
+    mask |= mask >> 4;
+    mask |= mask >> 8;
+    mask |= mask >> 16;
+    uint32_t value;
+    while ((value = bg->next_uint32(bg->state) & mask) > max)
+        ;
+    return value;
+}
+
+/* The area repair's tables: per-task area, and per area device (in
+ * Platform.area_capacities() order) its index, capacity and guard band,
+ * both computed by the caller. */
+typedef struct {
+    int64_t n, m, host, n_area;
+    const double *area;        /* n */
+    const int64_t *area_dev;   /* n_area */
+    const double *capacity;    /* n_area */
+    const double *band;        /* n_area */
+} ReproRepair;
+
+/* One repro_vary call's resumable state.  stage 0 runs crossover and
+ * mutation first (1: repair only); the repair resumes at area device
+ * dev, row row.  forced is the caller's usage decision (0/1) for that
+ * row, or -1; n_perm is the length of the permutation left in work
+ * when the call returns REPRO_VARY_WALK. */
+typedef struct {
+    int64_t stage, dev, row, forced, n_perm;
+} ReproVary;
+
+#define REPRO_VARY_DONE 0
+#define REPRO_VARY_USAGE 1
+#define REPRO_VARY_WALK 2
+
+/* One NSGA-II generation's variation of the P rows of pop (P*n), in
+ * place, drawing through the caller's bit generator exactly as the
+ * numpy reference (repro.mappers.genetic.vary_reference) does:
+ * - crossover: per pair (rows i, i+1) one random(); below the rate and
+ *   for n > 1 a cut integers(1, n) (no draw for n == 2), and the tails
+ *   from the cut on swap;
+ * - mutation: P*n random() in row-major order first, then one
+ *   integers(0, m) per marked gene in flat order (no draw for m == 1);
+ * - repair: per area device, rows in ascending order; a row over its
+ *   capacity draws a permutation of its genes on the device and sends
+ *   them to the host in that order until the usage fits.
+ * work holds >= max(P*n, n) int64.  The area sums here run in gene
+ * order, numpy's in BLAS/pairwise order: a comparison of a sum with
+ * its capacity inside the guard band returns REPRO_VARY_USAGE (the
+ * row's usage; the caller sets forced) or REPRO_VARY_WALK (a step of
+ * the row's walk; the caller finishes the row from the permutation in
+ * work and advances row), and the next call resumes there.  Returns
+ * REPRO_VARY_DONE when the repair is complete. */
+int64_t repro_vary(const ReproRepair *rp, int64_t *pop, int64_t P,
+                   double crossover_rate, double mutation_rate,
+                   ReproBitGen *bg, int64_t *work, ReproVary *st)
+{
+    const int64_t n = rp->n;
+    if (st->stage == 0) {
+        st->stage = 1;
+        for (int64_t i = 0; i + 1 < P; i += 2) {
+            if (bg->next_double(bg->state) < crossover_rate && n > 1) {
+                const int64_t cut = 1 + (n > 2
+                    ? (int64_t)lemire_u32(bg, (uint32_t)(n - 2)) : 0);
+                int64_t *a = pop + i * n, *b = a + n;
+                for (int64_t g = cut; g < n; g++) {
+                    const int64_t t = a[g];
+                    a[g] = b[g];
+                    b[g] = t;
+                }
+            }
+        }
+        int64_t marked = 0;
+        for (int64_t g = 0; g < P * n; g++)
+            if (bg->next_double(bg->state) < mutation_rate) work[marked++] = g;
+        for (int64_t q = 0; q < marked; q++)
+            pop[work[q]] = rp->m > 1
+                ? (int64_t)lemire_u32(bg, (uint32_t)(rp->m - 1)) : 0;
+    }
+    for (; st->dev < rp->n_area; st->dev++, st->row = 0) {
+        const int64_t d = rp->area_dev[st->dev];
+        const double cap = rp->capacity[st->dev], band = rp->band[st->dev];
+        for (; st->row < P; st->row++) {
+            int64_t *genome = pop + st->row * n;
+            int over = (int)st->forced;
+            st->forced = -1;
+            if (over < 0) {
+                double usage = 0.0;
+                for (int64_t g = 0; g < n; g++)
+                    if (genome[g] == d) usage += rp->area[g];
+                if (fabs(usage - cap) <= band) return REPRO_VARY_USAGE;
+                over = usage > cap;
+            }
+            if (!over) continue;
+            int64_t len = 0;
+            double used = 0.0;
+            for (int64_t g = 0; g < n; g++)
+                if (genome[g] == d) { work[len++] = g; used += rp->area[g]; }
+            for (int64_t i = len - 1; i > 0; i--) {
+                const int64_t j = (int64_t)interval_u32(bg, (uint32_t)i);
+                const int64_t t = work[i];
+                work[i] = work[j];
+                work[j] = t;
+            }
+            for (int64_t q = 0; q < len; q++) {
+                if (fabs(used - cap) <= band) {
+                    st->n_perm = len;
+                    return REPRO_VARY_WALK;
+                }
+                if (used <= cap) break;
+                genome[work[q]] = rp->host;
+                used -= rp->area[work[q]];
+            }
+        }
+    }
+    return REPRO_VARY_DONE;
+}
 """
 
 _P = ctypes.POINTER
@@ -569,6 +702,35 @@ class ReproScan(ctypes.Structure):
         ("suffix_total", ctypes.c_int64),
         ("suffix_buckets", ctypes.c_int64 * SCAN_BUCKETS),
     ]
+
+
+class ReproRepair(ctypes.Structure):
+    _fields_ = [
+        ("n", ctypes.c_int64),
+        ("m", ctypes.c_int64),
+        ("host", ctypes.c_int64),
+        ("n_area", ctypes.c_int64),
+        ("area", _f64),
+        ("area_dev", _i64),
+        ("capacity", _f64),
+        ("band", _f64),
+    ]
+
+
+class ReproVary(ctypes.Structure):
+    _fields_ = [
+        ("stage", ctypes.c_int64),
+        ("dev", ctypes.c_int64),
+        ("row", ctypes.c_int64),
+        ("forced", ctypes.c_int64),
+        ("n_perm", ctypes.c_int64),
+    ]
+
+
+#: ``repro_vary``'s return codes, mirrored from the C ``#define``s
+#: (lint rule KER001): repair complete, a row's usage inside the guard
+#: band, a step of a row's walk inside the guard band
+VARY_DONE, VARY_USAGE, VARY_WALK = 0, 1, 2
 
 
 def _require(arr, dtype, shape, name) -> None:
@@ -666,6 +828,17 @@ class CKernel:
             vp,
             vp,
         ]
+        lib.repro_vary.restype = ctypes.c_int64
+        lib.repro_vary.argtypes = [
+            vp,
+            vp,
+            ctypes.c_int64,
+            ctypes.c_double,
+            ctypes.c_double,
+            vp,
+            vp,
+            vp,
+        ]
 
     # ------------------------------------------------------------------
     def span_min(self, ctx, mapping, orders, start, finish, avail) -> float:
@@ -721,6 +894,72 @@ class CKernel:
         if filled != k * n:
             raise ValueError("random_orders: the graph has a cycle")
         return out
+
+    def make_repair(self, area, area_dev, capacity, band, host, m
+                    ) -> ReproRepair:
+        """Build ``repro_vary``'s ``ReproRepair`` tables over ``n`` task
+        areas and the area devices' indices, capacities and guard bands,
+        after checking every buffer and the device indices.  The buffers
+        ride along on the struct (``_buffers``)."""
+        n, n_area = len(area), len(area_dev)
+        _require(area, np.float64, (n,), "area")
+        _require(area_dev, np.int64, (n_area,), "area_dev")
+        _require(capacity, np.float64, (n_area,), "capacity")
+        _require(band, np.float64, (n_area,), "band")
+        _require_range(area_dev, m, "area_dev", "device index")
+        if not 0 <= host < m:
+            raise ValueError(f"host: device index outside [0, {m})")
+        if n >= 1 << 32 or m >= 1 << 32:
+            raise ValueError(f"make_repair: {n} tasks, {m} devices, "
+                             f"each at most 2**32 - 1")
+        tables = ReproRepair(
+            n=n, m=m, host=host, n_area=n_area,
+            area=_ptr(area, _f64),
+            area_dev=_ptr(area_dev, _i64),
+            capacity=_ptr(capacity, _f64),
+            band=_ptr(band, _f64),
+        )
+        tables._buffers = (area, area_dev, capacity, band)
+        # repro_vary's workspace (>= max(P*n, n) int64), grown by vary
+        tables._work = np.empty(max(1, n), dtype=np.int64)
+        tables._work_p = tables._work.ctypes.data
+        return tables
+
+    def vary(self, tables, pop, rng, crossover_rate, mutation_rate,
+             recount_usage, finish_row, *, variation=True) -> None:
+        """Crossover, mutation and area repair of the rows of ``pop``,
+        in place, as ``repro_vary`` calls drawing through ``rng``'s bit
+        generator with its lock held (``variation=False``: the repair
+        only).  A guard-band comparison comes back here:
+        ``recount_usage(dev, row)`` returns the row's numpy usage
+        decision, and ``finish_row(dev, row, perm)`` finishes the row's
+        walk over the drawn permutation.  Neither may draw from
+        ``rng``.  The C side only compares and overwrites the genes of
+        ``pop``, never indexes with them, so they need no range check;
+        the workspace on ``tables`` makes concurrent calls on one
+        model unsafe, as with the model's other workspaces."""
+        P, n = pop.shape
+        _require(pop, np.int64, (P, n), "pop")
+        if n != tables.n:
+            raise ValueError(f"pop: expected {tables.n} genes, got {n}")
+        work = tables._work
+        if len(work) < P * n:
+            work = tables._work = np.empty(P * n, dtype=np.int64)
+            tables._work_p = work.ctypes.data
+        state = ReproVary(stage=0 if variation else 1, forced=-1)
+        bitgen = rng.bit_generator
+        args = (ctypes.byref(tables), pop.ctypes.data, P, crossover_rate,
+                mutation_rate, bitgen.ctypes.bit_generator, tables._work_p,
+                ctypes.byref(state))
+        with bitgen.lock:
+            code = self.lib.repro_vary(*args)
+            while code != VARY_DONE:
+                if code == VARY_USAGE:
+                    state.forced = int(recount_usage(state.dev, state.row))
+                else:
+                    finish_row(state.dev, state.row, work[:state.n_perm])
+                    state.row += 1
+                code = self.lib.repro_vary(*args)
 
     # ------------------------------------------------------------------
     def make_delta(
@@ -1081,6 +1320,9 @@ def source_consistency_problems() -> list:
       sentinel as ``costmodel.INFEASIBLE`` / ``kernel.INF``;
     - ``ReproScan.suffix_buckets`` has :data:`SCAN_BUCKETS` entries, the
       length of the ctypes mirror that ``DeltaEvaluator.scan`` reads.
+    - ``repro_vary``'s return codes equal :data:`VARY_DONE`,
+      :data:`VARY_USAGE` and :data:`VARY_WALK`, which
+      :meth:`CKernel.vary` dispatches on.
     """
     import re
 
@@ -1128,6 +1370,12 @@ def source_consistency_problems() -> list:
         r"suffix_buckets\[(\d+)\]", SCAN_BUCKETS,
         "scan suffix-bucket count", "_ckernel.SCAN_BUCKETS",
     )
+    for name, value in (("DONE", VARY_DONE), ("USAGE", VARY_USAGE),
+                        ("WALK", VARY_WALK)):
+        check(
+            rf"#define REPRO_VARY_{name} (\d+)", value,
+            f"repro_vary return code {name}", f"_ckernel.VARY_{name}",
+        )
     if "out[b] = INFINITY" not in _C_SOURCE:
         problems.append((
             c_line(r"_C_SOURCE = r"),

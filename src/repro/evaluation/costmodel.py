@@ -263,6 +263,7 @@ class CostModel:
         self._bfs_order_p = self.bfs_order_np.ctypes.data
         self._span_batch_dedup_c = ck.lib.repro_span_batch_dedup
         self._dedup_table: Optional[np.ndarray] = None
+        self._ck_repair = None  # repro_vary's tables, see repair_tables
 
     # -- pickling: ctypes handles cannot cross process boundaries --------
     def __getstate__(self):
@@ -271,7 +272,7 @@ class CostModel:
                     "_ws_finish", "_ws_avail", "_ws_start_p",
                     "_ws_finish_p", "_ws_avail_p", "_bfs_order_p",
                     "_span_batch_dedup_c",
-                    "_dedup_table"):
+                    "_dedup_table", "_ck_repair"):
             state.pop(key, None)
         return state
 
@@ -360,6 +361,27 @@ class CostModel:
         if mask is None:
             return np.ones(len(mappings), dtype=bool)
         return mask
+
+    def repair_tables(self):
+        """The C kernel's area-repair tables (``repro_vary``, see
+        :func:`repro.mappers.genetic.vary`), built on first use: task
+        areas, and per device of ``area_capacities()`` its capacity and
+        :func:`area_guard_band`.  ``None`` without the C kernel, or when
+        a task area is not finite: numpy's matmul then reads
+        ``0 * inf = nan``, which the kernel's masked sums never do."""
+        if self._ck is None:
+            return None
+        if self._ck_repair is None and np.isfinite(self._area).all():
+            caps = self._area_limits
+            self._ck_repair = self._ck.make_repair(
+                np.ascontiguousarray(self._area, dtype=np.float64),
+                np.fromiter(caps, dtype=np.int64, count=len(caps)),
+                np.fromiter(caps.values(), dtype=np.float64, count=len(caps)),
+                np.array([area_guard_band(c) for c in caps.values()],
+                         dtype=np.float64),
+                self.platform.host_index, self.m,
+            )
+        return self._ck_repair
 
     def simulate_many(self, mappings: np.ndarray) -> np.ndarray:
         """Construction makespans of every row of a ``(P, n)`` array.

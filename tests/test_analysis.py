@@ -374,6 +374,20 @@ class TestKer001:
         assert DEDUP_FNV_PRIME == 1099511628211
         assert DEDUP_TABLE_FACTOR == 2
 
+    def test_drifted_vary_return_code_is_reported(self, monkeypatch):
+        from repro.evaluation import _ckernel
+
+        source = _ckernel._C_SOURCE
+        assert "#define REPRO_VARY_WALK 2" in source
+        monkeypatch.setattr(
+            _ckernel, "_C_SOURCE",
+            source.replace("#define REPRO_VARY_WALK 2",
+                           "#define REPRO_VARY_WALK 3"),
+        )
+        problems = _ckernel.source_consistency_problems()
+        assert len(problems) == 1
+        assert "repro_vary return code WALK is 3" in problems[0][1]
+
 
 # ---------------------------------------------------------------------------
 # KER002 C kernel stays topology-agnostic
