@@ -5,7 +5,20 @@ import pytest
 
 from repro.evaluation import MappingEvaluator
 from repro.graphs import TaskGraph
-from repro.platform import paper_platform
+from repro.platform import Platform, cpu, fpga, gpu, paper_platform
+
+
+def quad_platform() -> Platform:
+    """CPU + GPU + two FPGAs on uniform links.  Unlike the three-device
+    presets, its routed topologies (``with_topology``) change the
+    effective latency and bandwidth matrices."""
+    off = ~np.eye(4, dtype=bool)
+    return Platform(
+        [cpu("host"), gpu("gpu0"), fpga("fpga0", area_capacity=60.0),
+         fpga("fpga1", area_capacity=60.0)],
+        np.where(off, 6.0, np.inf),
+        np.where(off, 1e-4, 0.0),
+    )
 
 
 @pytest.fixture(scope="session")

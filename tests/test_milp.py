@@ -1,5 +1,6 @@
 """Tests for the MILP infrastructure and the three MILP mappers."""
 
+import hashlib
 import subprocess
 import sys
 
@@ -7,11 +8,15 @@ import numpy as np
 import pytest
 
 from repro.graphs import TaskGraph, augment
-from repro.graphs.generators import random_sp_graph
+from repro.graphs.generators import (
+    make_workflow,
+    random_almost_sp_graph,
+    random_sp_graph,
+)
 from repro.mappers import WgdpDeviceMapper, WgdpTimeMapper, ZhouLiuMapper
-from repro.mappers.milp import MilpBuilder, MilpProblemData
-from repro.platform import paper_platform
-from tests.conftest import make_evaluator
+from repro.mappers.milp import MilpBuilder, MilpProblemData, MilpSolution
+from repro.platform import paper_platform, with_topology
+from tests.conftest import make_evaluator, quad_platform
 
 
 def test_import_does_not_load_scipy():
@@ -181,3 +186,111 @@ class TestZhouLiu:
         ev = make_evaluator(g, platform, n_random=5)
         res = ZhouLiuMapper(time_limit_s=0.05).map(ev)
         assert ev.is_feasible(res.mapping)
+
+
+def _model_digest(builder: MilpBuilder) -> str:
+    """SHA-256 of everything a solve receives: the objective, the
+    constraint triplets and bounds, the variable bounds and the
+    integrality, each float by its exact hex value."""
+    def hexes(values):
+        return [float(v).hex() for v in values]
+
+    payload = repr((
+        sorted((col, float(val).hex()) for col, val in builder._obj.items()),
+        builder._rows, builder._cols, hexes(builder._vals),
+        hexes(builder._con_lb), hexes(builder._con_ub),
+        hexes(builder._lb), hexes(builder._ub), builder._integrality,
+    ))
+    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+def _pin_graphs():
+    return {
+        "sp6": random_sp_graph(6, np.random.default_rng(1)),
+        "almost-sp7": random_almost_sp_graph(7, 2, np.random.default_rng(2)),
+        "montage": make_workflow("montage", 8, np.random.default_rng(3)),
+    }
+
+
+_PIN_PLATFORMS = {
+    "paper": paper_platform,
+    "numa": lambda: with_topology(paper_platform(), "numa"),
+    # the paper matrices already route GPU<->FPGA through the host, so
+    # numa leaves them unchanged; on four devices routing changes them
+    "quad-numa": lambda: with_topology(quad_platform(), "numa"),
+}
+
+_PIN_MAPPERS = {
+    "WGDPDev": WgdpDeviceMapper,
+    "WGDPTime": WgdpTimeMapper,
+    "ZhouLiu": ZhouLiuMapper,
+}
+
+
+def capture_milp_models():
+    """``{"mapper/graph/platform": digest}`` of every model the three MILP
+    mappers build on the pin cases; ``MilpBuilder.solve`` is replaced by
+    a capture that returns no solution, so nothing is solved."""
+    captured = {}
+
+    def capture(builder, **_kwargs):
+        captured.setdefault("last", []).append(_model_digest(builder))
+        return MilpSolution(x=None, status=1, message="captured",
+                            objective=np.inf)
+
+    out = {}
+    original = MilpBuilder.solve
+    MilpBuilder.solve = capture
+    try:
+        for pname, make_platform in _PIN_PLATFORMS.items():
+            for gname, g in _pin_graphs().items():
+                for mname, mapper in _PIN_MAPPERS.items():
+                    captured.clear()
+                    mapper().map(make_evaluator(g, make_platform(), n_random=2))
+                    out[f"{mname}/{gname}/{pname}"] = ",".join(captured["last"])
+    finally:
+        MilpBuilder.solve = original
+    return out
+
+
+#: recorded before the cost tables became one numpy table set; every
+#: MILP model must stay bit-identical (``python -m tests.test_milp``
+#: prints the current digests)
+MILP_MODEL_DIGESTS = {
+    "WGDPDev/sp6/paper": "bed454b1ae7e84cb",
+    "WGDPTime/sp6/paper": "8389765509dbfcf3",
+    "ZhouLiu/sp6/paper": "7bf142c16c786640",
+    "WGDPDev/almost-sp7/paper": "fe34438873df2114",
+    "WGDPTime/almost-sp7/paper": "01a28dd72e9dda3c",
+    "ZhouLiu/almost-sp7/paper": "aa81cd4b175f9ce4",
+    "WGDPDev/montage/paper": "da1465bc3519619a",
+    "WGDPTime/montage/paper": "b9880661e220aed3",
+    "ZhouLiu/montage/paper": "45fd226130d3fd3f",
+    "WGDPDev/sp6/numa": "bed454b1ae7e84cb",
+    "WGDPTime/sp6/numa": "8389765509dbfcf3",
+    "ZhouLiu/sp6/numa": "7bf142c16c786640",
+    "WGDPDev/almost-sp7/numa": "fe34438873df2114",
+    "WGDPTime/almost-sp7/numa": "01a28dd72e9dda3c",
+    "ZhouLiu/almost-sp7/numa": "aa81cd4b175f9ce4",
+    "WGDPDev/montage/numa": "da1465bc3519619a",
+    "WGDPTime/montage/numa": "b9880661e220aed3",
+    "ZhouLiu/montage/numa": "45fd226130d3fd3f",
+    "WGDPDev/sp6/quad-numa": "fa8fa3b9e6b0a3f4",
+    "WGDPTime/sp6/quad-numa": "e01b5d7a4ba8520b",
+    "ZhouLiu/sp6/quad-numa": "4f018e84e08db1fe",
+    "WGDPDev/almost-sp7/quad-numa": "e483cb63d160dd6b",
+    "WGDPTime/almost-sp7/quad-numa": "f62ecba7d595233b",
+    "ZhouLiu/almost-sp7/quad-numa": "8c57397ec4b4205d",
+    "WGDPDev/montage/quad-numa": "b5c1de1efa1daedd",
+    "WGDPTime/montage/quad-numa": "22c8f6a0029df44b",
+    "ZhouLiu/montage/quad-numa": "6f11a615a8f17cf4",
+}
+
+
+def test_milp_models_are_pinned():
+    assert capture_milp_models() == MILP_MODEL_DIGESTS
+
+
+if __name__ == "__main__":
+    for key, digest in capture_milp_models().items():
+        print(f'    "{key}": "{digest}",')
