@@ -4,7 +4,7 @@ evaluation, schedule suites, evaluator, traces."""
 
 from .costmodel import AREA_TOL, INFEASIBLE, CostModel
 from .delta import DeltaEvaluator
-from .energy import JOULES_PER_MB, EnergyModel, energy_joules
+from .energy import JOULES_PER_MB, EnergyModel
 from .evaluator import MappingEvaluator
 from .kernel import FlatModel
 from .schedules import ScheduleSuite, bfs_schedule, random_topological_schedule
@@ -19,7 +19,6 @@ __all__ = [
     "MappingEvaluator",
     "JOULES_PER_MB",
     "EnergyModel",
-    "energy_joules",
     "ScheduleSuite",
     "bfs_schedule",
     "random_topological_schedule",

@@ -21,7 +21,7 @@ function as a list-scheduling simulation over a fixed priority order:
   the FPGA attractive, which the series-parallel decomposition exploits;
 - source tasks mapped off-host pay the initial host-to-device transfer of
   their input; sink tasks pay the return transfer of their result
-  (volume = input volume capped at one edge unit, see ``_sink_return_mb``).
+  (volume = input volume capped at one edge unit, ``FlatModel.sink_mb``).
 
 All tables (execution times, per-edge transfer costs for every device pair)
 are precomputed once per graph, so one evaluation is a tight O(V + E) loop —
@@ -29,15 +29,19 @@ the hot path of the whole library (hpc guide: optimize the bottleneck only).
 
 Evaluation architecture — one specification, one compiled loop body:
 
-- the specification is the nested-list walk :meth:`_simulate_reference`;
-  with a ``record`` list it also yields the per-task records of
-  :func:`repro.evaluation.trace.simulate_trace`;
-- the tables are flattened once into a :class:`repro.evaluation.kernel.FlatModel`
-  (CSR predecessor offsets, per-edge ``m*m`` transfer rows, contiguous
-  ``float64`` exec/fill/initial/final).  With the compiled kernel loaded
-  every entry goes to its C function, all on the one C loop
-  ``span_core``; without it every entry runs :meth:`_simulate_reference`
-  itself (the fallback kernel), so there is no second Python loop;
+- the tables are one read-only numpy set,
+  :class:`repro.evaluation.kernel.FlatModel` (``flat``), built once from
+  the graph and platform; every layer reads it or the public names
+  derived from it, and none re-derives a table from the graph;
+- the specification is the nested-list walk :meth:`_simulate_reference`
+  over lists derived from that set once (``exec_rows``, ``fill_rows``,
+  ``initial_rows``, ``final_rows``, ``preds``), which the runtime engine
+  and the list schedulers read too; with a ``record`` list it also
+  yields the per-task records of :func:`repro.evaluation.trace.simulate_trace`;
+- with the compiled kernel loaded every entry goes to its C function,
+  all on the one C loop ``span_core`` over the set's arrays; without it
+  every entry runs :meth:`_simulate_reference` itself (the fallback
+  kernel), so there is no second Python loop;
 - :meth:`simulate` is one scratch pass (construction makespan);
 - :meth:`simulate_min` is the 101-schedule reported suite: one C call
   (``repro_span_min``) over the suite's ``(K, n)`` order array, each walk
@@ -80,10 +84,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..graphs.taskgraph import DEFAULT_DATA_MB, TaskGraph
+from ..graphs.taskgraph import TaskGraph
 from ..obs import metrics as _metrics
 from ..platform.platform import Platform
-from ..platform.taskmodel import exec_time_table
 from ._ckernel import load_ckernel
 from .kernel import DEDUP_TABLE_FACTOR, FlatModel
 
@@ -147,78 +150,38 @@ class CostModel:
         self.n = len(self.tasks)
         self.m = platform.n_devices
 
-        # --- execution times (n x m), plus list-of-lists fast view -----
-        self.exec_table: np.ndarray = exec_time_table(graph, platform)
-        self._exec: List[List[float]] = self.exec_table.tolist()
-
-        # --- predecessor structure (flattened) -------------------------
-        # _pred[i] = list of (pred_index, transfer_row) where transfer_row
-        # is an m*m nested list: transfer_row[du][dv] = transfer seconds.
-        # On a topology-aware platform these matrices are already the
+        # --- the one table set (read-only numpy, see kernel.py) ---------
+        # On a topology-aware platform its transfer rows are already the
         # *routed effective* costs (multi-hop latencies summed,
         # bandwidths composed), so interconnect topology is priced here,
         # at table-build time, and nowhere in the simulation inner loop.
-        self._pred: List[List[Tuple[int, List[List[float]]]]] = []
-        lat = platform.latency_s
-        bw = platform.bandwidth_gbps
-        for t in self.tasks:
-            plist = []
-            for p in graph.predecessors(t):
-                data = graph.data_mb(p, t)
-                row = (lat + data / 1000.0 / bw).tolist()
-                plist.append((self.index[p], row))
-            self._pred.append(plist)
+        self.flat = flat = FlatModel(graph, platform)
+        self.exec_table: np.ndarray = flat.exec
+        self.area: np.ndarray = flat.area
+        self.area_limits: Dict[int, float] = platform.area_capacities()
 
-        # --- streaming support ------------------------------------------
+        # --- the reference walk's nested lists, derived once -------------
+        self.exec_rows: List[List[float]] = flat.exec.tolist()
+        self.fill_rows: List[List[float]] = flat.fill.tolist()
+        self.initial_rows: List[List[float]] = flat.initial.tolist()
+        self.final_rows: List[List[float]] = flat.final.tolist()
+        #: per edge id: the m x m transfer seconds, ``[du][dv]``
+        self.trans_rows: List[List[List[float]]] = (
+            flat.pred_trans.reshape(-1, self.m, self.m).tolist()
+        )
+        src = flat.pred_src.tolist()
+        ptr = flat.pred_ptr.tolist()
+        #: per task: ``[(pred_index, transfer_row), ...]`` in edge order
+        self.preds: List[List[Tuple[int, List[List[float]]]]] = [
+            list(zip(src[a:b], self.trans_rows[a:b]))
+            for a, b in zip(ptr, ptr[1:])
+        ]
         self._streaming_dev: List[bool] = [d.streaming for d in platform.devices]
         self._serializes: List[bool] = [d.serializes for d in platform.devices]
         self._slots: List[int] = [d.slots for d in platform.devices]
-        # pipeline fill time of task i on device d = exec / streamability
-        stream = np.array(
-            [max(graph.params(t).streamability, 1.0) for t in self.tasks]
-        )
-        self._fill: List[List[float]] = (
-            self.exec_table / stream[:, None]
-        ).tolist()
-
-        # --- host I/O for sources and sinks ------------------------------
-        host = platform.host_index
-        self._initial: List[List[float]] = []
-        self._final: List[List[float]] = []
-        for i, t in enumerate(self.tasks):
-            if graph.in_degree(t) == 0:
-                inp = graph.input_mb(t)
-                self._initial.append(
-                    [platform.transfer_time(host, d, inp) for d in range(self.m)]
-                )
-            else:
-                self._initial.append([0.0] * self.m)
-            if graph.out_degree(t) == 0:
-                out = self._sink_return_mb(t)
-                self._final.append(
-                    [platform.transfer_time(d, host, out) for d in range(self.m)]
-                )
-            else:
-                self._final.append([0.0] * self.m)
-
-        # --- area constraints -------------------------------------------
-        self._area = np.array([graph.params(t).area for t in self.tasks])
-        self._area_limits: Dict[int, float] = platform.area_capacities()
 
         # --- default schedule (breadth-first) ----------------------------
         self.bfs_order: List[int] = [self.index[t] for t in graph.bfs_order()]
-
-        # --- flat-array kernel view (see module docstring) ---------------
-        self.flat = FlatModel(
-            exec_table=self.exec_table,
-            fill_table=np.asarray(self._fill, dtype=np.float64),
-            initial_table=np.asarray(self._initial, dtype=np.float64),
-            final_table=np.asarray(self._final, dtype=np.float64),
-            pred_lists=self._pred,
-            streaming=self._streaming_dev,
-            serializes=self._serializes,
-            slots=self._slots,
-        )
 
         # --- compiled kernel (optional, bit-identical) -------------------
         self.bfs_order_np = np.asarray(self.bfs_order, dtype=np.int64)
@@ -286,24 +249,19 @@ class CostModel:
         self._init_ckernel(None if pref is True else pref)
 
     # ------------------------------------------------------------------
-    def _sink_return_mb(self, t: int) -> float:
-        """Result volume a sink returns to the host (capped at one edge unit)."""
-        return min(self.graph.input_mb(t), DEFAULT_DATA_MB)
-
-    # ------------------------------------------------------------------
     # feasibility
     # ------------------------------------------------------------------
     def area_usage(self, mapping: Sequence[int]) -> Dict[int, float]:
         """Summed task area per area-constrained device."""
         mapping = np.asarray(mapping)
         return {
-            d: float(self._area[mapping == d].sum()) for d in self._area_limits
+            d: float(self.area[mapping == d].sum()) for d in self.area_limits
         }
 
     def is_feasible(self, mapping: Sequence[int]) -> bool:
         """True iff all device area budgets are respected."""
         usage = self.area_usage(mapping)
-        return all(usage[d] <= self._area_limits[d] + AREA_TOL for d in usage)
+        return all(usage[d] <= self.area_limits[d] + AREA_TOL for d in usage)
 
     def check_devices(self, mapping: np.ndarray) -> None:
         """Raise :class:`ValueError` unless every entry of ``mapping`` is
@@ -317,9 +275,11 @@ class CostModel:
         if mapping.size and (mapping.min() < 0 or mapping.max() >= self.m):
             raise ValueError(f"mapping: device index outside [0, {self.m})")
 
-    def check_order(self, order: Sequence[int]) -> np.ndarray:
+    def check_order(self, order: Sequence[int], *,
+                    rows: bool = False) -> np.ndarray:
         """``order`` as a C-contiguous int64 array, or :class:`ValueError`
-        unless it has ``n`` entries, each a task index in ``[0, n)``.
+        unless it has ``n`` entries (with ``rows``: a ``(K, n)`` array,
+        one schedule per row), each a task index in ``[0, n)``.
 
         Both kernels index their tables with the schedule's tasks
         unchecked, just as with devices (:meth:`check_devices`).
@@ -328,13 +288,14 @@ class CostModel:
             order_np = np.ascontiguousarray(order)
         else:
             order_np = np.ascontiguousarray(order, dtype=np.int64)
-        if order_np.shape != (self.n,):
+        name = "orders" if rows else "order"
+        if order_np.ndim != 1 + rows or order_np.shape[-1:] != (self.n,):
             raise ValueError(
-                f"order: expected {self.n} task indices, got shape "
-                f"{order_np.shape}"
+                f"{name}: expected {'rows of ' * rows}{self.n} task "
+                f"indices, got shape {order_np.shape}"
             )
-        if self.n and (order_np.min() < 0 or order_np.max() >= self.n):
-            raise ValueError(f"order: task index outside [0, {self.n})")
+        if order_np.size and (order_np.min() < 0 or order_np.max() >= self.n):
+            raise ValueError(f"{name}: task index outside [0, {self.n})")
         return order_np
 
     def feasible_mask(self, mappings: np.ndarray) -> np.ndarray:
@@ -347,8 +308,8 @@ class CostModel:
         row's *decision* matches the scalar check exactly.
         """
         mask = None
-        area = self._area
-        for d, capacity in self._area_limits.items():
+        area = self.area
+        for d, capacity in self.area_limits.items():
             usage = (mappings == d) @ area
             limit = capacity + AREA_TOL
             band = area_guard_band(limit)
@@ -371,10 +332,10 @@ class CostModel:
         ``0 * inf = nan``, which the kernel's masked sums never do."""
         if self._ck is None:
             return None
-        if self._ck_repair is None and np.isfinite(self._area).all():
-            caps = self._area_limits
+        if self._ck_repair is None and np.isfinite(self.area).all():
+            caps = self.area_limits
             self._ck_repair = self._ck.make_repair(
-                np.ascontiguousarray(self._area, dtype=np.float64),
+                self.area,
                 np.fromiter(caps, dtype=np.int64, count=len(caps)),
                 np.fromiter(caps.values(), dtype=np.float64, count=len(caps)),
                 np.array([area_guard_band(c) for c in caps.values()],
@@ -520,24 +481,25 @@ class CostModel:
         cannot beat it, so the minimum is exact: bit-identical to the
         minimum of :meth:`simulate` over the rows.  One
         ``repro_span_min`` call on the C kernel; without it the minimum
-        of one unbounded :meth:`_simulate_reference` walk per row.
+        of one unbounded :meth:`_simulate_reference` walk per row.  Both
+        kernels refuse the same inputs (:meth:`check_devices`,
+        :meth:`check_order`).
         """
         if not self.is_feasible(mapping):
             return INFEASIBLE
+        map_np = np.ascontiguousarray(mapping, dtype=np.int64)
+        self.check_devices(map_np)
+        orders = self.check_order(orders, rows=True)
         self.n_simulations += len(orders)
         if self._ck is not None:
             return self._ck.span_min(
                 self._ck_ctx,
-                np.ascontiguousarray(mapping, dtype=np.int64),
+                map_np,
                 orders,
                 self._ws_start,
                 self._ws_finish,
                 self._ws_avail,
             )
-        map_np = np.asarray(mapping, dtype=np.int64)
-        self.check_devices(map_np)
-        if orders.size and (orders.min() < 0 or orders.max() >= self.n):
-            raise ValueError(f"orders: task index outside [0, {self.n})")
         mapping = map_np.tolist()
         return min(
             (self._simulate_reference(mapping, order, check_feasibility=False)
@@ -575,13 +537,13 @@ class CostModel:
             order = self.bfs_order
         mapping = list(mapping)
 
-        exec_ = self._exec
-        fill = self._fill
-        pred = self._pred
+        exec_ = self.exec_rows
+        fill = self.fill_rows
+        pred = self.preds
         streaming_dev = self._streaming_dev
         serializes = self._serializes
-        initial = self._initial
-        final = self._final
+        initial = self.initial_rows
+        final = self.final_rows
 
         start = [0.0] * self.n
         finish = [0.0] * self.n
@@ -661,8 +623,9 @@ class CostModel:
         total = 0.0
         for i in range(self.n):
             d = mapping[i]
-            total += self._exec[i][d] + self._initial[i][d] + self._final[i][d]
-            for p, trans in self._pred[i]:
+            total += (self.exec_rows[i][d] + self.initial_rows[i][d]
+                      + self.final_rows[i][d])
+            for p, trans in self.preds[i]:
                 dp = mapping[p]
                 if not (dp == d and self._streaming_dev[d]):
                     total += trans[dp][d]

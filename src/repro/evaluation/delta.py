@@ -206,12 +206,12 @@ class DeltaEvaluator:
             pos[i] = j
         self.pos: List[int] = pos
 
-        self._area: List[float] = model._area.tolist()
-        self._area_devs: List[int] = sorted(model._area_limits)
+        self._area: List[float] = model.area.tolist()
+        self._area_devs: List[int] = sorted(model.area_limits)
         # per area device: the budget plus the tolerance, and the guard
         # band around it (both also handed to the C scan)
         self._area_limits: List[float] = [
-            model._area_limits[d] + AREA_TOL for d in self._area_devs
+            model.area_limits[d] + AREA_TOL for d in self._area_devs
         ]
         self._area_bands: List[float] = [
             area_guard_band(limit) for limit in self._area_limits
@@ -338,7 +338,7 @@ class DeltaEvaluator:
             np.array([cand.area for cand in cands], dtype=np.float64),
             np.repeat(np.arange(len(cands), dtype=np.int64), n_devices),
             np.tile(np.arange(n_devices, dtype=np.int64), len(cands)),
-            self.model._area,
+            self.model.area,
             np.asarray(self._area_devs, dtype=np.int64),
             np.asarray(self._area_limits, dtype=np.float64),
             np.asarray(self._area_bands, dtype=np.float64),
@@ -464,7 +464,7 @@ class DeltaEvaluator:
         """Scratch (same summation order as ``area_usage``) trial usage."""
         trial = self._np_map.copy()
         trial[sub_list] = device
-        return float(self.model._area[trial == a].sum())
+        return float(self.model.area[trial == a].sum())
 
     # ------------------------------------------------------------------
     def evaluate_move(
@@ -544,7 +544,7 @@ class DeltaEvaluator:
         # exact scratch recount per area device (same summation order as
         # area_usage, without the dict round trip — apply_move runs once
         # per accepted SA/tabu move, so this is warm-path code)
-        area = self.model._area  # noqa: SLF001
+        area = self.model.area
         np_map = self._np_map
         self._set_usage(
             [float(area[np_map == a].sum()) for a in self._area_devs]

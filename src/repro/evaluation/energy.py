@@ -17,9 +17,13 @@ mapper has to expose (see :mod:`repro.mappers.multiobjective`).
 
 :meth:`EnergyModel.energy` is the Pareto NSGA-II fitness hot path (one
 call per distinct genome per generation), so it runs on flat Python
-lists precomputed at construction — the same accumulation order as the
-original table-walking loop (kept as :meth:`EnergyModel._energy_reference`
-and pinned bit-for-bit by ``tests/test_batch_population.py``), an
+lists derived at construction from the cost model's table set
+(:class:`~repro.evaluation.kernel.FlatModel`: ``edge_mb`` per
+predecessor edge, ``input_mb`` and ``sink_mb`` per task) — the same
+accumulation order as the original loop, kept as
+:meth:`EnergyModel._energy_reference`.  That loop reads the graph alone,
+so it is an independent oracle for the table volumes, and
+``tests/test_batch_population.py`` pins the two bit for bit: an
 optimization, never an approximation.
 """
 
@@ -29,9 +33,10 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..graphs.taskgraph import DEFAULT_DATA_MB
 from .costmodel import INFEASIBLE, CostModel
 
-__all__ = ["JOULES_PER_MB", "energy_joules", "EnergyModel"]
+__all__ = ["JOULES_PER_MB", "EnergyModel"]
 
 #: Transfer energy per MB moved across a PCIe-class link (both endpoints
 #: busy plus DMA), a coarse literature-typical constant.
@@ -55,27 +60,19 @@ class EnergyModel:
         # flat mirrors for the fast path: plain Python lists, walked in
         # exactly the reference loop's order (see module docstring)
         self._compute_l: List[List[float]] = self._compute.tolist()
-        g = model.graph
-        tasks = model.tasks
         self._host = model.platform.host_index
-        #: per task: [(pred_index, edge data_mb), ...] in CostModel._pred order
+        flat = model.flat
+        src = flat.pred_src.tolist()
+        mb = flat.edge_mb.tolist()
+        ptr = flat.pred_ptr.tolist()
+        #: per task: [(pred_index, edge data_mb), ...] in edge order
         self._edges_l: List[List[Tuple[int, float]]] = [
-            [
-                (p, g.data_mb(tasks[p], t))
-                for p, _ in model._pred[i]  # noqa: SLF001
-            ]
-            for i, t in enumerate(tasks)
+            list(zip(src[a:b], mb[a:b])) for a, b in zip(ptr, ptr[1:])
         ]
-        #: per task: input volume if a source else None / return volume if a sink
-        self._input_l: List[Optional[float]] = [
-            g.input_mb(t) if g.in_degree(t) == 0 else None for t in tasks
-        ]
-        self._sink_l: List[Optional[float]] = [
-            model._sink_return_mb(t)  # noqa: SLF001
-            if g.out_degree(t) == 0
-            else None
-            for t in tasks
-        ]
+        #: per task: host input volume of a source / return volume of a
+        #: sink, 0.0 otherwise (adding 0.0 leaves a sum's bits unchanged)
+        self._input_l: List[float] = flat.input_mb.tolist()
+        self._sink_l: List[float] = flat.sink_mb.tolist()
 
     def transfer_mb(self, mapping: Sequence[int], i: int) -> float:
         """MB moved to *start* task ``i`` under ``mapping``: its off-device
@@ -92,17 +89,15 @@ class EnergyModel:
         for p, vol in self._edges_l[i]:
             if mapping[p] != d:
                 mb += vol
-        inp = self._input_l[i]
-        if inp is not None and d != self._host:
-            mb += inp
+        if d != self._host:
+            mb += self._input_l[i]
         return mb
 
     def sink_mb(self, mapping: Sequence[int], i: int) -> float:
         """MB of task ``i``'s device→host result transfer (0 if not an
         off-host sink) — the counterpart of :meth:`transfer_mb`."""
-        out = self._sink_l[i]
-        if out is not None and mapping[i] != self._host:
-            return out
+        if mapping[i] != self._host:
+            return self._sink_l[i]
         return 0.0
 
     def energy(
@@ -143,9 +138,8 @@ class EnergyModel:
             for p, mb in edges:
                 if mapping[p] != d:
                     transfer_mb += mb
-            if input_l[i] is not None and d != host:
+            if d != host:
                 transfer_mb += input_l[i]
-            if sink_l[i] is not None and d != host:
                 transfer_mb += sink_l[i]
         total += transfer_mb * JOULES_PER_MB
         total += makespan * self._idle_total
@@ -173,30 +167,23 @@ class EnergyModel:
         total = 0.0
         for i in range(model.n):
             total += compute[i][mapping[i]]
-        # transfer energy: off-device edges plus source/sink host I/O
+        # transfer energy: off-device edges plus source/sink host I/O,
+        # read from the graph alone (an oracle for the table volumes)
         transfer_mb = 0.0
         g = model.graph
-        tasks = model.tasks
+        index = model.index
         host = model.platform.host_index
-        for i, t in enumerate(tasks):
+        for i, t in enumerate(model.tasks):
             d = mapping[i]
-            for p, _ in model._pred[i]:  # noqa: SLF001
-                if mapping[p] != d:
-                    transfer_mb += g.data_mb(tasks[p], t)
+            for p in g.predecessors(t):
+                if mapping[index[p]] != d:
+                    transfer_mb += g.data_mb(p, t)
             if g.in_degree(t) == 0 and d != host:
                 transfer_mb += g.input_mb(t)
             if g.out_degree(t) == 0 and d != host:
-                transfer_mb += model._sink_return_mb(t)  # noqa: SLF001
+                # a sink returns its input volume, capped at one edge unit
+                transfer_mb += min(g.input_mb(t), DEFAULT_DATA_MB)
         total += transfer_mb * JOULES_PER_MB
         total += makespan * self._idle_total
         return total
 
-
-def energy_joules(
-    model: CostModel,
-    mapping: Sequence[int],
-    *,
-    makespan: Optional[float] = None,
-) -> float:
-    """One-shot energy evaluation (constructs a throwaway table)."""
-    return EnergyModel(model).energy(mapping, makespan=makespan)

@@ -59,6 +59,13 @@ def successor_csr(g: TaskGraph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     The successors of task index ``i`` are
     ``succ_dst[succ_ptr[i]:succ_ptr[i + 1]]``, in ``g.successors`` order.
+
+    This is not the successor CSR of the cost tables
+    (:class:`~repro.evaluation.kernel.FlatModel`), which lists successors
+    in ascending index: the two orders differ on most non-workflow
+    graphs, and this one decides which task the random schedules' Kahn
+    walk appends next, so it defines their draw stream.  It is also built
+    from the graph alone, before any ``CostModel`` exists.
     """
     tasks = g.tasks()
     index = {t: i for i, t in enumerate(tasks)}

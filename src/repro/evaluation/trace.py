@@ -77,7 +77,7 @@ def simulate_trace(
     busy = [0.0] * model.m
     tasks = []
     for i, d, slot, ready, st, fin, streamed in records:
-        busy[d] += model._exec[i][d]  # noqa: SLF001
+        busy[d] += model.exec_rows[i][d]
         tasks.append(TaskTrace(
             task=model.tasks[i],
             index=i,

@@ -96,7 +96,7 @@ class CpopMapper(Mapper):
 
         # the critical-path processor minimizes the summed execution time,
         # subject to area feasibility
-        area = model._area  # noqa: SLF001
+        area = model.area
         caps = evaluator.platform.area_capacities()
         cp_area = float(area[on_cp].sum())
         cp_processor = min(

@@ -121,7 +121,7 @@ def repair_area_reference(
     Each over-committed genome draws one ``permutation`` of its tasks on
     the device and sends them to the host in that order.
     """
-    area = evaluator.model._area  # noqa: SLF001 - package-internal
+    area = evaluator.model.area
     host = evaluator.platform.host_index
     for d, capacity in evaluator.platform.area_capacities().items():
         usage = (pop == d) @ area
@@ -168,8 +168,8 @@ def _vary_native(pop: np.ndarray, evaluator: MappingEvaluator,
         ).inc()
     if not native:
         return False
-    area = model._area  # noqa: SLF001 - package-internal
-    devices = list(model._area_limits.items())  # noqa: SLF001
+    area = model.area
+    devices = list(model.area_limits.items())
 
     def recount_usage(dev: int, row: int) -> bool:
         # the reference's whole-population matmul; a row's value does not

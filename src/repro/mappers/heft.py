@@ -74,9 +74,9 @@ class ListSchedule:
             for dev in platform.devices
         ]
         self._area_left: Dict[int, float] = dict(platform.area_capacities())
-        self._task_area = model._area  # noqa: SLF001 - package-internal
-        self._initial = model._initial  # noqa: SLF001
-        self._pred = model._pred  # noqa: SLF001
+        self._task_area = model.area
+        self._initial = model.initial_rows
+        self._pred = model.preds
         self.exec_table = model.exec_table
         self.host = platform.host_index
         self.mapping = np.zeros(model.n, dtype=np.int64)
@@ -223,7 +223,7 @@ def mean_comm(evaluator: MappingEvaluator) -> Dict[Tuple[int, int], float]:
     out: Dict[Tuple[int, int], float] = {}
     n_pairs = m * (m - 1)
     for i in range(model.n):
-        for p, trans in model._pred[i]:  # noqa: SLF001
+        for p, trans in model.preds[i]:
             total = sum(
                 trans[du][dv] for du in range(m) for dv in range(m) if du != dv
             )

@@ -193,30 +193,22 @@ class MilpProblemData:
         for d, dev in enumerate(platform.devices):
             copies = dev.slots if dev.serializes else 1
             self.device_map.extend([d] * copies)
-        m_exp = len(self.device_map)
 
-        self.exec_table = model.exec_table[:, self.device_map]
-        self.initial = np.array(
-            [[model._initial[i][d] for d in self.device_map]  # noqa: SLF001
-             for i in range(self.n)]
-        )
-        self.final = np.array(
-            [[model._final[i][d] for d in self.device_map]  # noqa: SLF001
-             for i in range(self.n)]
-        )
+        flat = model.flat
+        dm = np.asarray(self.device_map)
+        self.exec_table = model.exec_table[:, dm]
+        self.initial = flat.initial[:, dm]
+        self.final = flat.final[:, dm]
 
-        self.edges = []
-        self.edge_trans = {}
-        for v_idx in range(self.n):
-            for p_idx, trans in model._pred[v_idx]:  # noqa: SLF001
-                t = np.asarray(trans)[np.ix_(self.device_map, self.device_map)]
-                # same real device => free, also across slot copies
-                for a in range(m_exp):
-                    for b in range(m_exp):
-                        if self.device_map[a] == self.device_map[b]:
-                            t[a, b] = 0.0
-                self.edges.append((p_idx, v_idx))
-                self.edge_trans[(p_idx, v_idx)] = t
+        # per edge, in edge id order: the transfer table on expanded
+        # devices, free within one real device (also across slot copies)
+        trans = flat.pred_trans.reshape(-1, platform.n_devices,
+                                        platform.n_devices)
+        trans = trans[:, dm[:, None], dm[None, :]]
+        trans[:, dm[:, None] == dm[None, :]] = 0.0
+        dst = np.repeat(np.arange(self.n), np.diff(flat.pred_ptr))
+        self.edges = list(zip(flat.pred_src.tolist(), dst.tolist()))
+        self.edge_trans = dict(zip(self.edges, trans))
 
         self.serial_devices = [
             e for e, d in enumerate(self.device_map)
@@ -230,14 +222,13 @@ class MilpProblemData:
         # reachability via DFS over successors
         g = ev.graph
         index = model.index
-        succ_idx: List[List[int]] = [[] for _ in range(self.n)]
-        for t in g.tasks():
-            succ_idx[index[t]] = [index[s] for s in g.successors(t)]
+        succ_ptr = flat.succ_ptr.tolist()
+        succ_dst = flat.succ_dst.tolist()
         reach: List[set] = [set() for _ in range(self.n)]
         for t in reversed(g.topological_order()):
             i = index[t]
             acc = set()
-            for j in succ_idx[i]:
+            for j in succ_dst[succ_ptr[i]:succ_ptr[i + 1]]:
                 acc.add(j)
                 acc |= reach[j]
             reach[i] = acc

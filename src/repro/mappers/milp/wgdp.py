@@ -46,7 +46,7 @@ class WgdpDeviceMapper(Mapper):
         platform = evaluator.platform
         n, m = model.n, model.m
         exec_table = model.exec_table
-        area = model._area  # noqa: SLF001
+        area = model.area
         slots = np.array([d.slots if d.serializes else 1 for d in platform.devices])
 
         b = MilpBuilder()
@@ -107,7 +107,7 @@ class WgdpTimeMapper(Mapper):
         streaming_exp = [
             platform.devices[d].streaming for d in data.device_map
         ]
-        fill = model._fill  # noqa: SLF001  (n x m real devices)
+        fill = model.fill_rows  # n x m real devices
 
         b = MilpBuilder()
         y = [[b.add_binary() for _ in range(me)] for _ in range(n)]
@@ -118,7 +118,7 @@ class WgdpTimeMapper(Mapper):
         for i in range(n):
             b.add_constraint({y[i][e]: 1.0 for e in range(me)}, lb=1.0, ub=1.0)
         # area on expanded FPGA devices
-        area = model._area  # noqa: SLF001
+        area = model.area
         for e, cap in data.area_devices.items():
             b.add_constraint(
                 {y[i][e]: float(area[i]) for i in range(n)}, ub=float(cap)

@@ -153,7 +153,7 @@ class ZhouLiuMapper(Mapper):
             b.add_constraint({s[v]: 1.0, f[u]: -1.0, c_e: -1.0}, lb=0.0)
 
         # FPGA area
-        area = model._area  # noqa: SLF001
+        area = model.area
         for e, cap in data.area_devices.items():
             b.add_constraint(
                 {

@@ -43,23 +43,22 @@ def optimistic_cost_table(evaluator: MappingEvaluator) -> np.ndarray:
     index = model.index
     n, m = model.n, model.m
     exec_table = model.exec_table
-    # successor edge transfer tables: trans[du][dv] per edge, via _pred of the
-    # successor (package-internal access is deliberate here).
+    # each successor with its edge's transfer table, trans[du][dv]; the
+    # max over successors does not depend on their order
+    succ_ptr = model.flat.succ_ptr.tolist()
+    succ_dst = model.flat.succ_dst.tolist()
+    succ_edge = model.flat.succ_edge.tolist()
+    trans_rows = model.trans_rows
     oct_table = np.zeros((n, m))
     for t in reversed(g.topological_order()):
         i = index[t]
-        succs = g.successors(t)
+        succs = [(succ_dst[k], trans_rows[succ_edge[k]])
+                 for k in range(succ_ptr[i], succ_ptr[i + 1])]
         if not succs:
             continue
         for d in range(m):
             worst = 0.0
-            for s in succs:
-                j = index[s]
-                trans = None
-                for p, row in model._pred[j]:  # noqa: SLF001
-                    if p == i:
-                        trans = row
-                        break
+            for j, trans in succs:
                 best = _INF
                 for d2 in range(m):
                     c = 0.0 if d2 == d else trans[d][d2]

@@ -244,14 +244,14 @@ class _JobState:
 
         # noise factors, sampled once in a fixed order (see stochastic.py)
         self.exec_f = [1.0] * n
-        self.trans_f = [[1.0] * len(preds) for preds in model._pred]
+        self.trans_f = [[1.0] * len(preds) for preds in model.preds]
         self.init_f = [1.0] * n
         self.final_f = [1.0] * n
         if not noise.deterministic:
             for i in range(n):
                 self.exec_f[i] = noise.exec_factor(rng)
                 self.trans_f[i] = [
-                    noise.transfer_factor(rng) for _ in model._pred[i]
+                    noise.transfer_factor(rng) for _ in model.preds[i]
                 ]
                 self.init_f[i] = noise.transfer_factor(rng)
                 self.final_f[i] = noise.transfer_factor(rng)
@@ -261,7 +261,7 @@ class _JobState:
         self.done = [False] * n
         self.state = [_RELEASED] * n
         self.gen = [0] * n
-        self.unknown = [len(preds) for preds in model._pred]
+        self.unknown = [len(preds) for preds in model.preds]
         self.drain = [0.0] * n
         self.streamed = [False] * n
         self.start = [0.0] * n
@@ -290,7 +290,7 @@ class _JobState:
         """Finish plus the (jittered, possibly slot-queued) result transfer."""
         if self.final_end[i] >= 0.0:
             return self.final_end[i]
-        return self.finish[i] + self.model._final[i][self.mapping[i]] * self.final_f[i]
+        return self.finish[i] + self.model.final_rows[i][self.mapping[i]] * self.final_f[i]
 
 
 class RuntimeEngine:
@@ -376,10 +376,9 @@ class RuntimeEngine:
             if len(self._models) >= 64:  # bound a long-lived engine's cache
                 self._models.clear()
             model = CostModel(graph, self.platform)
-            succs: List[List[int]] = [[] for _ in range(model.n)]
-            for s in range(model.n):
-                for p, _row in model._pred[s]:
-                    succs[p].append(s)
+            ptr = model.flat.succ_ptr.tolist()
+            dst = model.flat.succ_dst.tolist()
+            succs = [dst[a:b] for a, b in zip(ptr, ptr[1:])]
             entry = (model, EnergyModel(model), succs)
             self._models[id(graph)] = entry
         return entry
@@ -553,9 +552,9 @@ class RuntimeEngine:
             if slots_d[slot] > st:
                 st = slots_d[slot]
         speed = self._speed[d]
-        exec_t = model._exec[i][d] * js.exec_f[i] * speed
+        exec_t = model.exec_rows[i][d] * js.exec_f[i] * speed
         js.area_wait[i] = 0.0
-        if d in self._area_caps and model._area[i] > 0.0:
+        if d in self._area_caps and model.area[i] > 0.0:
             # cross-job area ledger: wait until the claim fits the fabric
             st0 = st
             st, fin = self._claim_area(js, i, d, st, exec_t)
@@ -572,12 +571,12 @@ class RuntimeEngine:
         js.finish[i] = fin
         js.slot[i] = slot
         js.exec_actual[i] = exec_t
-        js.fill_actual[i] = model._fill[i][d] * js.exec_f[i] * speed
+        js.fill_actual[i] = model.fill_rows[i][d] * js.exec_f[i] * speed
         js.final_end[i] = -1.0
         js.final_wait[i] = 0.0
         if self._route_pools is not None:
             # the device→host result transfer of a sink queues as well
-            tf = model._final[i][d] * js.final_f[i]
+            tf = model.final_rows[i][d] * js.final_f[i]
             if tf > 0.0:
                 pools = self._route_pools[d][0]
                 if pools:
@@ -614,7 +613,7 @@ class RuntimeEngine:
         model = js.model
         routes = self._route_pools
         streaming = self._streaming[d]
-        preds = model._pred[i]
+        preds = model.preds[i]
         js.link_claims[i].clear()
         wait = 0.0
         n_waited = 0
@@ -627,7 +626,7 @@ class RuntimeEngine:
             if k < 0:  # host→device input staging
                 src = 0
                 avail = js.arrival
-                tau = model._initial[i][d] * js.init_f[i]
+                tau = model.initial_rows[i][d] * js.init_f[i]
             else:
                 p, row = preds[k]
                 src = js.mapping[p]
@@ -772,7 +771,7 @@ class RuntimeEngine:
         partial sums: single-job runs stay bit-identical to the model.
         """
         cap = self._area_caps[d]
-        a = float(js.model._area[i])
+        a = float(js.model.area[i])
         limit = cap + AREA_TOL
         band = area_guard_band(limit)
         claims = self._area_claims[d]
@@ -826,12 +825,12 @@ class RuntimeEngine:
         for i in range(js.model.n):
             d = js.mapping[i]
             if d in new:
-                new[d] += js.model._area[i]
+                new[d] += js.model.area[i]
         in_use = {d: 0.0 for d in caps}
         for other in self._jobs:
             if other.remaining == 0:
                 continue
-            oa = other.model._area
+            oa = other.model.area
             for i in range(other.model.n):
                 d = other.mapping[i]
                 if d in in_use and not other.done[i]:
@@ -931,13 +930,13 @@ class RuntimeEngine:
         if not tasks:
             return {}
         model = js.model
-        limits = model._area_limits
+        limits = model.area_limits
         moving = set(tasks)
         usage = {d: 0.0 for d in limits}
         for i in range(model.n):
             d = js.mapping[i]
             if d in usage and i not in moving:
-                usage[d] += model._area[i]
+                usage[d] += model.area[i]
         candidates = [d for d in range(self.platform.n_devices) if self._alive[d]]
         if not candidates:
             raise RuntimeError("all devices have failed")
@@ -951,7 +950,7 @@ class RuntimeEngine:
                 want = desired.get(i, js.mapping[i])
                 if self._alive[want]:
                     order = [want] + [d for d in candidates if d != want]
-            area = model._area[i]
+            area = model.area[i]
             for d in order:
                 if d in limits and usage[d] + area > limits[d] + AREA_TOL:
                     continue
@@ -1070,14 +1069,14 @@ class RuntimeEngine:
         }
         for js in self._jobs:
             committed = js.committed
-            preds = js.model._pred
+            preds = js.model.preds
             for i in js.order:
                 if not committed[i]:
                     js.unknown[i] = sum(
                         1 for p, _row in preds[i] if not committed[p]
                     )
                     queues[js.mapping[i]].append((js.idx, i))
-            area = js.model._area
+            area = js.model.area
             for i in range(js.model.n):
                 if not committed[i]:
                     continue

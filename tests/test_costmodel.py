@@ -5,15 +5,37 @@ slot contention, inter-device transfers, FPGA streaming overlap, host I/O
 for sources/sinks and area feasibility — plus hypothesis-checked bounds.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.evaluation import INFEASIBLE, CostModel
-from repro.graphs import TaskGraph
-from repro.graphs.generators import random_almost_sp_graph
-from repro.platform import Platform, cpu, fpga, gpu, paper_platform
+from repro.evaluation import INFEASIBLE, CostModel, FlatModel
+from repro.graphs import DEFAULT_DATA_MB, TaskGraph
+from repro.graphs.generators import (
+    WORKFLOW_FAMILIES,
+    fig2_graph,
+    make_workflow,
+    random_almost_sp_graph,
+    random_forkjoin_graph,
+    random_layered_graph,
+    random_pipeline_graph,
+    random_sp_graph,
+)
+from repro.platform import (
+    Platform,
+    cpu,
+    cpu_only_platform,
+    dual_fpga_platform,
+    fpga,
+    gpu,
+    paper_platform,
+    with_topology,
+)
+from repro.platform.taskmodel import execution_time
+from tests.conftest import quad_platform
 
 
 def simple_platform(*, cpu_slots=1):
@@ -197,3 +219,146 @@ class TestBookkeeping:
         before = model.n_simulations
         assert model.simulate([2]) == INFEASIBLE
         assert model.n_simulations == before
+
+
+# ---------------------------------------------------------------------------
+# the table set: every entry equals its scalar definition, bit for bit
+# ---------------------------------------------------------------------------
+GRAPHS = {
+    "sp": lambda: random_sp_graph(40, np.random.default_rng(1)),
+    "almost-sp": lambda: random_almost_sp_graph(
+        30, 6, np.random.default_rng(2)),
+    "layered": lambda: random_layered_graph(5, 4, np.random.default_rng(3)),
+    "forkjoin": lambda: random_forkjoin_graph(4, 3, np.random.default_rng(4)),
+    "pipeline": lambda: random_pipeline_graph(
+        3, 4, np.random.default_rng(5), cross_prob=0.3),
+    # unaugmented: default task parameters, zero areas
+    "fig2": fig2_graph,
+    **{f"wf-{family}": (lambda family=family: make_workflow(
+        family, 20, np.random.default_rng(6))) for family in WORKFLOW_FAMILIES},
+}
+
+PLATFORMS = {
+    "paper": paper_platform,
+    "cpu-only": cpu_only_platform,
+    "dual-fpga": dual_fpga_platform,
+    **{name: (lambda name=name: with_topology(paper_platform(), name))
+       for name in ("ring", "mesh", "star", "numa")},
+    # four devices: routing changes the effective matrices
+    "quad-numa": lambda: with_topology(quad_platform(), "numa"),
+}
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+class TestTableSet:
+    @pytest.mark.parametrize("graph", list(GRAPHS))
+    def test_tables_equal_scalar_definitions(self, graph):
+        g = GRAPHS[graph]()
+        tasks = g.tasks()
+        index = {t: i for i, t in enumerate(tasks)}
+        for pname, make_platform in PLATFORMS.items():
+            plat = make_platform()
+            flat = FlatModel(g, plat)
+            m, host = plat.n_devices, plat.host_index
+            lat, bw = plat.latency_s, plat.bandwidth_gbps
+            exec_, fill, initial, final = [], [], [], []
+            src, edge_mb, trans = [], [], []
+            ptr = [0]
+            for t in tasks:
+                params = g.params(t)
+                row = [execution_time(params, g.input_mb(t), dev)
+                       for dev in plat.devices]
+                exec_.append(row)
+                fill.append([x / max(params.streamability, 1.0) for x in row])
+                source = g.in_degree(t) == 0
+                sink = g.out_degree(t) == 0
+                inp = g.input_mb(t)
+                out = min(inp, DEFAULT_DATA_MB)
+                initial.append([plat.transfer_time(host, d, inp) if source
+                                else 0.0 for d in range(m)])
+                final.append([plat.transfer_time(d, host, out) if sink
+                              else 0.0 for d in range(m)])
+                for p in g.predecessors(t):
+                    mb = g.data_mb(p, t)
+                    src.append(index[p])
+                    edge_mb.append(mb)
+                    # the diagonal too: the walk reads it for same-device
+                    # edges that do not stream
+                    trans.append([lat[du, dv] + mb / 1000.0 / bw[du, dv]
+                                  for du in range(m) for dv in range(m)])
+                ptr.append(len(src))
+            tag = f"{graph}/{pname}"
+            assert _bits(flat.exec) == _bits(exec_), tag
+            assert _bits(flat.fill) == _bits(fill), tag
+            assert _bits(flat.initial) == _bits(initial), tag
+            assert _bits(flat.final) == _bits(final), tag
+            assert flat.pred_ptr.tolist() == ptr, tag
+            assert flat.pred_src.tolist() == src, tag
+            assert _bits(flat.edge_mb) == _bits(edge_mb), tag
+            assert _bits(flat.pred_trans) == _bits(
+                np.reshape(trans, (len(src), m * m))), tag
+            assert _bits(flat.input_mb) == _bits(
+                [g.input_mb(t) if g.in_degree(t) == 0 else 0.0
+                 for t in tasks]), tag
+            assert _bits(flat.sink_mb) == _bits(
+                [min(g.input_mb(t), DEFAULT_DATA_MB)
+                 if g.out_degree(t) == 0 else 0.0 for t in tasks]), tag
+            assert _bits(flat.area) == _bits(
+                [g.params(t).area for t in tasks]), tag
+
+    @pytest.mark.parametrize("graph", list(GRAPHS))
+    def test_walk_lists_are_the_tables(self, graph):
+        model = CostModel(GRAPHS[graph](), paper_platform())
+        flat, m = model.flat, model.m
+        assert model.exec_table is flat.exec
+        assert model.exec_rows == flat.exec.tolist()
+        assert model.fill_rows == flat.fill.tolist()
+        assert model.initial_rows == flat.initial.tolist()
+        assert model.final_rows == flat.final.tolist()
+        ptr, src = flat.pred_ptr.tolist(), flat.pred_src.tolist()
+        rows = flat.pred_trans.reshape(-1, m, m).tolist()
+        assert model.trans_rows == rows
+        assert model.preds == [
+            [(src[e], rows[e]) for e in range(ptr[i], ptr[i + 1])]
+            for i in range(model.n)
+        ]
+
+    @pytest.mark.parametrize("graph", list(GRAPHS))
+    def test_successor_csr_is_the_engines_order(self, graph):
+        """Successors in the order the runtime engine visited them before
+        the table set existed: derived from the predecessor lists, in
+        ascending successor index."""
+        model = CostModel(GRAPHS[graph](), paper_platform())
+        flat = model.flat
+        succs = [[] for _ in range(model.n)]
+        for s in range(model.n):
+            for p, _row in model.preds[s]:
+                succs[p].append(s)
+        ptr = flat.succ_ptr.tolist()
+        for i in range(model.n):
+            edges = flat.succ_edge[ptr[i]:ptr[i + 1]]
+            assert flat.succ_dst[ptr[i]:ptr[i + 1]].tolist() == succs[i]
+            # each successor carries the id of its edge
+            assert (flat.pred_src[edges] == i).all()
+            for e, s in zip(edges.tolist(), succs[i]):
+                assert flat.pred_ptr[s] <= e < flat.pred_ptr[s + 1]
+
+    @pytest.mark.parametrize("protocol", [None, 4, 5])
+    def test_tables_are_read_only(self, protocol):
+        g = random_sp_graph(20, np.random.default_rng(7))
+        model = CostModel(g, paper_platform())
+        mapping = np.random.default_rng(8).integers(0, model.m, model.n)
+        want = model.simulate(mapping)
+        if protocol is not None:
+            model = pickle.loads(pickle.dumps(model, protocol=protocol))
+            assert model.simulate(mapping) == want
+        tables = [getattr(model.flat, name) for name in FlatModel.__slots__]
+        tables = [t for t in tables if isinstance(t, np.ndarray)]
+        assert len(tables) == 17
+        for table in tables + [model.exec_table, model.area]:
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[...] = 0

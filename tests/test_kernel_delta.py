@@ -380,6 +380,24 @@ class TestOrderRange:
         with pytest.raises(ValueError, match=r"task index outside \[0, 20\)"):
             model.simulate_min(np.zeros(20, dtype=np.int64), orders)
 
+    # a suite must have one column per task: the Python kernel returned
+    # 0.44855 (against 0.59854) for the first 17 BFS positions, where C
+    # raised
+    @pytest.mark.parametrize("use_ckernel", MODES, ids=MODE_IDS)
+    @pytest.mark.parametrize("shape", ["short", "long", "1d", "3d"])
+    def test_bad_suite_shape_raises(self, shape, use_ckernel):
+        g = random_sp_graph(20, np.random.default_rng(0))
+        model = CostModel(g, paper_platform(), use_ckernel=use_ckernel)
+        bfs = model.bfs_order_np
+        orders = {
+            "short": bfs[None, :17],
+            "long": np.concatenate([bfs, bfs[:1]])[None],
+            "1d": bfs,
+            "3d": bfs[None, None],
+        }[shape]
+        with pytest.raises(ValueError, match="orders: expected rows of 20 task indices"):
+            model.simulate_min(np.zeros(20, dtype=np.int64), orders)
+
     @pytest.mark.parametrize("use_ckernel", MODES, ids=MODE_IDS)
     def test_valid_orders_still_accepted(self, use_ckernel):
         g = random_sp_graph(20, np.random.default_rng(0))

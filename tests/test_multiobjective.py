@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.evaluation import EnergyModel, INFEASIBLE, energy_joules
+from repro.evaluation import EnergyModel, INFEASIBLE
 from repro.graphs import TaskGraph
 from repro.graphs.generators import random_sp_graph
 from repro.mappers import (
@@ -84,14 +84,6 @@ class TestEnergyModel:
         m = np.zeros(12, dtype=int)
         ms = ev.construction_makespan(m)
         assert em.energy(m, makespan=ms) == pytest.approx(em.energy(m))
-
-    def test_one_shot_helper(self, platform, rng):
-        g = random_sp_graph(10, rng)
-        ev = make_evaluator(g, platform, n_random=5)
-        m = np.zeros(10, dtype=int)
-        assert energy_joules(ev.model, m) == pytest.approx(
-            EnergyModel(ev.model).energy(m)
-        )
 
 
 class TestParetoPrimitives:

@@ -161,7 +161,7 @@ class TestScenarios:
         cpu_tasks = [t for t in trace.tasks if t.device == 0]
         for t in cpu_tasks:
             i = t.index
-            nominal = model._exec[i][0]  # noqa: SLF001
+            nominal = model.exec_rows[i][0]
             if t.finish > t.start:  # not drain-extended
                 assert t.finish - t.start == pytest.approx(2.0 * nominal)
 

@@ -245,7 +245,7 @@ def _moves_args(model, cands):
         cand_area=np.array([c.area for c in cands]),
         move_cand=np.repeat(np.arange(len(cands), dtype=np.int64), m),
         move_dev=np.tile(np.arange(m, dtype=np.int64), len(cands)),
-        area=model._area,
+        area=model.area,
         area_dev=np.array([2], dtype=np.int64),
         area_limit=np.array([10.0]),
         area_band=np.array([1e-5]),
@@ -307,7 +307,7 @@ class TestCBoundary:
                    members=np.zeros(13, dtype=np.int64))
         with pytest.raises(ValueError, match="longer than"):
             ck.make_moves(ctx, **bad)
-        bad = dict(args, area=model._area.astype(np.float32))
+        bad = dict(args, area=model.area.astype(np.float32))
         with pytest.raises(ValueError, match="area"):
             ck.make_moves(ctx, **bad)
         bad = dict(args, move_dev=args["move_dev"][::2])
@@ -346,7 +346,7 @@ class TestCBoundary:
              "pred_src: task index"),
             ("pred_ptr", flat.pred_ptr[::-1].copy(), "pred_ptr"),
             ("slot_ptr", flat.slot_ptr + 1, "slot_ptr"),
-            ("serializes_u8", flat.serializes, "serializes"),
+            ("serializes_u8", flat.serializes_u8.astype(bool), "serializes"),
         ]:
             with pytest.raises(ValueError, match=match):
                 model._ck.make_ctx(types.SimpleNamespace(**dict(fields, **{key: bad})))

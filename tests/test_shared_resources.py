@@ -71,7 +71,7 @@ def _peak_fpga_usage(trace, model):
     events = []
     for t in trace.tasks:
         if t.device == FPGA:
-            a = float(model._area[t.index])  # noqa: SLF001
+            a = float(model.area[t.index])
             if a > 0.0:
                 events.append((t.start, 1, a))
                 events.append((t.finish, 0, a))
@@ -133,9 +133,9 @@ class TestCrossJobArea:
         for jr, model in ((trace.jobs[0], CostModel(g1, platform)),
                           (trace.jobs[1], CostModel(g2, platform))):
             for t in jr.tasks:
-                if t.device == FPGA and model._area[t.index] > 0:  # noqa: SLF001
-                    events.append((t.start, 1, float(model._area[t.index])))  # noqa: SLF001
-                    events.append((t.finish, 0, float(model._area[t.index])))  # noqa: SLF001
+                if t.device == FPGA and model.area[t.index] > 0:
+                    events.append((t.start, 1, float(model.area[t.index])))
+                    events.append((t.finish, 0, float(model.area[t.index])))
         events.sort(key=lambda e: (e[0], e[1]))
         cur = peak = 0.0
         for _, phase, a in events:

@@ -56,7 +56,7 @@ class TestTraceConsistency:
         trace = simulate_trace(model, mapping)
         by_index = {t.index: t for t in trace.tasks}
         for i in range(model.n):
-            for p, _ in model._pred[i]:
+            for p, _ in model.preds[i]:
                 # a consumer can start before its producer *finishes* only by
                 # streaming, never before the producer *starts*
                 assert by_index[i].start >= by_index[p].start - 1e-12
