@@ -1,5 +1,5 @@
-"""Model-based evaluation: cost model (its reference walk is also the
-fallback kernel), flat tables for the compiled kernel, delta
+"""Model-based evaluation: the cost tables (one read-only numpy set),
+cost model (its reference walk is also the fallback kernel), delta
 evaluation, schedule suites, evaluator, traces."""
 
 from .costmodel import AREA_TOL, INFEASIBLE, CostModel

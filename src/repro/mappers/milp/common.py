@@ -202,8 +202,7 @@ class MilpProblemData:
 
         # per edge, in edge id order: the transfer table on expanded
         # devices, free within one real device (also across slot copies)
-        trans = flat.pred_trans.reshape(-1, platform.n_devices,
-                                        platform.n_devices)
+        trans = flat.pred_trans.reshape(-1, model.m, model.m)
         trans = trans[:, dm[:, None], dm[None, :]]
         trans[:, dm[:, None] == dm[None, :]] = 0.0
         dst = np.repeat(np.arange(self.n), np.diff(flat.pred_ptr))
