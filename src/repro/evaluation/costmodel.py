@@ -105,7 +105,8 @@ INFEASIBLE = float("inf")
 #: static mapper is never rejected by the runtime, and vice versa.  (The
 #: engine's *cross-job* area ledger additionally admits up to
 #: :data:`AREA_BAND` beyond this tolerance: concurrent subset sums have
-#: no canonical order to recount in, see ``_claim_area``.)
+#: no canonical order to recount in, see
+#: :class:`repro.runtime.ledger.AreaLedger`.)
 AREA_TOL = 1e-9
 
 
@@ -162,6 +163,8 @@ class CostModel:
 
         # --- the reference walk's nested lists, derived once -------------
         self.exec_rows: List[List[float]] = flat.exec.tolist()
+        #: ``area`` as floats, for the engine's and list schedulers' loops
+        self.area_list: List[float] = flat.area.tolist()
         self.fill_rows: List[List[float]] = flat.fill.tolist()
         self.initial_rows: List[List[float]] = flat.initial.tolist()
         self.final_rows: List[List[float]] = flat.final.tolist()

@@ -74,10 +74,11 @@ class ListSchedule:
             for dev in platform.devices
         ]
         self._area_left: Dict[int, float] = dict(platform.area_capacities())
-        self._task_area = model.area
+        self._task_area = model.area_list
         self._initial = model.initial_rows
         self._pred = model.preds
         self.exec_table = model.exec_table
+        self._exec_rows = model.exec_rows
         self.host = platform.host_index
         self.mapping = np.zeros(model.n, dtype=np.int64)
         self.aft = np.zeros(model.n)
@@ -120,7 +121,7 @@ class ListSchedule:
             r = aft[p] + trans[mapping[p]][d]
             if r > ready:
                 ready = r
-        duration = self.exec_table[i, d]
+        duration = self._exec_rows[i][d]
         start, slot = self.earliest_start(d, ready, duration)
         return d, slot, start, start + duration
 

@@ -51,9 +51,14 @@ per job:
 
 - **FPGA area** — a ledger per area-capped device tracks the fabric every
   in-flight task occupies between its start and its finish, across *all*
-  jobs.  A task whose area claim would oversubscribe the budget waits for
-  area to free (``AreaWait`` events, ``RuntimeTrace.area_wait_time``)
-  instead of silently co-residing; with a replan policy, an arriving job
+  jobs, as a usage step function (:class:`~repro.runtime.ledger.
+  AreaLedger`): sorted breakpoints with the area in use on each segment,
+  scanned from the candidate start.  Where a window's peak lands within
+  a few ulp per claim of the budget, an exact event sweep recounts the
+  decision, so admissions are those of the sweep alone.  A task whose
+  area claim would oversubscribe the budget waits for area to free
+  (``AreaWait`` events, ``RuntimeTrace.area_wait_time``) instead of
+  silently co-residing; with a replan policy, an arriving job
   that would contend is instead routed through the policy with the
   residual capacity (see :mod:`repro.runtime.replan`).  Within one job
   the static feasibility check already guarantees the sum fits, so
@@ -110,6 +115,7 @@ from ..obs import metrics as _metrics
 from ..obs import trace as _obs_trace
 from ..platform.platform import Platform
 from . import events as ev
+from .ledger import AreaLedger
 from .replan import ReplanContext, ReplanPolicy, make_replan_policy
 from .scenarios import DeviceFailure, DeviceSlowdown, Job, Scenario
 from .stochastic import NoNoise, PerturbationModel
@@ -435,10 +441,8 @@ class RuntimeEngine:
         # through only-unlimited links claim nothing.  No finite pools
         # at all -> None -> the analytic infinite-parallel model.
         self._link_pools, self._route_pools = self._build_link_pools(m)
-        #: per area-capped device: [(start, end, area)] of in-flight claims
-        self._area_claims: Dict[int, List[Tuple[float, float, float]]] = {
-            d: [] for d in self._area_caps
-        }
+        #: per area-capped device: the fabric claims of in-flight tasks
+        self._ledgers = {d: AreaLedger(c) for d, c in self._area_caps.items()}
         self._e_compute_j = 0.0
         self._e_mb = 0.0
         self._e_wasted_j = 0.0
@@ -554,10 +558,13 @@ class RuntimeEngine:
         speed = self._speed[d]
         exec_t = model.exec_rows[i][d] * js.exec_f[i] * speed
         js.area_wait[i] = 0.0
-        if d in self._area_caps and model.area[i] > 0.0:
+        a = model.area_list[i]
+        if a > 0.0 and d in self._ledgers:
             # cross-job area ledger: wait until the claim fits the fabric
             st0 = st
-            st, fin = self._claim_area(js, i, d, st, exec_t)
+            st, fin = self._ledgers[d].first_fit(
+                self._now, st, exec_t, js.drain[i], a
+            )
             js.area_wait[i] = st - st0
         else:
             fin = st + exec_t
@@ -750,63 +757,6 @@ class RuntimeEngine:
             claims.append((pi, best, end))
         return ts, end, blocking
 
-    def _claim_area(
-        self, js: _JobState, i: int, d: int, st0: float, exec_t: float
-    ) -> Tuple[float, float]:
-        """Earliest start >= ``st0`` whose area claim fits device ``d``.
-
-        The ledger holds the ``(start, end, area)`` intervals of every
-        committed, unfinished task across *all* in-flight jobs.  The task
-        occupies its area over ``[start, finish)``; candidate starts are
-        ``st0`` and the ends of active claims, checked in time order, so
-        the first fit is the FIFO-earliest.  Admission is guard-banded:
-        a claim is accepted up to
-        ``AREA_TOL + AREA_BAND * max(1, limit)`` beyond the capacity.
-        Unlike the static check (where :data:`AREA_BAND` only triggers an
-        exact recount), concurrent subset sums have no canonical
-        reference order to recount in, so the band here is genuine slack
-        — physically negligible (1e-6 area units), and required so a
-        statically-feasible single job (whose total usage fits by
-        construction) can never be delayed by float re-association of
-        partial sums: single-job runs stay bit-identical to the model.
-        """
-        cap = self._area_caps[d]
-        a = float(js.model.area[i])
-        limit = cap + AREA_TOL
-        band = area_guard_band(limit)
-        claims = self._area_claims[d]
-        if claims:
-            # claims ending by now can never overlap a start >= now
-            now = self._now
-            claims = [c for c in claims if c[1] > now]
-            self._area_claims[d] = claims
-        drain = js.drain[i]
-        candidates = sorted({st0} | {ce for _, ce, _ in claims if ce > st0})
-        st = fin = st0
-        for st in candidates:
-            fin = st + exec_t
-            if drain > fin:
-                fin = drain
-            # peak concurrent usage of overlapping claims over [st, fin)
-            events = []
-            for cs, ce, ca in claims:
-                if cs < fin and ce > st:
-                    events.append((cs if cs > st else st, 1, ca))
-                    events.append((ce, 0, ca))
-            events.sort(key=lambda e: (e[0], e[1]))
-            cur = peak = 0.0
-            for _, phase, ca in events:
-                cur = cur + ca if phase else cur - ca
-                if cur > peak:
-                    peak = cur
-            if peak + a <= limit + band:
-                break
-            # the last candidate (max claim end) always fits: nothing
-            # overlaps it, and a single task fits an empty fabric by the
-            # static feasibility check
-        claims.append((st, fin, a))
-        return st, fin
-
     def _area_pressure(
         self, js: _JobState
     ) -> Tuple[Tuple[int, float], ...]:
@@ -825,12 +775,12 @@ class RuntimeEngine:
         for i in range(js.model.n):
             d = js.mapping[i]
             if d in new:
-                new[d] += js.model.area[i]
+                new[d] += js.model.area_list[i]
         in_use = {d: 0.0 for d in caps}
         for other in self._jobs:
             if other.remaining == 0:
                 continue
-            oa = other.model.area
+            oa = other.model.area_list
             for i in range(other.model.n):
                 d = other.mapping[i]
                 if d in in_use and not other.done[i]:
@@ -936,7 +886,7 @@ class RuntimeEngine:
         for i in range(model.n):
             d = js.mapping[i]
             if d in usage and i not in moving:
-                usage[d] += model.area[i]
+                usage[d] += model.area_list[i]
         candidates = [d for d in range(self.platform.n_devices) if self._alive[d]]
         if not candidates:
             raise RuntimeError("all devices have failed")
@@ -950,7 +900,7 @@ class RuntimeEngine:
                 want = desired.get(i, js.mapping[i])
                 if self._alive[want]:
                     order = [want] + [d for d in candidates if d != want]
-            area = model.area[i]
+            area = model.area_list[i]
             for d in order:
                 if d in limits and usage[d] + area > limits[d] + AREA_TOL:
                     continue
@@ -1064,9 +1014,7 @@ class RuntimeEngine:
         pools = self._link_pools
         if pools is not None:
             pools = [[0.0] * len(pool) for pool in pools]
-        claims: Dict[int, List[Tuple[float, float, float]]] = {
-            d: [] for d in self._area_caps
-        }
+        ledgers = {d: AreaLedger(c) for d, c in self._area_caps.items()}
         for js in self._jobs:
             committed = js.committed
             preds = js.model.preds
@@ -1076,7 +1024,7 @@ class RuntimeEngine:
                         1 for p, _row in preds[i] if not committed[p]
                     )
                     queues[js.mapping[i]].append((js.idx, i))
-            area = js.model.area
+            area = js.model.area_list
             for i in range(js.model.n):
                 if not committed[i]:
                     continue
@@ -1087,15 +1035,13 @@ class RuntimeEngine:
                 for pool, slot, end in js.link_claims[i]:
                     if end > pools[pool][slot]:
                         pools[pool][slot] = end
-                if not js.done[i] and d in claims and area[i] > 0.0:
-                    claims[d].append(
-                        (js.start[i], js.finish[i], float(area[i]))
-                    )
+                if not js.done[i] and d in ledgers and area[i] > 0.0:
+                    ledgers[d].add(js.start[i], js.finish[i], area[i])
         self._queues = queues
         self._heads = [0] * m
         self._avail = avail
         self._link_pools = pools
-        self._area_claims = claims
+        self._ledgers = ledgers
         self._cascade()
 
     def _reroute(
