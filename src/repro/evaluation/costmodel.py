@@ -163,11 +163,11 @@ class CostModel:
 
         # --- the reference walk's nested lists, derived once -------------
         self.exec_rows: List[List[float]] = flat.exec.tolist()
-        #: ``area`` as floats, for the engine's and list schedulers' loops
-        self.area_list: List[float] = flat.area.tolist()
         self.fill_rows: List[List[float]] = flat.fill.tolist()
         self.initial_rows: List[List[float]] = flat.initial.tolist()
         self.final_rows: List[List[float]] = flat.final.tolist()
+        #: ``area`` as floats, for the engine's and list schedulers' loops
+        self.area_list: List[float] = flat.area.tolist()
         #: per edge id: the m x m transfer seconds, ``[du][dv]``
         self.trans_rows: List[List[List[float]]] = (
             flat.pred_trans.reshape(-1, self.m, self.m).tolist()
