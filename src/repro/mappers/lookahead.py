@@ -66,9 +66,6 @@ class LookaheadHeftMapper(Mapper):
                 if c_pick is None:
                     return _INF
                 trial.commit(c, *c_pick)
-                # a trial child stays unmapped: later siblings read its
-                # transfers from device 0 (pinned by the golden digests)
-                trial.mapping[c] = sched.mapping[c]
                 score = max(score, c_pick[3])
             return score
 
