@@ -9,11 +9,13 @@ entry of :data:`EXPERIMENTS` and runs from the command line as::
 
 The ten figure sweeps (fig3-fig7, baselines, scaling and the three
 ablations) are declarations in :mod:`repro.experiments.sweeps`, all run
-by :func:`~repro.experiments.runner.run_sweep`; Table I has its own
-driver (:mod:`repro.experiments.table1`), and the four runtime studies
-are declarations on :func:`~repro.experiments.runner.run_study`
+by :func:`~repro.experiments.runner.run_sweep`; the four runtime studies
+are :class:`~repro.experiments.runner.Study` declarations run by
+:func:`~repro.experiments.runner.run_study`
 (:mod:`~repro.experiments.robustness`,
-:mod:`~repro.experiments.contention`).  Those modules are imported only
+:mod:`~repro.experiments.contention`); Table I
+(:mod:`repro.experiments.table1`) draws workflow graphs and maps them
+through the same step as a sweep point.  Those modules are imported only
 when an entry runs, so importing this package stays cheap.  See
 :mod:`repro.experiments.config` for scales.
 """

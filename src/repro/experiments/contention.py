@@ -3,12 +3,14 @@
 The analytic model evaluates one job on an otherwise idle platform; a
 serving deployment runs a *stream* of jobs that share the reconfigurable
 fabric and the host↔device interconnect.  These studies measure what
-that sharing costs.  Both are declarations on the runtime-study harness
-(:func:`repro.experiments.runner.run_study`): it maps a few SP graphs
-once with HEFT and the SP first-fit decomposition mapper, then replays a
-periodic arrival stream of each mapping through the runtime engine
-(:mod:`repro.runtime`) with :func:`_stream_cell`, and averages each
-metric over graphs:
+that sharing costs.  Both are :class:`~repro.experiments.runner.Study`
+declarations, run by :func:`~repro.experiments.runner.run_study`: it
+maps a few SP graphs once with HEFT and the SP first-fit decomposition
+mapper, then replays a periodic arrival stream of each mapping through
+the runtime engine (:mod:`repro.runtime`) with :func:`_stream_cell`, and
+averages each metric over graphs.  Mappings are computed on the nominal
+platform and periods scale with the nominal analytic makespan, so moving
+along any axis changes only the resource model, never the workload:
 
 - **throughput** (jobs/s) and the **latency** distribution,
 - **area wait** — seconds tasks waited for FPGA fabric held by other
@@ -23,10 +25,11 @@ cross-job area ledger has real contention to arbitrate at every scale.
 Runs are deterministic (zero noise), so every cell is one exact engine
 replay and ``--workers N`` results are bit-identical to serial.
 
-**Contention sweep** (:func:`run`) — link slots x arrival period, on the
+**Contention sweep** (:data:`run`) — link slots x arrival period, on the
 single shared link pool.
 
-**Topology sweep** (:func:`run_topologies`, ``--topology``) — the same
+**Topology sweep** (:data:`topology`; :func:`run_topologies` checks the
+names of ``--topology``) — the same
 streams crossed with interconnect *shapes*: the single shared pool
 (``"shared"``) versus per-link slot pools on the
 :mod:`repro.platform.topologies` presets (star/mesh/ring/NUMA), with the
@@ -42,14 +45,13 @@ Run:  repro experiment contention --scale smoke --csv
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from ..mappers import HeftMapper, sp_first_fit
 from ..platform.platform import Platform
 from ..platform.topologies import TOPOLOGY_NAMES, with_topology
 from ..runtime import RuntimeEngine, periodic_stream, throughput_report
-from .config import get_scale
-from .runner import StudyResult, run_study
+from .runner import Study, StudyResult, run_study
 
 __all__ = [
     "run",
@@ -125,96 +127,78 @@ def _stream_cell(item) -> Dict[str, float]:
     }
 
 
-def _run_streams(result, cfg, axes, label, seed, workers, progress,
-                 journal) -> StudyResult:
-    """Replay every mapping's stream at each point of ``axes``.
-
-    Mappings are computed once per graph on the nominal platform, so
-    moving along any axis changes only the resource model, never the
-    workload: periods scale with the nominal analytic makespan.
-    """
-    return run_study(
-        result, cfg, roster=[HeftMapper(), sp_first_fit()],
-        n_tasks=cfg.contention_n_tasks, n_graphs=cfg.contention_graphs,
-        axes=axes, cell=_stream_cell, label=label,
-        cell_args=lambda p: (
+def _streams(**declaration) -> Study:
+    """A stream study: HEFT and SPFirstFit mappings on the squeezed FPGA."""
+    return Study(
+        roster=lambda cfg: [HeftMapper(), sp_first_fit()],
+        n_tasks=lambda cfg: cfg.contention_n_tasks,
+        n_graphs=lambda cfg: cfg.contention_graphs,
+        cell=_stream_cell,
+        cell_args=lambda cfg, p: (
             p.get("topology", "shared"), cfg.contention_jobs,
             p["period_frac"], p["link_slots"],
         ),
         reshape=lambda platform, usage: _squeeze_fpga(
             platform, usage, AREA_HEADROOM
         ),
-        seed=seed, workers=workers, progress=progress, journal=journal,
+        **declaration,
     )
 
 
-def run(
-    scale="smoke",
-    *,
-    seed: int = 79,
-    workers: Optional[int] = None,
-    progress: Optional[Callable[[str], None]] = None,
-    journal=None,
-) -> StudyResult:
-    """Sweep link-slot settings and arrival rates under shared resources.
-
-    ``journal`` checkpoints completed cells (see
-    :func:`repro.experiments.registry.open_journal`).
-    """
-    cfg = get_scale(scale)
-    result = StudyResult(
+run = _streams(
+    title=lambda cfg, axes: (
         f"Shared-resource contention: {cfg.contention_jobs}-job streams, "
-        f"{AREA_HEADROOM:g}x FPGA headroom ({cfg.name})",
-        "contention_sweep.csv", ("algorithm", "link_slots", "period_frac"),
-        _THROUGHPUT + ("area_wait_s", "link_wait_s") + _ENERGY,
-    )
-    axes = {"link_slots": cfg.contention_link_slots,
-            "period_frac": cfg.contention_period_fracs}
-    return _run_streams(result, cfg, axes, "contention stream", seed,
-                        workers, progress, journal)
+        f"{AREA_HEADROOM:g}x FPGA headroom ({cfg.name})"
+    ),
+    csv_name="contention_sweep.csv",
+    keys=("algorithm", "link_slots", "period_frac"),
+    metrics=_THROUGHPUT + ("area_wait_s", "link_wait_s") + _ENERGY,
+    axes=lambda cfg: {"link_slots": cfg.contention_link_slots,
+                      "period_frac": cfg.contention_period_fracs},
+    label="contention stream",
+)
+"""The contention sweep: link-slot settings x arrival rates."""
 
-
-def run_topologies(
-    scale="smoke",
-    *,
-    topologies: Optional[List[str]] = None,
-    seed: int = 79,
-    workers: Optional[int] = None,
-    progress: Optional[Callable[[str], None]] = None,
-    journal=None,
-) -> StudyResult:
-    """Sweep interconnect shapes x link slots x arrival rates.
-
-    ``topologies`` defaults to the scale's ``contention_topologies``;
-    an unknown or repeated name raises :class:`ValueError`.  A cell
-    difference between topologies is purely the interconnect model:
-    routed effective costs plus per-link slot pools versus the single
-    shared pool.
-    """
-    cfg = get_scale(scale)
-    if topologies is None:
-        topologies = list(cfg.contention_topologies)
-    for name in topologies:
-        if name not in SWEEP_TOPOLOGIES:
-            raise ValueError(
-                f"unknown topology {name!r} "
-                f"(choose from {', '.join(SWEEP_TOPOLOGIES)})"
-            )
-    repeated = sorted({n for n in topologies if topologies.count(n) > 1})
-    if repeated:
-        raise ValueError(f"duplicate topology: {', '.join(repeated)}")
-    result = StudyResult(
+topology = _streams(
+    title=lambda cfg, axes: (
         f"Interconnect topologies: {cfg.contention_jobs}-job streams, "
-        f"{'/'.join(topologies)} ({cfg.name})",
-        "topology_sweep.csv",
-        ("topology", "algorithm", "link_slots", "period_frac"),
-        _THROUGHPUT + ("link_wait_s", "n_link_waits") + _ENERGY,
-    )
-    axes = {"topology": topologies,
-            "link_slots": cfg.contention_link_slots,
-            "period_frac": cfg.contention_period_fracs}
-    return _run_streams(result, cfg, axes, "topology stream", seed,
-                        workers, progress, journal)
+        f"{'/'.join(axes['topology'])} ({cfg.name})"
+    ),
+    csv_name="topology_sweep.csv",
+    keys=("topology", "algorithm", "link_slots", "period_frac"),
+    metrics=_THROUGHPUT + ("link_wait_s", "n_link_waits") + _ENERGY,
+    axes=lambda cfg: {"topology": cfg.contention_topologies,
+                      "link_slots": cfg.contention_link_slots,
+                      "period_frac": cfg.contention_period_fracs},
+    label="topology stream",
+)
+"""The topology sweep: interconnect shapes x link slots x arrival rates.
+A cell difference between topologies is purely the interconnect model:
+routed effective costs plus per-link slot pools versus the single shared
+pool."""
+
+
+def run_topologies(scale="smoke", *, topologies: Optional[List[str]] = None,
+                   seed: int, **kwargs) -> StudyResult:
+    """Run :data:`topology` on ``topologies`` (default: the scale's
+    ``contention_topologies``); an unknown or repeated name raises
+    :class:`ValueError`."""
+    study = topology
+    if topologies is not None:
+        for name in topologies:
+            if name not in SWEEP_TOPOLOGIES:
+                raise ValueError(
+                    f"unknown topology {name!r} "
+                    f"(choose from {', '.join(SWEEP_TOPOLOGIES)})"
+                )
+        repeated = sorted({n for n in topologies if topologies.count(n) > 1})
+        if repeated:
+            raise ValueError(f"duplicate topology: {', '.join(repeated)}")
+        study = dataclasses.replace(
+            topology, axes=lambda cfg: {**topology.axes(cfg),
+                                        "topology": topologies},
+        )
+    return run_study(study, scale, seed=seed, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """The experiment registry: one entry per study, one way to run each.
 
-``repro experiment NAME``, the benchmark targets and
-``scripts/run_experiments.py`` all run a study through
-:meth:`Experiment.run`, so ``--seed/--workers/--checkpoint/--resume``
-mean the same thing for every driver, and every result is written by
-:func:`repro.experiments.reporting.write_csv`.  Entries name their
-driver and formatter as ``"module:attribute"`` strings resolved on use,
-so importing this module loads no driver.  A figure sweep's driver is
-its declaration in :mod:`repro.experiments.sweeps`; the registry holds
+``repro experiment NAME`` and the benchmark targets both run a study
+through :meth:`Experiment.run`, so ``--seed/--workers/--checkpoint/
+--resume`` mean the same thing for every driver, and every result is
+written by :func:`repro.experiments.reporting.write_csv`.  Entries name
+their driver and formatter as ``"module:attribute"`` strings resolved on
+use, so importing this module loads no driver.  A figure sweep's driver
+is its :class:`~repro.experiments.runner.Sweep` declaration in
+:mod:`repro.experiments.sweeps`, a runtime study's its
+:class:`~repro.experiments.runner.Study` declaration; the registry holds
 every study's only default seed.
 """
 
@@ -55,15 +56,17 @@ def code_digest() -> str:
 
 
 def open_journal(name: str, cfg_name: str, seed: int, checkpoint,
-                 resume: bool = False):
+                 resume: bool = False, options: Optional[dict] = None):
     """Resolve ``--checkpoint``/``--resume`` into an open journal (or None).
 
     ``checkpoint`` may be falsy (no journalling), an explicit path, or
     ``"auto"`` — the CLI's bare ``--checkpoint`` — which lands under
     ``results/checkpoints/``.  The journal is fingerprinted with
-    ``name:cfg:seed:code`` (``code`` is :func:`code_digest`) so a resume
-    against a different configuration or different code fails loudly
-    instead of splicing mismatched results.
+    ``name:cfg:seed:code`` (``code`` is :func:`code_digest`), followed by
+    the driver's ``options`` (e.g. ``topologies``) that are not ``None``,
+    so a resume against a different configuration or different code
+    fails loudly instead of splicing mismatched results: journal items
+    are keyed by index, which other options would give other cells.
     """
     if not checkpoint:
         if resume:
@@ -75,10 +78,12 @@ def open_journal(name: str, cfg_name: str, seed: int, checkpoint,
         checkpoint = os.path.join(
             results_dir(), "checkpoints", f"{name}_{cfg_name}_seed{seed}.journal"
         )
-    return SweepJournal(
-        checkpoint, fingerprint=f"{name}:{cfg_name}:{seed}:{code_digest()}",
-        resume=resume,
-    )
+    fingerprint = f"{name}:{cfg_name}:{seed}:{code_digest()}"
+    options = sorted((k, v) for k, v in (options or {}).items()
+                     if v is not None)
+    if options:
+        fingerprint += f":{options!r}"
+    return SweepJournal(checkpoint, fingerprint=fingerprint, resume=resume)
 
 
 @dataclass(frozen=True)
@@ -99,7 +104,8 @@ class Experiment:
         restarts where it left off with byte-identical results."""
         seed = self.seed if seed is None else seed
         journal = open_journal(
-            self.name, get_scale(scale).name, seed, checkpoint, resume
+            self.name, get_scale(scale).name, seed, checkpoint, resume,
+            kwargs,
         )
         with journal if journal is not None else nullcontext():
             return _resolve(self.driver)(

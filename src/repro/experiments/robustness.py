@@ -3,24 +3,26 @@
 Every mapper optimizes the *analytic* makespan; these studies replay the
 mappings through the runtime engine (:mod:`repro.runtime`) to measure
 what that promise is worth once task runtimes jitter or a device drops
-out.  Both are declarations on the runtime-study harness
-(:func:`repro.experiments.runner.run_study`): it maps a few SP graphs
-once with the HEFT/PEFT/NSGA-II/decomposition roster, replicates every
-(axis point, algorithm, graph) cell with :func:`_replication_cell`, and
-averages each metric over graphs.
+out.  Both are :class:`~repro.experiments.runner.Study` declarations,
+run by :func:`~repro.experiments.runner.run_study`: it maps a few SP
+graphs once with the HEFT/PEFT/NSGA-II/decomposition roster, replicates
+every (axis point, algorithm, graph) cell with :func:`_replication_cell`,
+and averages each metric over graphs.  The registry
+(:data:`repro.experiments.EXPERIMENTS`) holds their default seeds.
 
-**Noise sweep** (:func:`run`) — the lognormal runtime-noise axis.  Per
+**Noise sweep** (:data:`run`) — the lognormal runtime-noise axis.  Per
 noise level it reports how much each algorithm's promised makespan
 erodes:
 
 - **degradation** — expected simulated makespan / analytic makespan − 1,
 - **p95 degradation** — the tail a latency SLO would care about.
 
-**Replan sweep** (:func:`run_replan`) — the policy axis: a device fails
-mid-run and the engine rescues stranded work either with the fixed
-fallback or by re-running a mapper (decomposition / HEFT / min-min) on
-the surviving platform (:mod:`repro.runtime.replan`).  It also reports
-the task executions killed and the tasks remapped per run.
+**Replan sweep** (:data:`run_replan`) — the policy axis: device
+:data:`REPLAN_DEVICE` fails at :data:`REPLAN_FAILURE_FRAC` of each
+mapping's analytic makespan, and the engine rescues stranded work either
+with the fixed fallback or by re-running a mapper (decomposition / HEFT
+/ min-min) on the surviving platform (:mod:`repro.runtime.replan`).  It
+also reports the task executions killed and the tasks remapped per run.
 
 Each (graph, algorithm) keeps one simulation seed along the swept axis,
 so noise draws and failure instants are paired: a difference between
@@ -33,7 +35,7 @@ Run:  repro experiment robustness --scale smoke --csv
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -44,8 +46,7 @@ from ..runtime import (
     replicate,
     robustness_report,
 )
-from .config import get_scale
-from .runner import StudyResult, paper_roster, run_study
+from .runner import Study, StudyResult, paper_roster
 
 __all__ = [
     "run",
@@ -100,75 +101,49 @@ def _replication_cell(item) -> Dict[str, float]:
     }
 
 
-def run(
-    scale="smoke",
-    *,
-    seed: int = 77,
-    workers: Optional[int] = None,
-    progress: Optional[Callable[[str], None]] = None,
-    journal=None,
-) -> StudyResult:
-    """Sweep noise levels; returns mean/p95 degradation per algorithm.
-
-    ``journal`` checkpoints completed cells (see
-    :func:`repro.experiments.registry.open_journal`): a resumed run
-    recomputes only outstanding cells and emits a byte-identical CSV.
-    """
-    cfg = get_scale(scale)
-    result = StudyResult(
-        f"Robustness under lognormal runtime noise ({cfg.name})",
-        "robustness_noise_sweep.csv", ("noise_sigma", "algorithm"),
-        _DEGRADATION,
-    )
-    return run_study(
-        result, cfg, roster=paper_roster(cfg.nsga_generations),
-        n_tasks=cfg.robustness_n_tasks,
-        n_graphs=cfg.robustness_graphs,
-        axes={"noise_sigma": cfg.robustness_noise_levels},
-        cell=_replication_cell, label="noise replication",
-        cell_args=lambda p: (
-            p["noise_sigma"], cfg.robustness_replications, None
-        ),
-        seed=seed, workers=workers, progress=progress, journal=journal,
+def _replications(**declaration) -> Study:
+    """A replication study: the paper roster's mappings, replicated."""
+    return Study(
+        roster=lambda cfg: paper_roster(cfg.nsga_generations),
+        n_tasks=lambda cfg: cfg.robustness_n_tasks,
+        n_graphs=lambda cfg: cfg.robustness_graphs,
+        cell=_replication_cell,
+        **declaration,
     )
 
 
-def run_replan(
-    scale="smoke",
-    *,
-    seed: int = 78,
-    workers: Optional[int] = None,
-    progress: Optional[Callable[[str], None]] = None,
-    journal=None,
-) -> StudyResult:
-    """Sweep re-mapping policies under a mid-run device failure.
+run = _replications(
+    title=lambda cfg, axes: (
+        f"Robustness under lognormal runtime noise ({cfg.name})"
+    ),
+    csv_name="robustness_noise_sweep.csv",
+    keys=("noise_sigma", "algorithm"),
+    metrics=_DEGRADATION,
+    axes=lambda cfg: {"noise_sigma": cfg.robustness_noise_levels},
+    cell_args=lambda cfg, p: (
+        p["noise_sigma"], cfg.robustness_replications, None
+    ),
+    label="noise replication",
+)
+"""The noise sweep: mean/p95 degradation per noise level and algorithm."""
 
-    Device :data:`REPLAN_DEVICE` fails at :data:`REPLAN_FAILURE_FRAC`
-    of each mapping's analytic makespan; every policy replays the
-    *same* seeds, failure instants and noise draws, so differences are
-    pure policy effect.
-    ``journal`` checkpoints completed cells exactly as in :func:`run`.
-    """
-    cfg = get_scale(scale)
-    result = StudyResult(
+run_replan = _replications(
+    title=lambda cfg, axes: (
         f"Re-mapping policies under device-{REPLAN_DEVICE} failure "
-        f"at {REPLAN_FAILURE_FRAC:g}x makespan ({cfg.name})",
-        "replan_policy_sweep.csv", ("policy", "algorithm"),
-        _DEGRADATION + ("mean_killed", "mean_remapped"),
-    )
-    failure = (REPLAN_FAILURE_FRAC, REPLAN_DEVICE)
-    return run_study(
-        result, cfg, roster=paper_roster(cfg.nsga_generations),
-        n_tasks=cfg.robustness_n_tasks,
-        n_graphs=cfg.robustness_graphs,
-        axes={"policy": cfg.replan_policies},
-        cell=_replication_cell, label="replan replication",
-        cell_args=lambda p: (
-            REPLAN_SIGMA, cfg.robustness_replications,
-            failure + (p["policy"],),
-        ),
-        seed=seed, workers=workers, progress=progress, journal=journal,
-    )
+        f"at {REPLAN_FAILURE_FRAC:g}x makespan ({cfg.name})"
+    ),
+    csv_name="replan_policy_sweep.csv",
+    keys=("policy", "algorithm"),
+    metrics=_DEGRADATION + ("mean_killed", "mean_remapped"),
+    axes=lambda cfg: {"policy": cfg.replan_policies},
+    cell_args=lambda cfg, p: (
+        REPLAN_SIGMA, cfg.robustness_replications,
+        (REPLAN_FAILURE_FRAC, REPLAN_DEVICE, p["policy"]),
+    ),
+    label="replan replication",
+)
+"""The policy sweep: every policy replays the *same* seeds, failure
+instants and noise draws, so differences are pure policy effect."""
 
 
 # ---------------------------------------------------------------------------

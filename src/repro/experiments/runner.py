@@ -14,11 +14,13 @@ A study supplies only a :class:`Sweep` declaration (its x axis, graphs
 and roster; see :mod:`repro.experiments.sweeps`); :func:`run_sweep`
 decides scale, platform, suite size, workers and journal for all of them.
 
-The runtime studies (robustness, replan, contention, topology) share the
-first two steps through :func:`run_study`: it maps a set of graphs once
-with a roster, then replays every mapping through a study-specific cell
-worker across the study's axes and averages each metric over graphs
-into a :class:`StudyResult`.
+The runtime studies (robustness, replan, contention, topology) are
+:class:`Study` declarations run by :func:`run_study`, which likewise
+alone decides scale, platform, workers and journal: it maps a set of
+graphs once with the study's roster through the same mapping step as a
+sweep point (:func:`_map_graphs`, which Table I shares too), then
+replays every mapping through the study's cell worker across its axes
+and averages each metric over graphs into a :class:`StudyResult`.
 
 Seeds are derived from a root :class:`numpy.random.SeedSequence`, making
 every experiment reproducible end to end.  Graphs within a point are
@@ -68,6 +70,7 @@ __all__ = [
     "SweepResult",
     "Sweep",
     "Replay",
+    "Study",
     "StudyResult",
     "paper_roster",
     "run_point",
@@ -156,16 +159,14 @@ def _point_graph_worker(item) -> list:
     """Run every mapper of a roster on one graph (one parallel work item).
 
     Module-level so the process pool can pickle it by reference; all
-    randomness comes from the :class:`~numpy.random.SeedSequence`
-    carried in the item (seed-sharding contract): its first child seeds
-    the evaluator's schedule suite, one more child seeds each mapper.
+    randomness comes from the seeds carried in the item, spawned by the
+    parent (seed-sharding contract): the first seeds the evaluator's
+    schedule suite, one more seeds each mapper.
     ``summarise(evaluator, mapper, result)`` reduces each run to the
     record the caller keeps.
     """
-    g, gseed, mappers, platform, n_random_schedules, summarise = item
-    eval_rng, *mapper_rngs = [
-        np.random.default_rng(s) for s in gseed.spawn(1 + len(mappers))
-    ]
+    g, seeds, mappers, platform, n_random_schedules, summarise = item
+    eval_rng, *mapper_rngs = [np.random.default_rng(s) for s in seeds]
     evaluator = MappingEvaluator(
         g, platform, rng=eval_rng, n_random_schedules=n_random_schedules
     )
@@ -197,11 +198,17 @@ def _map_graphs(mappers, graphs, seeds, platform, n_random_schedules,
                 progress=None, label="task") -> List[list]:
     """Map every graph with the roster: one ``experiment.point``.
 
+    ``seeds[k]`` is graph ``k``'s :class:`~numpy.random.SeedSequence`.
+    Its next ``1 + len(mappers)`` children, spawned here in the parent,
+    seed the evaluator's schedule suite and then each mapper; a caller
+    that drew the graph from the sequence's first children (Table I)
+    thereby hands the evaluator and mappers the children after those.
     Traced runs get an ``experiment.point`` span around the mapping and
     bump the ``experiment.points``/``experiment.graphs`` counters.
     """
     items = [
-        (g, gseed, list(mappers), platform, n_random_schedules, summarise)
+        (g, gseed.spawn(1 + len(mappers)), list(mappers), platform,
+         n_random_schedules, summarise)
         for g, gseed in zip(graphs, seeds)
     ]
     with _trace.span(
@@ -395,46 +402,77 @@ class StudyResult:
         raise KeyError(key)
 
 
+@dataclass(frozen=True)
+class Study:
+    """One runtime study, declared: which mappings it replays, and how.
+
+    ``n_graphs(cfg)`` SP graphs of ``n_tasks(cfg)`` tasks are mapped once
+    by ``roster(cfg)``.  ``axes(cfg)`` names the swept parameters,
+    outermost first; at every point, ``cell`` (a module-level worker)
+    replays each mapping as the item ``(replay, sim_seed,
+    *cell_args(cfg, point))`` and returns one value per metric.
+    ``reshape(platform, area_usage)``, when given, builds each mapping's
+    replay platform.  ``title(cfg, axes)`` heads the result; ``keys``
+    and ``metrics`` are its CSV columns (see :class:`StudyResult`).
+    Calling a declaration runs it through :func:`run_study`.
+    """
+
+    title: Callable[[ScaleConfig, Dict[str, Sequence]], str]
+    csv_name: str
+    keys: Tuple[str, ...]
+    metrics: Tuple[str, ...]
+    roster: Callable[[ScaleConfig], Sequence[Mapper]]
+    n_tasks: Callable[[ScaleConfig], int]
+    n_graphs: Callable[[ScaleConfig], int]
+    axes: Callable[[ScaleConfig], Dict[str, Sequence]]
+    cell: Callable[[tuple], Dict[str, float]]
+    cell_args: Callable[[ScaleConfig, dict], tuple]
+    label: str
+    reshape: Optional[Callable[[Platform, Dict[int, float]], Platform]] = None
+
+    def __call__(self, scale="smoke", **kwargs) -> StudyResult:
+        return run_study(self, scale, **kwargs)
+
+
 def run_study(
-    result: StudyResult,
-    cfg,
+    study: Study,
+    scale="smoke",
     *,
-    roster: Sequence[Mapper],
-    n_tasks: int,
-    n_graphs: int,
-    axes: Dict[str, Sequence],
-    cell: Callable[[tuple], Dict[str, float]],
-    cell_args: Callable[[dict], tuple],
-    label: str,
     seed: int,
     workers: Optional[int] = None,
     progress: Optional[Callable[[str], None]] = None,
     journal=None,
-    reshape: Optional[Callable[[Platform, Dict[int, float]], Platform]] = None,
 ) -> StudyResult:
-    """Run one runtime study and fill ``result`` with its rows.
+    """Run a declared runtime study at ``scale`` on the paper platform.
 
-    1. Generate ``n_graphs`` SP graphs of ``n_tasks`` tasks.
-    2. Map each graph once with ``roster`` on the paper platform; every
-       mapping becomes a :class:`Replay`, on ``reshape(platform,
-       area_usage)`` when given (built once per graph and algorithm).
-    3. Cross ``axes`` (outermost first) x algorithms x graphs into items
-       ``(replay, sim_seed, *cell_args(point))`` and run the module-level
-       ``cell`` worker on all of them with one :func:`parallel_map`
-       (journal keys ``"{label}:{index}"``).
-    4. Average each of ``result.metrics`` over graphs into one row per
-       (axis point, algorithm).
+    1. Generate the study's SP graphs.
+    2. Map each graph once with the roster (:func:`_map_graphs`); every
+       mapping becomes a :class:`Replay`, on the reshaped platform when
+       the study reshapes (built once per graph and algorithm).
+    3. Cross the axes (outermost first) x algorithms x graphs into cell
+       items and run them all with one :func:`parallel_map` (journal
+       keys ``"{label}:{index}"``).
+    4. Average each metric over graphs into one row per (axis point,
+       algorithm).
 
     ``seed`` spawns graph, map and simulation children.  Each (graph,
     algorithm) pair keeps one simulation seed at every axis point, so
     moving along an axis changes only the swept parameter, never the
-    draws; deterministic cells ignore it.
+    draws; deterministic cells ignore it.  ``workers`` and ``journal``
+    act as in :func:`run_sweep`: a resumed run recomputes only
+    outstanding cells and emits a byte-identical CSV.
     """
+    cfg = get_scale(scale)
     workers = resolve_workers(workers, cfg.parallel_workers)
     platform = paper_platform()
+    axes = study.axes(cfg)
+    roster = study.roster(cfg)
+    n_graphs = study.n_graphs(cfg)
+    result = StudyResult(study.title(cfg, axes), study.csv_name,
+                         study.keys, study.metrics)
     graph_seed, map_seed, sim_seed = np.random.SeedSequence(seed).spawn(3)
     graphs = [
-        random_sp_graph(n_tasks, np.random.default_rng(s))
+        random_sp_graph(study.n_tasks(cfg), np.random.default_rng(s))
         for s in graph_seed.spawn(n_graphs)
     ]
     points = [dict(zip(axes, values))
@@ -444,10 +482,11 @@ def run_study(
     with SupervisedPool(workers, chaos=plan_from_env()) as executor:
         mapped = _map_graphs(
             roster, graphs, map_seed.spawn(n_graphs), platform,
-            cfg.n_random_schedules, _replay_row, x=result.csv_name,
+            cfg.n_random_schedules, _replay_row, x=study.csv_name,
             workers=workers, executor=executor, journal=journal,
             progress=progress, label="roster graph",
         )
+        reshape = study.reshape
         replays = [
             [Replay(g, reshape(platform, usage) if reshape else platform,
                     mapping, analytic)
@@ -457,14 +496,14 @@ def run_study(
         sim_seeds = sim_seed.spawn(n_graphs * len(algorithms))
         items = [
             (replays[k][a], sim_seeds[k * len(algorithms) + a],
-             *cell_args(point))
+             *study.cell_args(cfg, point))
             for point in points
             for a in range(len(algorithms))
             for k in range(n_graphs)
         ]
         cells = iter(parallel_map(
-            cell, items, workers=workers, progress=progress, label=label,
-            executor=executor, journal=journal,
+            study.cell, items, workers=workers, progress=progress,
+            label=study.label, executor=executor, journal=journal,
         ))
 
     for point in points:
@@ -473,6 +512,6 @@ def run_study(
             result.points.append(SimpleNamespace(
                 **point, algorithm=algorithm,
                 **{m: float(np.mean([r[m] for r in rows]))
-                   for m in result.metrics},
+                   for m in study.metrics},
             ))
     return result

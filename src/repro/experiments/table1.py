@@ -20,47 +20,13 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from ..evaluation.evaluator import MappingEvaluator
 from ..graphs.generators import augment_workflow, benchmark_sizes, make_workflow
-from ..parallel import (
-    SupervisedPool,
-    parallel_map,
-    plan_from_env,
-    resolve_workers,
-)
+from ..parallel import SupervisedPool, plan_from_env, resolve_workers
 from ..platform import paper_platform
 from .config import get_scale
-from .runner import _improvement_row, paper_roster
+from .runner import _improvement_row, _map_graphs, paper_roster
 
 __all__ = ["Table1Result", "run", "format_table"]
-
-
-def _param_worker(item) -> List[tuple]:
-    """One (family, size, parameterization) cell — a parallel work item.
-
-    All randomness (graph generation, augmentation, schedule suite,
-    mapper runs) derives from the :class:`~numpy.random.SeedSequence`
-    carried in the item, so the pool is bit-identical to a serial loop
-    for every seed-derived quantity (wall-clock ``elapsed_s`` excepted).
-    """
-    family, size, param_seed, cfg, platform = item
-    mappers = paper_roster(cfg.table1_generations)
-    gen_rng, aug_rng, eval_rng, *mapper_rngs = [
-        np.random.default_rng(s)
-        for s in param_seed.spawn(3 + len(mappers))
-    ]
-    g = make_workflow(family, size, gen_rng)
-    augment_workflow(g, aug_rng)
-    evaluator = MappingEvaluator(
-        g,
-        platform,
-        rng=eval_rng,
-        n_random_schedules=cfg.n_random_schedules,
-    )
-    return [
-        _improvement_row(evaluator, mapper, mapper.map(evaluator, rng=rng))
-        for mapper, rng in zip(mappers, mapper_rngs)
-    ]
 
 
 @dataclass
@@ -92,40 +58,51 @@ class Table1Result:
 def run(
     scale="smoke",
     *,
-    seed: int = 10,
+    seed: int,
     families: Optional[List[str]] = None,
     workers: Optional[int] = None,
     progress: Optional[Callable[[str], None]] = None,
     journal=None,
 ) -> Table1Result:
-    """Reproduce Table I; ``journal`` checkpoints completed cells so an
-    interrupted run restarts where it left off (see
-    :func:`repro.experiments.registry.open_journal`)."""
+    """Reproduce Table I, for ``families`` only when given.
+
+    Every (family, size, parameterization) cell gets its seed in a fixed
+    order over *all* families, so a subset reproduces the full run's
+    rows.  The cell's first two children draw its graph and
+    augmentation here in the parent; :func:`runner._map_graphs` hands
+    the children after those to the schedule suite and the mappers.
+    ``journal`` checkpoints completed cells so an interrupted run
+    restarts where it left off (see
+    :func:`repro.experiments.registry.open_journal`).
+    """
     cfg = get_scale(scale)
     workers = resolve_workers(workers, cfg.parallel_workers)
-    platform = paper_platform()
-    sizes = benchmark_sizes(cfg.table1_sizes_key)
-    if families is not None:
-        sizes = {f: sizes[f] for f in families}
-
-    names = [m.name for m in paper_roster(cfg.table1_generations)]
+    every = benchmark_sizes(cfg.table1_sizes_key)
+    sizes = every if families is None else {f: every[f] for f in families}
+    roster = paper_roster(cfg.table1_generations)
+    names = [m.name for m in roster]
     result = Table1Result(algorithms=names)
 
-    # enumerate every (family, size, parameterization) cell with its seed
-    # in the fixed serial order, then fan out (seed-sharding contract)
     root = np.random.SeedSequence(seed)
-    items = []
-    for family, family_seed in zip(sorted(sizes), root.spawn(len(sizes))):
+    graphs, seeds = [], []
+    for family, family_seed in zip(sorted(every), root.spawn(len(every))):
+        if family not in sizes:
+            continue
         for size, size_seed in zip(
             sizes[family], family_seed.spawn(len(sizes[family]))
         ):
             for param_seed in size_seed.spawn(cfg.table1_parameterizations):
-                items.append((family, size, param_seed, cfg, platform))
+                gen_seed, aug_seed = param_seed.spawn(2)
+                g = make_workflow(family, size, np.random.default_rng(gen_seed))
+                augment_workflow(g, np.random.default_rng(aug_seed))
+                graphs.append(g)
+                seeds.append(param_seed)
     with SupervisedPool(workers, chaos=plan_from_env()) as executor:
-        cells = parallel_map(
-            _param_worker, items, workers=workers,
-            progress=progress, label="table1 cell", executor=executor,
-            journal=journal,
+        cells = _map_graphs(
+            roster, graphs, seeds, paper_platform(), cfg.n_random_schedules,
+            _improvement_row, x=result.csv_name, workers=workers,
+            executor=executor, journal=journal, progress=progress,
+            label="table1 cell",
         )
 
     it = iter(cells)

@@ -16,11 +16,14 @@ from repro.experiments.metrics import aggregate
 from repro.experiments.registry import _resolve
 from repro.experiments.runner import (
     PointResult,
+    Study,
     StudyResult,
     Sweep,
     SweepResult,
+    run_study,
     run_sweep,
 )
+from repro.parallel import JournalError
 
 RESULTS = os.path.join(os.path.dirname(__file__), os.pardir, "results")
 COMMITTED = sorted(f for f in os.listdir(RESULTS) if f.endswith(".csv"))
@@ -66,13 +69,11 @@ def test_entry_is_a_cli_choice_and_writes_the_committed_header(
     entry = EXPERIMENTS[name]
     assert name in _cli_choices()
     driver = _resolve(entry.driver)
-    if isinstance(driver, Sweep):
-        # a declaration has no seed of its own: the registry keeps the
-        # only default, and run_sweep requires one
-        default = inspect.signature(run_sweep).parameters["seed"].default
-        assert default is inspect.Parameter.empty
-    else:
-        assert inspect.signature(driver).parameters["seed"].default == entry.seed
+    # no driver has a seed of its own: the registry keeps the only
+    # default, and run_sweep, run_study and the other drivers require one
+    runs = {Sweep: run_sweep, Study: run_study}.get(type(driver), driver)
+    default = inspect.signature(runs).parameters["seed"].default
+    assert default is inspect.Parameter.empty
     result = tiny_results[name]
     assert isinstance(entry.format(result), str)
     header = _csv_header(result)
@@ -99,9 +100,47 @@ def test_sweeps_live_in_one_declaration_module():
     }
 
 
-@pytest.mark.parametrize(
-    "name", ["robustness", "replan", "contention", "topology"]
-)
+RUNTIME_STUDIES = ["robustness", "replan", "contention", "topology"]
+
+
+def test_runtime_studies_are_declarations():
+    from repro.experiments import contention
+
+    drivers = {n: _resolve(EXPERIMENTS[n].driver) for n in RUNTIME_STUDIES}
+    # the topology entry checks its names in front of its declaration
+    assert drivers.pop("topology") is contention.run_topologies
+    assert isinstance(contention.topology, Study)
+    assert all(isinstance(d, Study) for d in drivers.values())
+    default = inspect.signature(run_study).parameters["seed"].default
+    assert default is inspect.Parameter.empty
+
+
+def test_resume_under_other_topologies_is_refused(tmp_path):
+    """Journal items are keyed by index: a resume under other driver
+    options would splice one topology's cells under another's label."""
+    entry, path = EXPERIMENTS["topology"], str(tmp_path / "topo.journal")
+    entry.run(TINY, workers=1, checkpoint=path, topologies=["mesh"])
+    with pytest.raises(JournalError, match="fingerprint"):
+        entry.run(TINY, workers=1, checkpoint=path, resume=True,
+                  topologies=["star"])
+    resumed = entry.run(TINY, workers=1, checkpoint=path, resume=True,
+                        topologies=["mesh"])
+    assert resumed.axis("topology") == ["mesh"]
+
+
+def test_table1_family_subset_reproduces_its_rows():
+    """Family seeds are spawned over every family, so a subset's rows
+    equal the same rows of a larger run."""
+    entry = EXPERIMENTS["table1"]
+    alone = entry.run("smoke", workers=1, families=["montage"])
+    pair = entry.run("smoke", workers=1, families=["blast", "montage"])
+    assert pair.families() == ["blast", "montage"]
+    assert alone.improvement["montage"] == pair.improvement["montage"]
+    assert (alone.total_evaluations["montage"]
+            == pair.total_evaluations["montage"])
+
+
+@pytest.mark.parametrize("name", RUNTIME_STUDIES)
 def test_smoke_run_regenerates_the_committed_csv(name):
     """The runtime studies are deterministic: a smoke run with the
     registry's seed reproduces its committed CSV byte for byte."""

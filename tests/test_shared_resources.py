@@ -457,7 +457,7 @@ class TestFeasibilitySweep:
 # ---------------------------------------------------------------------------
 class TestContentionDriver:
     def test_smoke_run_and_csv(self, tmp_path):
-        from repro.experiments import SCALES, contention, write_csv
+        from repro.experiments import EXPERIMENTS, SCALES, contention, write_csv
 
         cfg = dataclasses.replace(
             SCALES["smoke"],
@@ -468,7 +468,8 @@ class TestContentionDriver:
             contention_period_fracs=[0.5],
             n_random_schedules=5,
         )
-        result = contention.run(scale=cfg, workers=1)
+        result = contention.run(scale=cfg, seed=EXPERIMENTS["contention"].seed,
+                                workers=1)
         algorithms = result.algorithms()
         assert len(algorithms) == 2
         assert len(result.points) == 2 * 2 * 1  # slots x algos x periods

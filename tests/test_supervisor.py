@@ -448,9 +448,10 @@ class TestResumeEquivalence:
             tiny_scale, seed=1, workers=1, checkpoint=journal_path,
         ))
         # poison every worker: a resume that recomputes anything dies
+        module = importlib.import_module(f"repro.experiments.{name}")
+        assert module.run.cell is getattr(module, cell)
         monkeypatch.setattr(
-            importlib.import_module(f"repro.experiments.{name}"), cell,
-            _always_fail,
+            module, "run", dataclasses.replace(module.run, cell=_always_fail)
         )
         monkeypatch.setattr(runner, "_point_graph_worker", _always_fail)
         resumed = _csv_text(entry.run(

@@ -305,14 +305,15 @@ class TestTopologyJson:
 
 class TestTopologySweep:
     def test_serial_equals_workers2_and_mesh_anchors_to_shared(self, tmp_path):
-        from repro.experiments import write_csv
+        from repro.experiments import EXPERIMENTS, write_csv
         from repro.experiments.contention import run_topologies
 
+        seed = EXPERIMENTS["topology"].seed
         serial = run_topologies(
-            "smoke", topologies=["shared", "mesh"], workers=1
+            "smoke", topologies=["shared", "mesh"], seed=seed, workers=1
         )
         pooled = run_topologies(
-            "smoke", topologies=["shared", "mesh"], workers=2
+            "smoke", topologies=["shared", "mesh"], seed=seed, workers=2
         )
         assert serial.points == pooled.points
         c1 = tmp_path / "serial.csv"
@@ -340,13 +341,15 @@ class TestTopologySweep:
         assert anchored > 0
 
     def test_unknown_topology_rejected(self):
+        from repro.experiments import EXPERIMENTS
         from repro.experiments.contention import run_topologies
 
+        seed = EXPERIMENTS["topology"].seed
         with pytest.raises(ValueError):
-            run_topologies("smoke", topologies=["hypercube"])
+            run_topologies("smoke", topologies=["hypercube"], seed=seed)
         # a repeated name would emit every one of its rows twice
         with pytest.raises(ValueError, match="duplicate"):
-            run_topologies("smoke", topologies=["mesh", "mesh"])
+            run_topologies("smoke", topologies=["mesh", "mesh"], seed=seed)
 
 
 # ---------------------------------------------------------------------------
