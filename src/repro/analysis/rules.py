@@ -266,8 +266,8 @@ class BoundedRetryRule(Rule):
     title = "retry loops bounded; no sleeping in algorithm modules"
     contract = (
         "Fault tolerance is owned by the supervised pool (PR 8, "
-        "repro.parallel.supervisor): retries are bounded by "
-        "RetryPolicy.max_attempts and backoff waits live only there.  A "
+        "repro.parallel.supervisor): retries are bounded by the "
+        "pool's attempt budget and backoff waits live only there.  A "
         "`while True` retry loop or an ad-hoc time.sleep in an algorithm "
         "module can stall a sweep forever and hides failure handling "
         "from the supervisor's counters; the supervisor/chaos modules "
@@ -305,7 +305,7 @@ class BoundedRetryRule(Rule):
                     ctx, node,
                     "unbounded `while True` retry loop (an except handler "
                     "continues and nothing breaks); bound it with a "
-                    "max-attempts counter (see RetryPolicy)",
+                    "max-attempts counter (see SupervisedPool)",
                 )
                 return
 

@@ -554,7 +554,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_experiment(args) -> int:
     from .experiments import EXPERIMENTS, write_csv
-    from .parallel import JournalError
+    from .parallel import ItemFailedError, JournalError
 
     name, kwargs = args.name, {}
     if args.topology is not None:
@@ -578,6 +578,9 @@ def cmd_experiment(args) -> int:
     except (ValueError, JournalError) as exc:
         R.error(str(exc))
         return 2
+    except ItemFailedError as exc:  # a cell exhausted its attempt budget
+        R.error(f"experiment aborted: {exc}")
+        return 1
     R.out(entry.format(result))
     if args.csv:
         R.out(f"csv written to {write_csv(result)}")

@@ -19,13 +19,14 @@ import hashlib
 import importlib
 import os
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable, Dict, Optional
 
-from .config import get_scale
+from .config import ScaleConfig, get_scale
 from .reporting import results_dir
 
-__all__ = ["Experiment", "EXPERIMENTS", "code_digest", "open_journal"]
+__all__ = ["Experiment", "EXPERIMENTS", "code_digest", "open_journal",
+           "scale_digest"]
 
 
 def _resolve(ref: str) -> Callable:
@@ -55,18 +56,25 @@ def code_digest() -> str:
     return h.hexdigest()[:16]
 
 
-def open_journal(name: str, cfg_name: str, seed: int, checkpoint,
+def scale_digest(cfg: ScaleConfig) -> str:
+    """A digest of every field of ``cfg``, its name included."""
+    return hashlib.sha256(repr(astuple(cfg)).encode()).hexdigest()[:16]
+
+
+def open_journal(name: str, scale, seed: int, checkpoint,
                  resume: bool = False, options: Optional[dict] = None):
     """Resolve ``--checkpoint``/``--resume`` into an open journal (or None).
 
     ``checkpoint`` may be falsy (no journalling), an explicit path, or
     ``"auto"`` — the CLI's bare ``--checkpoint`` — which lands under
     ``results/checkpoints/``.  The journal is fingerprinted with
-    ``name:cfg:seed:code`` (``code`` is :func:`code_digest`), followed by
-    the driver's ``options`` (e.g. ``topologies``) that are not ``None``,
-    so a resume against a different configuration or different code
-    fails loudly instead of splicing mismatched results: journal items
-    are keyed by index, which other options would give other cells.
+    ``name:cfg:scale:seed:code`` (``cfg`` names the resolved ``scale``,
+    :func:`scale_digest` digests all of it, ``code`` is :func:`code_digest`),
+    followed by the driver's ``options`` (e.g. ``topologies``) that are
+    not ``None``, so a resume against a different configuration or
+    different code fails loudly instead of splicing mismatched results:
+    journal items are keyed by index, which other options would give
+    other cells.
     """
     if not checkpoint:
         if resume:
@@ -74,11 +82,13 @@ def open_journal(name: str, cfg_name: str, seed: int, checkpoint,
         return None
     from ..parallel import SweepJournal
 
+    cfg = get_scale(scale)
     if checkpoint == "auto":
         checkpoint = os.path.join(
-            results_dir(), "checkpoints", f"{name}_{cfg_name}_seed{seed}.journal"
+            results_dir(), "checkpoints", f"{name}_{cfg.name}_seed{seed}.journal"
         )
-    fingerprint = f"{name}:{cfg_name}:{seed}:{code_digest()}"
+    fingerprint = (f"{name}:{cfg.name}:{scale_digest(cfg)}:{seed}:"
+                   f"{code_digest()}")
     options = sorted((k, v) for k, v in (options or {}).items()
                      if v is not None)
     if options:
@@ -104,8 +114,7 @@ class Experiment:
         restarts where it left off with byte-identical results."""
         seed = self.seed if seed is None else seed
         journal = open_journal(
-            self.name, get_scale(scale).name, seed, checkpoint, resume,
-            kwargs,
+            self.name, get_scale(scale), seed, checkpoint, resume, kwargs,
         )
         with journal if journal is not None else nullcontext():
             return _resolve(self.driver)(

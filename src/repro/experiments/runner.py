@@ -53,12 +53,7 @@ from ..mappers import (
 )
 from ..obs import metrics as _obs_metrics
 from ..obs import trace as _trace
-from ..parallel import (
-    SupervisedPool,
-    parallel_map,
-    plan_from_env,
-    resolve_workers,
-)
+from ..parallel import SupervisedPool, parallel_map, resolve_workers
 from ..platform import paper_platform
 from ..platform.platform import Platform
 from .config import ScaleConfig, get_scale
@@ -194,7 +189,7 @@ def _replay_row(evaluator, mapper, result) -> tuple:
 
 
 def _map_graphs(mappers, graphs, seeds, platform, n_random_schedules,
-                summarise, *, x, workers, executor, journal,
+                summarise, *, x, pool, journal,
                 progress=None, label="task") -> List[list]:
     """Map every graph with the roster: one ``experiment.point``.
 
@@ -215,9 +210,8 @@ def _map_graphs(mappers, graphs, seeds, platform, n_random_schedules,
         "experiment.point", "experiment",
         {"x": x, "graphs": len(items)} if _trace.enabled() else None,
     ):
-        out = parallel_map(_point_graph_worker, items, workers=workers,
-                           progress=progress, label=label,
-                           executor=executor, journal=journal)
+        out = parallel_map(_point_graph_worker, items, pool=pool,
+                           label=label, progress=progress, journal=journal)
     registry = _obs_metrics.get_registry()
     if registry is not None:
         registry.counter("experiment.points").inc()
@@ -233,19 +227,16 @@ def run_point(
     seed=0,
     n_random_schedules: int = 100,
     x: float = 0.0,
-    workers: int = 1,
-    executor=None,
+    pool: SupervisedPool,
     journal=None,
 ) -> PointResult:
     """Run every mapper on every graph of one sweep point.
 
     ``seed`` may be an int or a :class:`numpy.random.SeedSequence`.
-    ``workers > 1`` fans the graphs out across a process pool; seeds are
-    spawned per graph before dispatch, so results are identical to a
-    serial run.  ``executor`` reuses a caller-owned pool (see
-    :func:`repro.parallel.parallel_map`); a
-    :class:`~repro.parallel.SupervisedPool` adds retry/timeout/crash
-    recovery.  ``journal`` checkpoints per-graph results for resume.
+    The graphs fan out across the caller's
+    :class:`~repro.parallel.SupervisedPool`; seeds are spawned per graph
+    before dispatch, so every pool size gives a serial run's results.
+    ``journal`` checkpoints per-graph results for resume.
     """
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     improvements: Dict[str, List[float]] = {m.name: [] for m in mappers}
@@ -253,8 +244,8 @@ def run_point(
     evals: Dict[str, List[float]] = {m.name: [] for m in mappers}
     for rows in _map_graphs(
         mappers, graphs, seq.spawn(len(graphs)), platform,
-        n_random_schedules, _improvement_row, x=x, workers=workers,
-        executor=executor, journal=journal,
+        n_random_schedules, _improvement_row, x=x, pool=pool,
+        journal=journal,
     ):
         for name, imp, elapsed, n_evals in rows:
             improvements[name].append(imp)
@@ -309,8 +300,9 @@ def run_sweep(
     ``workers`` (default: the scale's ``parallel_workers``) sizes the
     supervised process pool, created once and reused across every sweep
     point (per-point pools would pay fork/teardown at each x); the pool
-    retries transient failures, times out hung workers and rebuilds
-    after crashes — results are unaffected (seed-sharding contract).
+    retries transient failures and rebuilds after crashes, and under an
+    armed ``REPRO_CHAOS`` plan also times out hung workers — results are
+    unaffected (seed-sharding contract).
     ``journal`` (a :class:`~repro.parallel.SweepJournal`) checkpoints
     every completed graph under a per-point key scope so an interrupted
     sweep resumes without recomputation.
@@ -326,7 +318,7 @@ def run_sweep(
             np.random.SeedSequence(seed).spawn(1)[0]
         ))
     root = np.random.SeedSequence(seed)
-    with SupervisedPool(workers, chaos=plan_from_env()) as executor:
+    with SupervisedPool(workers) as pool:
         for i, (x, sub) in enumerate(zip(xs, root.spawn(len(xs)))):
             gen_seed, point_seed = sub.spawn(2)
             graphs = shared if sweep.one_graph_set else sweep.graphs(
@@ -339,8 +331,7 @@ def run_sweep(
                 seed=point_seed,
                 n_random_schedules=n_random_schedules,
                 x=float(x),
-                workers=workers,
-                executor=executor,
+                pool=pool,
                 journal=journal.scoped(f"point{i}:") if journal is not None
                 else None,
             )
@@ -479,12 +470,12 @@ def run_study(
               for values in itertools.product(*axes.values())]
     algorithms = [mapper.name for mapper in roster]
 
-    with SupervisedPool(workers, chaos=plan_from_env()) as executor:
+    with SupervisedPool(workers) as pool:
         mapped = _map_graphs(
             roster, graphs, map_seed.spawn(n_graphs), platform,
             cfg.n_random_schedules, _replay_row, x=study.csv_name,
-            workers=workers, executor=executor, journal=journal,
-            progress=progress, label="roster graph",
+            pool=pool, journal=journal, progress=progress,
+            label="roster graph",
         )
         reshape = study.reshape
         replays = [
@@ -502,8 +493,8 @@ def run_study(
             for k in range(n_graphs)
         ]
         cells = iter(parallel_map(
-            study.cell, items, workers=workers, progress=progress,
-            label=study.label, executor=executor, journal=journal,
+            study.cell, items, pool=pool, label=study.label,
+            progress=progress, journal=journal,
         ))
 
     for point in points:

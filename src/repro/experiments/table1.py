@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from ..graphs.generators import augment_workflow, benchmark_sizes, make_workflow
-from ..parallel import SupervisedPool, plan_from_env, resolve_workers
+from ..parallel import SupervisedPool, resolve_workers
 from ..platform import paper_platform
 from .config import get_scale
 from .runner import _improvement_row, _map_graphs, paper_roster
@@ -97,12 +97,11 @@ def run(
                 augment_workflow(g, np.random.default_rng(aug_seed))
                 graphs.append(g)
                 seeds.append(param_seed)
-    with SupervisedPool(workers, chaos=plan_from_env()) as executor:
+    with SupervisedPool(workers) as pool:
         cells = _map_graphs(
             roster, graphs, seeds, paper_platform(), cfg.n_random_schedules,
-            _improvement_row, x=result.csv_name, workers=workers,
-            executor=executor, journal=journal, progress=progress,
-            label="table1 cell",
+            _improvement_row, x=result.csv_name, pool=pool, journal=journal,
+            progress=progress, label="table1 cell",
         )
 
     it = iter(cells)

@@ -12,13 +12,15 @@ Plans come from three places:
 - tests construct :class:`FaultPlan` directly,
 - :func:`plan_from_spec` parses the compact ``"seed=7,crash=0.1,..."``
   form used on command lines,
-- :func:`plan_from_env` reads that form from ``REPRO_CHAOS``, which is
-  how the CI ``chaos-smoke`` job arms an entire ``repro experiment`` run
-  without touching driver code.
+- :func:`plan_from_env` reads that form from ``REPRO_CHAOS``; every
+  :class:`~repro.parallel.supervisor.SupervisedPool` built without an
+  explicit plan adopts it, which is how the CI ``chaos-smoke`` job arms
+  an entire ``repro experiment`` run without touching driver code.
 
 Faults fire only on attempts ``< max_faults``; retries beyond that run
-clean, so a plan can never make an item fail forever (the supervisor's
-``RetryPolicy`` bounds attempts independently).  Process-killing faults
+clean, and a pool under an armed plan allows at least ``max_faults + 1``
+attempts per item and charges an item only for its own faults, so a
+plan can never make an item fail.  Process-killing faults
 (``crash``/``hang``) are injected only inside pool workers — in-process
 execution downgrades them to no-ops so a chaos plan cannot take down the
 parent or a degraded serial run.
@@ -51,9 +53,9 @@ class FaultPlan:
 
     ``crash``/``hang``/``error`` are independent-ish probabilities (one
     uniform draw per tuple, cut into bands, so their sum must stay
-    ``<= 1``).  ``timeout_s`` is not a fault: it is the per-item timeout
-    a supervisor should adopt so injected hangs are actually detected
-    (see :meth:`RetryPolicy.for_chaos <repro.parallel.supervisor.RetryPolicy.for_chaos>`).
+    ``<= 1``).  ``timeout_s`` is not a fault: it is the per-item
+    deadline a :class:`~repro.parallel.supervisor.SupervisedPool` under
+    this plan adopts, so injected hangs are cut, not slept through.
     """
 
     seed: int

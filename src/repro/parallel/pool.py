@@ -16,12 +16,12 @@ results bit-identical to a serial run is simple and strict:
    for item ``k`` — so downstream aggregation (means over graphs, CSV row
    order) is independent of scheduling.
 
-Under these rules ``parallel_map(fn, items, workers=1)`` and
-``workers=N`` produce the *same floats in the same order*: the serial
-path is an in-process loop over the identical items.  Every call, a
-one-shot call included, dispatches through one
-:class:`~repro.parallel.supervisor.SupervisedPool`, whose serial loop
-is that reference.  The same
+Under these rules a call on a one-worker pool and a call on an
+``N``-worker pool produce the *same floats in the same order*: every
+call dispatches through the caller's
+:class:`~repro.parallel.supervisor.SupervisedPool`, and a one-worker
+pool is an in-process loop over the identical items, the reference
+behaviour.  The same
 three rules make the fault-tolerance layer free: a retried item reruns
 the same pure function on the same attached seed, and a journalled item
 replays to the same value, so supervision and checkpoint/resume change
@@ -43,8 +43,7 @@ import numpy as np
 
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
-from .faults import FaultPlan, plan_from_env
-from .supervisor import RetryPolicy, SupervisedPool
+from .supervisor import SupervisedPool
 
 __all__ = ["parallel_map", "resolve_workers", "spawn_seeds"]
 
@@ -96,7 +95,7 @@ def _observed_call(payload):
     merges them **in submission order** (see :func:`parallel_map`), so
     the merged trace structure is identical for any pool size.  Used on
     the serial path too — the parent's tracer is set aside for the call
-    — so ``workers=1`` and ``workers=N`` traces agree lane for lane.
+    — so one-worker and ``N``-worker traces agree lane for lane.
     """
     fn, item = payload
     prev_tracer = _trace.disable()
@@ -118,35 +117,23 @@ def parallel_map(
     fn: Callable[[T], R],
     items: Sequence[T],
     *,
-    workers: int = 1,
-    progress: Optional[Callable[[str], None]] = None,
+    pool: SupervisedPool,
     label: str = "task",
-    executor=None,
-    policy: Optional[RetryPolicy] = None,
-    chaos: Optional[FaultPlan] = None,
+    progress: Optional[Callable[[str], None]] = None,
     journal=None,
 ) -> List[R]:
-    """Map ``fn`` over ``items``, optionally across worker processes.
+    """Map ``fn`` over ``items`` on the caller's ``pool``.
 
     Returns results in item order regardless of completion order.  Every
     call runs through :meth:`SupervisedPool.run
-    <repro.parallel.supervisor.SupervisedPool.run>`; with ``workers <= 1``
-    (or a single pending item) that is its in-process serial loop — the
-    reference behaviour the pool path must reproduce bit-identically.
-    A failing item is re-raised in the parent as
+    <repro.parallel.supervisor.SupervisedPool.run>`; on a one-worker
+    pool that is its in-process serial loop — the reference behaviour
+    the pooled path must reproduce bit-identically.  The caller owns the
+    pool's lifetime and reuses it across batches (a sweep issues one
+    call per point); the pool alone decides retries, deadlines and any
+    chaos plan.  A failing item is re-raised in the parent as
     :class:`~repro.parallel.supervisor.ItemFailedError` naming the
     (label, item) cell.
-
-    ``executor`` is a long-lived
-    :class:`~repro.parallel.supervisor.SupervisedPool` that a caller
-    issuing many small batches (a sweep with one :func:`parallel_map`
-    per point) reuses; the caller owns its lifetime and its retry
-    policy.  Without one, the call gets a fresh pool of ``workers``
-    processes under ``policy``, by default one attempt per item and no
-    deadline.  ``chaos`` (or an armed ``REPRO_CHAOS`` environment)
-    injects deterministic faults for rehearsal, and a one-shot call
-    then defaults to a policy sized to outlast them — see
-    :mod:`repro.parallel.faults`.
 
     ``journal`` (a :class:`~repro.parallel.journal.SweepJournal` or a
     scoped view) checkpoints completed items under ``"{label}:{index}"``
@@ -200,23 +187,8 @@ def parallel_map(
             progress(f"{label} {done_count}/{n}")
 
     if pending:
-        sub = [payloads[k] for k in pending]
-        if executor is not None:
-            executor.run(call, sub, indices=pending, total=n,
-                         label=label, on_result=_complete)
-        else:
-            if chaos is None:
-                chaos = plan_from_env()
-            if policy is None:
-                # a one-shot call fails on the first error, with no
-                # deadline; an armed chaos plan gets a policy sized to
-                # outlast it
-                policy = (RetryPolicy(max_attempts=1) if chaos is None
-                          else RetryPolicy.for_chaos(chaos))
-            workers = min(resolve_workers(workers), len(pending))
-            with SupervisedPool(workers, policy=policy, chaos=chaos) as sup:
-                sup.run(call, sub, indices=pending, total=n,
-                        label=label, on_result=_complete)
+        pool.run(call, [payloads[k] for k in pending], indices=pending,
+                 total=n, label=label, on_result=_complete)
 
     if observed:
         _merge_observed(fresh, n, label, anchor)

@@ -4,8 +4,8 @@
 with the failure handling the bare pool lacks:
 
 - **bounded retries with exponential backoff** — a transient worker
-  exception requeues the item up to :attr:`RetryPolicy.max_attempts`
-  times; exhaustion raises :class:`ItemFailedError` naming the item;
+  exception requeues the item up to the pool's attempt budget;
+  exhaustion raises :class:`ItemFailedError` naming the item;
 - **per-item timeouts** — in-flight submissions are capped at the pool
   width so a deadline measures *running* time; a hung worker cannot be
   cancelled through the executor API, so expiry kills the worker
@@ -13,8 +13,10 @@ with the failure handling the bare pool lacks:
   attempt counter;
 - **BrokenProcessPool recovery** — a crashed worker (segfault, OOM kill,
   injected SIGKILL) breaks every in-flight future; the supervisor
-  rebuilds the executor and resubmits only the outstanding items;
-- **graceful degradation** — after ``max_pool_rebuilds`` *consecutive*
+  rebuilds the executor and resubmits only the outstanding items,
+  charging an attempt to the items an armed plan crashed (or, when no
+  plan names one, to every broken item);
+- **graceful degradation** — after :data:`MAX_POOL_REBUILDS` *consecutive*
   rebuilds without a single completed item, the pool gives up on process
   parallelism and finishes the remaining items in-process.
 
@@ -22,7 +24,15 @@ None of this can change results: every item carries its own
 :class:`~numpy.random.SeedSequence` (the seed-sharding contract in
 ``README.md`` next to this module), so a retried item reruns the same
 pure function on the same seed — results are independent of *when,
-where, or how many times* an item executes.  Supervision is visible only
+where, or how many times* an item executes.
+
+The pool has one retry rule.  Without a chaos plan an item gets
+:data:`MAX_ATTEMPTS` attempts and no deadline.  With a :class:`FaultPlan`
+armed (passed as ``chaos=`` or read from ``REPRO_CHAOS``) it gets
+``max(MAX_ATTEMPTS, plan.max_faults + 1)`` attempts and the plan's
+``timeout_s`` as its deadline, so an injected hang is cut rather than
+slept through.  An item is charged only for its own faults, so the plan
+alone can never exhaust its budget.  Supervision is visible only
 through observability (``parallel.retries`` / ``parallel.timeouts`` /
 ``parallel.pool_rebuilds`` counters, a ``parallel.attempts`` histogram,
 ``parallel.retry`` instants) and, of course, wall-clock time.
@@ -36,51 +46,28 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
-from .faults import FaultPlan
+from .faults import FaultPlan, plan_from_env
 
-__all__ = ["RetryPolicy", "ItemFailedError", "SupervisedPool"]
+__all__ = ["ItemFailedError", "SupervisedPool"]
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How hard a :class:`SupervisedPool` tries before giving up."""
+#: attempts per item when no chaos plan is armed
+MAX_ATTEMPTS = 3
+#: backoff before retry ``r`` (0-based): ``BASE * FACTOR**r``, capped at MAX
+BACKOFF_BASE_S = 0.05
+BACKOFF_FACTOR = 2.0
+BACKOFF_MAX_S = 2.0
+#: consecutive rebuilds without a completed item before degrading to serial
+MAX_POOL_REBUILDS = 3
 
-    max_attempts: int = 3
-    timeout_s: Optional[float] = None       # per-item; None = no deadline
-    backoff_base_s: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max_s: float = 2.0
-    max_pool_rebuilds: int = 3              # consecutive, without progress
 
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("RetryPolicy.max_attempts must be >= 1")
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ValueError("RetryPolicy.timeout_s must be > 0 (or None)")
-        if self.backoff_base_s < 0 or self.backoff_max_s < 0:
-            raise ValueError("RetryPolicy backoff delays must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ValueError("RetryPolicy.backoff_factor must be >= 1")
-        if self.max_pool_rebuilds < 0:
-            raise ValueError("RetryPolicy.max_pool_rebuilds must be >= 0")
-
-    def backoff_s(self, retry: int) -> float:
-        """Bounded exponential delay before retry number ``retry`` (0-based)."""
-        return min(self.backoff_max_s,
-                   self.backoff_base_s * self.backoff_factor ** retry)
-
-    @classmethod
-    def for_chaos(cls, plan: FaultPlan) -> "RetryPolicy":
-        """A policy guaranteed to outlast ``plan``'s injected faults."""
-        return cls(
-            max_attempts=max(3, plan.max_faults + 1),
-            timeout_s=plan.timeout_s,
-        )
+def backoff_s(retry: int) -> float:
+    """Bounded exponential delay before retry number ``retry`` (0-based)."""
+    return min(BACKOFF_MAX_S, BACKOFF_BASE_S * BACKOFF_FACTOR ** retry)
 
 
 class ItemFailedError(RuntimeError):
@@ -135,23 +122,25 @@ def _observe_attempts(n: int) -> None:
 class SupervisedPool:
     """A process pool that survives worker crashes, hangs and flakes.
 
-    The one dispatch path of :func:`repro.parallel.parallel_map`: a
-    caller passes one as ``executor=``, and a call without one runs on
-    a fresh pool (``RetryPolicy(max_attempts=1)`` unless told otherwise,
-    which fails on the first error with no deadline).  Also usable
-    directly via :meth:`run`.  ``workers == 1`` runs in-process with the
-    same retry semantics (minus process-level faults); that serial loop
-    is the reference the pooled path must reproduce.  Context-managed:
-    the owner creates it once per sweep and every batch reuses the same
-    worker processes until one of them has to be killed.
+    The one dispatch path of :func:`repro.parallel.parallel_map`, which
+    every call receives as ``pool=``; also usable directly via
+    :meth:`run`.  ``chaos`` arms a fault plan, by default the one in
+    ``REPRO_CHAOS``, and sets the attempt budget and deadline (see the
+    module docstring).  ``workers == 1`` runs in-process with the same
+    retry semantics (minus process-level faults); that serial loop is
+    the reference the pooled path must reproduce.  Context-managed: the
+    owner creates it once per run and every batch reuses the same worker
+    processes until one of them has to be killed.
     """
 
-    def __init__(self, workers: int, *,
-                 policy: Optional[RetryPolicy] = None,
-                 chaos: Optional[FaultPlan] = None):
+    def __init__(self, workers: int, *, chaos: Optional[FaultPlan] = None):
         self.workers = max(1, int(workers))
-        self.policy = policy if policy is not None else RetryPolicy()
-        self.chaos = chaos
+        self.chaos = chaos if chaos is not None else plan_from_env()
+        if self.chaos is None:
+            self.max_attempts, self.timeout_s = MAX_ATTEMPTS, None
+        else:
+            self.max_attempts = max(MAX_ATTEMPTS, self.chaos.max_faults + 1)
+            self.timeout_s = self.chaos.timeout_s
         self._pool = None
 
     # -- lifecycle ------------------------------------------------------
@@ -236,9 +225,8 @@ class SupervisedPool:
 
     def _run_one_serial(self, fn, payload, label, index, total):
         """In-process retry loop for one item; returns (attempts, result)."""
-        policy = self.policy
         last: Optional[BaseException] = None
-        for attempt in range(policy.max_attempts):
+        for attempt in range(self.max_attempts):
             if attempt:
                 self._note_retry(label, index, attempt)
                 self._sleep_backoff(attempt - 1)
@@ -253,7 +241,7 @@ class SupervisedPool:
             except Exception as exc:  # noqa: BLE001 — every kind retries
                 last = exc
         raise ItemFailedError(
-            label, index, total, policy.max_attempts, last
+            label, index, total, self.max_attempts, last
         ) from last
 
     # -- pooled path ----------------------------------------------------
@@ -262,7 +250,6 @@ class SupervisedPool:
         from concurrent.futures import FIRST_COMPLETED, wait
         from concurrent.futures.process import BrokenProcessPool
 
-        policy = self.policy
         queue = deque((pos, 0) for pos in range(len(payloads)))
         inflight: dict = {}        # future -> (pos, attempt, deadline)
         outstanding = len(payloads)
@@ -276,7 +263,7 @@ class SupervisedPool:
                            {"reason": reason})
             consecutive_rebuilds += 1
             self._kill_pool()
-            if consecutive_rebuilds > policy.max_pool_rebuilds:
+            if consecutive_rebuilds > MAX_POOL_REBUILDS:
                 degraded = True
 
         def requeue_inflight(extra_attempt_for=()) -> None:
@@ -304,10 +291,10 @@ class SupervisedPool:
                     continue
                 queue.popleft()
                 deadline = None
-                if policy.timeout_s is not None:
+                if self.timeout_s is not None:
                     deadline = (
                         time.monotonic()  # repro-lint: disable=DET002
-                        + policy.timeout_s
+                        + self.timeout_s
                     )
                 inflight[fut] = (pos, attempt, deadline)
 
@@ -318,7 +305,7 @@ class SupervisedPool:
                     break
                 continue
             timeout = None
-            if policy.timeout_s is not None:
+            if self.timeout_s is not None:
                 now = time.monotonic()  # repro-lint: disable=DET002
                 timeout = max(
                     0.05,
@@ -344,10 +331,10 @@ class SupervisedPool:
                     _trace.instant("parallel.timeout", "parallel",
                                    {"item": indices[pos],
                                     "attempt": attempt + 1})
-                    if attempt + 1 >= policy.max_attempts:
+                    if attempt + 1 >= self.max_attempts:
                         self._kill_pool()
                         cause = TimeoutError(
-                            f"no result within {policy.timeout_s:g}s"
+                            f"no result within {self.timeout_s:g}s"
                         )
                         raise ItemFailedError(
                             label, indices[pos], total,
@@ -358,6 +345,13 @@ class SupervisedPool:
                 continue
 
             crashed = False
+            # an armed plan names the items it crashed; only those are
+            # charged, so an item's attempts follow its own faults alone
+            culprits = set() if self.chaos is None else {
+                f for f, (pos, attempt, _d) in inflight.items()
+                if self.chaos.fault_for(label, indices[pos], attempt)
+                == "crash"
+            }
             # harvest completions first: real progress resets the
             # consecutive-rebuild budget even in a crashing batch
             for fut in [f for f in done if f.exception() is None]:
@@ -372,11 +366,14 @@ class SupervisedPool:
                 pos, attempt, _d = inflight.pop(fut)
                 exc = fut.exception()
                 if isinstance(exc, BrokenProcessPool):
-                    # a worker died; every in-flight future is broken and
-                    # nobody knows which item was the trigger — charge
-                    # all broken ones one attempt
+                    # a worker died and broke every in-flight future;
+                    # without a planned culprit nobody knows which item
+                    # was the trigger — charge all broken ones one attempt
                     crashed = True
-                    if attempt + 1 >= policy.max_attempts:
+                    if culprits and fut not in culprits:
+                        queue.appendleft((pos, attempt))
+                        continue
+                    if attempt + 1 >= self.max_attempts:
                         self._kill_pool()
                         raise ItemFailedError(
                             label, indices[pos], total, attempt + 1, exc
@@ -384,7 +381,7 @@ class SupervisedPool:
                     queue.appendleft((pos, attempt + 1))
                 else:
                     # an ordinary exception from the item itself
-                    if attempt + 1 >= policy.max_attempts:
+                    if attempt + 1 >= self.max_attempts:
                         self._kill_pool()
                         raise ItemFailedError(
                             label, indices[pos], total, attempt + 1, exc
@@ -415,8 +412,6 @@ class SupervisedPool:
                        {"label": label, "item": index, "attempt": attempt})
 
     def _sleep_backoff(self, retry: int) -> None:
-        delay = self.policy.backoff_s(retry)
-        if delay > 0:
-            # bounded control-plane wait between retries (never on an
-            # algorithm path); RetryPolicy validation caps it
-            time.sleep(delay)  # repro-lint: disable=PAR002
+        # bounded control-plane wait between retries (never on an
+        # algorithm path); BACKOFF_MAX_S caps it
+        time.sleep(backoff_s(retry))  # repro-lint: disable=PAR002

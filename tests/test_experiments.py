@@ -13,6 +13,7 @@ from repro.experiments.reporting import format_sweep_table, write_csv
 from repro.experiments.runner import Sweep, run_point, run_sweep
 from repro.graphs.generators import random_sp_graph
 from repro.mappers import HeftMapper, sp_first_fit
+from repro.parallel import SupervisedPool
 from repro.platform import paper_platform
 
 
@@ -66,14 +67,16 @@ class TestRunner:
     def test_run_point(self, platform):
         rng = np.random.default_rng(0)
         graphs = [random_sp_graph(10, rng) for _ in range(2)]
-        point = run_point(
-            [HeftMapper(), sp_first_fit()],
-            graphs,
-            platform,
-            seed=1,
-            n_random_schedules=5,
-            x=10.0,
-        )
+        with SupervisedPool(1) as pool:
+            point = run_point(
+                [HeftMapper(), sp_first_fit()],
+                graphs,
+                platform,
+                seed=1,
+                n_random_schedules=5,
+                x=10.0,
+                pool=pool,
+            )
         assert set(point.improvements) == {"HEFT", "SPFirstFit"}
         assert point.improvements["SPFirstFit"].count == 2
         assert point.times["HEFT"].mean >= 0.0
@@ -81,10 +84,11 @@ class TestRunner:
     def test_run_point_reproducible(self, platform):
         rng = np.random.default_rng(0)
         graphs = [random_sp_graph(10, rng)]
-        a = run_point([sp_first_fit()], graphs, platform, seed=3,
-                      n_random_schedules=5)
-        b = run_point([sp_first_fit()], graphs, platform, seed=3,
-                      n_random_schedules=5)
+        with SupervisedPool(1) as pool:
+            a = run_point([sp_first_fit()], graphs, platform, seed=3,
+                          n_random_schedules=5, pool=pool)
+            b = run_point([sp_first_fit()], graphs, platform, seed=3,
+                          n_random_schedules=5, pool=pool)
         assert (
             a.improvements["SPFirstFit"].mean
             == b.improvements["SPFirstFit"].mean

@@ -5,8 +5,8 @@ Five pins, matching the guarantees documented in ``repro/obs/__init__``:
 1. **Round trip** — a Chrome trace-event export reconstructs to the
    same span records (names, categories, lanes, args, durations,
    relative starts), driven by a deterministic fake clock.
-2. **Deterministic merge** — ``parallel_map`` with ``workers=1`` and
-   ``workers=N`` produces the *same* merged span structure and the
+2. **Deterministic merge** — ``parallel_map`` on a one-worker and on an
+   ``N``-worker pool produces the *same* merged span structure and the
    *same* metrics snapshot.
 3. **No-op path** — with observability off, ``span()`` returns a shared
    singleton (no allocation) and nothing is recorded anywhere.
@@ -35,7 +35,7 @@ from repro.mappers import (
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.trace import _NOOP, Tracer
-from repro.parallel import parallel_map
+from repro.parallel import SupervisedPool, parallel_map
 from repro.platform import paper_platform
 from repro.runtime import simulate_mapping
 
@@ -247,9 +247,10 @@ def _obs_pool_worker(item):
 def _run_observed_pool(workers: int):
     obs.observe()
     try:
-        results = parallel_map(
-            _obs_pool_worker, [3, 5, 9], workers=workers, label="work"
-        )
+        with SupervisedPool(workers) as pool:
+            results = parallel_map(
+                _obs_pool_worker, [3, 5, 9], pool=pool, label="work"
+            )
     finally:
         tracer, registry = obs.shutdown()
     structure = [(name, cat, lane) for name, cat, _t0, _dur, lane, _a
@@ -276,7 +277,8 @@ class TestWorkerMerge:
         assert snap["work.size"]["total"] == 17
 
     def test_unobserved_pool_results_match(self):
-        plain = parallel_map(_obs_pool_worker, [3, 5, 9], workers=2)
+        with SupervisedPool(2) as pool:
+            plain = parallel_map(_obs_pool_worker, [3, 5, 9], pool=pool)
         assert plain == [6, 10, 18]
 
 

@@ -19,7 +19,12 @@ from repro.experiments.config import get_scale
 from repro.experiments.runner import StudyResult, run_point
 from repro.graphs.generators import random_sp_graph
 from repro.mappers import HeftMapper, sp_first_fit
-from repro.parallel import parallel_map, resolve_workers, spawn_seeds
+from repro.parallel import (
+    SupervisedPool,
+    parallel_map,
+    resolve_workers,
+    spawn_seeds,
+)
 from repro.platform import paper_platform
 from repro.runtime import LognormalNoise, replicate
 
@@ -39,35 +44,39 @@ def _draw(seed_seq):
     return float(np.random.default_rng(seed_seq).random())
 
 
+def _pmap(fn, items, workers, **kw):
+    """``parallel_map`` on a fresh pool of ``workers`` processes."""
+    with SupervisedPool(workers) as pool:
+        return parallel_map(fn, items, pool=pool, **kw)
+
+
 class TestPoolPrimitives:
     def test_serial_is_plain_loop(self):
-        assert parallel_map(_square, [1, 2, 3], workers=1) == [1, 4, 9]
+        assert _pmap(_square, [1, 2, 3], 1) == [1, 4, 9]
 
     def test_parallel_preserves_item_order(self):
         items = list(range(12))
-        assert parallel_map(_square, items, workers=3) == [x * x for x in items]
+        assert _pmap(_square, items, 3) == [x * x for x in items]
 
     def test_empty_items(self):
-        assert parallel_map(_square, [], workers=4) == []
+        assert _pmap(_square, [], 4) == []
 
     def test_worker_exception_propagates(self):
         with pytest.raises(RuntimeError, match="boom at 3"):
-            parallel_map(_fail_on_three, [1, 2, 3, 4], workers=2)
+            _pmap(_fail_on_three, [1, 2, 3, 4], 2)
 
     def test_serial_exception_propagates(self):
         with pytest.raises(RuntimeError, match="boom at 3"):
-            parallel_map(_fail_on_three, [1, 2, 3, 4], workers=1)
+            _pmap(_fail_on_three, [1, 2, 3, 4], 1)
 
     def test_progress_called_per_item(self):
         messages = []
-        parallel_map(_square, [1, 2], workers=1, progress=messages.append,
-                     label="unit")
+        _pmap(_square, [1, 2], 1, progress=messages.append, label="unit")
         assert messages == ["unit 1/2", "unit 2/2"]
 
     def test_seeded_items_identical_across_pool_sizes(self):
         seeds = spawn_seeds(123, 8)
-        assert parallel_map(_draw, seeds, workers=1) == \
-            parallel_map(_draw, seeds, workers=3)
+        assert _pmap(_draw, seeds, 1) == _pmap(_draw, seeds, 3)
 
     def test_resolve_workers(self):
         assert resolve_workers(None, 1) == 1
@@ -180,8 +189,9 @@ class TestSerialParallelEquivalence:
         graphs = [random_sp_graph(8, rng) for _ in range(3)]
         mappers = [HeftMapper(), sp_first_fit()]
         kw = dict(seed=3, n_random_schedules=3)
-        serial = run_point(mappers, graphs, platform, workers=1, **kw)
-        pooled = run_point(mappers, graphs, platform, workers=2, **kw)
+        with SupervisedPool(1) as one, SupervisedPool(2) as two:
+            serial = run_point(mappers, graphs, platform, pool=one, **kw)
+            pooled = run_point(mappers, graphs, platform, pool=two, **kw)
         for name in ("HEFT", "SPFirstFit"):
             assert serial.improvements[name].mean == \
                 pooled.improvements[name].mean

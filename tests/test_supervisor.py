@@ -17,13 +17,14 @@ import dataclasses
 import io
 import json
 import os
+import time
 
 import numpy as np
 import pytest
 
 from repro.experiments import EXPERIMENTS, robustness, write_csv
 from repro.experiments.config import get_scale
-from repro.experiments.registry import code_digest, open_journal
+from repro.experiments.registry import code_digest, open_journal, scale_digest
 from repro.experiments.runner import StudyResult
 from repro.obs import metrics as obs_metrics
 from repro.parallel import (
@@ -31,13 +32,20 @@ from repro.parallel import (
     FaultPlan,
     ItemFailedError,
     JournalError,
-    RetryPolicy,
     SupervisedPool,
     SweepJournal,
     parallel_map,
     plan_from_env,
     plan_from_spec,
 )
+from repro.parallel.supervisor import BACKOFF_MAX_S, MAX_ATTEMPTS, backoff_s
+
+
+@pytest.fixture(autouse=True)
+def _no_ambient_chaos(monkeypatch):
+    """Every pool below runs clean unless a test arms a plan itself."""
+    monkeypatch.delenv("REPRO_CHAOS", raising=False)
+
 
 # module-level workers: the process pool pickles functions by reference
 def _double(x):
@@ -48,16 +56,18 @@ def _always_fail(x):
     raise ValueError(f"cell {x} exploded")
 
 
+def _slow_double(x):
+    """Still running when a sibling worker is killed."""
+    time.sleep(0.3)
+    return 2 * x
+
+
 def _append_marker(item):
     """Side-effecting worker counting real executions (resume tests)."""
     path, value = item
     with open(path, "a") as fh:
         fh.write(f"{value}\n")
     return value * 10
-
-
-def _no_backoff(**kw):
-    return RetryPolicy(backoff_base_s=0.0, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -142,92 +152,129 @@ class TestFaultPlan:
 
 
 # ---------------------------------------------------------------------------
-# RetryPolicy
+# the pool's one retry policy: attempt budget, deadline, backoff
 # ---------------------------------------------------------------------------
 
 class TestRetryPolicy:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(timeout_s=-1.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_factor=0.5)
-        with pytest.raises(ValueError):
-            RetryPolicy(max_pool_rebuilds=-1)
+    def test_validation(self, monkeypatch):
+        """A malformed armed plan is refused when a pool adopts it,
+        before any work is dispatched."""
+        for spec in ("seed=1,timeout=0", "seed=1,max_faults=-1",
+                     "seed=1,crash=0.8,error=0.8"):
+            monkeypatch.setenv("REPRO_CHAOS", spec)
+            with pytest.raises(ValueError):
+                SupervisedPool(2)
 
     def test_backoff_is_bounded_exponential(self):
-        p = RetryPolicy(backoff_base_s=0.1, backoff_factor=2.0,
-                        backoff_max_s=0.35)
-        assert p.backoff_s(0) == pytest.approx(0.1)
-        assert p.backoff_s(1) == pytest.approx(0.2)
-        assert p.backoff_s(2) == pytest.approx(0.35)   # capped
-        assert p.backoff_s(10) == pytest.approx(0.35)
+        assert backoff_s(0) == pytest.approx(0.05)
+        assert backoff_s(1) == pytest.approx(0.1)
+        assert backoff_s(2) == pytest.approx(0.2)
+        assert backoff_s(10) == pytest.approx(BACKOFF_MAX_S)   # capped
 
     def test_for_chaos_outlasts_the_plan(self):
+        clean = SupervisedPool(2)
+        assert (clean.chaos, clean.max_attempts, clean.timeout_s) == \
+            (None, MAX_ATTEMPTS, None)
         plan = FaultPlan(seed=1, crash=0.5, max_faults=4, timeout_s=3.0)
-        policy = RetryPolicy.for_chaos(plan)
-        assert policy.max_attempts > plan.max_faults
-        assert policy.timeout_s == plan.timeout_s
+        pool = SupervisedPool(2, chaos=plan)
+        assert pool.max_attempts == plan.max_faults + 1
+        assert pool.timeout_s == plan.timeout_s
+        # a plan faulting fewer attempts keeps the clean budget
+        assert SupervisedPool(2, chaos=FaultPlan(seed=1)).max_attempts == \
+            MAX_ATTEMPTS
+
+    def test_pool_adopts_the_environment_plan(self, monkeypatch):
+        """Without ``chaos=``, a pool arms ``REPRO_CHAOS`` and takes its
+        deadline and attempt budget from it — the pool every
+        ``repro experiment`` driver opens."""
+        monkeypatch.setenv("REPRO_CHAOS", "seed=7,error=0.5,max_faults=5,"
+                                          "timeout=4")
+        pool = SupervisedPool(2)
+        assert pool.chaos == plan_from_env()
+        assert pool.max_attempts == 6
+        assert pool.timeout_s == 4.0
 
 
 # ---------------------------------------------------------------------------
 # supervised execution: retries, crash recovery, timeouts, degradation
 # ---------------------------------------------------------------------------
 
+def _run(workers, fn, items, *, chaos=None, **kw):
+    """One batch on a fresh pool of ``workers`` under ``chaos``."""
+    with SupervisedPool(workers, chaos=chaos) as pool:
+        return parallel_map(fn, items, pool=pool, **kw)
+
+
 class TestSupervisedExecution:
     def test_serial_transient_errors_are_retried(self):
         plan = FaultPlan(seed=5, error=1.0, max_faults=1)
-        out = parallel_map(_double, [1, 2, 3], workers=1, chaos=plan,
-                           policy=_no_backoff(max_attempts=3))
-        assert out == [2, 4, 6]
+        assert _run(1, _double, [1, 2, 3], chaos=plan) == [2, 4, 6]
 
     def test_exhausted_retries_name_the_cell(self):
-        plan = FaultPlan(seed=5, error=1.0, max_faults=9)
         with pytest.raises(ItemFailedError) as exc_info:
-            parallel_map(_double, [7], workers=1, chaos=plan,
-                         policy=_no_backoff(max_attempts=2), label="cell")
+            _run(1, _always_fail, [7], label="cell")
         err = exc_info.value
         assert isinstance(err, RuntimeError)
-        assert err.label == "cell" and err.index == 0 and err.attempts == 2
-        assert isinstance(err.cause, ChaosError)
-        assert "cell item 1/1 failed after 2 attempt(s)" in str(err)
+        assert err.label == "cell" and err.index == 0
+        assert err.attempts == MAX_ATTEMPTS
+        assert isinstance(err.cause, ValueError)
+        assert "cell item 1/1 failed after 3 attempt(s)" in str(err)
 
     def test_unsupervised_failures_name_the_cell_too(self):
         with pytest.raises(ItemFailedError, match="unit item 1/1"):
-            parallel_map(_always_fail, [9], workers=1, label="unit")
+            _run(1, _always_fail, [9], label="unit")
         with pytest.raises(ItemFailedError, match=r"exploded"):
-            parallel_map(_always_fail, [9, 10], workers=2)
+            _run(2, _always_fail, [9, 10])
+
+    def test_plan_faults_never_exhaust_the_budget(self):
+        """Every attempt the plan may fault does fault, as a transient
+        error: the budget still outlasts it, serial and pooled."""
+        plan = FaultPlan(seed=5, error=1.0, max_faults=MAX_ATTEMPTS)
+        for workers in (1, 2):
+            assert _run(workers, _double, [1, 2], chaos=plan) == [2, 4]
 
     def test_sigkilled_workers_recover_bit_identically(self):
         seeds = np.random.SeedSequence(42).spawn(6)
-        clean = parallel_map(_draw, seeds, workers=1)
+        clean = _run(1, _draw, seeds)
         plan = FaultPlan(seed=13, crash=1.0, max_faults=1, timeout_s=60)
-        chaotic = parallel_map(
-            _draw, seeds, workers=2, chaos=plan,
-            policy=_no_backoff(max_attempts=3, timeout_s=60),
-        )
-        assert chaotic == clean
+        assert _run(2, _draw, seeds, chaos=plan) == clean
 
     def test_crash_recovery_counts_rebuilds(self):
         registry = obs_metrics.enable()
         try:
             plan = FaultPlan(seed=13, crash=1.0, max_faults=1, timeout_s=60)
-            parallel_map(_double, list(range(4)), workers=2, chaos=plan,
-                         policy=_no_backoff(max_attempts=3, timeout_s=60))
+            _run(2, _double, list(range(4)), chaos=plan)
             snapshot = registry.snapshot()
         finally:
             obs_metrics.disable()
         assert snapshot["parallel.pool_rebuilds"] >= 1
-        assert snapshot["parallel.attempts"]["n"] == 4
+        # the plan crashes each item's first attempt and no other
+        attempts = snapshot["parallel.attempts"]
+        assert (attempts["n"], attempts["total"]) == (4, 8)
+
+    def test_only_the_crashed_item_is_charged(self):
+        """A crash breaks its sibling's future too, but under a plan
+        only the item the plan crashed loses an attempt."""
+        plan = FaultPlan(seed=1, crash=0.5, max_faults=1, timeout_s=60)
+        assert plan.fault_for("unit", 0, 0) == "crash"
+        assert plan.fault_for("unit", 1, 0) is None
+        registry = obs_metrics.enable()
+        try:
+            out = _run(2, _slow_double, [1, 2], chaos=plan, label="unit")
+            snapshot = registry.snapshot()
+        finally:
+            obs_metrics.disable()
+        assert out == [2, 4]
+        assert snapshot["parallel.pool_rebuilds"] == 1
+        # item 0: crashed, then clean; item 1: one charged attempt
+        assert snapshot["parallel.attempts"]["total"] == 3
 
     def test_hung_worker_times_out_and_retries(self):
         plan = FaultPlan(seed=13, hang=1.0, max_faults=1,
                          hang_s=30.0, timeout_s=1.0)
         registry = obs_metrics.enable()
         try:
-            out = parallel_map(_double, [5, 6], workers=2, chaos=plan,
-                               policy=RetryPolicy.for_chaos(plan))
+            out = _run(2, _double, [5, 6], chaos=plan)
             snapshot = registry.snapshot()
         finally:
             obs_metrics.disable()
@@ -235,20 +282,16 @@ class TestSupervisedExecution:
         assert snapshot["parallel.timeouts"] >= 1
 
     def test_repeated_crashes_degrade_to_serial(self):
-        # every pooled attempt crashes its worker, forever: the pool must
-        # give up on processes and still finish in-process
+        # every pooled attempt crashes its worker, far past the rebuild
+        # budget: the pool must give up on processes and still finish
+        # in-process
         plan = FaultPlan(seed=13, crash=1.0, max_faults=99, timeout_s=60)
-        out = parallel_map(
-            _double, [1, 2, 3], workers=2, chaos=plan,
-            policy=_no_backoff(max_attempts=50, max_pool_rebuilds=1,
-                               timeout_s=60),
-        )
-        assert out == [2, 4, 6]
+        assert _run(2, _double, [1, 2, 3], chaos=plan) == [2, 4, 6]
 
     def test_supervised_pool_reused_across_batches(self):
-        with SupervisedPool(2, policy=_no_backoff()) as pool:
-            a = parallel_map(_double, [1, 2, 3], workers=2, executor=pool)
-            b = parallel_map(_double, [4, 5], workers=2, executor=pool)
+        with SupervisedPool(2) as pool:
+            a = parallel_map(_double, [1, 2, 3], pool=pool)
+            b = parallel_map(_double, [4, 5], pool=pool)
         assert (a, b) == ([2, 4, 6], [8, 10])
 
 
@@ -267,8 +310,7 @@ class TestJournal:
         items = [(marker, v) for v in range(5)]
 
         with SweepJournal(journal_path, fingerprint="t:1") as journal:
-            full = parallel_map(_append_marker, items, workers=1,
-                                journal=journal)
+            full = _run(1, _append_marker, items, journal=journal)
         assert full == [0, 10, 20, 30, 40]
         assert open(marker).read().splitlines() == ["0", "1", "2", "3", "4"]
 
@@ -281,8 +323,7 @@ class TestJournal:
         with SweepJournal(journal_path, fingerprint="t:1",
                           resume=True) as journal:
             assert journal.n_loaded == 3
-            resumed = parallel_map(_append_marker, items, workers=1,
-                                   journal=journal)
+            resumed = _run(1, _append_marker, items, journal=journal)
             assert journal.n_recorded == 2
         assert resumed == full
         # only the two outstanding items actually ran
@@ -291,13 +332,12 @@ class TestJournal:
     def test_progress_counts_journalled_items(self, tmp_path):
         journal_path = str(tmp_path / "sweep.journal")
         with SweepJournal(journal_path, fingerprint="t:1") as journal:
-            parallel_map(_double, [1, 2, 3], workers=1, journal=journal,
-                         label="unit")
+            _run(1, _double, [1, 2, 3], journal=journal, label="unit")
         messages = []
         with SweepJournal(journal_path, fingerprint="t:1",
                           resume=True) as journal:
-            parallel_map(_double, [1, 2, 3, 4], workers=1, journal=journal,
-                         progress=messages.append, label="unit")
+            _run(1, _double, [1, 2, 3, 4], journal=journal,
+                 progress=messages.append, label="unit")
         assert messages == ["unit 4/4"]
 
     def test_partial_trailing_line_is_dropped(self, tmp_path):
@@ -329,12 +369,26 @@ class TestJournal:
             assert journal.get("a") == 1
         lines = open(path).read().splitlines()
         header = json.loads(lines[0])
-        assert header["fingerprint"] == f"fig4:smoke:5:{code_digest()}"
-        header["fingerprint"] = "fig4:smoke:5:0000000000000000"
+        scale = f"smoke:{scale_digest(get_scale('smoke'))}"
+        assert header["fingerprint"] == f"fig4:{scale}:5:{code_digest()}"
+        header["fingerprint"] = f"fig4:{scale}:5:0000000000000000"
         with open(path, "w") as fh:
             fh.write("\n".join([json.dumps(header)] + lines[1:]) + "\n")
         with pytest.raises(JournalError, match="fingerprint"):
             open_journal("fig4", "smoke", 5, path, resume=True)
+
+    def test_resume_under_a_replaced_scale_is_refused(self, tmp_path):
+        """A ``dataclasses.replace``'d scale keeps its name but not its
+        fingerprint: its cells must not be spliced into a plain run."""
+        path = str(tmp_path / "robustness.journal")
+        replaced = dataclasses.replace(
+            get_scale("smoke"), robustness_noise_levels=[0.05, 0.1],
+            robustness_replications=2,
+        )
+        assert replaced.name == "smoke"
+        _ROBUSTNESS.run(replaced, workers=1, checkpoint=path)
+        with pytest.raises(JournalError, match="fingerprint"):
+            _ROBUSTNESS.run("smoke", workers=1, checkpoint=path, resume=True)
 
     def test_resume_without_prior_file_starts_fresh(self, tmp_path):
         path = str(tmp_path / "new.journal")
@@ -382,18 +436,25 @@ def _csv_text(result):
     return buf.getvalue()
 
 
+#: crashes and transient errors on up to three attempts per cell; noise
+#: replications 2 and 4 fault on all three, one past the clean budget
+_CHAOS_SPEC = "seed=11,crash=0.25,error=0.3,max_faults=3,timeout=60"
+
+
 class TestChaosSweepEquivalence:
     def test_faulted_sweep_csv_matches_clean_run(self, tiny_scale,
                                                  monkeypatch):
         """The chaos proof: worker SIGKILLs and transient exceptions
-        injected mid-sweep change nothing about the CSV."""
-        monkeypatch.delenv("REPRO_CHAOS", raising=False)
+        injected mid-sweep change nothing about the CSV — also where a
+        cell faults more often than an unarmed pool would retry it."""
+        plan = plan_from_spec(_CHAOS_SPEC)
+        for cell in (2, 4):
+            assert [plan.fault_for("noise replication", cell, attempt)
+                    for attempt in range(MAX_ATTEMPTS)] == ["error"] * 3
         clean = _csv_text(
             robustness.run(scale=tiny_scale, seed=1, workers=1)
         )
-        monkeypatch.setenv(
-            "REPRO_CHAOS", "seed=11,crash=0.25,error=0.2,timeout=60"
-        )
+        monkeypatch.setenv("REPRO_CHAOS", _CHAOS_SPEC)
         chaotic = _csv_text(
             robustness.run(scale=tiny_scale, seed=1, workers=2)
         )
@@ -489,7 +550,10 @@ class TestCheckpointCli:
         # path, fingerprinted name:cfg:seed:code, and hands it to the driver
         journal = captured["journal"]
         assert isinstance(journal, SweepJournal)
-        assert journal.fingerprint == f"robustness:smoke:77:{code_digest()}"
+        assert journal.fingerprint == (
+            f"robustness:smoke:{scale_digest(get_scale('smoke'))}:77:"
+            f"{code_digest()}"
+        )
         assert journal.path == os.path.join(
             str(tmp_path), "checkpoints", "robustness_smoke_seed77.journal"
         )
@@ -544,6 +608,20 @@ class TestCheckpointCli:
         assert len(computed) == 2
         resumed = tmp_path / "resumed" / clean.name
         assert resumed.read_bytes() == clean.read_bytes()
+
+    def test_failed_cell_is_one_error_line(self, capsys, monkeypatch):
+        """A cell that exhausts its attempts ends the run with exit 1
+        and one error line naming it, not a traceback."""
+        from repro.cli import main as cli_main
+
+        monkeypatch.setattr(robustness, "run", dataclasses.replace(
+            robustness.run, cell=_always_fail))
+        assert cli_main(["experiment", "robustness", "--workers", "1"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "noise replication item 1/" in err[0]
+        assert "failed after 3 attempt(s)" in err[0]
+        assert "exploded" in err[0]
 
     def test_resume_requires_checkpoint_flag(self, capsys):
         from repro.cli import main as cli_main
