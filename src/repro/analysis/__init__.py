@@ -19,7 +19,7 @@ DET001  no unseeded randomness under ``src/repro``
 DET002  no wall-clock reads in algorithm modules
 OBS001  observability is write-only for algorithms
 CLI001  no bare ``print()`` outside the CLI reporter plumbing
-TOL001  no literal shadowing ``AREA_TOL``/``AREA_BAND``
+TOL001  no literal shadowing ``AREA_TOL``/``AREA_UNIT``
 PAR001  ``parallel_map`` callables must be module-level
 EXC001  no bare/silent ``except``
 KER001  C kernel constants match their Python mirrors

@@ -192,21 +192,25 @@ class BarePrintRule(Rule):
 @register
 class ToleranceLiteralRule(Rule):
     code = "TOL001"
-    title = "no literal shadowing AREA_TOL / AREA_BAND"
+    title = "no literal shadowing AREA_TOL / AREA_UNIT"
     contract = (
-        "PR 5 single-sourced area feasibility: one AREA_TOL (and its "
-        "AREA_BAND recount guard) in evaluation/costmodel.py governs the "
-        "static check, the vectorized mask, the delta evaluator, the "
-        "greedy mappers and the runtime ledger.  A re-typed literal can "
-        "silently drift when the constant is tuned."
+        "PR 5 single-sourced area feasibility: one AREA_TOL and one "
+        "AREA_UNIT (the grid every area decision counts on) in "
+        "evaluation/costmodel.py govern the static check, the vectorized "
+        "mask, the delta evaluator, NSGA-II's repair, the list schedulers "
+        "and the runtime ledger.  A re-typed literal can silently drift "
+        "when a constant is tuned."
     )
     node_types = (ast.Constant,)
 
     def __init__(self) -> None:
         # imported lazily: the values themselves stay single-sourced
-        from ..evaluation.costmodel import AREA_BAND, AREA_TOL
+        from ..evaluation.costmodel import AREA_TOL, AREA_UNIT
 
-        self._guarded = {AREA_TOL: "AREA_TOL", AREA_BAND: "AREA_BAND"}
+        names: dict = {}
+        for name, value in (("AREA_TOL", AREA_TOL), ("AREA_UNIT", AREA_UNIT)):
+            names.setdefault(value, []).append(name)
+        self._guarded = {value: " / ".join(n) for value, n in names.items()}
 
     def applies(self, ctx: ModuleContext) -> bool:
         return _in_package(ctx) and ctx.pkg_rel != "evaluation/costmodel.py"

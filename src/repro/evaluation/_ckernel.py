@@ -41,9 +41,7 @@ one loop body ``span_core``:
   move against the snapshotted base, with bound-abort;
 - ``repro_scan``       — one whole greedy scan pass of the decomposition
   mapper (basic or gamma mode): per move the no-op skip, the incremental
-  area check, the counters and a ``repro_eval_move`` call.  A move whose
-  area usage lands inside the guard band returns to Python for the exact
-  recount, and the pass resumes with that decision (see
+  area check, the counters and a ``repro_eval_move`` call (see
   :meth:`repro.evaluation.delta.DeltaEvaluator.scan`);
 - ``repro_span_min``   — the reported makespan (paper Sec. IV-A): one
   mapping over all ``K`` rows of a schedule suite in one call, each walk
@@ -55,9 +53,13 @@ one loop body ``span_core``:
 - ``repro_vary``       — one NSGA-II generation's single-point crossover,
   per-gene mutation and area repair of a ``(P, n)`` population in place,
   drawing through the caller's bit generator exactly as the numpy
-  reference does.  A repair comparison inside the guard band returns to
-  Python for numpy's recount, and the call resumes after it (see
-  :mod:`repro.mappers.genetic` for the draw-order contract).
+  reference does (see :mod:`repro.mappers.genetic` for the draw-order
+  contract).
+
+Area feasibility in both ``repro_scan`` and ``repro_vary`` reads areas
+and budgets in whole units of ``costmodel.AREA_UNIT`` (integer-valued
+doubles): every sum is exact in any order, so each threshold is one
+comparison that agrees with ``CostModel.is_feasible`` bit for bit.
 
 Every buffer crosses into C through a checked builder or wrapper
 (:meth:`CKernel.make_ctx`, :meth:`CKernel.make_delta`,
@@ -89,7 +91,6 @@ __all__ = [
     "ReproMoves",
     "ReproRepair",
     "ReproScan",
-    "ReproVary",
     "SCAN_BUCKETS",
     "load_ckernel",
 ]
@@ -292,10 +293,11 @@ double repro_eval_move(const ReproCtx *c, const ReproDelta *d,
 
 /* A greedy scan's move tables: the candidate subgraphs as a member CSR,
  * the moves as (candidate, device) pairs, and the inputs of the
- * incremental area check.  area_limit holds each area device's budget
- * plus the tolerance and area_band its guard band, both computed by the
- * caller; usage is the base mapping's per-device usage, which the caller
- * refreshes in place whenever the base changes. */
+ * incremental area check.  Areas are integer-valued doubles (whole area
+ * units), so every sum below is exact in any order; area_limit holds
+ * each area device's budget in units, and usage is the base mapping's
+ * per-device usage, which the caller refreshes in place whenever the
+ * base changes. */
 typedef struct {
     int64_t n_moves, n_area;
     const int64_t *cand_ptr;   /* n_cand + 1 */
@@ -307,15 +309,11 @@ typedef struct {
     const double *area;        /* n per-task areas */
     const int64_t *area_dev;   /* n_area */
     const double *area_limit;  /* n_area */
-    const double *area_band;   /* n_area */
     const double *usage;       /* n_area */
 } ReproMoves;
 
-/* One scan pass's state, resumable after an exact-recount break-out. */
+/* One scan pass's result and counters. */
 typedef struct {
-    int64_t next;              /* next position in the scan order */
-    int64_t forced;            /* the caller's area decision (0/1) for
-                                  position next, or -1 */
     double best;               /* basic: best makespan; gamma: best gain */
     int64_t best_idx;          /* the winning move, -1 if none */
     int64_t n_evals;           /* moves scored */
@@ -325,8 +323,7 @@ typedef struct {
 } ReproScan;
 
 /* DeltaEvaluator._move_feasible's incremental area check, same
- * operations in the same order: 1 feasible, 0 infeasible, -1 when a
- * device's new usage lands inside its guard band (exact recount). */
+ * operations in the same order: 1 feasible, 0 infeasible. */
 static int move_area_ok(const ReproMoves *mv, const int64_t *mp,
                         const int64_t *sub, int64_t len, int64_t dev,
                         double sub_area)
@@ -338,10 +335,7 @@ static int move_area_ok(const ReproMoves *mv, const int64_t *mp,
             if (mp[sub[s]] == a) removed += mv->area[sub[s]];
         const double added = dev == a ? sub_area : 0.0;
         if (removed == 0.0 && added == 0.0) continue;
-        const double usage = mv->usage[ai] - removed + added;
-        const double limit = mv->area_limit[ai];
-        if (fabs(usage - limit) <= mv->area_band[ai]) return -1;
-        if (usage > limit) return 0;
+        if (mv->usage[ai] - removed + added > mv->area_limit[ai]) return 0;
     }
     return 1;
 }
@@ -355,10 +349,8 @@ static int move_area_ok(const ReproMoves *mv, const int64_t *mp,
  * each move's gain current - makespan goes into expected[k] (0 for a
  * no-op) and the first gain above best + eps wins; with gamma > 0 the
  * pass stops once best > eps and the next move expects at most
- * best / gamma + eps.  Returns -1 when the pass is done, -2 for an
- * order entry outside [0, n_moves), else the index of a move whose
- * area check needs the caller's exact recount: the caller stores the
- * decision in st->forced and calls again, resuming at st->next. */
+ * best / gamma + eps.  Returns 0, or -1 for an order entry outside
+ * [0, n_moves). */
 int64_t repro_scan(const ReproCtx *c, const ReproDelta *d,
                    const ReproMoves *mv, const int64_t *order,
                    double *expected, double current, double gamma,
@@ -366,9 +358,9 @@ int64_t repro_scan(const ReproCtx *c, const ReproDelta *d,
 {
     const int64_t n = c->n;
     const int64_t *mp = d->mapping;
-    for (int64_t j = st->next; j < mv->n_moves; j++) {
+    for (int64_t j = 0; j < mv->n_moves; j++) {
         const int64_t k = order ? order[j] : j;
-        if (k < 0 || k >= mv->n_moves) return -2;
+        if (k < 0 || k >= mv->n_moves) return -1;
         if (gamma > 0.0 && st->best > eps
             && expected[k] <= st->best / gamma + eps)
             break;
@@ -381,14 +373,8 @@ int64_t repro_scan(const ReproCtx *c, const ReproDelta *d,
             if (expected) expected[k] = 0.0;
             continue;
         }
-        int ok = (int)st->forced;
-        st->forced = -1;
-        if (ok < 0) {
-            ok = move_area_ok(mv, mp, sub, len, dev, mv->cand_area[ci]);
-            if (ok < 0) { st->next = j; return k; }
-        }
         double ms = INFINITY;
-        if (ok) {
+        if (move_area_ok(mv, mp, sub, len, dev, mv->cand_area[ci])) {
             const int64_t fp = mv->first_pos[ci];
             const int64_t suffix = n - fp;
             int b = 0;
@@ -408,8 +394,7 @@ int64_t repro_scan(const ReproCtx *c, const ReproDelta *d,
             if (gain > st->best + eps) { st->best = gain; st->best_idx = k; }
         }
     }
-    st->next = mv->n_moves;
-    return -1;
+    return 0;
 }
 
 /* The reported makespan (paper Sec. IV-A): the minimum over the k rows
@@ -521,54 +506,35 @@ static uint32_t interval_u32(ReproBitGen *bg, uint32_t max)
 }
 
 /* The area repair's tables: per-task area, and per area device (in
- * Platform.area_capacities() order) its index, capacity and guard band,
- * both computed by the caller. */
+ * Platform.area_capacities() order) its index and budget, all in whole
+ * area units (integer-valued doubles: every sum is exact). */
 typedef struct {
     int64_t n, m, host, n_area;
     const double *area;        /* n */
     const int64_t *area_dev;   /* n_area */
-    const double *capacity;    /* n_area */
-    const double *band;        /* n_area */
+    const double *limit;       /* n_area */
 } ReproRepair;
 
-/* One repro_vary call's resumable state.  stage 0 runs crossover and
- * mutation first (1: repair only); the repair resumes at area device
- * dev, row row.  forced is the caller's usage decision (0/1) for that
- * row, or -1; n_perm is the length of the permutation left in work
- * when the call returns REPRO_VARY_WALK. */
-typedef struct {
-    int64_t stage, dev, row, forced, n_perm;
-} ReproVary;
-
-#define REPRO_VARY_DONE 0
-#define REPRO_VARY_USAGE 1
-#define REPRO_VARY_WALK 2
-
 /* One NSGA-II generation's variation of the P rows of pop (P*n), in
- * place, drawing through the caller's bit generator exactly as the
- * numpy reference (repro.mappers.genetic.vary_reference) does:
+ * place (without variation: the repair only), drawing through the
+ * caller's bit generator exactly as the numpy reference
+ * (repro.mappers.genetic.vary_reference) does:
  * - crossover: per pair (rows i, i+1) one random(); below the rate and
  *   for n > 1 a cut integers(1, n) (no draw for n == 2), and the tails
  *   from the cut on swap;
  * - mutation: P*n random() in row-major order first, then one
  *   integers(0, m) per marked gene in flat order (no draw for m == 1);
  * - repair: per area device, rows in ascending order; a row over its
- *   capacity draws a permutation of its genes on the device and sends
+ *   budget draws a permutation of its genes on the device and sends
  *   them to the host in that order until the usage fits.
  * work holds >= max(P*n, n) int64.  The area sums here run in gene
- * order, numpy's in BLAS/pairwise order: a comparison of a sum with
- * its capacity inside the guard band returns REPRO_VARY_USAGE (the
- * row's usage; the caller sets forced) or REPRO_VARY_WALK (a step of
- * the row's walk; the caller finishes the row from the permutation in
- * work and advances row), and the next call resumes there.  Returns
- * REPRO_VARY_DONE when the repair is complete. */
-int64_t repro_vary(const ReproRepair *rp, int64_t *pop, int64_t P,
-                   double crossover_rate, double mutation_rate,
-                   ReproBitGen *bg, int64_t *work, ReproVary *st)
+ * order, numpy's in BLAS order; both are exact. */
+void repro_vary(const ReproRepair *rp, int64_t *pop, int64_t P,
+                int64_t variation, double crossover_rate,
+                double mutation_rate, ReproBitGen *bg, int64_t *work)
 {
     const int64_t n = rp->n;
-    if (st->stage == 0) {
-        st->stage = 1;
+    if (variation) {
         for (int64_t i = 0; i + 1 < P; i += 2) {
             if (bg->next_double(bg->state) < crossover_rate && n > 1) {
                 const int64_t cut = 1 + (n > 2
@@ -588,43 +554,28 @@ int64_t repro_vary(const ReproRepair *rp, int64_t *pop, int64_t P,
             pop[work[q]] = rp->m > 1
                 ? (int64_t)lemire_u32(bg, (uint32_t)(rp->m - 1)) : 0;
     }
-    for (; st->dev < rp->n_area; st->dev++, st->row = 0) {
-        const int64_t d = rp->area_dev[st->dev];
-        const double cap = rp->capacity[st->dev], band = rp->band[st->dev];
-        for (; st->row < P; st->row++) {
-            int64_t *genome = pop + st->row * n;
-            int over = (int)st->forced;
-            st->forced = -1;
-            if (over < 0) {
-                double usage = 0.0;
-                for (int64_t g = 0; g < n; g++)
-                    if (genome[g] == d) usage += rp->area[g];
-                if (fabs(usage - cap) <= band) return REPRO_VARY_USAGE;
-                over = usage > cap;
-            }
-            if (!over) continue;
+    for (int64_t ai = 0; ai < rp->n_area; ai++) {
+        const int64_t d = rp->area_dev[ai];
+        const double limit = rp->limit[ai];
+        for (int64_t row = 0; row < P; row++) {
+            int64_t *genome = pop + row * n;
             int64_t len = 0;
             double used = 0.0;
             for (int64_t g = 0; g < n; g++)
                 if (genome[g] == d) { work[len++] = g; used += rp->area[g]; }
+            if (used <= limit) continue;
             for (int64_t i = len - 1; i > 0; i--) {
                 const int64_t j = (int64_t)interval_u32(bg, (uint32_t)i);
                 const int64_t t = work[i];
                 work[i] = work[j];
                 work[j] = t;
             }
-            for (int64_t q = 0; q < len; q++) {
-                if (fabs(used - cap) <= band) {
-                    st->n_perm = len;
-                    return REPRO_VARY_WALK;
-                }
-                if (used <= cap) break;
+            for (int64_t q = 0; q < len && used > limit; q++) {
                 genome[work[q]] = rp->host;
                 used -= rp->area[work[q]];
             }
         }
     }
-    return REPRO_VARY_DONE;
 }
 """
 
@@ -686,15 +637,12 @@ class ReproMoves(ctypes.Structure):
         ("area", _f64),
         ("area_dev", _i64),
         ("area_limit", _f64),
-        ("area_band", _f64),
         ("usage", _f64),
     ]
 
 
 class ReproScan(ctypes.Structure):
     _fields_ = [
-        ("next", ctypes.c_int64),
-        ("forced", ctypes.c_int64),
         ("best", ctypes.c_double),
         ("best_idx", ctypes.c_int64),
         ("n_evals", ctypes.c_int64),
@@ -712,25 +660,8 @@ class ReproRepair(ctypes.Structure):
         ("n_area", ctypes.c_int64),
         ("area", _f64),
         ("area_dev", _i64),
-        ("capacity", _f64),
-        ("band", _f64),
+        ("limit", _f64),
     ]
-
-
-class ReproVary(ctypes.Structure):
-    _fields_ = [
-        ("stage", ctypes.c_int64),
-        ("dev", ctypes.c_int64),
-        ("row", ctypes.c_int64),
-        ("forced", ctypes.c_int64),
-        ("n_perm", ctypes.c_int64),
-    ]
-
-
-#: ``repro_vary``'s return codes, mirrored from the C ``#define``s
-#: (lint rule KER001): repair complete, a row's usage inside the guard
-#: band, a step of a row's walk inside the guard band
-VARY_DONE, VARY_USAGE, VARY_WALK = 0, 1, 2
 
 
 def _require(arr, dtype, shape, name) -> None:
@@ -828,14 +759,14 @@ class CKernel:
             vp,
             vp,
         ]
-        lib.repro_vary.restype = ctypes.c_int64
+        lib.repro_vary.restype = None
         lib.repro_vary.argtypes = [
             vp,
             vp,
             ctypes.c_int64,
+            ctypes.c_int64,
             ctypes.c_double,
             ctypes.c_double,
-            vp,
             vp,
             vp,
         ]
@@ -895,17 +826,15 @@ class CKernel:
             raise ValueError("random_orders: the graph has a cycle")
         return out
 
-    def make_repair(self, area, area_dev, capacity, band, host, m
-                    ) -> ReproRepair:
+    def make_repair(self, area, area_dev, limit, host, m) -> ReproRepair:
         """Build ``repro_vary``'s ``ReproRepair`` tables over ``n`` task
-        areas and the area devices' indices, capacities and guard bands,
-        after checking every buffer and the device indices.  The buffers
-        ride along on the struct (``_buffers``)."""
+        areas and the area devices' indices and budgets (whole area
+        units), after checking every buffer and the device indices.  The
+        buffers ride along on the struct (``_buffers``)."""
         n, n_area = len(area), len(area_dev)
         _require(area, np.float64, (n,), "area")
         _require(area_dev, np.int64, (n_area,), "area_dev")
-        _require(capacity, np.float64, (n_area,), "capacity")
-        _require(band, np.float64, (n_area,), "band")
+        _require(limit, np.float64, (n_area,), "limit")
         _require_range(area_dev, m, "area_dev", "device index")
         if not 0 <= host < m:
             raise ValueError(f"host: device index outside [0, {m})")
@@ -916,50 +845,37 @@ class CKernel:
             n=n, m=m, host=host, n_area=n_area,
             area=_ptr(area, _f64),
             area_dev=_ptr(area_dev, _i64),
-            capacity=_ptr(capacity, _f64),
-            band=_ptr(band, _f64),
+            limit=_ptr(limit, _f64),
         )
-        tables._buffers = (area, area_dev, capacity, band)
+        tables._buffers = (area, area_dev, limit)
         # repro_vary's workspace (>= max(P*n, n) int64), grown by vary
         tables._work = np.empty(max(1, n), dtype=np.int64)
         tables._work_p = tables._work.ctypes.data
         return tables
 
-    def vary(self, tables, pop, rng, crossover_rate, mutation_rate,
-             recount_usage, finish_row, *, variation=True) -> None:
+    def vary(self, tables, pop, rng, crossover_rate, mutation_rate, *,
+             variation=True) -> None:
         """Crossover, mutation and area repair of the rows of ``pop``,
-        in place, as ``repro_vary`` calls drawing through ``rng``'s bit
-        generator with its lock held (``variation=False``: the repair
-        only).  A guard-band comparison comes back here:
-        ``recount_usage(dev, row)`` returns the row's numpy usage
-        decision, and ``finish_row(dev, row, perm)`` finishes the row's
-        walk over the drawn permutation.  Neither may draw from
-        ``rng``.  The C side only compares and overwrites the genes of
-        ``pop``, never indexes with them, so they need no range check;
-        the workspace on ``tables`` makes concurrent calls on one
+        in place, as one ``repro_vary`` call drawing through ``rng``'s
+        bit generator with its lock held (``variation=False``: the
+        repair only).  The C side only compares and overwrites the genes
+        of ``pop``, never indexes with them, so they need no range
+        check; the workspace on ``tables`` makes concurrent calls on one
         model unsafe, as with the model's other workspaces."""
         P, n = pop.shape
         _require(pop, np.int64, (P, n), "pop")
         if n != tables.n:
             raise ValueError(f"pop: expected {tables.n} genes, got {n}")
-        work = tables._work
-        if len(work) < P * n:
-            work = tables._work = np.empty(P * n, dtype=np.int64)
-            tables._work_p = work.ctypes.data
-        state = ReproVary(stage=0 if variation else 1, forced=-1)
+        if len(tables._work) < P * n:
+            tables._work = np.empty(P * n, dtype=np.int64)
+            tables._work_p = tables._work.ctypes.data
         bitgen = rng.bit_generator
-        args = (ctypes.byref(tables), pop.ctypes.data, P, crossover_rate,
-                mutation_rate, bitgen.ctypes.bit_generator, tables._work_p,
-                ctypes.byref(state))
         with bitgen.lock:
-            code = self.lib.repro_vary(*args)
-            while code != VARY_DONE:
-                if code == VARY_USAGE:
-                    state.forced = int(recount_usage(state.dev, state.row))
-                else:
-                    finish_row(state.dev, state.row, work[:state.n_perm])
-                    state.row += 1
-                code = self.lib.repro_vary(*args)
+            self.lib.repro_vary(
+                ctypes.byref(tables), pop.ctypes.data, P, int(variation),
+                crossover_rate, mutation_rate, bitgen.ctypes.bit_generator,
+                tables._work_p,
+            )
 
     # ------------------------------------------------------------------
     def make_delta(
@@ -1065,7 +981,6 @@ class CKernel:
         area,
         area_dev,
         area_limit,
-        area_band,
         usage,
     ) -> ReproMoves:
         """Build the ``ReproMoves`` tables of ``repro_scan`` for ``ctx``,
@@ -1089,8 +1004,7 @@ class CKernel:
         _require(move_dev, np.int64, (n_moves,), "move_dev")
         _require(area, np.float64, (n,), "area")
         _require(area_dev, np.int64, (n_area,), "area_dev")
-        for arr, name in ((area_limit, "area_limit"),
-                          (area_band, "area_band"), (usage, "usage")):
+        for arr, name in ((area_limit, "area_limit"), (usage, "usage")):
             _require(arr, np.float64, (n_area,), name)
         _require_csr(cand_ptr, len(members), "cand_ptr")
         if n_cand and np.diff(cand_ptr).max() > n:
@@ -1101,7 +1015,7 @@ class CKernel:
         _require_range(move_dev, m, "move_dev", "device index")
         _require_range(area_dev, m, "area_dev", "device index")
         buffers = (cand_ptr, members, first_pos, cand_area, move_cand,
-                   move_dev, area, area_dev, area_limit, area_band, usage)
+                   move_dev, area, area_dev, area_limit, usage)
         moves = ReproMoves(
             n_moves=n_moves,
             n_area=n_area,
@@ -1114,7 +1028,6 @@ class CKernel:
             area=_ptr(area, _f64),
             area_dev=_ptr(area_dev, _i64),
             area_limit=_ptr(area_limit, _f64),
-            area_band=_ptr(area_band, _f64),
             usage=_ptr(usage, _f64),
         )
         moves._buffers = buffers
@@ -1320,9 +1233,6 @@ def source_consistency_problems() -> list:
       sentinel as ``costmodel.INFEASIBLE`` / ``kernel.INF``;
     - ``ReproScan.suffix_buckets`` has :data:`SCAN_BUCKETS` entries, the
       length of the ctypes mirror that ``DeltaEvaluator.scan`` reads.
-    - ``repro_vary``'s return codes equal :data:`VARY_DONE`,
-      :data:`VARY_USAGE` and :data:`VARY_WALK`, which
-      :meth:`CKernel.vary` dispatches on.
     """
     import re
 
@@ -1370,12 +1280,6 @@ def source_consistency_problems() -> list:
         r"suffix_buckets\[(\d+)\]", SCAN_BUCKETS,
         "scan suffix-bucket count", "_ckernel.SCAN_BUCKETS",
     )
-    for name, value in (("DONE", VARY_DONE), ("USAGE", VARY_USAGE),
-                        ("WALK", VARY_WALK)):
-        check(
-            rf"#define REPRO_VARY_{name} (\d+)", value,
-            f"repro_vary return code {name}", f"_ckernel.VARY_{name}",
-        )
     if "out[b] = INFINITY" not in _C_SOURCE:
         problems.append((
             c_line(r"_C_SOURCE = r"),

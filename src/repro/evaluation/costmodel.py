@@ -49,7 +49,7 @@ Evaluation architecture — one specification, one compiled loop body:
   walk per schedule;
 - :meth:`simulate_many` scores a ``(P, n)`` population (NSGA-II, Pareto
   NSGA-II) and is the one place that decides genome dedup:
-  vectorized, guard-banded area feasibility over all rows, then the C
+  vectorized, exact area feasibility over all rows, then the C
   kernel's ``repro_span_batch_dedup`` lane loop (one ctypes call per
   population, dedup in-kernel) or one reference walk per distinct
   feasible row;
@@ -90,42 +90,54 @@ from ..platform.platform import Platform
 from ._ckernel import load_ckernel
 from .kernel import DEDUP_TABLE_FACTOR, FlatModel
 
-__all__ = ["CostModel", "INFEASIBLE", "AREA_TOL", "area_guard_band"]
+__all__ = ["CostModel", "INFEASIBLE", "AREA_TOL", "AREA_UNIT",
+           "to_area_units", "area_limit_units"]
 
 #: Makespan reported for mappings that violate a hard constraint.
 INFEASIBLE = float("inf")
 
-#: Absolute slack allowed on a device's area budget: a summed usage up to
-#: ``capacity + AREA_TOL`` counts as feasible.  One shared constant so the
-#: static check (:meth:`CostModel.is_feasible`), its vectorized twin
-#: (:meth:`CostModel.feasible_mask`), the incremental delta check
-#: (:mod:`repro.evaluation.delta`), the greedy mappers' running area sums
-#: and the runtime engine's replan path (``_remap_tasks``) all agree on
-#: per-mapping feasibility *at the boundary* — a mapping accepted by the
-#: static mapper is never rejected by the runtime, and vice versa.  (The
-#: engine's *cross-job* area ledger additionally admits up to
-#: :data:`AREA_BAND` beyond this tolerance: concurrent subset sums have
-#: no canonical order to recount in, see
-#: :class:`repro.runtime.ledger.AreaLedger`.)
-AREA_TOL = 1e-9
+#: The grid every area-feasibility *decision* counts on.  Task areas and
+#: device capacities are rounded to whole units once, when a model is
+#: built (:func:`to_area_units`, :func:`area_limit_units`), and held as
+#: integer-valued float64: every partial sum of a graph's areas is then
+#: an integer below 2**53, exact in any summation order, so the static
+#: check (:meth:`CostModel.is_feasible`), its vectorized twin
+#: (:meth:`CostModel.feasible_mask`), the incremental delta and C scan
+#: checks (:mod:`repro.evaluation.delta`), NSGA-II's repair, the list
+#: schedulers and the runtime engine (its replan path and its cross-job
+#: :class:`~repro.runtime.ledger.AreaLedger`) all decide a threshold
+#: with one comparison and agree at the boundary.  Real-valued areas
+#: (``CostModel.area``, :meth:`CostModel.area_usage`) stay for display
+#: and for the MILP formulations' constraints.
+AREA_UNIT = 1e-9
+
+#: Absolute slack allowed on a device's area budget, exactly one
+#: :data:`AREA_UNIT`: a summed usage up to ``capacity + AREA_TOL`` counts
+#: as feasible, i.e. up to :func:`area_limit_units` units.
+AREA_TOL = AREA_UNIT
 
 
-def area_guard_band(limit: float) -> float:
-    """The :data:`AREA_BAND` guard scaled the way every band comparison
-    scales it (``max(1, |limit|)``) — single-sourced so the vectorized
-    recount triggers here/in :mod:`repro.evaluation.delta` and the
-    runtime ledger's admission slack can never drift apart."""
-    a = abs(limit)
-    return AREA_BAND * (a if a > 1.0 else 1.0)
+def to_area_units(area: np.ndarray) -> np.ndarray:
+    """``area`` in whole units of :data:`AREA_UNIT` (integer-valued
+    float64).  Raises :class:`ValueError` unless their sum stays below
+    2**53, where every partial sum is exact in float64."""
+    units = np.rint(np.asarray(area, dtype=np.float64) / AREA_UNIT)
+    if units.sum() >= 2.0 ** 53:
+        raise ValueError(
+            f"summed task area {float(np.sum(area))!r} exceeds 2**53 "
+            f"area units of {AREA_UNIT!r}: area sums would not be exact"
+        )
+    return units
 
-#: Width of the guard band around the area-tolerance threshold within
-#: which a vectorized (matmul) area sum is re-derived from an exact
-#: scratch sum so the feasibility *decision* always matches the scalar
-#: :meth:`CostModel.is_feasible` check.  Vectorized vs scratch float
-#: error is bounded by a few n*ulp — many orders of magnitude below this
-#: — so outside the band both sums land on the same side of the
-#: threshold.  (Shared with :mod:`repro.evaluation.delta`.)
-AREA_BAND = 1e-6
+
+def area_limit_units(platform: Platform) -> Dict[int, float]:
+    """Per area-capped device (``area_capacities()`` order) its budget in
+    units: the capacity in whole units of :data:`AREA_UNIT` plus
+    :data:`AREA_TOL`, one unit.  A usage fits iff it is at most this."""
+    return {
+        d: float(np.rint(cap / AREA_UNIT)) + 1.0
+        for d, cap in platform.area_capacities().items()
+    }
 
 
 class CostModel:
@@ -159,15 +171,19 @@ class CostModel:
         self.flat = flat = FlatModel(graph, platform)
         self.exec_table: np.ndarray = flat.exec
         self.area: np.ndarray = flat.area
-        self.area_limits: Dict[int, float] = platform.area_capacities()
+        #: ``area`` on the :data:`AREA_UNIT` grid, and per area-capped
+        #: device its budget there: every feasibility decision reads these
+        self.area_units: np.ndarray = to_area_units(flat.area)
+        self.limit_units: Dict[int, float] = area_limit_units(platform)
 
         # --- the reference walk's nested lists, derived once -------------
         self.exec_rows: List[List[float]] = flat.exec.tolist()
         self.fill_rows: List[List[float]] = flat.fill.tolist()
         self.initial_rows: List[List[float]] = flat.initial.tolist()
         self.final_rows: List[List[float]] = flat.final.tolist()
-        #: ``area`` as floats, for the engine's and list schedulers' loops
-        self.area_list: List[float] = flat.area.tolist()
+        #: ``area_units`` as floats, for the engine's and list schedulers'
+        #: loops
+        self.area_units_list: List[float] = self.area_units.tolist()
         #: per edge id: the m x m transfer seconds, ``[du][dv]``
         self.trans_rows: List[List[List[float]]] = (
             flat.pred_trans.reshape(-1, self.m, self.m).tolist()
@@ -255,16 +271,19 @@ class CostModel:
     # feasibility
     # ------------------------------------------------------------------
     def area_usage(self, mapping: Sequence[int]) -> Dict[int, float]:
-        """Summed task area per area-constrained device."""
+        """Summed task area per area-constrained device (real-valued, for
+        display; decisions read :attr:`area_units`)."""
         mapping = np.asarray(mapping)
         return {
-            d: float(self.area[mapping == d].sum()) for d in self.area_limits
+            d: float(self.area[mapping == d].sum()) for d in self.limit_units
         }
 
     def is_feasible(self, mapping: Sequence[int]) -> bool:
         """True iff all device area budgets are respected."""
-        usage = self.area_usage(mapping)
-        return all(usage[d] <= self.area_limits[d] + AREA_TOL for d in usage)
+        mapping = np.asarray(mapping)
+        units = self.area_units
+        return all(units[mapping == d].sum() <= limit
+                   for d, limit in self.limit_units.items())
 
     def check_devices(self, mapping: np.ndarray) -> None:
         """Raise :class:`ValueError` unless every entry of ``mapping`` is
@@ -302,47 +321,30 @@ class CostModel:
         return order_np
 
     def feasible_mask(self, mappings: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`is_feasible` over the rows of ``(P, n)``.
-
-        Per-device usage comes from one matmul over the whole population;
-        rows whose vectorized sum falls within :data:`AREA_BAND` of the
-        tolerance threshold are re-derived from the exact scratch sum
-        (same float summation order as :meth:`area_usage`), so every
-        row's *decision* matches the scalar check exactly.
-        """
-        mask = None
-        area = self.area
-        for d, capacity in self.area_limits.items():
-            usage = (mappings == d) @ area
-            limit = capacity + AREA_TOL
-            band = area_guard_band(limit)
-            close = np.abs(usage - limit) <= band
-            if close.any():
-                for r in np.flatnonzero(close):
-                    usage[r] = area[mappings[r] == d].sum()
-            ok = usage <= limit
-            mask = ok if mask is None else mask & ok
-        if mask is None:
-            return np.ones(len(mappings), dtype=bool)
+        """Vectorized :meth:`is_feasible` over the rows of ``(P, n)``: one
+        matmul per area device over the whole population.  The unit sums
+        are exact in BLAS order too, so every row decides as the scalar
+        check does."""
+        mask = np.ones(len(mappings), dtype=bool)
+        units = self.area_units
+        for d, limit in self.limit_units.items():
+            mask &= (mappings == d) @ units <= limit
         return mask
 
     def repair_tables(self):
         """The C kernel's area-repair tables (``repro_vary``, see
         :func:`repro.mappers.genetic.vary`), built on first use: task
-        areas, and per device of ``area_capacities()`` its capacity and
-        :func:`area_guard_band`.  ``None`` without the C kernel, or when
-        a task area is not finite: numpy's matmul then reads
-        ``0 * inf = nan``, which the kernel's masked sums never do."""
+        areas and, per device of ``area_capacities()``, its budget, all
+        in units.  ``None`` without the C kernel."""
         if self._ck is None:
             return None
-        if self._ck_repair is None and np.isfinite(self.area).all():
-            caps = self.area_limits
+        if self._ck_repair is None:
+            limits = self.limit_units
             self._ck_repair = self._ck.make_repair(
-                self.area,
-                np.fromiter(caps, dtype=np.int64, count=len(caps)),
-                np.fromiter(caps.values(), dtype=np.float64, count=len(caps)),
-                np.array([area_guard_band(c) for c in caps.values()],
-                         dtype=np.float64),
+                self.area_units,
+                np.fromiter(limits, dtype=np.int64, count=len(limits)),
+                np.fromiter(limits.values(), dtype=np.float64,
+                            count=len(limits)),
                 self.platform.host_index, self.m,
             )
         return self._ck_repair

@@ -21,11 +21,9 @@ bit-identical to a scratch ``CostModel.simulate`` of the moved mapping
 optimization, never an approximation.
 
 Feasibility is likewise incremental: per-device area sums are maintained
-for the base mapping and a move only applies its own delta.  Because the
-scratch check sums areas in a different floating-point order, a decision
-falling within a tiny band of the tolerance threshold is re-derived from
-an exact scratch sum, so the feasibility *decision* always matches
-``CostModel.is_feasible`` exactly.
+for the base mapping and a move only applies its own delta.  The sums
+are in whole area units (``CostModel.area_units``), exact in any order,
+so the feasibility *decision* always matches ``CostModel.is_feasible``.
 
 Committing an accepted move is suffix-sized too: :meth:`apply_move`
 with the candidate's ``first_pos`` resumes the recording rebuild from
@@ -72,7 +70,7 @@ import numpy as np
 from ..obs import metrics as _metrics
 from ..sp.subgraphs import schedule_span
 from ._ckernel import ReproScan, _require
-from .costmodel import AREA_TOL, INFEASIBLE, CostModel, area_guard_band
+from .costmodel import INFEASIBLE, CostModel
 from .kernel import INF
 
 __all__ = ["Candidate", "DeltaEvaluator", "MoveTable", "scan_moves"]
@@ -88,7 +86,7 @@ class Candidate(NamedTuple):
     arr: np.ndarray        #: the same indices as an int64 array (C kernel)
     ptr: object            #: ``arr``'s data pointer as ``c_void_p`` (C kernel)
     first_pos: int         #: first schedule position the candidate touches
-    area: float            #: summed task area (incremental feasibility)
+    area: float            #: summed task area units (incremental feasibility)
     c_len: object          #: ``len(members)`` as ``c_int64`` (C kernel)
     c_first: object        #: ``first_pos`` as ``c_int64`` (C kernel)
 
@@ -169,11 +167,6 @@ def scan_moves(
     expected[:] = exp
     return best, best_idx
 
-# Near the area threshold, the incremental usage sum falls back to an
-# exact scratch recount (see _move_feasible); the band for "near" is
-# repro.evaluation.costmodel.area_guard_band, shared with
-# CostModel.feasible_mask's vectorized check and the runtime area ledger.
-
 
 class DeltaEvaluator:
     """Suffix-only move evaluation against a mutable base mapping.
@@ -206,15 +199,12 @@ class DeltaEvaluator:
             pos[i] = j
         self.pos: List[int] = pos
 
-        self._area: List[float] = model.area.tolist()
-        self._area_devs: List[int] = sorted(model.area_limits)
-        # per area device: the budget plus the tolerance, and the guard
-        # band around it (both also handed to the C scan)
+        # task areas and per area device its budget, in area units (also
+        # handed to the C scan)
+        self._area: List[float] = model.area_units_list
+        self._area_devs: List[int] = sorted(model.limit_units)
         self._area_limits: List[float] = [
-            model.area_limits[d] + AREA_TOL for d in self._area_devs
-        ]
-        self._area_bands: List[float] = [
-            area_guard_band(limit) for limit in self._area_limits
+            model.limit_units[d] for d in self._area_devs
         ]
 
         # Suffix-length histogram, captured once here so the per-move
@@ -338,10 +328,9 @@ class DeltaEvaluator:
             np.array([cand.area for cand in cands], dtype=np.float64),
             np.repeat(np.arange(len(cands), dtype=np.int64), n_devices),
             np.tile(np.arange(n_devices, dtype=np.int64), len(cands)),
-            self.model.area,
+            self.model.area_units,
             np.asarray(self._area_devs, dtype=np.int64),
             np.asarray(self._area_limits, dtype=np.float64),
-            np.asarray(self._area_bands, dtype=np.float64),
             self._usage_np,
         )
         native._owner = self  # its tables index this evaluator's state
@@ -360,11 +349,8 @@ class DeltaEvaluator:
         """One greedy scan pass; same contract and result as
         :func:`scan_moves`, counters included.
 
-        On the C kernel the pass is one ``repro_scan`` call.  It returns
-        early only for a move whose incremental area usage lands inside
-        the guard band: that move is decided here by
-        :meth:`_move_feasible` (the exact recount) and the call resumes
-        with the decision.  The counters come back summed:
+        On the C kernel the pass is one ``repro_scan`` call.  The
+        counters come back summed:
         ``delta_work`` accumulated in move order from ``model.delta_work``
         and the suffix-length histogram as buckets.
         """
@@ -381,12 +367,11 @@ class DeltaEvaluator:
             _require(order, np.int64, (n_moves,), "order")
         model = self.model
         state = ReproScan(
-            forced=-1,
             best=current if expected is None else 0.0,
             best_idx=-1,
             delta_work=model.delta_work,
         )
-        args = (
+        if self._scan_c(
             self._ctx_p,
             self._dctx_p,
             ctypes.byref(native),
@@ -396,14 +381,7 @@ class DeltaEvaluator:
             0.0 if gamma is None else gamma,
             SCAN_EPS,
             ctypes.byref(state),
-        )
-        pairs = table.pairs
-        k = self._scan_c(*args)
-        while k >= 0:
-            cand, d = pairs[k]
-            state.forced = self._move_feasible(cand.members, d, cand.area)
-            k = self._scan_c(*args)
-        if k == -2:
+        ):
             raise ValueError(f"order: move index outside [0, {n_moves})")
         model.n_delta_evaluations += state.n_evals
         model.delta_work = state.delta_work
@@ -422,26 +400,23 @@ class DeltaEvaluator:
             raise ValueError("delta evaluation needs a feasible base mapping")
         np.copyto(self._np_map, np_map)
         self._map = self._np_map.tolist()
-        usage = self.model.area_usage(self._np_map)
-        self._set_usage([usage[d] for d in self._area_devs])
+        self._set_usage()
         return self._rebuild()
 
-    def _set_usage(self, usage: List[float]) -> None:
-        """The base mapping's per-area-device usage (and the C scan's
-        copy of it)."""
-        self._usage = usage
+    def _set_usage(self) -> None:
+        """Recount the base mapping's per-area-device usage in area units
+        (and the C scan's copy of it)."""
+        units = self.model.area_units
+        np_map = self._np_map
+        self._usage = [float(units[np_map == a].sum())
+                       for a in self._area_devs]
         if self._ck is not None:
-            self._usage_np[:] = usage
+            self._usage_np[:] = self._usage
 
     # ------------------------------------------------------------------
     def _move_feasible(self, sub_list: List[int], device: int, sub_area: float) -> bool:
-        """Incremental area check, exact-recount fallback near the threshold.
-
-        Matches ``CostModel.is_feasible`` of the moved mapping exactly:
-        the base is feasible, so only devices whose usage changes are
-        re-checked (gaining devices can violate; losing devices are
-        re-checked too in case of zero/degenerate areas).
-        """
+        """Incremental area check in area units: the sums are exact, so
+        this is ``CostModel.is_feasible`` of the moved mapping."""
         mp = self._map
         area = self._area
         for ai, a in enumerate(self._area_devs):
@@ -452,19 +427,9 @@ class DeltaEvaluator:
             added = sub_area if device == a else 0.0
             if removed == 0.0 and added == 0.0:
                 continue
-            new_usage = self._usage[ai] - removed + added
-            limit = self._area_limits[ai]
-            if abs(new_usage - limit) <= self._area_bands[ai]:
-                new_usage = self._exact_usage(sub_list, device, a)
-            if new_usage > limit:
+            if self._usage[ai] - removed + added > self._area_limits[ai]:
                 return False
         return True
-
-    def _exact_usage(self, sub_list: List[int], device: int, a: int) -> float:
-        """Scratch (same summation order as ``area_usage``) trial usage."""
-        trial = self._np_map.copy()
-        trial[sub_list] = device
-        return float(self.model.area[trial == a].sum())
 
     # ------------------------------------------------------------------
     def evaluate_move(
@@ -541,14 +506,7 @@ class DeltaEvaluator:
         for t in sub_list:
             self._map[t] = device
         self._np_map[sub_list] = device
-        # exact scratch recount per area device (same summation order as
-        # area_usage, without the dict round trip — apply_move runs once
-        # per accepted SA/tabu move, so this is warm-path code)
-        area = self.model.area
-        np_map = self._np_map
-        self._set_usage(
-            [float(area[np_map == a].sum()) for a in self._area_devs]
-        )
+        self._set_usage()
         return self._rebuild(first_pos or 0)
 
     def _rebuild(self, k: int = 0) -> float:

@@ -30,6 +30,7 @@ imported only by those two conversions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -262,7 +263,8 @@ class TaskGraph:
                 raise GraphError(f"negative data volume on edge {u} -> {v}")
         for t, n in self._nodes.items():
             p = n.params
-            if p.complexity < 0 or p.streamability <= 0 or p.area < 0:
+            if (p.complexity < 0 or p.streamability <= 0
+                    or not 0 <= p.area < math.inf):
                 raise GraphError(f"invalid parameters on task {t}")
             if not 0.0 <= p.parallelizability <= 1.0:
                 raise GraphError(f"parallelizability out of range on task {t}")

@@ -22,7 +22,6 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from ..evaluation.costmodel import AREA_TOL
 from ..evaluation.evaluator import MappingEvaluator
 from .base import Mapper
 from .heft import (
@@ -96,11 +95,10 @@ class CpopMapper(Mapper):
 
         # the critical-path processor minimizes the summed execution time,
         # subject to area feasibility
-        area = model.area
-        caps = evaluator.platform.area_capacities()
-        cp_area = float(area[on_cp].sum())
+        limits = model.limit_units
+        cp_area = model.area_units[on_cp].sum()
         cp_processor = min(
-            (d for d in range(m) if d not in caps or cp_area <= caps[d] + AREA_TOL),
+            (d for d in range(m) if d not in limits or cp_area <= limits[d]),
             key=lambda d: float(exec_table[on_cp, d].sum()),
             default=0,
         )

@@ -47,15 +47,14 @@ With the C kernel, :func:`vary` and :func:`repair_area` are one
 lock held and reproduces each numpy draw: ``random()`` is one
 ``next_double``, ``integers`` numpy's 32-bit Lemire method (no draw for
 a zero range), and ``permutation`` a Fisher-Yates pass with numpy's
-masked rejection.  The repair's area sums run in gene order there, while
-numpy's are a BLAS matmul and a pairwise sum; a comparison inside
-:func:`~repro.evaluation.costmodel.area_guard_band` of the capacity is
-handed back to numpy, and the call resumes after it.  Children and the
-generator's state afterwards equal the numpy path's (pinned by
-``tests/test_vary.py`` for PCG64, MT19937, Philox and SFC64).  Without
-the C kernel (``REPRO_PURE_PYTHON=1``), with a non-finite task area, or
-for a population that is not a C-contiguous int64 array, the numpy
-reference runs.  With metrics on, each call counts
+masked rejection.  Both repairs compare area in whole units with each
+device's ``CostModel.limit_units`` budget, the limit every other area
+check uses; the C sums run in gene order and numpy's as a BLAS matmul,
+and both are exact.  Children and the generator's state afterwards
+equal the numpy path's (pinned by ``tests/test_vary.py`` for PCG64,
+MT19937, Philox and SFC64).  Without the C kernel
+(``REPRO_PURE_PYTHON=1``), or for a population that is not a
+C-contiguous int64 array, the numpy reference runs.  With metrics on, each call counts
 ``kernel.calls.c_vary`` or ``kernel.calls.py_vary``.  Binary tournament
 selection and survival stay in numpy.
 """
@@ -101,17 +100,6 @@ def single_point_crossover(
     children[idx + 1] = np.where(tail, a, b)
 
 
-def _send_to_host(genome: np.ndarray, perm: np.ndarray, used: float,
-                  capacity: float, area: np.ndarray, host: int) -> None:
-    """Send the genes of ``perm`` to the host, in that order, until the
-    device's usage ``used`` fits its ``capacity``."""
-    for g in perm:
-        if used <= capacity:
-            break
-        genome[g] = host
-        used -= area[g]
-
-
 def repair_area_reference(
     pop: np.ndarray, evaluator: MappingEvaluator, rng: np.random.Generator
 ) -> None:
@@ -119,17 +107,22 @@ def repair_area_reference(
     place): the numpy reference of :func:`repair_area`.
 
     Each over-committed genome draws one ``permutation`` of its tasks on
-    the device and sends them to the host in that order.
+    the device and sends them to the host in that order until its usage
+    fits.
     """
-    area = evaluator.model.area
+    model = evaluator.model
+    area = model.area_units
     host = evaluator.platform.host_index
-    for d, capacity in evaluator.platform.area_capacities().items():
+    for d, limit in model.limit_units.items():
         usage = (pop == d) @ area
-        for r in np.nonzero(usage > capacity)[0]:
+        for r in np.nonzero(usage > limit)[0]:
             genome = pop[r]
-            on_dev = np.nonzero(genome == d)[0]
-            _send_to_host(genome, rng.permutation(on_dev),
-                          float(area[on_dev].sum()), capacity, area, host)
+            used = usage[r]
+            for g in rng.permutation(np.nonzero(genome == d)[0]):
+                if used <= limit:
+                    break
+                genome[g] = host
+                used -= area[g]
 
 
 def vary_reference(children: np.ndarray, evaluator: MappingEvaluator,
@@ -153,7 +146,7 @@ def _vary_native(pop: np.ndarray, evaluator: MappingEvaluator,
                  rng: np.random.Generator, crossover_rate: float,
                  mutation_rate: float, variation: bool) -> bool:
     """Run :func:`vary` (or, without ``variation``, :func:`repair_area`)
-    as ``repro_vary`` calls; False, having drawn nothing, when the model
+    as one ``repro_vary`` call; False, having drawn nothing, when the model
     has no C kernel tables or ``pop`` is not a C-contiguous int64 array.
     Counts the path taken as ``kernel.calls.c_vary`` or
     ``kernel.calls.py_vary``."""
@@ -166,26 +159,10 @@ def _vary_native(pop: np.ndarray, evaluator: MappingEvaluator,
         registry.counter(
             "kernel.calls.c_vary" if native else "kernel.calls.py_vary"
         ).inc()
-    if not native:
-        return False
-    area = model.area
-    devices = list(model.area_limits.items())
-
-    def recount_usage(dev: int, row: int) -> bool:
-        # the reference's whole-population matmul; a row's value does not
-        # depend on the other rows, which repair has already changed
-        d, capacity = devices[dev]
-        return bool(((pop == d) @ area)[row] > capacity)
-
-    def finish_row(dev: int, row: int, perm: np.ndarray) -> None:
-        d, capacity = devices[dev]
-        _send_to_host(pop[row], perm, float(area[np.sort(perm)].sum()),
-                      capacity, area, evaluator.platform.host_index)
-
-    model._ck.vary(tables, pop, rng, crossover_rate,  # noqa: SLF001
-                   mutation_rate, recount_usage, finish_row,
-                   variation=variation)
-    return True
+    if native:
+        model._ck.vary(tables, pop, rng, crossover_rate,  # noqa: SLF001
+                       mutation_rate, variation=variation)
+    return native
 
 
 def repair_area(

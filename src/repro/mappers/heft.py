@@ -32,7 +32,6 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..evaluation.costmodel import AREA_TOL
 from ..evaluation.evaluator import MappingEvaluator
 from .base import Mapper
 
@@ -73,8 +72,9 @@ class ListSchedule:
             [[] for _ in range(dev.slots)] if dev.serializes else None
             for dev in platform.devices
         ]
-        self._area_left: Dict[int, float] = dict(platform.area_capacities())
-        self._task_area = model.area_list
+        # area units left on each area-bounded device (exact sums)
+        self._area_left: Dict[int, float] = dict(model.limit_units)
+        self._task_area = model.area_units_list
         self._initial = model.initial_rows
         self._pred = model.preds
         self.exec_table = model.exec_table
@@ -86,7 +86,7 @@ class ListSchedule:
     def area_allows(self, task_idx: int, device: int) -> bool:
         if device not in self._area_left:
             return True
-        return self._task_area[task_idx] <= self._area_left[device] + AREA_TOL
+        return self._task_area[task_idx] <= self._area_left[device]
 
     def earliest_start(self, device: int, ready: float, duration: float) -> Tuple[float, int]:
         """Earliest start >= ready on ``device``; returns (start, slot)."""

@@ -35,6 +35,7 @@ mapping algorithms are sensitive to:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -82,8 +83,11 @@ class Device:
             raise ValueError(f"device {self.name!r} needs at least one lane")
         if self.setup_s < 0:
             raise ValueError(f"device {self.name!r} has negative setup time")
-        if self.area_capacity is not None and self.area_capacity <= 0:
-            raise ValueError(f"device {self.name!r} has non-positive area")
+        if self.area_capacity is not None and not (
+                0 < self.area_capacity < math.inf):
+            raise ValueError(
+                f"device {self.name!r} needs a positive finite area capacity"
+            )
         if self.slots < 1:
             raise ValueError(f"device {self.name!r} needs at least one slot")
         if self.watts_active < 0 or self.watts_idle < 0:

@@ -53,10 +53,9 @@ per job:
   in-flight task occupies between its start and its finish, across *all*
   jobs, as a usage step function (:class:`~repro.runtime.ledger.
   AreaLedger`): sorted breakpoints with the area in use on each segment,
-  scanned from the candidate start.  Where a window's peak lands within
-  a few ulp per claim of the budget, an exact event sweep recounts the
-  decision, so admissions are those of the sweep alone.  A task whose
-  area claim would oversubscribe the budget waits for area to free
+  in whole area units, scanned from the candidate start, so every
+  admission is exact.  A task whose area claim would oversubscribe the
+  budget waits for area to free
   (``AreaWait`` events, ``RuntimeTrace.area_wait_time``) instead of
   silently co-residing; with a replan policy, an arriving job
   that would contend is instead routed through the policy with the
@@ -107,7 +106,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..evaluation.costmodel import AREA_TOL, CostModel, area_guard_band
+from ..evaluation.costmodel import CostModel, area_limit_units
 from ..evaluation.energy import JOULES_PER_MB, EnergyModel
 from ..evaluation.trace import TaskTrace
 from ..graphs.taskgraph import TaskGraph
@@ -362,7 +361,8 @@ class RuntimeEngine:
                         )
             else:
                 raise TypeError(f"unknown scenario type {type(scn).__name__}")
-        self._area_caps: Dict[int, float] = platform.area_capacities()
+        #: per area-capped device: its budget in area units
+        self._limits: Dict[int, float] = area_limit_units(platform)
         self._watts_active = [d.watts_active for d in platform.devices]
         self._watts_idle_total = float(
             sum(d.watts_idle for d in platform.devices)
@@ -442,7 +442,7 @@ class RuntimeEngine:
         # at all -> None -> the analytic infinite-parallel model.
         self._link_pools, self._route_pools = self._build_link_pools(m)
         #: per area-capped device: the fabric claims of in-flight tasks
-        self._ledgers = {d: AreaLedger(c) for d, c in self._area_caps.items()}
+        self._ledgers = {d: AreaLedger(c) for d, c in self._limits.items()}
         self._e_compute_j = 0.0
         self._e_mb = 0.0
         self._e_wasted_j = 0.0
@@ -558,7 +558,7 @@ class RuntimeEngine:
         speed = self._speed[d]
         exec_t = model.exec_rows[i][d] * js.exec_f[i] * speed
         js.area_wait[i] = 0.0
-        a = model.area_list[i]
+        a = model.area_units_list[i]
         if a > 0.0 and d in self._ledgers:
             # cross-job area ledger: wait until the claim fits the fabric
             st0 = st
@@ -768,26 +768,30 @@ class RuntimeEngine:
         signal to route the arrival through the replan policy.  Empty
         tuple: no contention, the job proceeds unchanged.
         """
-        caps = self._area_caps
-        if not caps or not self._jobs:
+        limits = self._limits
+        if not limits or not self._jobs:
             return ()
-        new = {d: 0.0 for d in caps}
+        # the decision counts area units; in_use reports real area
+        new = {d: 0.0 for d in limits}
+        units = js.model.area_units_list
         for i in range(js.model.n):
             d = js.mapping[i]
             if d in new:
-                new[d] += js.model.area_list[i]
-        in_use = {d: 0.0 for d in caps}
+                new[d] += units[i]
+        held = {d: 0.0 for d in limits}
+        in_use = {d: 0.0 for d in limits}
         for other in self._jobs:
             if other.remaining == 0:
                 continue
-            oa = other.model.area_list
+            ou = other.model.area_units_list
+            oa = other.model.area.tolist()
             for i in range(other.model.n):
                 d = other.mapping[i]
                 if d in in_use and not other.done[i]:
+                    held[d] += ou[i]
                     in_use[d] += oa[i]
-        for d, cap in caps.items():
-            limit = cap + AREA_TOL
-            if new[d] > 0.0 and new[d] + in_use[d] > limit + area_guard_band(limit):
+        for d, limit in limits.items():
+            if new[d] > 0.0 and new[d] + held[d] > limit:
                 return tuple(sorted(
                     (dev, use) for dev, use in in_use.items() if use > 0.0
                 ))
@@ -866,10 +870,10 @@ class RuntimeEngine:
     ) -> Dict[int, int]:
         """Pick an alive, area-feasible target device for each task.
 
-        The *static* area budgets validated here are per job, at the
-        shared :data:`~repro.evaluation.costmodel.AREA_TOL` tolerance (so
-        replan and static mapping agree on feasibility at the boundary;
-        dynamic cross-job co-residency is the area ledger's job):
+        The *static* area budgets validated here are per job, in the
+        model's area units against its ``limit_units`` (so replan and
+        static mapping agree on feasibility at the boundary; dynamic
+        cross-job co-residency is the area ledger's job):
         usage counts every task still mapped to an area-limited device —
         including finished ones, whose bitstreams occupied the fabric —
         minus the tasks being moved.  Preference order: the task's entry
@@ -880,13 +884,14 @@ class RuntimeEngine:
         if not tasks:
             return {}
         model = js.model
-        limits = model.area_limits
+        limits = model.limit_units
+        units = model.area_units_list
         moving = set(tasks)
         usage = {d: 0.0 for d in limits}
         for i in range(model.n):
             d = js.mapping[i]
             if d in usage and i not in moving:
-                usage[d] += model.area_list[i]
+                usage[d] += units[i]
         candidates = [d for d in range(self.platform.n_devices) if self._alive[d]]
         if not candidates:
             raise RuntimeError("all devices have failed")
@@ -900,9 +905,9 @@ class RuntimeEngine:
                 want = desired.get(i, js.mapping[i])
                 if self._alive[want]:
                     order = [want] + [d for d in candidates if d != want]
-            area = model.area_list[i]
+            area = units[i]
             for d in order:
-                if d in limits and usage[d] + area > limits[d] + AREA_TOL:
+                if d in limits and usage[d] + area > limits[d]:
                     continue
                 targets[i] = d
                 if d in limits:
@@ -1014,7 +1019,7 @@ class RuntimeEngine:
         pools = self._link_pools
         if pools is not None:
             pools = [[0.0] * len(pool) for pool in pools]
-        ledgers = {d: AreaLedger(c) for d, c in self._area_caps.items()}
+        ledgers = {d: AreaLedger(c) for d, c in self._limits.items()}
         for js in self._jobs:
             committed = js.committed
             preds = js.model.preds
@@ -1024,7 +1029,7 @@ class RuntimeEngine:
                         1 for p, _row in preds[i] if not committed[p]
                     )
                     queues[js.mapping[i]].append((js.idx, i))
-            area = js.model.area_list
+            area = js.model.area_units_list
             for i in range(js.model.n):
                 if not committed[i]:
                     continue

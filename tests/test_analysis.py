@@ -195,8 +195,12 @@ class TestTol001:
     def test_area_tol_literal_flagged(self):
         assert codes_for("TOL = 1e-9\n") == ["TOL001"]
 
-    def test_area_band_literal_flagged(self):
-        assert codes_for("BAND = 1e-6\n") == ["TOL001"]
+    def test_area_unit_literal_flagged(self):
+        """AREA_UNIT and AREA_TOL share the value 1e-9: one finding that
+        names both."""
+        (finding,) = findings_for("UNIT = 1e-9\n")
+        assert finding.code == "TOL001"
+        assert "AREA_TOL / AREA_UNIT" in finding.message
 
     def test_costmodel_is_the_source(self):
         src = "AREA_TOL = 1e-9\n"
@@ -373,20 +377,6 @@ class TestKer001:
         assert DEDUP_FNV_OFFSET == 1469598103934665603
         assert DEDUP_FNV_PRIME == 1099511628211
         assert DEDUP_TABLE_FACTOR == 2
-
-    def test_drifted_vary_return_code_is_reported(self, monkeypatch):
-        from repro.evaluation import _ckernel
-
-        source = _ckernel._C_SOURCE
-        assert "#define REPRO_VARY_WALK 2" in source
-        monkeypatch.setattr(
-            _ckernel, "_C_SOURCE",
-            source.replace("#define REPRO_VARY_WALK 2",
-                           "#define REPRO_VARY_WALK 3"),
-        )
-        problems = _ckernel.source_consistency_problems()
-        assert len(problems) == 1
-        assert "repro_vary return code WALK is 3" in problems[0][1]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,9 @@ candidate start (``st0``, then the claim ends after it in time order) a
 sorted event sweep over all live claims, ends before starts at equal
 times, the first candidate whose peak plus the new area fits winning.
 ``_sweep_first_fit`` below is that ledger, kept here as the oracle.
+Both count area in whole units of ``AREA_UNIT`` against the device's
+``limit_units``, so both sums are exact; after every claim the ledger's
+segments must equal the oracle's summed claims.
 
 Streams are fed one claim at a time with an advancing ``now``: seeded
 and hypothesis-drawn streams on a grid of times (so starts meet other
@@ -13,29 +16,34 @@ claims' ends), zero-length windows with and without a drain, drains
 beyond ``st + exec_t``, claims that wait past several candidates, and
 rebuilds from a subset of the live claims in a new order, as the
 engine's rollback does.  Hand-built cases put an area sum within a few
-ulp of the threshold, where the ledger must hand the decision to the
-sweep (``n_recounts``), including one where the two summation orders
-round to different sides of the threshold.
+units of the limit, where exactly ``limit_units`` fits and one unit
+more does not.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.evaluation.costmodel import AREA_TOL, area_guard_band
+from repro.evaluation.costmodel import AREA_UNIT
 from repro.runtime.ledger import AreaLedger
 
 CAP = 10.0
 
 
-def _sweep_first_fit(claims, now, st0, exec_t, drain, a, cap=CAP):
-    """The sweep ledger: returns ``(st, fin, live claims after commit)``."""
-    limit = cap + AREA_TOL
-    band = area_guard_band(limit)
+def units(area):
+    """``area`` in whole area units, as ``CostModel.area_units``."""
+    return float(np.rint(area / AREA_UNIT))
+
+
+#: ``CostModel.limit_units`` of a device with capacity CAP
+LIMIT = units(CAP) + 1.0
+
+
+def _sweep_first_fit(claims, now, st0, exec_t, drain, a, limit=LIMIT):
+    """The sweep ledger: returns ``(st, fin, live claims after commit)``;
+    areas and ``limit`` in units."""
     claims = [c for c in claims if c[1] > now]
     candidates = sorted({st0} | {ce for _, ce, _ in claims if ce > st0})
     s = fin = st0
@@ -54,47 +62,45 @@ def _sweep_first_fit(claims, now, st0, exec_t, drain, a, cap=CAP):
             cur = cur + ca if phase else cur - ca
             if cur > peak:
                 peak = cur
-        if peak + a <= limit + band:
+        if peak + a <= limit:
             break
     claims.append((s, fin, a))
     return s, fin, claims
 
 
 class _Pair:
-    """A ledger and the oracle fed the same claims."""
+    """A ledger and the oracle fed the same claims (areas in units)."""
 
-    def __init__(self, cap=CAP):
-        self.cap = cap
-        self.ledger = AreaLedger(cap)
+    def __init__(self, limit=LIMIT):
+        self.limit = limit
+        self.ledger = AreaLedger(limit)
         self.claims = []
         self.now = 0.0
 
-    def claim(self, st0, exec_t, drain, a):
+    def claim(self, st0, exec_t, drain, area):
+        """Claim ``area`` (real-valued, converted to units)."""
+        return self.claim_units(st0, exec_t, drain, units(area))
+
+    def claim_units(self, st0, exec_t, drain, a):
         got = self.ledger.first_fit(self.now, st0, exec_t, drain, a)
         s, fin, self.claims = _sweep_first_fit(
-            self.claims, self.now, st0, exec_t, drain, a, self.cap
+            self.claims, self.now, st0, exec_t, drain, a, self.limit
         )
         assert got == (s, fin), (got, (s, fin))
-        live = [c for c in self.ledger.claims if c[1] > self.now]
-        assert live == [c for c in self.claims if c[1] > self.now]
+        # every live segment is the exact sum of the claims over it
+        ledger = self.ledger
+        for t, use in zip(ledger._ts, ledger._use):
+            if t >= self.now:
+                assert use == sum(
+                    ca for cs, ce, ca in self.claims if cs <= t < ce), t
         return got
 
     def rebuild(self, keep):
         """Rebuild from ``keep`` (live claims, any order), as a rollback."""
-        self.ledger = AreaLedger(self.cap)
+        self.ledger = AreaLedger(self.limit)
         for c in keep:
             self.ledger.add(*c)
         self.claims = list(keep)
-
-
-def _largest_fitting(x, thr):
-    """The largest area ``a`` with ``x + a <= thr``."""
-    a = thr - x
-    while x + a > thr:
-        a = math.nextafter(a, 0.0)
-    while x + math.nextafter(a, math.inf) <= thr:
-        a = math.nextafter(a, math.inf)
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +133,6 @@ def test_zero_length_windows_count_only_claims_straddling_the_start():
     assert p.claim(1.5, 0.0, 0.0, 6.0) == (2.0, 2.0)
     # a drain makes the first window non-empty; later ones are empty again
     assert p.claim(0.5, 0.0, 1.5, 6.0) == (2.0, 2.0)
-    assert p.ledger.n_recounts > 0
 
 
 def test_drains_beyond_the_execution_time_hold_the_area():
@@ -148,48 +153,39 @@ def test_a_rebuild_mid_stream_continues_like_the_sweep():
         p.claim(p.now + 0.25 * k, 0.75, 0.0, 2.3)
 
 
-def test_sums_within_a_few_ulp_of_the_threshold_are_recounted():
-    thr = AreaLedger(CAP).threshold
+def test_sums_within_a_few_units_of_the_threshold_are_exact():
+    """``x`` plus ``limit - x + k`` units fits exactly for ``k <= 0``,
+    whatever float ``x`` was."""
     for x in (3.3, 0.1 + 0.2, 4.7):
-        a0 = _largest_fitting(x, thr)
         for k in range(-3, 4):
-            a = a0
-            for _ in range(abs(k)):
-                a = math.nextafter(a, math.inf if k > 0 else 0.0)
             p = _Pair()
             p.claim(0.0, 2.0, 0.0, x)
-            st, _fin = p.claim(0.0, 1.0, 0.0, a)
+            st, _fin = p.claim_units(0.0, 1.0, 0.0, LIMIT - units(x) + k)
             assert (st == 0.0) == (k <= 0), (x, k)
-            assert p.ledger.n_recounts == 1, (x, k)
 
 
 def test_recount_orders_an_end_before_a_start_at_the_same_instant():
-    """Two claims meet at 5: the sweep must not count them together."""
-    thr = AreaLedger(CAP).threshold
-    a = _largest_fitting(4.0, thr)
+    """Two claims meet at 5: a claim over both, filling the budget to
+    the unit next to either, must not count them together."""
     p = _Pair()
     p.claim(0.0, 5.0, 0.0, 4.0)
     p.claim(5.0, 5.0, 0.0, 4.0)
-    assert p.claim(0.0, 10.0, 0.0, a) == (0.0, 10.0)
-    assert p.ledger.n_recounts == 1
+    a = LIMIT - units(4.0)
+    assert p.claim_units(0.0, 10.0, 0.0, a) == (0.0, 10.0)
+    assert p.claim_units(0.0, 10.0, 0.0, 1.0) == (10.0, 20.0)
 
 
 def test_claim_starts_are_never_candidates():
-    """The window at 0 sums P1 + P2 + S; the one at S's start (3) sums
-    S + P1 + P2, a rounding lower.  With ``a`` the largest area that fits
-    the second sum, the sweep rejects 0 and takes the next claim *end*,
-    100; a start at 3 would fit."""
-    thr = AreaLedger(CAP).threshold
+    """The windows at 0 and at S's start (3) both hold P1 + P2 + S, so
+    with ``a`` one unit over what fits next to them the ledger rejects 0
+    and takes the next claim *end*, 100, never the start 3."""
     p1, p2, e = 1.98, 2.22, 1.07
-    at_st0, at_start = (p1 + p2) + e, (e + p1) + p2
-    a = _largest_fitting(at_start, thr)
-    assert at_st0 + a > thr  # the two orders straddle the threshold
+    a = LIMIT - (units(p1) + units(p2) + units(e)) + 1.0
     p = _Pair()
     p.claim(3.0, 97.0, 0.0, e)              # S: [3, 100), listed first
     p.claim(0.0, 100.0, 0.0, p1)
     p.claim(0.0, 100.0, 0.0, p2)
-    assert p.claim(0.0, 10.0, 0.0, a) == (100.0, 110.0)
-    assert p.ledger.n_recounts >= 1
+    assert p.claim_units(0.0, 10.0, 0.0, a) == (100.0, 110.0)
 
 
 # ---------------------------------------------------------------------------

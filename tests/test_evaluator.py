@@ -66,7 +66,7 @@ class TestImprovement:
 
     def test_infeasible_mapping_zero_improvement(self, platform):
         g = TaskGraph()
-        g.add_task(0, complexity=1.0, area=1e9)
+        g.add_task(0, complexity=1.0, area=1e6)
         g.add_task(1, complexity=1.0)
         g.add_edge(0, 1)
         ev = make_evaluator(g, platform)

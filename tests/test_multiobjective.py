@@ -34,7 +34,7 @@ class TestEnergyModel:
 
     def test_infeasible(self, platform):
         g = TaskGraph()
-        g.add_task(0, complexity=1.0, area=1e9)
+        g.add_task(0, complexity=1.0, area=1e6)
         ev = make_evaluator(g, platform)
         em = EnergyModel(ev.model)
         assert em.energy([2]) == INFEASIBLE

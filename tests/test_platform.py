@@ -63,6 +63,8 @@ class TestDevice:
             dict(lane_gops=1.0, setup_s=-1.0),
             dict(lane_gops=1.0, area_capacity=0.0),
             dict(lane_gops=1.0, slots=0),
+            dict(lane_gops=1.0, area_capacity=float("nan")),
+            dict(lane_gops=1.0, area_capacity=float("inf")),
         ],
     )
     def test_validation(self, kwargs):

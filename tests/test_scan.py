@@ -2,33 +2,43 @@
 reference :func:`~repro.evaluation.delta.scan_moves` everywhere else.
 
 A scan pass is what the decomposition mapper's two heuristics repeat
-every round: skip no-op moves, check each move's area incrementally
-(exact recount inside the guard band), score it against the delta base
-and charge the counters.  The C scan must be indistinguishable from the
-reference: same winning move, same expectations, same mapping and
-makespan, every ``MappingResult.stats`` entry and the
-``delta.suffix_len`` histogram.  The guard-band cases are built so the
-incremental area sum and the exact recount land on opposite sides of
-``limit + AREA_TOL``; only a scan that hands those moves to the exact
-recount decides them as ``CostModel.is_feasible`` does.
+every round: skip no-op moves, check each move's area incrementally,
+score it against the delta base and charge the counters.  The C scan
+must be indistinguishable from the reference: same winning move, same
+expectations, same mapping and makespan, every ``MappingResult.stats``
+entry and the ``delta.suffix_len`` histogram.
+
+Area is decided in whole units of ``AREA_UNIT`` on every path.  The
+threshold cases are built so that float sums of the same areas in the
+incremental and the scratch order land on opposite sides of ``capacity
++ AREA_TOL``, while the unit sum is exactly the device's
+``limit_units`` or one unit over it; every path must decide them as
+``CostModel.is_feasible`` does.  A hypothesis test drives random areas
+to exactly the limit and one unit over it through every area check,
+with the tasks in two orders.
 """
 
 import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
-from repro.evaluation import CostModel, DeltaEvaluator
+from repro.evaluation import CostModel, DeltaEvaluator, MappingEvaluator
 from repro.evaluation._ckernel import load_ckernel
-from repro.evaluation.costmodel import AREA_TOL
+from repro.evaluation.costmodel import AREA_TOL, AREA_UNIT
 from repro.evaluation.delta import scan_moves
 from repro.evaluation.kernel import FlatModel
 from repro.graphs import TaskGraph
 from repro.graphs.generators import random_almost_sp_graph, random_sp_graph
 from repro.mappers.decomposition import DecompositionMapper
+from repro.mappers.genetic import repair_area, repair_area_reference
 from repro.platform import Platform, cpu, fpga, gpu, paper_platform
+from repro.runtime.ledger import AreaLedger
 from tests.conftest import make_evaluator
+from tests.test_area_ledger import _sweep_first_fit
 
 HAVE_CKERNEL = load_ckernel() is not None
 needs_ckernel = pytest.mark.skipif(
@@ -99,24 +109,27 @@ def test_c_scan_matches_reference_scan(strategy, heuristic, graph, seed):
 
 
 # ---------------------------------------------------------------------------
-# the guard band: incremental and exact area sums straddle the threshold
+# the threshold: float sums straddle it, unit sums sit on or one unit over
 # ---------------------------------------------------------------------------
 CAPACITY = 6.0
 #: (x1, x2, y): tasks 1 and 2 (areas x1, x2) sit on the FPGA, and moving
-#: task 0 (area y) there too gives an incremental usage
-#: (x1 + x2) - 0.0 + y on the other side of CAPACITY + AREA_TOL than
-#: the exact recount (y + x1) + x2
+#: task 0 (area y) there too gives a float usage (x1 + x2) - 0.0 + y in
+#: the incremental order on the other side of CAPACITY + AREA_TOL than
+#: (y + x1) + x2 in the scratch order.  In area units the three sum to
+#: exactly the FPGA's limit_units ("exact_feasible") or to one unit over
+#: it ("exact_infeasible": x1 and x2 round up by 0.4 units each).
 BAND_CASES = {
     "exact_feasible": (2.274, 1.27, float.fromhex("0x1.3a5e3541a2af3p+1")),
-    "exact_infeasible": (2.213, 1.729, float.fromhex("0x1.076c8b45bb429p+1")),
+    "exact_infeasible": (2.2130000006, 1.7290000006,
+                         float.fromhex("0x1.076c8b43278d9p+1")),
 }
 
 
-def band_platform():
+def band_platform(capacity=CAPACITY):
     devices = [
         cpu("c", lane_gops=1.0, lanes=4, slots=2, setup_s=0.0),
         gpu("g", lane_gops=2.0, lanes=1, setup_s=0.0),
-        fpga("f", stream_gops=20.0, area_capacity=CAPACITY, setup_s=0.0),
+        fpga("f", stream_gops=20.0, area_capacity=capacity, setup_s=0.0),
     ]
     bw = [[np.inf, 50.0, 50.0], [50.0, np.inf, 50.0], [50.0, 50.0, np.inf]]
     lat = [[0.0, 1e-6, 1e-6], [1e-6, 0.0, 1e-6], [1e-6, 1e-6, 0.0]]
@@ -136,30 +149,19 @@ def band_graph(case):
     return g
 
 
-@pytest.fixture()
-def exact_recounts(monkeypatch):
-    """Count calls of the exact recount behind the guard band."""
-    calls = []
-    orig = DeltaEvaluator._exact_usage
-
-    def spy(self, *args):
-        calls.append(args)
-        return orig(self, *args)
-
-    monkeypatch.setattr(DeltaEvaluator, "_exact_usage", spy)
-    return calls
-
-
 @pytest.mark.parametrize("case", list(BAND_CASES))
 def test_band_cases_straddle_the_threshold(case):
-    """The construction itself: incremental and exact sums disagree."""
+    """The construction itself: the two float orders disagree, and the
+    unit sum is the limit or one unit over it."""
     x1, x2, y = BAND_CASES[case]
     limit = CAPACITY + AREA_TOL
     incremental = float(np.array([x1, x2]).sum()) - 0.0 + y
-    exact = float(np.array([y, x1, x2]).sum())
-    assert abs(incremental - limit) < 1e-6 and abs(exact - limit) < 1e-6
-    assert (incremental > limit) != (exact > limit)
-    assert (exact <= limit) == (case == "exact_feasible")
+    scratch = float(np.array([y, x1, x2]).sum())
+    assert abs(incremental - limit) < 1e-6 and abs(scratch - limit) < 1e-6
+    assert (incremental > limit) != (scratch > limit)
+    model = CostModel(band_graph(case), band_platform())
+    over = model.area_units.sum() - model.limit_units[2]
+    assert over == (0.0 if case == "exact_feasible" else 1.0)
 
 
 def _band_scan(case, use_ckernel, scan, basic):
@@ -180,11 +182,9 @@ def _band_scan(case, use_ckernel, scan, basic):
 @pytest.mark.parametrize("basic", [False, True], ids=["gamma", "basic"])
 @pytest.mark.parametrize("use_ckernel", MODES, ids=MODE_IDS)
 @pytest.mark.parametrize("case", list(BAND_CASES))
-def test_scan_decides_the_band_exactly(case, use_ckernel, basic,
-                                       exact_recounts):
+def test_scan_decides_the_band_exactly(case, use_ckernel, basic):
     model, current, best, idx, expected, counters = _band_scan(
         case, use_ckernel, DeltaEvaluator.scan, basic)
-    assert exact_recounts, "no move reached the guard band"
     trial = np.array([2, 2, 2])
     feasible = model.is_feasible(trial)
     assert feasible == (case == "exact_feasible")
@@ -202,10 +202,10 @@ def test_scan_decides_the_band_exactly(case, use_ckernel, basic,
 @pytest.mark.parametrize("heuristic", ["basic", "first_fit"])
 @pytest.mark.parametrize("use_ckernel", MODES, ids=MODE_IDS)
 @pytest.mark.parametrize("case", list(BAND_CASES))
-def test_mapper_through_the_band(case, use_ckernel, heuristic,
-                                 exact_recounts):
-    """Whole single-node runs meet the band and agree with the reference
-    scan; the final mapping is feasible exactly as ``is_feasible`` says."""
+def test_mapper_through_the_band(case, use_ckernel, heuristic):
+    """Whole single-node runs meet the threshold and agree with the
+    reference scan; the final mapping is feasible exactly as
+    ``is_feasible`` says."""
     def run(mapper_cls):
         ev = make_evaluator(band_graph(case), band_platform(), n_random=2)
         # the kernel under test (the evaluator picks the default one)
@@ -214,13 +214,109 @@ def test_mapper_through_the_band(case, use_ckernel, heuristic,
             ev, rng=np.random.default_rng(0))
 
     fast = run(DecompositionMapper)
-    assert exact_recounts, "the search never reached the guard band"
     ref = run(_PythonScanMapper)
     np.testing.assert_array_equal(fast.mapping, ref.mapping)
     assert fast.makespan == ref.makespan
     assert fast.stats == ref.stats
     all_fpga = case == "exact_feasible"
     assert (list(fast.mapping) == [2, 2, 2]) == all_fpga
+
+
+# ---------------------------------------------------------------------------
+# every area check, at exactly limit_units and one unit over it
+# ---------------------------------------------------------------------------
+FPGA_DEV = 2  # band_platform's area device
+
+
+def _chain(areas, order):
+    """The chain 0 -> 1 -> ... with ``areas[t]`` on task ``t``, the tasks
+    added (and so indexed and summed) in ``order``."""
+    g = TaskGraph()
+    for t in order:
+        g.add_task(t, complexity=1.0 + t, area=areas[t])
+    for t in range(len(areas) - 1):
+        g.add_edge(t, t + 1, data_mb=0.1)
+    return g
+
+
+def _verdicts(model):
+    """Each area check's verdict on putting every task on the FPGA."""
+    n = model.n
+    full = np.full(n, FPGA_DEV, dtype=np.int64)
+    out = {
+        "is_feasible": model.is_feasible(full),
+        "feasible_mask": bool(model.feasible_mask(
+            np.stack([full, np.zeros(n, dtype=np.int64)]))[0]),
+    }
+    # the delta checks: from the base with task 0 on the host, move it
+    t = model.index[0]
+    base = full.copy()
+    base[t] = 0
+    for name, scan in (("scan_moves", scan_moves),
+                       ("DeltaEvaluator.scan", DeltaEvaluator.scan)):
+        delta = DeltaEvaluator(model)
+        current = delta.reset(base)
+        table = delta.move_table([delta.candidate([t])], model.m)
+        expected = np.zeros(len(table.pairs))
+        scan(delta, table, current, expected=expected)
+        out[name] = bool(np.isfinite(expected[FPGA_DEV]))
+    out["evaluate_move"] = bool(np.isfinite(
+        delta.evaluate_move(delta.candidate([t]), FPGA_DEV)))
+    # NSGA-II's repair (repro_vary on the C kernel) and its numpy
+    # reference leave the row alone, drawing nothing, iff it fits
+    ev = MappingEvaluator(model.graph, model.platform, n_random_schedules=1)
+    ev.model = model
+    untouched = np.random.default_rng(0).bit_generator.state
+    for name, repair in (("repair_area", repair_area),
+                         ("repair_area_reference", repair_area_reference)):
+        pop, rng = full[None].copy(), np.random.default_rng(0)
+        repair(pop, ev, rng)
+        out[name] = (bool((pop == full).all())
+                     and rng.bit_generator.state == untouched)
+    # the runtime ledger against the sweep oracle: the tasks' claims over
+    # one window, in index order; the last one fits iff all do
+    limit = model.limit_units[FPGA_DEV]
+    ledger, claims = AreaLedger(limit), []
+    for a in model.area_units_list:
+        got = ledger.first_fit(0.0, 0.0, 1.0, 0.0, a)
+        s, fin, claims = _sweep_first_fit(claims, 0.0, 0.0, 1.0, 0.0, a, limit)
+        assert got == (s, fin)
+    out["ledger"] = got == (0.0, 1.0)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    areas=st.lists(st.floats(0.01, 4.0), min_size=2, max_size=7),
+    over=st.sampled_from([0.0, 1.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_every_area_check_decides_the_limit_exactly(areas, over, seed):
+    """Whatever the float areas, every path decides a usage of exactly
+    ``limit_units`` as feasible and one unit more as infeasible, on both
+    kernels and with the tasks in either of two orders."""
+    total = float(np.rint(np.asarray(areas) / AREA_UNIT).sum())
+    limit = total - over
+    # limit_units is the capacity in units plus the one-unit tolerance
+    platform = band_platform((limit - 1.0) * AREA_UNIT)
+    shuffled = np.random.default_rng(seed).permutation(len(areas)).tolist()
+    for order in (list(range(len(areas))), shuffled):
+        g = _chain(areas, order)
+        for use_ckernel in MODES:
+            model = CostModel(g, platform, use_ckernel=use_ckernel)
+            assert model.limit_units[FPGA_DEV] == limit
+            verdicts = _verdicts(model)
+            assert set(verdicts.values()) == {over == 0.0}, verdicts
+
+
+def test_area_sums_past_2_53_units_are_refused():
+    """Above 2**53 units a float sum is no longer exact: the model
+    refuses the graph when it is built."""
+    g = _chain([5e6, 5e6], [0, 1])
+    with pytest.raises(ValueError, match=r"2\*\*53"):
+        CostModel(g, band_platform())
+    g.params(1).area = 4e6
+    CostModel(g, band_platform())
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +341,9 @@ def _moves_args(model, cands):
         cand_area=np.array([c.area for c in cands]),
         move_cand=np.repeat(np.arange(len(cands), dtype=np.int64), m),
         move_dev=np.tile(np.arange(m, dtype=np.int64), len(cands)),
-        area=model.area,
+        area=model.area_units,
         area_dev=np.array([2], dtype=np.int64),
         area_limit=np.array([10.0]),
-        area_band=np.array([1e-5]),
         usage=np.zeros(1),
     )
 
@@ -307,7 +402,7 @@ class TestCBoundary:
                    members=np.zeros(13, dtype=np.int64))
         with pytest.raises(ValueError, match="longer than"):
             ck.make_moves(ctx, **bad)
-        bad = dict(args, area=model.area.astype(np.float32))
+        bad = dict(args, area=model.area_units.astype(np.float32))
         with pytest.raises(ValueError, match="area"):
             ck.make_moves(ctx, **bad)
         bad = dict(args, move_dev=args["move_dev"][::2])

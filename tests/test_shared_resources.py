@@ -434,13 +434,18 @@ class TestFeasibilitySweep:
         assert all(d == FPGA for d in final)
         assert model.is_feasible(final)
 
-    def test_shared_tolerance_is_single_sourced(self):
-        from repro.evaluation.costmodel import AREA_TOL as src
+    def test_shared_tolerance_is_single_sourced(self, platform):
+        """The engine's ledgers and replan path, the list schedulers and
+        the cost model take their budgets from one function."""
+        from repro.evaluation.costmodel import area_limit_units as src
         import repro.runtime.engine as engine_mod
-        import repro.mappers.heft as heft_mod
+        from repro.mappers.heft import ListSchedule
 
-        assert engine_mod.AREA_TOL is src
-        assert heft_mod.AREA_TOL is src
+        assert engine_mod.area_limit_units is src
+        g = random_sp_graph(8, np.random.default_rng(0))
+        ev = MappingEvaluator(g, platform)
+        assert ev.model.limit_units == src(platform)
+        assert ListSchedule(ev)._area_left == src(platform)
 
     def test_batch_size_mean_zero_batches_is_finite(self, platform):
         """A mapper that never batches reports 0.0, not NaN/ZeroDivision."""

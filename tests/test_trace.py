@@ -63,7 +63,7 @@ class TestTraceConsistency:
 
     def test_infeasible_trace(self):
         g = TaskGraph()
-        g.add_task(0, complexity=1.0, area=1e9)
+        g.add_task(0, complexity=1.0, area=1e6)
         model = CostModel(g, paper_platform())
         trace = simulate_trace(model, [2])
         assert trace.makespan == INFEASIBLE
@@ -126,7 +126,7 @@ class TestGantt:
 
     def test_empty_trace(self):
         g = TaskGraph()
-        g.add_task(0, complexity=1.0, area=1e9)
+        g.add_task(0, complexity=1.0, area=1e6)
         model = CostModel(g, paper_platform())
         trace = simulate_trace(model, [2])
         assert "empty or infeasible" in render_gantt(trace, model)
