@@ -29,6 +29,8 @@ setup(
     url="https://arxiv.org/abs/2502.19745",
     packages=find_packages("src"),
     package_dir={"": "src"},
+    # the C kernel's source, compiled on first use (repro.evaluation._ckernel)
+    package_data={"repro.evaluation": ["kernel.c"]},
     python_requires=">=3.9",
     # scipy is not optional: repro.mappers imports the MILP baselines
     # (scipy.optimize.milp) unconditionally

@@ -77,9 +77,11 @@ Public API tour
   with no sleeping in algorithm modules, and that the C kernel's
   constants match their Python mirrors and stay topology-agnostic
   (rule catalogue in
-  ``src/repro/analysis/README.md``); ``REPRO_CKERNEL_SANITIZE=asan,ubsan``
-  additionally rebuilds the C kernel under AddressSanitizer/UBSan —
-  still bit-identical — for memory/UB checking in CI.
+  ``src/repro/analysis/README.md``); ``REPRO_CKERNEL_SANITIZE=ubsan``
+  additionally rebuilds the C kernel (``evaluation/kernel.c``) under
+  UBSan — still bit-identical — and ``tests/kernel_harness.c`` replays
+  every kernel entry under AddressSanitizer, for memory/UB checking in
+  CI.
 
 Quickstart
 ----------

@@ -10,8 +10,9 @@ forever (suppressions and baselines reference them).
 from __future__ import annotations
 
 import ast
+import posixpath
 import re
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from .core import Finding, ModuleContext, Rule
 from .registry import register
@@ -360,6 +361,17 @@ class SilentExceptRule(Rule):
             )
 
 
+def _kernel_c_path(contexts: Sequence[ModuleContext]) -> Optional[str]:
+    """``kernel.c`` beside the linted ``evaluation/_ckernel.py`` (the
+    KER rules' findings name it), or None when that module is not part
+    of the lint run."""
+    target = next(
+        (c for c in contexts if c.pkg_rel == "evaluation/_ckernel.py"), None
+    )
+    return None if target is None else posixpath.join(
+        posixpath.dirname(target.path), "kernel.c")
+
+
 @register
 class CKernelMirrorRule(Rule):
     code = "KER001"
@@ -370,22 +382,21 @@ class CKernelMirrorRule(Rule):
         "table-sizing factor (PR 4) mirror "
         "repro.evaluation.kernel.DEDUP_* and the infeasible sentinel is "
         "INFINITY == costmodel.INFEASIBLE.  An edit to one side without "
-        "the other silently breaks exact-value sharing."
+        "the other silently breaks exact-value sharing.  The ctypes "
+        "entry table must list every exported C function once, with "
+        "its prototype."
     )
 
     def check_project(
         self, contexts: Sequence[ModuleContext]
     ) -> Iterable[Finding]:
-        target = next(
-            (c for c in contexts if c.pkg_rel == "evaluation/_ckernel.py"),
-            None,
-        )
-        if target is None:
+        path = _kernel_c_path(contexts)
+        if path is None:
             return  # the kernel module is not part of this lint run
         from ..evaluation._ckernel import source_consistency_problems
 
         for line, message in source_consistency_problems():
-            yield self.finding(target, None, message, line=line)
+            yield self.finding(path, None, message, line=line)
 
 
 @register
@@ -398,7 +409,7 @@ class CKernelTopologyAgnosticRule(Rule):
         "pred_trans tables, so the C inner loop needs no notion of "
         "links, routes or hops — that is the zero-inner-loop-cost "
         "design of the link-graph layer (repro.platform.links).  A "
-        "routing identifier appearing in the embedded C source means "
+        "routing identifier appearing in the C source (kernel.c) means "
         "someone is moving routing into the hot loop; that needs new "
         "mirrored constants and a conscious KER001 extension, not a "
         "silent drive-by."
@@ -415,21 +426,18 @@ class CKernelTopologyAgnosticRule(Rule):
     def check_project(
         self, contexts: Sequence[ModuleContext]
     ) -> Iterable[Finding]:
-        target = next(
-            (c for c in contexts if c.pkg_rel == "evaluation/_ckernel.py"),
-            None,
-        )
-        if target is None:
+        path = _kernel_c_path(contexts)
+        if path is None:
             return  # the kernel module is not part of this lint run
-        from ..evaluation._ckernel import _C_SOURCE
+        from ..evaluation._ckernel import kernel_source
 
-        for off, line in enumerate(_C_SOURCE.splitlines()):
+        for lineno, line in enumerate(kernel_source().splitlines(), 1):
             hit = self._FORBIDDEN.search(line)
             if hit:
                 yield self.finding(
-                    target, None,
+                    path, None,
                     f"C kernel source mentions {hit.group(0)!r}: routing "
                     "belongs in the table build (platform effective "
                     "matrices), not the inner loop",
-                    line=off + 1,
+                    line=lineno,
                 )

@@ -2,10 +2,11 @@
 
 The list-scheduling recurrence is inherently sequential, so the Python
 walk ``CostModel._simulate_reference`` is bound by interpreter dispatch
-(~1-2 us per schedule position).  This module compiles the very same
-recurrence — statement for statement — to native code with the system C
-compiler, reading the arrays of :class:`repro.evaluation.kernel.FlatModel`,
-and loads it via :mod:`ctypes`:
+(~1-2 us per schedule position).  ``kernel.c``, shipped next to this
+module, is the very same recurrence — statement for statement — in C,
+reading the arrays of :class:`repro.evaluation.kernel.FlatModel`.  This
+module compiles it with the system C compiler and loads it via
+:mod:`ctypes`:
 
 - no third-party dependency: only ``cc``/``gcc``/``clang`` if present;
 - compiled once per source version into a per-user cache directory
@@ -22,9 +23,10 @@ and loads it via :mod:`ctypes`:
 Set ``REPRO_PURE_PYTHON=1`` to force the fallback (used by the
 test-suite to cover both paths).
 
-The eight entry points (see the C source below for contracts) are
-listed here; all but ``repro_random_orders`` and ``repro_vary`` run the
-one loop body ``span_core``:
+The eight entry points (``kernel.c`` states their contracts; their
+ctypes prototypes are the one table ``_ENTRIES``) are listed here; all
+but ``repro_random_orders`` and ``repro_vary`` run the one loop body
+``span_core``:
 
 - ``repro_span``       — full scratch simulation into caller buffers;
 - ``repro_span_batch_dedup`` — lane loop over a whole ``(B, n)``
@@ -69,7 +71,8 @@ Every buffer crosses into C through a checked builder or wrapper
 C-contiguity of every buffer, CSR offsets, and the range of every index
 the C side reads through, once when the structure is built.  The per-call
 entries then trust them; ``repro_scan`` checks its per-pass ``order``
-itself.
+itself.  ``tests/kernel_harness.c`` replays every entry under
+AddressSanitizer on buffers allocated at exactly these sizes.
 """
 
 from __future__ import annotations
@@ -77,9 +80,9 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import re
 import subprocess
 import sys
-import tempfile
 from typing import Optional
 
 import numpy as np
@@ -95,489 +98,9 @@ __all__ = [
     "load_ckernel",
 ]
 
-_C_SOURCE = r"""
-#include <math.h>
-#include <stddef.h>
-#include <stdint.h>
-
-typedef struct {
-    int64_t n, m, n_slots;
-    const double *exec_t;     /* n*m   */
-    const double *fill_t;     /* n*m   */
-    const double *initial_t;  /* n*m   */
-    const double *final_t;    /* n*m   */
-    const int64_t *pred_ptr;  /* n+1   */
-    const int64_t *pred_src;  /* E     */
-    const double *pred_trans; /* E*m*m */
-    const uint8_t *streaming; /* m     */
-    const uint8_t *serializes;/* m     */
-    const int64_t *slot_ptr;  /* m+1   */
-} ReproCtx;
-
-typedef struct {
-    int64_t *mapping;          /* n, mutated and restored by eval_move */
-    const int64_t *order;      /* n */
-    const int64_t *pos;        /* n: task -> schedule position */
-    double *base_start;        /* n, rewritten by rebuild_from */
-    double *base_finish;       /* n, rewritten by rebuild_from */
-    double *ts;                /* n workspace (suffix values) */
-    double *tf;                /* n workspace */
-    double *snap_avail;        /* n * n_slots prefix snapshots */
-    double *pre_ms;            /* n prefix-max ends */
-    double *avail_ws;          /* n_slots workspace */
-    int64_t *old_ws;           /* >= max subgraph size workspace */
-} ReproDelta;
-
-/* The one loop body of every entry; mirrors the reference walk
- * CostModel._simulate_reference statement for statement (same op
- * order => bit-identical doubles).  When pos is NULL every predecessor
- * reads ts/tf; otherwise positions before k read the base arrays
- * (incremental suffix mode, no restore needed).  When pre_ms is set,
- * the slot vector and the running makespan *before* each position are
- * recorded into snap_avail/pre_ms; a recording walk must reach every
- * position, so it never aborts on the bound. */
-static double span_core(const ReproCtx *c, const int64_t *mapping,
-                        const int64_t *order, const int64_t *pos, int64_t k,
-                        const double *base_start, const double *base_finish,
-                        double *ts, double *tf, double *avail,
-                        double *snap_avail, double *pre_ms,
-                        double makespan, int contention, double bound)
-{
-    const int64_t n = c->n, m = c->m, n_slots = c->n_slots;
-    const int use_base = (pos != NULL);
-    for (int64_t j = k; j < n; j++) {
-        if (pre_ms) {
-            for (int64_t s = 0; s < n_slots; s++)
-                snap_avail[j * n_slots + s] = avail[s];
-            pre_ms[j] = makespan;
-        }
-        const int64_t i = order[j];
-        const int64_t d = mapping[i];
-        const int64_t row = i * m;
-        double ready = c->initial_t[row + d];
-        double drain = 0.0;
-        const int64_t e1 = c->pred_ptr[i + 1];
-        for (int64_t e = c->pred_ptr[i]; e < e1; e++) {
-            const int64_t p = c->pred_src[e];
-            const int64_t dp = mapping[p];
-            const int base_p = use_base && pos[p] < k;
-            double r;
-            if (dp == d && c->streaming[d]) {
-                const double sp = base_p ? base_start[p] : ts[p];
-                const double fp = base_p ? base_finish[p] : tf[p];
-                r = sp + c->fill_t[p * m + dp];
-                if (fp > drain) drain = fp;
-            } else {
-                const double fp = base_p ? base_finish[p] : tf[p];
-                r = fp + c->pred_trans[e * m * m + dp * m + d];
-            }
-            if (r > ready) ready = r;
-        }
-        double st = ready;
-        int64_t slot = -1;
-        if (contention && c->serializes[d]) {
-            const int64_t s0 = c->slot_ptr[d], s1 = c->slot_ptr[d + 1];
-            slot = s0;
-            double earliest = avail[s0];
-            for (int64_t q = s0 + 1; q < s1; q++) {
-                if (avail[q] < earliest) { earliest = avail[q]; slot = q; }
-            }
-            if (earliest > ready) st = earliest;
-        }
-        double fin = st + c->exec_t[row + d];
-        if (drain > fin) fin = drain;
-        ts[i] = st;
-        tf[i] = fin;
-        if (slot >= 0) avail[slot] = fin;
-        const double end = fin + c->final_t[row + d];
-        if (end > makespan) {
-            makespan = end;
-            if (makespan >= bound && !pre_ms) return INFINITY;
-        }
-    }
-    return makespan;
-}
-
-double repro_span(const ReproCtx *c, const int64_t *mapping,
-                  const int64_t *order, double *start, double *finish,
-                  double *avail, int contention)
-{
-    for (int64_t i = 0; i < c->n; i++) { start[i] = 0.0; finish[i] = 0.0; }
-    for (int64_t s = 0; s < c->n_slots; s++) avail[s] = 0.0;
-    return span_core(c, mapping, order, (const int64_t *)0, 0,
-                     (const double *)0, (const double *)0,
-                     start, finish, avail, (double *)0, (double *)0,
-                     0.0, contention, INFINITY);
-}
-
-/* The delta base's recording walk, resumed at position k: the prefix
- * snapshots, base start/finish and pre_ms entries before k are still
- * valid for the (just mutated) base mapping, because a move whose first
- * affected position is k cannot change state before k.  k = 0 is the
- * full rebuild: row 0 of the snapshots is the zero slot vector,
- * pre_ms[0] is 0, and a schedule order that places every producer
- * before its consumers never reads a start/finish before writing it. */
-double repro_rebuild_from(const ReproCtx *c, const ReproDelta *d, int64_t k)
-{
-    const double *snap = d->snap_avail + k * c->n_slots;
-    for (int64_t s = 0; s < c->n_slots; s++) d->avail_ws[s] = snap[s];
-    return span_core(c, d->mapping, d->order, (const int64_t *)0, k,
-                     (const double *)0, (const double *)0,
-                     d->base_start, d->base_finish, d->avail_ws,
-                     d->snap_avail, d->pre_ms, d->pre_ms[k], 1, INFINITY);
-}
-
-/* Batch entry with in-kernel genome dedup: lanes whose row equals an
- * earlier feasible lane's row copy that lane's makespan instead of
- * re-simulating (exact-value sharing — duplicates are verified by full
- * row comparison after a 64-bit FNV-1a probe, so a hash collision costs
- * a probe step, never a wrong value).  `feas` (optional, may be NULL)
- * marks lanes that already failed the caller's area check: they get
- * INFINITY and do not enter the table.  `table` is caller-provided
- * open-addressing workspace of `table_size` (power of two, >= 2*B)
- * int64 slots.  Returns the number of lanes actually simulated. */
-int64_t repro_span_batch_dedup(const ReproCtx *c, const int64_t *mappings,
-                               const int64_t *order, int64_t n_lanes,
-                               const uint8_t *feas, double *out,
-                               int64_t *table, int64_t table_size,
-                               double *start, double *finish, double *avail)
-{
-    const int64_t n = c->n;
-    const uint64_t mask = (uint64_t)table_size - 1;
-    for (int64_t t = 0; t < table_size; t++) table[t] = 0;
-    int64_t simulated = 0;
-    for (int64_t b = 0; b < n_lanes; b++) {
-        if (feas && !feas[b]) { out[b] = INFINITY; continue; }
-        const int64_t *row = mappings + b * n;
-        uint64_t h = 1469598103934665603ULL;
-        for (int64_t i = 0; i < n; i++)
-            h = (h ^ (uint64_t)row[i]) * 1099511628211ULL;
-        uint64_t idx = h & mask;
-        int64_t dup = -1;
-        for (;;) {
-            const int64_t entry = table[idx];
-            if (entry == 0) { table[idx] = b + 1; break; }
-            const int64_t *row0 = mappings + (entry - 1) * n;
-            int same = 1;
-            for (int64_t i = 0; i < n; i++)
-                if (row0[i] != row[i]) { same = 0; break; }
-            if (same) { dup = entry - 1; break; }
-            idx = (idx + 1) & mask;
-        }
-        if (dup >= 0) { out[b] = out[dup]; continue; }
-        out[b] = repro_span(c, row, order, start, finish, avail, 1);
-        simulated++;
-    }
-    return simulated;
-}
-
-double repro_eval_move(const ReproCtx *c, const ReproDelta *d,
-                       const int64_t *sub, int64_t sub_len, int64_t device,
-                       int64_t k, double bound)
-{
-    int64_t *mp = d->mapping;
-    int64_t *old = d->old_ws;
-    for (int64_t s = 0; s < sub_len; s++) {
-        old[s] = mp[sub[s]];
-        mp[sub[s]] = device;
-    }
-    const double *snap = d->snap_avail + k * c->n_slots;
-    for (int64_t s = 0; s < c->n_slots; s++) d->avail_ws[s] = snap[s];
-    const double ms = span_core(c, mp, d->order, d->pos, k,
-                                d->base_start, d->base_finish, d->ts, d->tf,
-                                d->avail_ws, (double *)0, (double *)0,
-                                d->pre_ms[k], 1, bound);
-    for (int64_t s = 0; s < sub_len; s++) mp[sub[s]] = old[s];
-    return ms;
-}
-
-/* A greedy scan's move tables: the candidate subgraphs as a member CSR,
- * the moves as (candidate, device) pairs, and the inputs of the
- * incremental area check.  Areas are integer-valued doubles (whole area
- * units), so every sum below is exact in any order; area_limit holds
- * each area device's budget in units, and usage is the base mapping's
- * per-device usage, which the caller refreshes in place whenever the
- * base changes. */
-typedef struct {
-    int64_t n_moves, n_area;
-    const int64_t *cand_ptr;   /* n_cand + 1 */
-    const int64_t *members;    /* cand_ptr[n_cand] task indices */
-    const int64_t *first_pos;  /* n_cand */
-    const double *cand_area;   /* n_cand summed task areas */
-    const int64_t *move_cand;  /* n_moves */
-    const int64_t *move_dev;   /* n_moves */
-    const double *area;        /* n per-task areas */
-    const int64_t *area_dev;   /* n_area */
-    const double *area_limit;  /* n_area */
-    const double *usage;       /* n_area */
-} ReproMoves;
-
-/* One scan pass's result and counters. */
-typedef struct {
-    double best;               /* basic: best makespan; gamma: best gain */
-    int64_t best_idx;          /* the winning move, -1 if none */
-    int64_t n_evals;           /* moves scored */
-    double delta_work;         /* running sum of suffix / n, in move order */
-    int64_t suffix_total;      /* summed suffix lengths */
-    int64_t suffix_buckets[64];/* suffix lengths by bit length */
-} ReproScan;
-
-/* DeltaEvaluator._move_feasible's incremental area check, same
- * operations in the same order: 1 feasible, 0 infeasible. */
-static int move_area_ok(const ReproMoves *mv, const int64_t *mp,
-                        const int64_t *sub, int64_t len, int64_t dev,
-                        double sub_area)
-{
-    for (int64_t ai = 0; ai < mv->n_area; ai++) {
-        const int64_t a = mv->area_dev[ai];
-        double removed = 0.0;
-        for (int64_t s = 0; s < len; s++)
-            if (mp[sub[s]] == a) removed += mv->area[sub[s]];
-        const double added = dev == a ? sub_area : 0.0;
-        if (removed == 0.0 && added == 0.0) continue;
-        if (mv->usage[ai] - removed + added > mv->area_limit[ai]) return 0;
-    }
-    return 1;
-}
-
-/* One greedy scan pass over the moves in `order` (NULL: table order),
- * each scored by repro_eval_move.  A no-op move (every member already
- * on the device) is skipped; an infeasible one scores INFINITY; every
- * other move charges n_evals, delta_work and the suffix buckets.
- * Basic mode (expected == NULL): a move gets the bound best - eps, and
- * the first makespan below best - eps wins.  Gamma mode: no bound,
- * each move's gain current - makespan goes into expected[k] (0 for a
- * no-op) and the first gain above best + eps wins; with gamma > 0 the
- * pass stops once best > eps and the next move expects at most
- * best / gamma + eps.  Returns 0, or -1 for an order entry outside
- * [0, n_moves). */
-int64_t repro_scan(const ReproCtx *c, const ReproDelta *d,
-                   const ReproMoves *mv, const int64_t *order,
-                   double *expected, double current, double gamma,
-                   double eps, ReproScan *st)
-{
-    const int64_t n = c->n;
-    const int64_t *mp = d->mapping;
-    for (int64_t j = 0; j < mv->n_moves; j++) {
-        const int64_t k = order ? order[j] : j;
-        if (k < 0 || k >= mv->n_moves) return -1;
-        if (gamma > 0.0 && st->best > eps
-            && expected[k] <= st->best / gamma + eps)
-            break;
-        const int64_t ci = mv->move_cand[k], dev = mv->move_dev[k];
-        const int64_t *sub = mv->members + mv->cand_ptr[ci];
-        const int64_t len = mv->cand_ptr[ci + 1] - mv->cand_ptr[ci];
-        int64_t s = 0;
-        while (s < len && mp[sub[s]] == dev) s++;
-        if (s == len) {
-            if (expected) expected[k] = 0.0;
-            continue;
-        }
-        double ms = INFINITY;
-        if (move_area_ok(mv, mp, sub, len, dev, mv->cand_area[ci])) {
-            const int64_t fp = mv->first_pos[ci];
-            const int64_t suffix = n - fp;
-            int b = 0;
-            for (uint64_t v = (uint64_t)suffix; v; v >>= 1) b++;
-            st->n_evals++;
-            st->delta_work += (double)suffix / (double)n;
-            st->suffix_buckets[b]++;
-            st->suffix_total += suffix;
-            ms = repro_eval_move(c, d, sub, len, dev, fp,
-                                 expected ? INFINITY : st->best - eps);
-        }
-        if (!expected) {
-            if (ms < st->best - eps) { st->best = ms; st->best_idx = k; }
-        } else {
-            const double gain = current - ms;
-            expected[k] = gain;
-            if (gain > st->best + eps) { st->best = gain; st->best_idx = k; }
-        }
-    }
-    return 0;
-}
-
-/* The reported makespan (paper Sec. IV-A): the minimum over the k rows
- * of orders (k*n).  Every walk after the first gets the best makespan
- * so far as its bound, so it stops once it cannot beat the current
- * minimum; max is monotone, so the minimum stays exact.  INFINITY for
- * k == 0. */
-double repro_span_min(const ReproCtx *c, const int64_t *mapping,
-                      const int64_t *orders, int64_t k,
-                      double *start, double *finish, double *avail)
-{
-    double best = INFINITY;
-    for (int64_t r = 0; r < k; r++) {
-        for (int64_t i = 0; i < c->n; i++) { start[i] = 0.0; finish[i] = 0.0; }
-        for (int64_t s = 0; s < c->n_slots; s++) avail[s] = 0.0;
-        const double ms = span_core(c, mapping, orders + r * c->n,
-                                    (const int64_t *)0, 0,
-                                    (const double *)0, (const double *)0,
-                                    start, finish, avail,
-                                    (double *)0, (double *)0, 0.0, 1, best);
-        if (ms < best) best = ms;
-    }
-    return best;
-}
-
-/* numpy's bitgen_t (numpy/random/bitgen.h), the struct behind
- * Generator.bit_generator.ctypes.bit_generator. */
-typedef struct {
-    void *state;
-    uint64_t (*next_uint64)(void *st);
-    uint32_t (*next_uint32)(void *st);
-    double (*next_double)(void *st);
-    uint64_t (*next_raw)(void *st);
-} ReproBitGen;
-
-/* Generator.integers(rng + 1) for 0 < rng < 2^32 - 1: numpy's 32-bit
- * Lemire method with its rejection loop (buffered_bounded_lemire_uint32
- * in numpy/random/src/distributions/distributions.c), so the value and
- * the number of 32-bit draws both match numpy. */
-static uint32_t lemire_u32(ReproBitGen *bg, uint32_t rng)
-{
-    const uint32_t rng_excl = rng + 1;
-    uint64_t m = (uint64_t)bg->next_uint32(bg->state) * rng_excl;
-    uint32_t leftover = (uint32_t)(m & 0xFFFFFFFFULL);
-    if (leftover < rng_excl) {
-        const uint32_t threshold = (UINT32_MAX - rng) % rng_excl;
-        while (leftover < threshold) {
-            m = (uint64_t)bg->next_uint32(bg->state) * rng_excl;
-            leftover = (uint32_t)(m & 0xFFFFFFFFULL);
-        }
-    }
-    return (uint32_t)(m >> 32);
-}
-
-/* k random schedule orders into the rows of out (k*n): the Kahn walk of
- * the Python suite builder (repro.evaluation.schedules, one walk per
- * row, same draws).  The ready list starts with
- * the sources in task order; each step draws pos = integers(n_ready)
- * (no draw when one task is ready), swaps ready[pos] with the last
- * entry, pops it, and appends the successors (succ_ptr/succ_dst CSR, in
- * successor order) whose in-degree drops to zero.  ready and indeg are
- * n-long workspaces; n < 2^32.  Returns the number of positions filled,
- * k*n unless the graph has a cycle. */
-int64_t repro_random_orders(const int64_t *succ_ptr, const int64_t *succ_dst,
-                            const int64_t *indeg0, int64_t n, int64_t k,
-                            ReproBitGen *bg, int64_t *out,
-                            int64_t *ready, int64_t *indeg)
-{
-    int64_t filled = 0;
-    for (int64_t r = 0; r < k; r++) {
-        int64_t *row = out + r * n;
-        int64_t n_ready = 0, len = 0;
-        for (int64_t i = 0; i < n; i++) {
-            indeg[i] = indeg0[i];
-            if (indeg0[i] == 0) ready[n_ready++] = i;
-        }
-        while (n_ready > 0) {
-            const int64_t pos = n_ready > 1
-                ? (int64_t)lemire_u32(bg, (uint32_t)(n_ready - 1)) : 0;
-            const int64_t t = ready[pos];
-            ready[pos] = ready[n_ready - 1];
-            n_ready--;
-            row[len++] = t;
-            for (int64_t e = succ_ptr[t]; e < succ_ptr[t + 1]; e++) {
-                const int64_t s = succ_dst[e];
-                if (--indeg[s] == 0) ready[n_ready++] = s;
-            }
-        }
-        filled += len;
-    }
-    return filled;
-}
-
-/* Generator.permutation's swap index for Fisher-Yates step i (0 < max
- * < 2^32): numpy's masked rejection on 32-bit draws (random_interval in
- * numpy/random/src/distributions/distributions.c), not Lemire. */
-static uint32_t interval_u32(ReproBitGen *bg, uint32_t max)
-{
-    uint32_t mask = max;
-    mask |= mask >> 1;
-    mask |= mask >> 2;
-    mask |= mask >> 4;
-    mask |= mask >> 8;
-    mask |= mask >> 16;
-    uint32_t value;
-    while ((value = bg->next_uint32(bg->state) & mask) > max)
-        ;
-    return value;
-}
-
-/* The area repair's tables: per-task area, and per area device (in
- * Platform.area_capacities() order) its index and budget, all in whole
- * area units (integer-valued doubles: every sum is exact). */
-typedef struct {
-    int64_t n, m, host, n_area;
-    const double *area;        /* n */
-    const int64_t *area_dev;   /* n_area */
-    const double *limit;       /* n_area */
-} ReproRepair;
-
-/* One NSGA-II generation's variation of the P rows of pop (P*n), in
- * place (without variation: the repair only), drawing through the
- * caller's bit generator exactly as the numpy reference
- * (repro.mappers.genetic.vary_reference) does:
- * - crossover: per pair (rows i, i+1) one random(); below the rate and
- *   for n > 1 a cut integers(1, n) (no draw for n == 2), and the tails
- *   from the cut on swap;
- * - mutation: P*n random() in row-major order first, then one
- *   integers(0, m) per marked gene in flat order (no draw for m == 1);
- * - repair: per area device, rows in ascending order; a row over its
- *   budget draws a permutation of its genes on the device and sends
- *   them to the host in that order until the usage fits.
- * work holds >= max(P*n, n) int64.  The area sums here run in gene
- * order, numpy's in BLAS order; both are exact. */
-void repro_vary(const ReproRepair *rp, int64_t *pop, int64_t P,
-                int64_t variation, double crossover_rate,
-                double mutation_rate, ReproBitGen *bg, int64_t *work)
-{
-    const int64_t n = rp->n;
-    if (variation) {
-        for (int64_t i = 0; i + 1 < P; i += 2) {
-            if (bg->next_double(bg->state) < crossover_rate && n > 1) {
-                const int64_t cut = 1 + (n > 2
-                    ? (int64_t)lemire_u32(bg, (uint32_t)(n - 2)) : 0);
-                int64_t *a = pop + i * n, *b = a + n;
-                for (int64_t g = cut; g < n; g++) {
-                    const int64_t t = a[g];
-                    a[g] = b[g];
-                    b[g] = t;
-                }
-            }
-        }
-        int64_t marked = 0;
-        for (int64_t g = 0; g < P * n; g++)
-            if (bg->next_double(bg->state) < mutation_rate) work[marked++] = g;
-        for (int64_t q = 0; q < marked; q++)
-            pop[work[q]] = rp->m > 1
-                ? (int64_t)lemire_u32(bg, (uint32_t)(rp->m - 1)) : 0;
-    }
-    for (int64_t ai = 0; ai < rp->n_area; ai++) {
-        const int64_t d = rp->area_dev[ai];
-        const double limit = rp->limit[ai];
-        for (int64_t row = 0; row < P; row++) {
-            int64_t *genome = pop + row * n;
-            int64_t len = 0;
-            double used = 0.0;
-            for (int64_t g = 0; g < n; g++)
-                if (genome[g] == d) { work[len++] = g; used += rp->area[g]; }
-            if (used <= limit) continue;
-            for (int64_t i = len - 1; i > 0; i--) {
-                const int64_t j = (int64_t)interval_u32(bg, (uint32_t)i);
-                const int64_t t = work[i];
-                work[i] = work[j];
-                work[j] = t;
-            }
-            for (int64_t q = 0; q < len && used > limit; q++) {
-                genome[work[q]] = rp->host;
-                used -= rp->area[work[q]];
-            }
-        }
-    }
-}
-"""
+#: the kernel source, shipped as package data next to this module
+_KERNEL_C = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                         "kernel.c")
 
 _P = ctypes.POINTER
 _f64 = _P(ctypes.c_double)
@@ -692,9 +215,44 @@ def _require_csr(ptr, size, name) -> None:
         raise ValueError(f"{name}: malformed CSR offsets")
 
 
-def _ptr(arr, typ):
-    """Raw data pointer of a C-contiguous numpy array as a ctypes pointer."""
-    return ctypes.cast(arr.ctypes.data, typ)
+def _struct(cls, buffers, **scalars):
+    """A ``cls`` struct holding ``scalars`` and, in field order, raw
+    pointers into the C-contiguous numpy ``buffers``.  The buffers ride
+    along on it (``_buffers``, in field order), so the struct keeps
+    alive what it points into."""
+    fields = [(name, typ) for name, typ in cls._fields_
+              if name not in scalars]
+    assert len(fields) == len(buffers), cls.__name__
+    st = cls(**scalars, **{
+        name: ctypes.cast(arr.ctypes.data, typ)
+        for (name, typ), arr in zip(fields, buffers)
+    })
+    st._buffers = tuple(buffers)
+    return st
+
+
+_vp, _int, _int64, _double = (ctypes.c_void_p, ctypes.c_int, ctypes.c_int64,
+                              ctypes.c_double)
+
+#: every entry of ``kernel.c`` as (name, restype, argtypes), in source
+#: order.  Array and struct arguments are void* so callers can pass the
+#: raw integer from ndarray.ctypes.data without a per-call cast.  Lint
+#: rule KER001 checks this table against the C prototypes.
+_ENTRIES = (
+    ("repro_span", _double, (_vp, _vp, _vp, _vp, _vp, _vp, _int)),
+    ("repro_rebuild_from", _double, (_vp, _vp, _int64)),
+    ("repro_span_batch_dedup", _int64,
+     (_vp, _vp, _vp, _int64, _vp, _vp, _vp, _int64, _vp, _vp, _vp)),
+    ("repro_eval_move", _double,
+     (_vp, _vp, _vp, _int64, _int64, _int64, _double)),
+    ("repro_scan", _int64,
+     (_vp, _vp, _vp, _vp, _vp, _double, _double, _double, _vp)),
+    ("repro_span_min", _double, (_vp, _vp, _vp, _int64, _vp, _vp, _vp)),
+    ("repro_random_orders", _int64,
+     (_vp, _vp, _vp, _int64, _int64, _vp, _vp, _vp, _vp)),
+    ("repro_vary", None,
+     (_vp, _vp, _int64, _int64, _double, _double, _vp, _vp)),
+)
 
 
 class CKernel:
@@ -702,74 +260,10 @@ class CKernel:
 
     def __init__(self, lib: ctypes.CDLL) -> None:
         self.lib = lib
-        # array arguments are declared void* so callers can pass the raw
-        # integer from ndarray.ctypes.data without a per-call cast
-        vp = ctypes.c_void_p
-        lib.repro_span.restype = ctypes.c_double
-        lib.repro_span.argtypes = [vp, vp, vp, vp, vp, vp, ctypes.c_int]
-        lib.repro_span_batch_dedup.restype = ctypes.c_int64
-        lib.repro_span_batch_dedup.argtypes = [
-            vp,
-            vp,
-            vp,
-            ctypes.c_int64,
-            vp,
-            vp,
-            vp,
-            ctypes.c_int64,
-            vp,
-            vp,
-            vp,
-        ]
-        lib.repro_rebuild_from.restype = ctypes.c_double
-        lib.repro_rebuild_from.argtypes = [vp, vp, ctypes.c_int64]
-        lib.repro_eval_move.restype = ctypes.c_double
-        lib.repro_eval_move.argtypes = [
-            vp,
-            vp,
-            vp,
-            ctypes.c_int64,
-            ctypes.c_int64,
-            ctypes.c_int64,
-            ctypes.c_double,
-        ]
-        lib.repro_scan.restype = ctypes.c_int64
-        lib.repro_scan.argtypes = [
-            vp,
-            vp,
-            vp,
-            vp,
-            vp,
-            ctypes.c_double,
-            ctypes.c_double,
-            ctypes.c_double,
-            vp,
-        ]
-        lib.repro_span_min.restype = ctypes.c_double
-        lib.repro_span_min.argtypes = [vp, vp, vp, ctypes.c_int64, vp, vp, vp]
-        lib.repro_random_orders.restype = ctypes.c_int64
-        lib.repro_random_orders.argtypes = [
-            vp,
-            vp,
-            vp,
-            ctypes.c_int64,
-            ctypes.c_int64,
-            vp,
-            vp,
-            vp,
-            vp,
-        ]
-        lib.repro_vary.restype = None
-        lib.repro_vary.argtypes = [
-            vp,
-            vp,
-            ctypes.c_int64,
-            ctypes.c_int64,
-            ctypes.c_double,
-            ctypes.c_double,
-            vp,
-            vp,
-        ]
+        for name, restype, argtypes in _ENTRIES:
+            entry = getattr(lib, name)
+            entry.restype = restype
+            entry.argtypes = argtypes
 
     # ------------------------------------------------------------------
     def span_min(self, ctx, mapping, orders, start, finish, avail) -> float:
@@ -784,10 +278,8 @@ class CKernel:
         _require(start, np.float64, (n,), "start")
         _require(finish, np.float64, (n,), "finish")
         _require(avail, np.float64, (max(1, ctx.n_slots),), "avail")
-        if n and (mapping.min() < 0 or mapping.max() >= ctx.m):
-            raise ValueError(f"mapping: device index outside [0, {ctx.m})")
-        if orders.size and (orders.min() < 0 or orders.max() >= n):
-            raise ValueError(f"orders: task index outside [0, {n})")
+        _require_range(mapping, ctx.m, "mapping", "device index")
+        _require_range(orders, n, "orders", "task index")
         return self.lib.repro_span_min(
             ctypes.byref(ctx), mapping.ctypes.data, orders.ctypes.data,
             len(orders), start.ctypes.data, finish.ctypes.data,
@@ -807,11 +299,8 @@ class CKernel:
         _require(succ_dst, np.int64, (len(succ_dst),), "succ_dst")
         if n >= 1 << 32:
             raise ValueError(f"random_orders: {n} tasks, at most 2**32 - 1")
-        if (succ_ptr[0] != 0 or succ_ptr[n] != len(succ_dst)
-                or (np.diff(succ_ptr) < 0).any()
-                or (len(succ_dst) and (succ_dst.min() < 0
-                                       or succ_dst.max() >= n))):
-            raise ValueError("random_orders: malformed successor CSR")
+        _require_csr(succ_ptr, len(succ_dst), "succ_ptr")
+        _require_range(succ_dst, n, "succ_dst", "task index")
         out = np.empty((k, n), dtype=np.int64)
         ready = np.empty(n, dtype=np.int64)
         work = np.empty(n, dtype=np.int64)
@@ -829,8 +318,7 @@ class CKernel:
     def make_repair(self, area, area_dev, limit, host, m) -> ReproRepair:
         """Build ``repro_vary``'s ``ReproRepair`` tables over ``n`` task
         areas and the area devices' indices and budgets (whole area
-        units), after checking every buffer and the device indices.  The
-        buffers ride along on the struct (``_buffers``)."""
+        units), after checking every buffer and the device indices."""
         n, n_area = len(area), len(area_dev)
         _require(area, np.float64, (n,), "area")
         _require(area_dev, np.int64, (n_area,), "area_dev")
@@ -841,13 +329,8 @@ class CKernel:
         if n >= 1 << 32 or m >= 1 << 32:
             raise ValueError(f"make_repair: {n} tasks, {m} devices, "
                              f"each at most 2**32 - 1")
-        tables = ReproRepair(
-            n=n, m=m, host=host, n_area=n_area,
-            area=_ptr(area, _f64),
-            area_dev=_ptr(area_dev, _i64),
-            limit=_ptr(limit, _f64),
-        )
-        tables._buffers = (area, area_dev, limit)
+        tables = _struct(ReproRepair, (area, area_dev, limit),
+                         n=n, m=m, host=host, n_area=n_area)
         # repro_vary's workspace (>= max(P*n, n) int64), grown by vary
         tables._work = np.empty(max(1, n), dtype=np.int64)
         tables._work_p = tables._work.ctypes.data
@@ -914,29 +397,17 @@ class CKernel:
         _require(avail_ws, np.float64, (max(1, ctx.n_slots),), "avail_ws")
         _require_range(order, n, "order", "task index")
         _require_range(pos, n, "pos", "schedule position")
-        return ReproDelta(
-            mapping=_ptr(mapping, _i64),
-            order=_ptr(order, _i64),
-            pos=_ptr(pos, _i64),
-            base_start=_ptr(base_start, _f64),
-            base_finish=_ptr(base_finish, _f64),
-            ts=_ptr(ts, _f64),
-            tf=_ptr(tf, _f64),
-            snap_avail=_ptr(snap_avail, _f64),
-            pre_ms=_ptr(pre_ms, _f64),
-            avail_ws=_ptr(avail_ws, _f64),
-            old_ws=_ptr(old_ws, _i64),
-        )
+        return _struct(ReproDelta, (mapping, order, pos, base_start,
+                                    base_finish, ts, tf, snap_avail, pre_ms,
+                                    avail_ws, old_ws))
 
     # ------------------------------------------------------------------
     def make_ctx(self, flat) -> ReproCtx:
         """Build a ``ReproCtx`` over a FlatModel's arrays, after checking
         their dtypes, shapes and C-contiguity, the predecessor and slot
-        CSR offsets and the predecessor task indices.
-
-        The caller must keep ``flat`` (and the returned struct) alive as
-        long as the context is used — the struct holds raw pointers into
-        the FlatModel's numpy buffers.
+        CSR offsets and the predecessor task indices.  The struct holds
+        raw pointers into the FlatModel's numpy buffers (and keeps them
+        alive).
         """
         n, m, n_slots = flat.n, flat.m, flat.n_slots
         for arr, name in ((flat.exec, "exec"), (flat.fill, "fill"),
@@ -952,21 +423,11 @@ class CKernel:
         _require_csr(flat.pred_ptr, n_edges, "pred_ptr")
         _require_csr(flat.slot_ptr, n_slots, "slot_ptr")
         _require_range(flat.pred_src, n, "pred_src", "task index")
-        return ReproCtx(
-            n=n,
-            m=m,
-            n_slots=n_slots,
-            exec_t=_ptr(flat.exec, _f64),
-            fill_t=_ptr(flat.fill, _f64),
-            initial_t=_ptr(flat.initial, _f64),
-            final_t=_ptr(flat.final, _f64),
-            pred_ptr=_ptr(flat.pred_ptr, _i64),
-            pred_src=_ptr(flat.pred_src, _i64),
-            pred_trans=_ptr(flat.pred_trans, _f64),
-            streaming=_ptr(flat.streaming_u8, _u8),
-            serializes=_ptr(flat.serializes_u8, _u8),
-            slot_ptr=_ptr(flat.slot_ptr, _i64),
-        )
+        return _struct(ReproCtx, (flat.exec, flat.fill, flat.initial,
+                                  flat.final, flat.pred_ptr, flat.pred_src,
+                                  flat.pred_trans, flat.streaming_u8,
+                                  flat.serializes_u8, flat.slot_ptr),
+                       n=n, m=m, n_slots=n_slots)
 
     # ------------------------------------------------------------------
     def make_moves(
@@ -1014,24 +475,10 @@ class CKernel:
         _require_range(move_cand, n_cand, "move_cand", "candidate index")
         _require_range(move_dev, m, "move_dev", "device index")
         _require_range(area_dev, m, "area_dev", "device index")
-        buffers = (cand_ptr, members, first_pos, cand_area, move_cand,
-                   move_dev, area, area_dev, area_limit, usage)
-        moves = ReproMoves(
-            n_moves=n_moves,
-            n_area=n_area,
-            cand_ptr=_ptr(cand_ptr, _i64),
-            members=_ptr(members, _i64),
-            first_pos=_ptr(first_pos, _i64),
-            cand_area=_ptr(cand_area, _f64),
-            move_cand=_ptr(move_cand, _i64),
-            move_dev=_ptr(move_dev, _i64),
-            area=_ptr(area, _f64),
-            area_dev=_ptr(area_dev, _i64),
-            area_limit=_ptr(area_limit, _f64),
-            usage=_ptr(usage, _f64),
-        )
-        moves._buffers = buffers
-        return moves
+        return _struct(ReproMoves, (cand_ptr, members, first_pos, cand_area,
+                                    move_cand, move_dev, area, area_dev,
+                                    area_limit, usage),
+                       n_moves=n_moves, n_area=n_area)
 
 
 #: base compile flags (part of the .so cache key, so changing them
@@ -1041,49 +488,44 @@ class CKernel:
 #: kernel.
 _CFLAGS = ["-O3", "-funroll-loops", "-fPIC", "-shared", "-ffp-contract=off"]
 
-#: ``REPRO_CKERNEL_SANITIZE`` tokens -> -fsanitize= groups.  asan/ubsan
-#: are the spellings the CI jobs use; the long names work too.
-_SANITIZERS = {
-    "asan": "address",
-    "address": "address",
-    "ubsan": "undefined",
-    "undefined": "undefined",
-}
+#: the ``REPRO_CKERNEL_SANITIZE`` spellings of UndefinedBehaviorSanitizer,
+#: the one sanitizer that works in a kernel dlopen()ed by CPython
+_SANITIZERS = ("ubsan", "undefined")
 
 
 def sanitize_flags() -> list:
     """Extra compile flags from ``REPRO_CKERNEL_SANITIZE``.
 
-    ``REPRO_CKERNEL_SANITIZE=asan,ubsan`` builds the kernel with
-    ``-fsanitize=address,undefined -fno-omit-frame-pointer``.  The flags
-    are folded into the ``.so`` cache key (exactly like the PR 4 flag
-    change), so plain and sanitized builds coexist in the cache and
-    flipping the variable between runs never serves a stale build.
-    Sanitizers instrument memory/UB checks only — float semantics are
-    untouched, so a sanitized kernel stays bit-identical to the
-    reference walk (pinned by the ``kernel-sanitize`` CI job running
-    the full equivalence suite under this variable).
+    ``REPRO_CKERNEL_SANITIZE=ubsan`` builds the kernel with
+    ``-fsanitize=undefined -fno-omit-frame-pointer``.  The flags are
+    folded into the ``.so`` cache key (like the base flags), so plain
+    and sanitized builds coexist in the cache and flipping the variable
+    between runs never serves a stale build.
+    UBSan instruments UB checks only — float semantics are untouched,
+    so a sanitized kernel stays bit-identical to the reference walk
+    (pinned by the ``kernel-sanitize`` CI job running the equivalence
+    suites under this variable).
 
     Unknown tokens raise :class:`ValueError`: a typo'd sanitizer must
     not silently run an unsanitized (or worse, pure-Python) kernel.
+    The AddressSanitizer spellings are unknown too: dlopen()ed into an
+    uninstrumented CPython, ASan sees none of the buffers the kernel
+    touches, so it runs in the standalone harness
+    ``tests/kernel_harness.c`` instead.
     """
     spec = os.environ.get("REPRO_CKERNEL_SANITIZE", "")
-    groups = []
-    for token in spec.split(","):
-        token = token.strip().lower()
-        if not token:
-            continue
-        group = _SANITIZERS.get(token)
-        if group is None:
-            raise ValueError(
-                f"REPRO_CKERNEL_SANITIZE: unknown sanitizer {token!r} "
-                f"(known: {', '.join(sorted(set(_SANITIZERS)))})"
-            )
-        if group not in groups:
-            groups.append(group)
-    if not groups:
+    tokens = {t.strip().lower() for t in spec.split(",")} - {""}
+    unknown = sorted(tokens.difference(_SANITIZERS))
+    if unknown:
+        raise ValueError(
+            f"REPRO_CKERNEL_SANITIZE: unknown sanitizer "
+            f"{','.join(unknown)!r} (known: {', '.join(_SANITIZERS)}); "
+            f"AddressSanitizer runs in the standalone harness "
+            f"tests/kernel_harness.c"
+        )
+    if not tokens:
         return []
-    return ["-fsanitize=" + ",".join(groups), "-fno-omit-frame-pointer"]
+    return ["-fsanitize=undefined", "-fno-omit-frame-pointer"]
 
 
 def _cache_dir() -> str:
@@ -1093,66 +535,44 @@ def _cache_dir() -> str:
     return os.path.join(base, "repro-kernel")
 
 
-#: appended to the C source for ``-fsanitize=address`` builds.  ASan
-#: reads its options from /proc/self/environ at init, so an in-process
-#: ``os.environ`` change cannot reach it; exporting the defaults from
-#: the instrumented .so itself can.  ``verify_asan_link_order=0``
-#: accepts dlopen() into an uninstrumented CPython (kernel code stays
-#: fully instrumented); ``detect_leaks=0`` silences LeakSanitizer noise
-#: from the host interpreter's own allocations.  A real ``ASAN_OPTIONS``
-#: in the launch environment still overrides these defaults.
-_ASAN_DEFAULTS = """
-const char *__asan_default_options(void) {
-    return "verify_asan_link_order=0:detect_leaks=0";
-}
-"""
-
-
-def _effective_source(cflags) -> str:
-    if any(f.startswith("-fsanitize=") and "address" in f for f in cflags):
-        return _C_SOURCE + _ASAN_DEFAULTS
-    return _C_SOURCE
+def kernel_source() -> str:
+    """The text of ``kernel.c``, byte for byte."""
+    with open(_KERNEL_C, encoding="utf-8", newline="") as fh:
+        return fh.read()
 
 
 def _source_hash(cflags) -> str:
-    """Cache key: effective source text + flags + python version."""
+    """Cache key: source text + flags + python version."""
     return hashlib.sha256(
-        (_effective_source(cflags) + " ".join(cflags)
+        (kernel_source() + " ".join(cflags)
          + sys.version.split()[0]).encode()
     ).hexdigest()[:16]
 
 
 def _compile(cflags) -> Optional[str]:
-    """Compile the kernel with ``cflags``; return the .so path or None."""
-    so_name = f"ckernel-{_source_hash(cflags)}.so"
+    """Compile ``kernel.c`` with ``cflags``; return the .so path or None."""
     for cc in ("cc", "gcc", "clang"):
         try:
             cache = _cache_dir()
             os.makedirs(cache, exist_ok=True)
-            so_path = os.path.join(cache, so_name)
+            so_path = os.path.join(cache, f"ckernel-{_source_hash(cflags)}.so")
             if os.path.exists(so_path):
                 return so_path
-            with tempfile.TemporaryDirectory() as tmp:
-                c_path = os.path.join(tmp, "kernel.c")
-                with open(c_path, "w") as fh:
-                    fh.write(_effective_source(cflags))
-                # stage the .so in the cache dir itself: os.replace is
-                # atomic only within one filesystem, and the system
-                # tmpdir is often a different mount — a cross-device
-                # move can fail or copy non-atomically, letting a
-                # concurrent process dlopen a half-written file
-                stage = f"{so_path}.tmp.{os.getpid()}"
-                try:
-                    subprocess.run(
-                        [cc, *cflags, "-o", stage, c_path],
-                        check=True,
-                        capture_output=True,
-                        timeout=120,
-                    )
-                    os.replace(stage, so_path)  # atomic under concurrency
-                finally:
-                    if os.path.exists(stage):
-                        os.unlink(stage)
+            # stage the .so in the cache dir itself: os.replace is atomic
+            # only within one filesystem, so a concurrent process never
+            # dlopens a half-written file
+            stage = f"{so_path}.tmp.{os.getpid()}"
+            try:
+                subprocess.run(
+                    [cc, *cflags, "-o", stage, _KERNEL_C],
+                    check=True,
+                    capture_output=True,
+                    timeout=120,
+                )
+                os.replace(stage, so_path)  # atomic under concurrency
+            finally:
+                if os.path.exists(stage):
+                    os.unlink(stage)
             return so_path
         # any failure => try the next compiler, else the silent
         # pure-Python fallback: the C path is an optimization, never a
@@ -1214,16 +634,37 @@ def kernel_status() -> dict:
 
 
 # ---------------------------------------------------------------------------
-# consistency between the embedded C source and its Python mirrors
+# consistency between kernel.c and its Python mirrors
 # ---------------------------------------------------------------------------
 
+#: C scalar types of the entry prototypes -> their ctypes (pointers are
+#: void* in :data:`_ENTRIES`)
+_C_SCALARS = {"void": None, "int": _int, "int64_t": _int64, "double": _double}
+
+#: a top-level function definition in ``kernel.c``: its return type
+#: (with ``static``, if any), name and parameter list
+_C_FUNCTION = re.compile(r"^([A-Za-z_][\w \t*]*?)\s*\b(\w+)\(([^)]*)\)\s*\{",
+                         re.MULTILINE)
+
+
+def _c_type(decl: str):
+    """The ctypes type of a C return type or parameter declaration (the
+    declaration itself when it is none of :data:`_C_SCALARS`)."""
+    if "*" in decl:
+        return _vp
+    return _C_SCALARS.get(decl.replace("const", " ").split()[0], decl)
+
+
 def source_consistency_problems() -> list:
-    """Mismatches between ``_C_SOURCE`` and the Python-side mirrors.
+    """Mismatches between ``kernel.c`` and its Python-side mirrors.
 
     Returns ``[(line, message), ...]`` — empty when consistent — where
-    ``line`` points into *this* file at the offending C statement.  The
-    checked invariants (lint rule KER001):
+    ``line`` is the line of ``kernel.c`` at the offending C statement.
+    The checked invariants (lint rule KER001):
 
+    - every non-static function of ``kernel.c`` has exactly one entry in
+      :data:`_ENTRIES`, and each entry's restype and argtypes (count and
+      types) match its C prototype;
     - the in-kernel dedup's FNV-1a offset basis and prime equal
       ``repro.evaluation.kernel.DEDUP_FNV_OFFSET`` / ``DEDUP_FNV_PRIME``
       (``CostModel.simulate_many`` sizes and trusts the same table);
@@ -1234,8 +675,6 @@ def source_consistency_problems() -> list:
     - ``ReproScan.suffix_buckets`` has :data:`SCAN_BUCKETS` entries, the
       length of the ctypes mirror that ``DeltaEvaluator.scan`` reads.
     """
-    import re
-
     from .costmodel import INFEASIBLE
     from .kernel import (
         DEDUP_FNV_OFFSET,
@@ -1244,28 +683,54 @@ def source_consistency_problems() -> list:
         INF,
     )
 
+    source = kernel_source()
     problems = []
 
-    def c_line(pattern: str) -> int:
-        """1-based line of the first match of ``pattern`` in this file."""
-        with open(__file__, encoding="utf-8") as fh:
-            for lineno, text in enumerate(fh, start=1):
-                if re.search(pattern, text):
-                    return lineno
-        return 1
+    def line_of(offset: int) -> int:
+        return source.count("\n", 0, offset) + 1
+
+    table = {}
+    for name, restype, argtypes in _ENTRIES:
+        if name in table:
+            problems.append((1, f"entry table lists {name} twice"))
+        table[name] = (restype, tuple(argtypes))
+    defined = set()
+    for fn in _C_FUNCTION.finditer(source):
+        ret, name, params = fn.groups()
+        if ret.split()[0] == "static":
+            continue
+        line = line_of(fn.start())
+        defined.add(name)
+        if name not in table:
+            problems.append((line, f"C entry {name} is missing from the "
+                                   f"entry table"))
+            continue
+        c_args = tuple(_c_type(p) for p in params.split(",")
+                       if p.strip() not in ("", "void"))
+        restype, argtypes = table[name]
+        if len(argtypes) != len(c_args):
+            problems.append((line, f"entry table gives {name} "
+                                   f"{len(argtypes)} arguments, its C "
+                                   f"prototype has {len(c_args)}"))
+        elif argtypes != c_args or restype is not _c_type(ret):
+            problems.append((line, f"entry table types of {name} differ "
+                                   f"from its C prototype"))
+    for name in sorted(table.keys() - defined):
+        problems.append((1, f"entry table lists {name}, which kernel.c "
+                            f"does not define"))
 
     def check(pattern: str, expected: int, what: str,
               mirror: str = "repro.evaluation.kernel") -> None:
-        m = re.search(pattern, _C_SOURCE)
+        m = re.search(pattern, source)
         if m is None:
             problems.append((
-                c_line(r"_C_SOURCE = r"),
+                1,
                 f"C source: cannot locate the {what} "
                 f"(pattern {pattern!r}); update the mirror check",
             ))
         elif int(m.group(1)) != expected:
             problems.append((
-                c_line(pattern),
+                line_of(m.start()),
                 f"C {what} is {m.group(1)}, Python mirror "
                 f"({mirror}) says {expected}",
             ))
@@ -1280,10 +745,9 @@ def source_consistency_problems() -> list:
         r"suffix_buckets\[(\d+)\]", SCAN_BUCKETS,
         "scan suffix-bucket count", "_ckernel.SCAN_BUCKETS",
     )
-    if "out[b] = INFINITY" not in _C_SOURCE:
+    if "out[b] = INFINITY" not in source:
         problems.append((
-            c_line(r"_C_SOURCE = r"),
-            "C source no longer marks infeasible lanes with INFINITY",
+            1, "C source no longer marks infeasible lanes with INFINITY",
         ))
     if not (INFEASIBLE == INF == float("inf")):
         problems.append((

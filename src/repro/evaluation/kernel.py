@@ -47,14 +47,15 @@ INF = float("inf")
 
 # ---------------------------------------------------------------------------
 # Python-side mirrors of the C batch kernel's lane/dedup constants.  The
-# in-kernel genome dedup (``repro_span_batch_dedup`` in
-# :mod:`repro.evaluation._ckernel`) hashes rows with 64-bit FNV-1a and
-# requires a power-of-two probe table of at least ``DEDUP_TABLE_FACTOR``
-# times the lane count; ``CostModel.simulate_many`` sizes its table from
-# these mirrors.  ``_ckernel.source_consistency_problems()`` (surfaced as
-# lint rule KER001 and pinned by ``tests/test_ckernel_sanitize.py``)
-# verifies the C source literally embeds the same values, so an edit to
-# one side without the other cannot land silently.
+# in-kernel genome dedup (``repro_span_batch_dedup`` in ``kernel.c``,
+# loaded by :mod:`repro.evaluation._ckernel`) hashes rows with 64-bit
+# FNV-1a and requires a power-of-two probe table of at least
+# ``DEDUP_TABLE_FACTOR`` times the lane count; ``CostModel.simulate_many``
+# sizes its table from these mirrors.
+# ``_ckernel.source_consistency_problems()`` (surfaced as lint rule KER001
+# and pinned by ``tests/test_ckernel_sanitize.py``) verifies that
+# ``kernel.c`` literally holds the same values, so an edit to one side
+# without the other cannot land silently.
 # ---------------------------------------------------------------------------
 
 #: FNV-1a 64-bit offset basis used by the in-kernel row hash

@@ -356,6 +356,8 @@ class TestKer001:
         path = "src/repro/evaluation/_ckernel.py"
         report = lint_sources([(path, "x = 1\n")], active)
         assert [f.code for f in report.findings] == ["KER001"]
+        # the finding names the C file and its own line
+        assert report.findings[0].path == "src/repro/evaluation/kernel.c"
         assert report.findings[0].line == 42
         assert "FNV prime drifted" in report.findings[0].message
 
@@ -387,7 +389,8 @@ class TestKer002:
     def test_repo_kernel_is_topology_agnostic(self):
         active = all_rules(resolve_codes("KER002"), None)
         path = "src/repro/evaluation/_ckernel.py"
-        source = open(path).read()
+        with open(path, encoding="utf-8") as fh:
+            source = fh.read()
         report = lint_sources([(path, source)], active)
         assert report.findings == []
 
@@ -395,13 +398,14 @@ class TestKer002:
         from repro.evaluation import _ckernel
 
         monkeypatch.setattr(
-            _ckernel, "_C_SOURCE",
-            "static double x;\nint hop_count = 0;\nint route_to[4];\n",
+            _ckernel, "kernel_source",
+            lambda: "static double x;\nint hop_count = 0;\nint route_to[4];\n",
         )
         active = all_rules(resolve_codes("KER002"), None)
         path = "src/repro/evaluation/_ckernel.py"
         report = lint_sources([(path, "x = 1\n")], active)
         assert [f.code for f in report.findings] == ["KER002", "KER002"]
+        assert report.findings[0].path == "src/repro/evaluation/kernel.c"
         assert report.findings[0].line == 2
         assert "'hop_count'" in report.findings[0].message or \
             "hop" in report.findings[0].message

@@ -2,18 +2,21 @@
 
 Pins four things:
 
-- flag parsing (asan/ubsan spellings, loud ``ValueError`` on typos);
+- flag parsing (the ubsan spellings, loud ``ValueError`` on typos and on
+  the AddressSanitizer spellings, which point at the standalone harness
+  ``tests/kernel_harness.c``);
 - the sanitize flags are part of the ``.so`` cache key, so plain and
   sanitized builds coexist and a flip never serves a stale binary;
-- the C source ↔ Python mirror consistency check is green;
-- a sanitizer-instrumented kernel produces **bit-identical** makespans
-  (checked in a subprocess, because loading an ASan ``.so`` into the
-  long-lived pytest process would wire its interceptors permanently).
+- the C source ↔ Python mirror consistency check is green, and catches
+  drift of the ctypes entry table;
+- a UBSan-instrumented kernel produces **bit-identical** makespans
+  (checked in a subprocess, so the sanitized ``.so`` never loads into
+  the long-lived pytest process).
 
-Sanitized compiles need a working cc with libasan/libubsan; the
-subprocess test skips gracefully where that is missing (the
-``kernel-sanitize`` CI job runs the full equivalence suite under the
-variable on a toolchain that has them).
+Sanitized compiles need a working cc with libubsan; the subprocess test
+skips gracefully where that is missing (the ``kernel-sanitize`` CI job
+runs the equivalence suites under the variable on a toolchain that has
+it).
 """
 
 import json
@@ -37,13 +40,10 @@ class TestSanitizeFlags:
         assert _ckernel.sanitize_flags() == []
 
     @pytest.mark.parametrize("spec,groups", [
-        ("asan", "address"),
-        ("address", "address"),
         ("ubsan", "undefined"),
         ("undefined", "undefined"),
-        ("asan,ubsan", "address,undefined"),
-        (" ASan , UBSan ", "address,undefined"),
-        ("asan,address", "address"),  # dedup across spellings
+        (" UBSan ", "undefined"),
+        ("ubsan,undefined", "undefined"),  # dedup across spellings
     ])
     def test_spellings(self, monkeypatch, spec, groups):
         monkeypatch.setenv("REPRO_CKERNEL_SANITIZE", spec)
@@ -52,8 +52,17 @@ class TestSanitizeFlags:
         ]
 
     def test_unknown_token_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CKERNEL_SANITIZE", "asan,tsan")
+        monkeypatch.setenv("REPRO_CKERNEL_SANITIZE", "ubsan,tsan")
         with pytest.raises(ValueError, match="tsan"):
+            _ckernel.sanitize_flags()
+
+    @pytest.mark.parametrize("spec", ["asan", "address", "asan,ubsan"])
+    def test_address_sanitizer_points_at_the_harness(self, monkeypatch,
+                                                     spec):
+        # an in-process ASan build sees none of the buffers the kernel
+        # touches (CPython and numpy own them all), so it is refused
+        monkeypatch.setenv("REPRO_CKERNEL_SANITIZE", spec)
+        with pytest.raises(ValueError, match="tests/kernel_harness.c"):
             _ckernel.sanitize_flags()
 
     def test_empty_tokens_ignored(self, monkeypatch):
@@ -71,7 +80,7 @@ class TestCacheKey:
         plain = _ckernel._source_hash(_ckernel._CFLAGS)
         san = _ckernel._source_hash(
             _ckernel._CFLAGS
-            + ["-fsanitize=address,undefined", "-fno-omit-frame-pointer"]
+            + ["-fsanitize=undefined", "-fno-omit-frame-pointer"]
         )
         assert plain != san
 
@@ -114,6 +123,29 @@ class TestSourceConsistency:
         monkeypatch.setattr(_ckernel, "SCAN_BUCKETS", 32)
         problems = _ckernel.source_consistency_problems()
         assert any("suffix-bucket" in msg for _, msg in problems)
+
+    def test_detects_an_entry_table_arity_drift(self, monkeypatch):
+        # repro_eval_move's table row loses its last argument (the bound)
+        entries = [
+            (name, restype, argtypes[:-1]) if name == "repro_eval_move"
+            else (name, restype, argtypes)
+            for name, restype, argtypes in _ckernel._ENTRIES
+        ]
+        monkeypatch.setattr(_ckernel, "_ENTRIES", tuple(entries))
+        problems = _ckernel.source_consistency_problems()
+        assert len(problems) == 1
+        line, msg = problems[0]
+        assert "repro_eval_move" in msg and "6 arguments" in msg
+        source = _ckernel.kernel_source().splitlines()
+        assert source[line - 1].startswith("double repro_eval_move(")
+
+    def test_detects_a_missing_and_an_unknown_entry(self, monkeypatch):
+        entries = [e for e in _ckernel._ENTRIES if e[0] != "repro_vary"]
+        entries.append(("repro_gone", None, ()))
+        monkeypatch.setattr(_ckernel, "_ENTRIES", tuple(entries))
+        messages = [m for _, m in _ckernel.source_consistency_problems()]
+        assert any("repro_vary is missing" in m for m in messages)
+        assert any("repro_gone" in m for m in messages)
 
 
 # ---------------------------------------------------------------------------
@@ -169,10 +201,10 @@ def test_sanitized_kernel_is_bit_identical():
     if plain["kernel"] != "c":
         pytest.skip("no C compiler available")
 
-    san, err = _run_child({"REPRO_CKERNEL_SANITIZE": "asan,ubsan"})
+    san, err = _run_child({"REPRO_CKERNEL_SANITIZE": "ubsan"})
     if san is None or san["kernel"] != "c":
         pytest.skip(f"sanitized build unavailable: {err}")
-    assert san["sanitize"] == "asan,ubsan"
+    assert san["sanitize"] == "ubsan"
     # IEEE semantics are untouched by the instrumentation: exact match
     assert san["spans"] == plain["spans"]
 
