@@ -7,8 +7,7 @@ example-based tests.  This package enforces them *structurally*: an AST
 visitor core (:mod:`~repro.analysis.core`), a registry of rules with
 stable ``REPRO``-style codes (:mod:`~repro.analysis.registry` /
 :mod:`~repro.analysis.rules`), inline
-``# repro-lint: disable=CODE  # reason`` suppressions, an optional
-baseline file (:mod:`~repro.analysis.baseline`) and a driver with a
+``# repro-lint: disable=CODE  # reason`` suppressions and a driver with a
 stable JSON report (:mod:`~repro.analysis.runner`) behind the
 ``repro lint`` CLI verb.
 
@@ -30,7 +29,7 @@ Typical use::
     repro lint                           # src/ tests/ benchmarks/ if present
     repro lint src/repro --json
     repro lint --select DET001,DET002 src/
-    repro lint --ignore TOL001 src/ --baseline lint-baseline.json
+    repro lint --ignore TOL001 src/
 
 Exit status: 0 clean, 1 findings, 2 usage/input errors.  The repo's own
 tree lints clean — pinned by the meta-test in ``tests/test_analysis.py``
@@ -39,7 +38,6 @@ and the ``static-analysis`` CI job.
 
 from __future__ import annotations
 
-from .baseline import apply_baseline, load_baseline, write_baseline
 from .core import Finding, LintError, ModuleContext, Rule
 from .registry import (
     RuleSelectionError,
@@ -58,12 +56,9 @@ __all__ = [
     "Rule",
     "RuleSelectionError",
     "all_rules",
-    "apply_baseline",
     "collect_files",
     "lint_sources",
-    "load_baseline",
     "resolve_codes",
     "rule_codes",
     "run_lint",
-    "write_baseline",
 ]

@@ -56,11 +56,6 @@ class Finding:
     def sort_key(self) -> Tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.code)
 
-    @property
-    def baseline_key(self) -> Tuple[str, str, int]:
-        """Identity used by the baseline file (column drifts too easily)."""
-        return (self.code, self.path, self.line)
-
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
 

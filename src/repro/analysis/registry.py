@@ -1,6 +1,6 @@
 """Rule registry: stable codes, registration, and --select/--ignore.
 
-Codes are permanent once shipped (a baseline or suppression written
+Codes are permanent once shipped (a suppression written
 against ``DET001`` must keep meaning the same check forever); the
 registry enforces the ``ABC###`` shape and rejects duplicates at import
 time so two rules can never race for one code.

@@ -4,7 +4,7 @@ Each rule guards a contract a previous PR pinned with example-based
 tests; the linter makes the contract *structural* — new code cannot
 quietly drift out of it.  The catalogue (code -> contract -> origin PR)
 is mirrored in ``src/repro/analysis/README.md``; rule codes are stable
-forever (suppressions and baselines reference them).
+forever (suppressions reference them).
 """
 
 from __future__ import annotations

@@ -5,8 +5,7 @@ the given paths (sorted, deterministic), build a
 :class:`~repro.analysis.core.ModuleContext` per file, drive every active
 rule over a **single** ``ast.walk`` per module, then run project-level
 rules once across all contexts.  Suppressions are applied per finding,
-an optional baseline subtracts grandfathered findings, and the result is
-a :class:`LintReport` with a stable JSON schema (version field; bump on
+and the result is a :class:`LintReport` with a stable JSON schema (version field; bump on
 any shape change)::
 
     {
@@ -25,7 +24,6 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .baseline import apply_baseline, load_baseline
 from .core import Finding, LintError, ModuleContext, Rule
 from .registry import all_rules, resolve_codes
 
@@ -42,7 +40,6 @@ class LintReport:
     n_files: int
     rules: List[str]           # active rule codes
     n_suppressed: int = 0
-    n_baselined: int = 0
     errors: List[str] = field(default_factory=list)
 
     @property
@@ -167,12 +164,11 @@ def run_lint(
     *,
     select: Optional[str] = None,
     ignore: Optional[str] = None,
-    baseline: Optional[str] = None,
 ) -> LintReport:
     """Lint ``paths`` with the active rule set; see the module docstring.
 
     Raises :class:`~repro.analysis.core.LintError` for unusable inputs
-    (missing path, unreadable baseline) and
+    (a missing or unreadable path) and
     :class:`~repro.analysis.registry.RuleSelectionError` for unknown
     codes — the CLI maps both to exit status 2.
     """
@@ -187,10 +183,4 @@ def run_lint(
             except OSError as exc:
                 raise LintError(f"cannot read {path}: {exc}") from None
 
-    report = lint_sources(read_all(), rules)
-    if baseline is not None:
-        known = load_baseline(baseline)
-        before = len(report.findings)
-        report.findings = apply_baseline(report.findings, known)
-        report.n_baselined = before - len(report.findings)
-    return report
+    return lint_sources(read_all(), rules)

@@ -709,15 +709,10 @@ def cmd_lint(args) -> int:
             paths,
             select=args.select,
             ignore=args.ignore,
-            baseline=args.baseline,
         )
     except (analysis.LintError, analysis.RuleSelectionError) as exc:
         R.error(f"lint: {exc}")
         return 2
-    if args.write_baseline:
-        n = analysis.write_baseline(args.write_baseline, report.findings)
-        R.out(f"wrote {args.write_baseline} ({n} entries)")
-        return 0
     if args.json:
         R.out(json.dumps(report.to_json(), indent=2))
     else:
@@ -728,8 +723,6 @@ def cmd_lint(args) -> int:
         tail = f"{len(report.findings)} finding(s) in {report.n_files} file(s)"
         if report.n_suppressed:
             tail += f", {report.n_suppressed} suppressed"
-        if report.n_baselined:
-            tail += f", {report.n_baselined} baselined"
         R.out(tail)
     return 0 if report.clean else 1
 
@@ -932,10 +925,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated rule codes to run (default: all)")
     p.add_argument("--ignore", metavar="CODES",
                    help="comma-separated rule codes to skip")
-    p.add_argument("--baseline", metavar="FILE",
-                   help="subtract findings recorded in this baseline file")
-    p.add_argument("--write-baseline", metavar="FILE",
-                   help="record current findings as the new baseline and exit")
     p.add_argument("--list-rules", action="store_true",
                    help="list rule codes with their contracts and exit")
     p.set_defaults(func=cmd_lint)

@@ -169,7 +169,6 @@ class ReproScan(ctypes.Structure):
         ("best", ctypes.c_double),
         ("best_idx", ctypes.c_int64),
         ("n_evals", ctypes.c_int64),
-        ("delta_work", ctypes.c_double),
         ("suffix_total", ctypes.c_int64),
         ("suffix_buckets", ctypes.c_int64 * SCAN_BUCKETS),
     ]

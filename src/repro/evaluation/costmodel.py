@@ -68,12 +68,12 @@ Evaluation architecture — one specification, one compiled loop body:
 
 Bookkeeping: ``n_simulations`` counts full scratch simulations (one per
 :meth:`simulate` call, as before); ``n_delta_evaluations`` counts
-incremental suffix re-evaluations and ``delta_work`` accumulates their
-cost in full-evaluation equivalents (suffix length / n);
-``n_batched_evaluations`` counts distinct lanes simulated by
-:meth:`simulate_many` (each a full pass) and ``n_batch_calls`` the calls,
-so ``n_batched_evaluations / n_batch_calls`` is the realized mean batch
-width.  ``n_simulations + delta_work + n_batched_evaluations`` is the
+incremental suffix re-evaluations and ``delta_steps`` sums their suffix
+lengths, in task steps; ``n_batched_evaluations`` counts distinct lanes
+simulated by :meth:`simulate_many` (each a full pass) and
+``n_batch_calls`` the calls, so ``n_batched_evaluations / n_batch_calls``
+is the realized mean batch width.  Every counter is an integer;
+``n_simulations + n_batched_evaluations + delta_steps / n`` is the
 model-evaluation effort in units of one O(V + E) pass.
 """
 
@@ -211,8 +211,8 @@ class CostModel:
         self.n_simulations = 0
         #: number of incremental suffix re-evaluations (delta evaluator)
         self.n_delta_evaluations = 0
-        #: delta effort in full-evaluation equivalents (suffix length / n)
-        self.delta_work = 0.0
+        #: summed suffix lengths of the incremental re-evaluations
+        self.delta_steps = 0
         #: lanes evaluated through the population entry (simulate_many);
         #: each lane is one full pass, counted here instead of
         #: ``n_simulations`` so callers can prove the batch path is taken

@@ -52,12 +52,11 @@ kernel (no-op skip, incremental area check, counters and
 full-objective scorer.
 
 Bookkeeping: every suffix re-simulation (and every suffix commit)
-increments ``model.n_delta_evaluations`` and adds ``suffix_length / n``
-to ``model.delta_work`` (full-evaluation equivalents); full base
-rebuilds count toward ``model.n_simulations``.  The C scan charges the
-same counters per pass: ``delta_work`` summed in move order from its
-value before the pass, and the ``delta.suffix_len`` histogram as bucket
-counts, so both scans leave bit-identical counters.
+increments ``model.n_delta_evaluations`` and adds its suffix length to
+the integer ``model.delta_steps``; full base rebuilds count toward
+``model.n_simulations``.  The C scan returns a pass's counters summed:
+``suffix_total`` for ``delta_steps``, and the ``delta.suffix_len``
+histogram as bucket counts, so both scans leave identical counters.
 """
 
 from __future__ import annotations
@@ -350,8 +349,7 @@ class DeltaEvaluator:
         :func:`scan_moves`, counters included.
 
         On the C kernel the pass is one ``repro_scan`` call.  The
-        counters come back summed:
-        ``delta_work`` accumulated in move order from ``model.delta_work``
+        counters come back summed: the suffix lengths as ``suffix_total``
         and the suffix-length histogram as buckets.
         """
         native = table.native
@@ -369,7 +367,6 @@ class DeltaEvaluator:
         state = ReproScan(
             best=current if expected is None else 0.0,
             best_idx=-1,
-            delta_work=model.delta_work,
         )
         if self._scan_c(
             self._ctx_p,
@@ -384,7 +381,7 @@ class DeltaEvaluator:
         ):
             raise ValueError(f"order: move index outside [0, {n_moves})")
         model.n_delta_evaluations += state.n_evals
-        model.delta_work = state.delta_work
+        model.delta_steps += state.suffix_total
         if self._suffix_hist is not None and state.n_evals:
             self._suffix_hist.observe_counts(
                 state.suffix_buckets, state.suffix_total
@@ -454,7 +451,7 @@ class DeltaEvaluator:
             return INFEASIBLE
         model = self.model
         model.n_delta_evaluations += 1
-        model.delta_work += (self.n - first_pos) / self.n
+        model.delta_steps += self.n - first_pos
         if self._suffix_hist is not None:
             self._suffix_hist.observe_int(self.n - first_pos)
 
@@ -518,15 +515,15 @@ class DeltaEvaluator:
         makespan is one reference walk, charged like the walk it
         replaces.  ``k = 0`` is the full rebuild and counts as one full
         simulation (``model.n_simulations``); a resumed walk counts as an
-        incremental evaluation (``n_delta_evaluations`` / fractional
-        ``delta_work``).
+        incremental evaluation (``n_delta_evaluations``) of ``n - k``
+        steps (``delta_steps``).
         """
         model = self.model
         if k == 0:
             model.n_simulations += 1
         else:
             model.n_delta_evaluations += 1
-            model.delta_work += (self.n - k) / self.n
+            model.delta_steps += self.n - k
             if self._suffix_hist is not None:
                 self._suffix_hist.observe_int(self.n - k)
         if self._ck is not None:

@@ -21,6 +21,11 @@ kernel, through a dict of reference walks keyed on the row bytes on the
 pure-Python fallback.  Per-lane results are bit-identical to
 :meth:`construction_makespan` of that row.
 
+The evaluation counters are integer attributes of the
+:class:`~repro.evaluation.costmodel.CostModel` (:attr:`MappingEvaluator.model`);
+the evaluator only combines them into :attr:`~MappingEvaluator.n_evaluations`
+and :attr:`~MappingEvaluator.n_equivalent_evaluations`.
+
 The *relative improvement* metric follows Sec. IV-A: average positive
 relative improvement over the pure-CPU mapping, deteriorations counted as
 zero.
@@ -92,37 +97,15 @@ class MappingEvaluator:
         )
 
     @property
-    def n_full_simulations(self) -> int:
-        """Full O(V+E) scratch simulations only (scalar entry)."""
-        return self.model.n_simulations
-
-    @property
-    def n_delta_evaluations(self) -> int:
-        """Incremental suffix re-evaluations only."""
-        return self.model.n_delta_evaluations
-
-    @property
-    def n_batched_evaluations(self) -> int:
-        """Population lanes evaluated through the batch entry."""
-        return self.model.n_batched_evaluations
-
-    @property
-    def n_batch_calls(self) -> int:
-        """Batch-entry calls that simulated at least one lane."""
-        return self.model.n_batch_calls
-
-    @property
     def n_equivalent_evaluations(self) -> float:
         """Evaluation effort in units of one full O(V+E) simulation.
 
-        Full simulations and batched lanes count 1; a delta evaluation
-        counts its suffix fraction (``suffix length / n``).
+        Full simulations and batched lanes count 1; the delta
+        evaluations count their summed suffix lengths over ``n``.
         """
-        return (
-            self.model.n_simulations
-            + self.model.delta_work
-            + self.model.n_batched_evaluations
-        )
+        model = self.model
+        return (model.n_simulations + model.n_batched_evaluations
+                + model.delta_steps / model.n)
 
     def cpu_mapping(self) -> np.ndarray:
         """The all-host default mapping (device 0 for every task)."""

@@ -220,7 +220,6 @@ typedef struct {
     double best;               /* basic: best makespan; gamma: best gain */
     int64_t best_idx;          /* the winning move, -1 if none */
     int64_t n_evals;           /* moves scored */
-    double delta_work;         /* running sum of suffix / n, in move order */
     int64_t suffix_total;      /* summed suffix lengths */
     int64_t suffix_buckets[64];/* suffix lengths by bit length */
 } ReproScan;
@@ -246,7 +245,7 @@ static int move_area_ok(const ReproMoves *mv, const int64_t *mp,
 /* One greedy scan pass over the moves in `order` (NULL: table order),
  * each scored by repro_eval_move.  A no-op move (every member already
  * on the device) is skipped; an infeasible one scores INFINITY; every
- * other move charges n_evals, delta_work and the suffix buckets.
+ * other move charges n_evals, suffix_total and the suffix buckets.
  * Basic mode (expected == NULL): a move gets the bound best - eps, and
  * the first makespan below best - eps wins.  Gamma mode: no bound,
  * each move's gain current - makespan goes into expected[k] (0 for a
@@ -283,7 +282,6 @@ int64_t repro_scan(const ReproCtx *c, const ReproDelta *d,
             int b = 0;
             for (uint64_t v = (uint64_t)suffix; v; v >>= 1) b++;
             st->n_evals++;
-            st->delta_work += (double)suffix / (double)n;
             st->suffix_buckets[b]++;
             st->suffix_total += suffix;
             ms = repro_eval_move(c, d, sub, len, dev, fp,

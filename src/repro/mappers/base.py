@@ -62,41 +62,35 @@ class Mapper(abc.ABC):
         """Compute a mapping for the evaluator's graph/platform."""
         rng = rng if rng is not None else np.random.default_rng(0)
         evals_before = evaluator.n_evaluations
-        sims_before = evaluator.n_full_simulations
-        deltas_before = evaluator.n_delta_evaluations
-        batched_before = evaluator.n_batched_evaluations
-        calls_before = evaluator.n_batch_calls
-        # the run's delta work is summed from 0.0, so its float value does
-        # not depend on what earlier runs left on the evaluator
         model = evaluator.model
-        work_before = model.delta_work
-        model.delta_work = 0.0
+        sims_before = model.n_simulations
+        deltas_before = model.n_delta_evaluations
+        steps_before = model.delta_steps
+        batched_before = model.n_batched_evaluations
+        calls_before = model.n_batch_calls
         # wall time feeds only the reported elapsed_s diagnostic,
         # never the mapping itself
         t0 = time.perf_counter()  # repro-lint: disable=DET002
-        try:
-            with _trace.span("mapper.run", "mapper", {"mapper": self.name}
-                             if _trace.enabled() else None):
-                mapping, stats = self._run(evaluator, rng)
-        finally:
-            run_work = model.delta_work
-            model.delta_work = work_before + run_work
+        with _trace.span("mapper.run", "mapper", {"mapper": self.name}
+                         if _trace.enabled() else None):
+            mapping, stats = self._run(evaluator, rng)
         elapsed = time.perf_counter() - t0  # repro-lint: disable=DET002
-        n_sims = evaluator.n_full_simulations - sims_before
+        n_sims = model.n_simulations - sims_before
         stats.setdefault("n_simulations", float(n_sims))
         stats.setdefault(
             "n_delta_evaluations",
-            float(evaluator.n_delta_evaluations - deltas_before),
+            float(model.n_delta_evaluations - deltas_before),
         )
-        n_batched = evaluator.n_batched_evaluations - batched_before
-        n_calls = evaluator.n_batch_calls - calls_before
+        n_batched = model.n_batched_evaluations - batched_before
+        n_calls = model.n_batch_calls - calls_before
         stats.setdefault("n_batched_evaluations", float(n_batched))
         stats.setdefault(
             "batch_size_mean",
             float(n_batched) / n_calls if n_calls > 0 else 0.0,
         )
         stats.setdefault(
-            "n_equivalent_evaluations", float(n_sims + run_work + n_batched)
+            "n_equivalent_evaluations",
+            n_sims + n_batched + (model.delta_steps - steps_before) / model.n,
         )
         mapping = np.asarray(mapping, dtype=np.int64)
         if mapping.shape != (evaluator.n_tasks,):

@@ -138,9 +138,12 @@ class MilpBuilder:
             bounds=bounds,
             options=options,
         )
-        if int(res.status) == 4:
+        if (int(res.status) == 4 and getattr(res, "x", None) is None
+                and "limit" not in str(res.message).lower()):
             # HiGHS presolve occasionally chokes on big-M streaming rows
-            # ("Solve error"); retrying without presolve is reliable.
+            # ("Solve error"); retrying without presolve is reliable.  A
+            # limit stop ("Solution limit reached") also reports status
+            # 4, but it keeps its incumbent, which a re-solve would lose.
             res = milp(
                 c,
                 constraints=constraints,

@@ -2,7 +2,7 @@
 
 Every rule gets a firing fixture and a passing fixture (driven through
 :func:`repro.analysis.lint_sources`, the in-memory entry point), plus
-coverage for inline suppressions, baselines, rule selection, the JSON
+coverage for inline suppressions, rule selection, the JSON
 schema, the CLI exit statuses — and the meta-test that the repo's own
 tree lints clean.
 """
@@ -18,11 +18,9 @@ from repro.analysis import (
     RuleSelectionError,
     all_rules,
     lint_sources,
-    load_baseline,
     resolve_codes,
     rule_codes,
     run_lint,
-    write_baseline,
 )
 from repro.analysis.core import ModuleContext
 from repro.analysis.runner import JSON_SCHEMA_VERSION
@@ -448,47 +446,6 @@ class TestSuppressions:
         )
         report = lint_sources([(PKG, src)], all_rules())
         assert [f.line for f in report.findings] == [2]
-
-
-# ---------------------------------------------------------------------------
-# baseline
-# ---------------------------------------------------------------------------
-
-class TestBaseline:
-    def test_roundtrip_subtracts_known_findings(self, tmp_path):
-        # dir named "repro" so the package-scoped rules fire
-        src_dir = tmp_path / "repro"
-        src_dir.mkdir()
-        f = src_dir / "mod.py"
-        f.write_text("print('old debt')\n")
-        base = tmp_path / "baseline.json"
-
-        before = run_lint([str(src_dir)])
-        assert [x.code for x in before.findings] == ["CLI001"]
-        write_baseline(str(base), before.findings)
-
-        after = run_lint([str(src_dir)], baseline=str(base))
-        assert after.findings == []
-        assert after.n_baselined == 1
-        assert after.clean
-
-    def test_new_debt_still_reported(self, tmp_path):
-        src_dir = tmp_path / "repro"
-        src_dir.mkdir()
-        f = src_dir / "mod.py"
-        f.write_text("print('old debt')\n")
-        base = tmp_path / "baseline.json"
-        write_baseline(str(base), run_lint([str(src_dir)]).findings)
-
-        f.write_text("print('old debt')\nprint('new debt')\n")
-        report = run_lint([str(src_dir)], baseline=str(base))
-        assert [x.line for x in report.findings] == [2]
-
-    def test_malformed_baseline_is_a_usage_error(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("[1, 2, 3]")
-        with pytest.raises(LintError):
-            load_baseline(str(bad))
 
 
 # ---------------------------------------------------------------------------

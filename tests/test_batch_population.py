@@ -131,10 +131,10 @@ class TestBatchBitIdentity:
         distinct = rng.integers(0, 3, size=(6, ev.n_tasks), dtype=np.int64)
         idx = rng.integers(0, 6, size=40)
         pop = distinct[idx]
-        before = ev.n_batched_evaluations
+        before = ev.model.n_batched_evaluations
         ms = ev.construction_makespans(pop)
         # only the distinct rows hit the kernel ...
-        assert ev.n_batched_evaluations - before == len(np.unique(idx))
+        assert ev.model.n_batched_evaluations - before == len(np.unique(idx))
         # ... and every row equals its scalar evaluation bit for bit
         for r in range(len(pop)):
             assert _same(ms[r], ev.construction_makespan(pop[r]))
@@ -197,9 +197,9 @@ class TestMetaheuristicCounters:
         # final construction_makespan of the returned mapping
         assert stats["n_simulations"] == 0.0
         assert res.n_evaluations == (
-            ev.n_full_simulations
-            + ev.n_delta_evaluations
-            + ev.n_batched_evaluations
+            ev.model.n_simulations
+            + ev.model.n_delta_evaluations
+            + ev.model.n_batched_evaluations
         )
 
     def test_tabu_and_annealing_report_delta_counters(self, platform):

@@ -6,7 +6,10 @@ construction makespan, a hash of the per-step history (plus the Pareto
 front for ``ParetoNSGAII``), the algorithm's own stats, and the
 evaluation counters (``n_simulations``, ``n_delta_evaluations``,
 ``n_batched_evaluations``, ``n_batch_calls`` and the cost-weighted
-``n_equivalent_evaluations``).
+``n_equivalent_evaluations``).  Every counter is an integer count, and
+``n_equivalent_evaluations`` is one division of them, so it is exact:
+``n_simulations + n_batched_evaluations + delta_steps / n``, with
+``delta_steps`` the summed suffix lengths of the delta evaluations.
 
 ``tests/golden/trajectories.json`` was recorded with the compiled kernel
 while the evaluation core still carried the numpy lockstep kernels and
@@ -186,7 +189,7 @@ def run_case(mapper_name: str, graph: str, seed: int, use_ckernel: bool):
         "counters": {k: int(stats.pop(k)) for k in COUNTERS},
         "equivalent": repr(stats.pop("n_equivalent_evaluations")),
     }
-    digest["counters"]["n_batch_calls"] = ev.n_batch_calls
+    digest["counters"]["n_batch_calls"] = ev.model.n_batch_calls
     stats.pop("batch_size_mean")
     digest["stats"] = {k: repr(float(v)) for k, v in sorted(stats.items())}
     if isinstance(mapper, ParetoNsgaIIMapper):

@@ -468,7 +468,7 @@ class TestCounters:
         # evaluation by its suffix share, so full <= equivalent <= total
         assert res.stats["n_equivalent_evaluations"] <= res.n_evaluations
         assert res.n_evaluations == (
-            ev.n_full_simulations + ev.n_delta_evaluations
+            ev.model.n_simulations + ev.model.n_delta_evaluations
         )
 
     def test_infeasible_delta_moves_not_counted(self):
@@ -488,8 +488,8 @@ class TestCounters:
         g = random_sp_graph(10, np.random.default_rng(1))
         ev = make_evaluator(g, platform, n_random=2)
         ev.construction_makespan(ev.cpu_mapping())
-        assert ev.n_equivalent_evaluations == ev.n_full_simulations == 1
-        assert ev.n_delta_evaluations == 0
+        assert ev.n_equivalent_evaluations == ev.model.n_simulations == 1
+        assert ev.model.n_delta_evaluations == 0
 
 
 def _delta_state(delta):

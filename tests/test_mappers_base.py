@@ -88,9 +88,8 @@ class TestTrivialMappers:
 class TestStatsOnAReusedEvaluator:
     def test_second_run_reports_the_same_stats(self, platform):
         """A run's stats do not depend on what earlier runs left on the
-        evaluator: ``n_equivalent_evaluations`` sums the run's delta
-        work from zero, since a float sum continued from an earlier
-        run's total differs in its last digits."""
+        evaluator: every counter, ``n_equivalent_evaluations``
+        included, is the run's own before/after difference."""
         from repro.mappers import single_node
 
         g = random_sp_graph(150, np.random.default_rng(3))

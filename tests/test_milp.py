@@ -3,6 +3,7 @@
 import hashlib
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -66,6 +67,55 @@ class TestMilpBuilder:
         sol = b.solve()
         assert sol.status != 0
         assert sol.x is None or not np.isfinite(sol.objective)
+
+
+class TestStatus4Retry:
+    """``solve`` re-solves without presolve only after a status-4 error
+    that left no incumbent; a limit stop keeps its solution."""
+
+    @staticmethod
+    def _solve_with(monkeypatch, results):
+        import scipy.optimize
+
+        calls = []
+
+        def fake_milp(c, **kwargs):
+            calls.append(kwargs["options"])
+            return results[len(calls) - 1]
+
+        monkeypatch.setattr(scipy.optimize, "milp", fake_milp)
+        b = MilpBuilder()
+        x = b.add_binary()
+        b.set_objective({x: 1.0})
+        return b.solve(), calls
+
+    def test_limit_stop_keeps_its_incumbent(self, monkeypatch):
+        stop = SimpleNamespace(
+            status=4, x=np.array([1.0]), fun=0.26439,
+            message="HiGHS Status 16: Solution limit reached")
+        sol, calls = self._solve_with(monkeypatch, [stop])
+        assert len(calls) == 1
+        assert sol.status == 4 and sol.objective == 0.26439
+        np.testing.assert_array_equal(sol.x, [1.0])
+
+    def test_error_without_incumbent_retries_without_presolve(
+            self, monkeypatch):
+        error = SimpleNamespace(status=4, x=None, fun=None,
+                                message="HiGHS Status 4: Solve error")
+        retry = SimpleNamespace(status=0, x=np.array([0.0]), fun=0.0,
+                                message="Optimal")
+        sol, calls = self._solve_with(monkeypatch, [error, retry])
+        assert len(calls) == 2
+        assert "presolve" not in calls[0]
+        assert calls[1]["presolve"] is False
+        assert sol.status == 0 and sol.objective == 0.0
+
+    def test_limit_stop_without_incumbent_is_not_retried(self, monkeypatch):
+        stop = SimpleNamespace(status=4, x=None, fun=None,
+                               message="HiGHS Status 16: Solution limit reached")
+        sol, calls = self._solve_with(monkeypatch, [stop])
+        assert len(calls) == 1
+        assert sol.x is None and sol.objective == np.inf
 
 
 class TestProblemData:

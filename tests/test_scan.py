@@ -174,7 +174,7 @@ def _band_scan(case, use_ckernel, scan, basic):
         [delta.candidate([t]) for t in range(model.n)], model.m)
     expected = None if basic else np.zeros(len(table.pairs))
     best, idx = scan(delta, table, current, expected=expected)
-    counters = (model.n_delta_evaluations, model.delta_work,
+    counters = (model.n_delta_evaluations, model.delta_steps,
                 model.n_simulations)
     return model, current, best, idx, expected, counters
 

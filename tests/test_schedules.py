@@ -339,11 +339,11 @@ class TestReportedMakespan:
         ev = MappingEvaluator(g, platform, suite=suite)
         ev.model = CostModel(g, platform, use_ckernel=use_ckernel)
         mapping = ev.cpu_mapping()
-        before = ev.n_full_simulations
+        before = ev.model.n_simulations
         ms = ev.reported_makespan(mapping)
-        assert ev.n_full_simulations - before == len(suite) == 101
+        assert ev.model.n_simulations - before == len(suite) == 101
         assert ms == self.loop_minimum(ev.model, mapping, suite.orders)
         infeasible = self.mappings(g, platform)["all_fpga"]
-        before = ev.n_full_simulations
+        before = ev.model.n_simulations
         assert ev.reported_makespan(infeasible) == INFEASIBLE
-        assert ev.n_full_simulations == before
+        assert ev.model.n_simulations == before
